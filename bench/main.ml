@@ -51,7 +51,7 @@ let dropped_total = ref 0
 
 (* one cache handle per run, shared across experiments *)
 let cache =
-  let handle = lazy (Option.map Ub_exec.Cache.open_dir !cache_dir) in
+  let handle = lazy (Option.map Ub_exec.Cache.open_journal !cache_dir) in
   fun () -> Lazy.force handle
 
 let print_pool_stats (s : Ub_exec.Pool.stats) =

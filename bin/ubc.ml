@@ -442,8 +442,8 @@ let serve_cmd =
   let cache_dir =
     Arg.(value & opt (some string) None
            & info [ "cache" ] ~docv:"DIR"
-               ~doc:"Persist verdicts in $(docv) (journal backend: flock-guarded \
-                     appends, safe under concurrent writers).")
+               ~doc:"Persist verdicts in $(docv) (an append-only journal with \
+                     fcntl-locked appends, safe under concurrent writers).")
   in
   let run trace socket jobs queue batch deadline cache_dir =
     guard @@ fun () ->
@@ -479,15 +479,11 @@ let fleet_cmd =
   let dir =
     Arg.(required & opt (some string) None
            & info [ "dir" ] ~docv:"DIR"
-               ~doc:"Fleet home: shard sockets, per-shard journals, and fleet.json land \
-                     here.")
+               ~doc:"Fleet home: shard sockets, the shared verdict journal, and fleet.json \
+                     land here.")
   in
   let shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc:"Number of serve shards.")
-  in
-  let jobs =
-    Arg.(value & opt int 1
-           & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Pool workers per shard (1 = in-process).")
   in
   let queue =
     Arg.(value & opt int 256
@@ -503,37 +499,22 @@ let fleet_cmd =
            & info [ "deadline" ] ~docv:"S"
                ~doc:"Default per-request deadline applied by every shard.")
   in
-  let sync_interval =
-    Arg.(value & opt float 2.0
-           & info [ "sync-interval" ] ~docv:"S"
-               ~doc:"Seconds between journal replication rounds (shards -> aggregate -> \
-                     shards).")
-  in
-  let no_restart =
-    Arg.(value & flag
-           & info [ "no-restart" ] ~doc:"Do not respawn crashed shards.")
-  in
   let shard_traces =
     Arg.(value & flag
            & info [ "shard-traces" ]
                ~doc:"Write one JSONL trace per shard under DIR (trace-K.jsonl).")
   in
-  let run trace dir shards jobs queue batch deadline sync_interval no_restart shard_traces =
+  let run trace dir shards queue batch deadline shard_traces =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
     if shards < 1 then raise (Usage "fleet: --shards must be >= 1");
-    if jobs < 1 then raise (Usage "fleet: --jobs must be >= 1");
     if queue < 1 then raise (Usage "fleet: --queue must be >= 1");
-    if sync_interval <= 0.0 then raise (Usage "fleet: --sync-interval must be > 0");
     let cfg =
       { (Ub_serve.Fleet.default_config ~dir) with
         Ub_serve.Fleet.shards;
-        jobs;
         queue_limit = queue;
         batch_max = batch;
         default_deadline_s = deadline;
-        sync_interval_s = sync_interval;
-        restart = not no_restart;
         trace = shard_traces;
         verbose = true;
       }
@@ -544,9 +525,8 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:"Run N refinement-checking shards behind a consistent-hash router, with \
-             supervised restarts and replicated verdict journals.")
-    Term.(const run $ trace_arg $ dir $ shards $ jobs $ queue $ batch $ deadline
-          $ sync_interval $ no_restart $ shard_traces)
+             supervised restarts and one shared verdict journal.")
+    Term.(const run $ trace_arg $ dir $ shards $ queue $ batch $ deadline $ shard_traces)
 
 (* ------------------------------------------------------------------ *)
 (* submit: query a running daemon                                      *)

@@ -1,28 +1,20 @@
 (* A persistent on-disk verdict cache.  Entries are raw strings keyed by
    a canonical hash; callers (e.g. [Ub_refine.Verdict_cache]) own the
-   value encoding.  Two backends share one interface:
+   value encoding.
 
-   - [open_dir]: one file per entry under [dir]/<k0k1>/<key>, two hex
-     characters of fan-out so huge sweeps do not produce a single
-     million-entry directory.  Writes go through a temp file + rename so
-     a killed run never leaves a torn entry, and concurrent writers of
-     the same key are idempotent (same key = same bytes).  Best for
-     batch sweeps where the per-entry syscall cost is amortized by the
-     check it memoizes.
-
-   - [open_journal]: a single append-only log [dir]/journal.bin with an
-     in-memory index.  Appends are guarded by an fcntl lock on
-     [dir]/journal.lock so records from concurrent multi-process
-     writers never interleave mid-record, and lookups are hashtable
-     hits -- the right shape for the serve daemon, which stores
-     thousands of tiny verdicts and cannot afford three syscalls per
-     store.  When the log's dead weight (overwritten keys) passes a
-     threshold it is compacted: under the same lock, the live index is
-     rewritten to a temp file and atomically renamed onto the journal,
-     so readers never observe a half-compacted log.  A reader that
-     misses in its index first replays whatever other processes have
-     appended since its last look (and detects a concurrent compaction
-     by inode change), so cooperating processes share entries live.
+   The store is a single append-only log [dir]/journal.bin with an
+   in-memory index.  Appends are guarded by an fcntl lock on
+   [dir]/journal.lock so records from concurrent multi-process writers
+   never interleave mid-record, and lookups are hashtable hits -- the
+   right shape for the serve daemon, which stores thousands of tiny
+   verdicts and cannot afford three syscalls per store.  When the log's
+   dead weight (overwritten keys) passes a threshold it is compacted:
+   under the same lock, the live index is rewritten to a temp file and
+   atomically renamed onto the journal, so readers never observe a
+   half-compacted log.  A reader that misses in its index first replays
+   whatever other processes have appended since its last look (and
+   detects a concurrent compaction by inode change), so cooperating
+   processes -- the shards of a fleet, say -- share entries live.
 
    Journal record layout (little-endian-free, explicit big-endian):
 
@@ -30,27 +22,22 @@
 
    A record truncated by a crash mid-append can only be the last one in
    the file (appends are serialized by the lock); replay stops at the
-   truncation point and the next locked append happens at a clean
-   offset only after [recover_truncation] trims the tail. *)
+   truncation point, and the next store, under the lock, truncates the
+   file back to the last intact record before appending, so no later
+   record ever lands behind the torn bytes. *)
 
-type journal = {
+type t = {
   jpath : string;
   mutable wfd : Unix.file_descr; (* O_APPEND writer, reopened after compaction *)
   lockfd : Unix.file_descr;
   index : (string, string) Hashtbl.t;
   mutable replayed : int; (* bytes of journal already folded into [index] *)
+  mutable size : int; (* file size at the last replay; > [replayed] means a torn tail *)
   mutable ino : int; (* inode of the replayed journal, to detect compaction *)
   mutable live : int; (* bytes of records currently live in [index] *)
-}
-
-type backend = Entries | Journal of journal
-
-type t = {
-  dir : string;
   mutable hits : int;
   mutable misses : int;
   mutable stores : int;
-  backend : backend;
 }
 
 let rec mkdir_p dir =
@@ -71,38 +58,6 @@ let key ~(parts : string list) : string =
       Buffer.add_string buf p)
     parts;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* ------------------------------------------------------------------ *)
-(* Per-entry backend                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let open_dir dir =
-  mkdir_p dir;
-  { dir; hits = 0; misses = 0; stores = 0; backend = Entries }
-
-let path_of t k = Filename.concat (Filename.concat t.dir (String.sub k 0 2)) k
-
-let entries_find t k : string option =
-  let path = path_of t k in
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let v = In_channel.input_all ic in
-    close_in ic;
-    Some v
-
-let entries_store t k (v : string) : unit =
-  let path = path_of t k in
-  mkdir_p (Filename.dirname path);
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  output_string oc v;
-  close_out oc;
-  Sys.rename tmp path
-
-(* ------------------------------------------------------------------ *)
-(* Journal backend                                                     *)
-(* ------------------------------------------------------------------ *)
 
 let record_bytes k v = 8 + String.length k + String.length v
 
@@ -131,13 +86,13 @@ let encode_record k v : Bytes.t =
    are per-process, which is exactly the granularity we need: the
    hazard is two *processes* interleaving appends or compacting over
    each other; within one process the cache is used sequentially. *)
-let with_lock (j : journal) (f : unit -> 'a) : 'a =
-  ignore (Unix.lseek j.lockfd 0 Unix.SEEK_SET);
-  Unix.lockf j.lockfd Unix.F_LOCK 0;
+let with_lock (t : t) (f : unit -> 'a) : 'a =
+  ignore (Unix.lseek t.lockfd 0 Unix.SEEK_SET);
+  Unix.lockf t.lockfd Unix.F_LOCK 0;
   Fun.protect
     ~finally:(fun () ->
-      ignore (Unix.lseek j.lockfd 0 Unix.SEEK_SET);
-      Unix.lockf j.lockfd Unix.F_ULOCK 0)
+      ignore (Unix.lseek t.lockfd 0 Unix.SEEK_SET);
+      Unix.lockf t.lockfd Unix.F_ULOCK 0)
     f
 
 let rec write_all fd b off len =
@@ -150,14 +105,18 @@ let rec write_all fd b off len =
 
 let stat_ino path = try (Unix.stat path).Unix.st_ino with Unix.Unix_error _ -> -1
 
-(* Fold journal records from [from] into the index; returns the offset
-   of the first truncated/unreadable byte (= file size when clean). *)
-let replay_into (j : journal) ~(from : int) : int =
-  match Unix.openfile j.jpath [ Unix.O_RDONLY ] 0 with
+let open_writer jpath = Unix.openfile jpath [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+
+(* Fold journal records from [from] into the index and note the file
+   size in [t.size]; returns the offset of the first truncated or
+   unreadable byte (= file size when clean). *)
+let replay_into (t : t) ~(from : int) : int =
+  match Unix.openfile t.jpath [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> from
   | fd ->
     Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
     let size = (Unix.fstat fd).Unix.st_size in
+    t.size <- size;
     if size <= from then from
     else begin
       ignore (Unix.lseek fd from Unix.SEEK_SET);
@@ -180,11 +139,11 @@ let replay_into (j : journal) ~(from : int) : int =
         else begin
           let k = Bytes.sub_string buf (!pos + 8) kl in
           let v = Bytes.sub_string buf (!pos + 8 + kl) vl in
-          (match Hashtbl.find_opt j.index k with
-          | Some old -> j.live <- j.live - record_bytes k old
+          (match Hashtbl.find_opt t.index k with
+          | Some old -> t.live <- t.live - record_bytes k old
           | None -> ());
-          Hashtbl.replace j.index k v;
-          j.live <- j.live + record_bytes k v;
+          Hashtbl.replace t.index k v;
+          t.live <- t.live + record_bytes k v;
           pos := !pos + 8 + kl + vl
         end
       done;
@@ -193,42 +152,42 @@ let replay_into (j : journal) ~(from : int) : int =
 
 (* Re-read anything other processes appended since we last looked; a
    changed inode means someone compacted, so start over from scratch. *)
-let refresh (j : journal) : unit =
-  let ino = stat_ino j.jpath in
-  if ino <> j.ino then begin
-    Hashtbl.reset j.index;
-    j.live <- 0;
-    j.replayed <- replay_into j ~from:0;
-    j.ino <- ino;
+let refresh (t : t) : unit =
+  let ino = stat_ino t.jpath in
+  if ino <> t.ino then begin
+    Hashtbl.reset t.index;
+    t.live <- 0;
+    t.replayed <- replay_into t ~from:0;
+    t.ino <- ino;
     (* the O_APPEND writer still points at the old (renamed-over) file *)
-    Unix.close j.wfd;
-    j.wfd <- Unix.openfile j.jpath [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+    Unix.close t.wfd;
+    t.wfd <- open_writer t.jpath
   end
-  else j.replayed <- replay_into j ~from:j.replayed
+  else t.replayed <- replay_into t ~from:t.replayed
 
 let open_journal dir =
   mkdir_p dir;
   let jpath = Filename.concat dir "journal.bin" in
-  let wfd = Unix.openfile jpath [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
+  let wfd = open_writer jpath in
   let lockfd =
     Unix.openfile (Filename.concat dir "journal.lock") [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
   in
-  let j =
-    { jpath; wfd; lockfd; index = Hashtbl.create 1024; replayed = 0;
-      ino = stat_ino jpath; live = 0 }
+  let t =
+    { jpath; wfd; lockfd; index = Hashtbl.create 1024; replayed = 0; size = 0;
+      ino = stat_ino jpath; live = 0; hits = 0; misses = 0; stores = 0 }
   in
-  j.replayed <- replay_into j ~from:0;
-  { dir; hits = 0; misses = 0; stores = 0; backend = Journal j }
+  t.replayed <- replay_into t ~from:0;
+  t
 
 (* Compact: under the lock, fold in every record on disk (including a
    competitor's appends), write the live set to a temp file, rename it
    onto the journal.  The rename is the commit point: a reader either
    sees the old inode (and keeps replaying the old log it has open) or
    the new one (and restarts from offset 0 via [refresh]). *)
-let journal_compact (j : journal) : unit =
-  with_lock j @@ fun () ->
-  refresh j;
-  let tmp = Printf.sprintf "%s.tmp.%d" j.jpath (Unix.getpid ()) in
+let compact (t : t) : unit =
+  with_lock t @@ fun () ->
+  refresh t;
+  let tmp = Printf.sprintf "%s.tmp.%d" t.jpath (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let bytes = ref 0 in
   (try
@@ -237,142 +196,68 @@ let journal_compact (j : journal) : unit =
          let b = encode_record k v in
          write_all fd b 0 (Bytes.length b);
          bytes := !bytes + Bytes.length b)
-       j.index;
+       t.index;
      Unix.close fd
    with e ->
      Unix.close fd;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  Sys.rename tmp j.jpath;
-  Unix.close j.wfd;
-  j.wfd <- Unix.openfile j.jpath [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
-  j.ino <- stat_ino j.jpath;
-  j.replayed <- !bytes;
-  j.live <- !bytes
+  Sys.rename tmp t.jpath;
+  Unix.close t.wfd;
+  t.wfd <- open_writer t.jpath;
+  t.ino <- stat_ino t.jpath;
+  t.replayed <- !bytes;
+  t.size <- !bytes;
+  t.live <- !bytes
 
 (* Auto-compaction threshold: once the log tops 1 MiB, compact when
    less than half of it is live.  Checked after appends, so the
    amortized cost is one stat-free comparison per store. *)
-let maybe_compact (j : journal) : unit =
-  if j.replayed > 1_048_576 && j.live * 2 < j.replayed then journal_compact j
-
-let journal_find (j : journal) k : string option =
-  match Hashtbl.find_opt j.index k with
-  | Some v -> Some v
-  | None ->
-    (* maybe another process stored it since we last replayed *)
-    refresh j;
-    Hashtbl.find_opt j.index k
-
-let journal_store (j : journal) k v : unit =
-  let b = encode_record k v in
-  with_lock j (fun () ->
-      (* fold in foreign appends first so [replayed] tracks the true end
-         of file: appending while it pointed mid-way into a competitor's
-         record would make every later tail-replay misparse *)
-      refresh j;
-      write_all j.wfd b 0 (Bytes.length b);
-      (match Hashtbl.find_opt j.index k with
-      | Some old -> j.live <- j.live - record_bytes k old
-      | None -> ());
-      Hashtbl.replace j.index k v;
-      j.live <- j.live + record_bytes k v;
-      j.replayed <- j.replayed + Bytes.length b);
-  (* outside the lock: [journal_compact] takes it itself, and fcntl
-     locks do not nest (an inner unlock would drop the outer lock) *)
-  maybe_compact j
-
-(* Read every intact record of a foreign journal file without opening a
-   handle on its directory (no lock file creation, no O_APPEND writer).
-   Tolerates a torn tail exactly like [replay_into]: scanning stops at
-   the first record that does not fit in the file. *)
-let scan_journal_file (jpath : string) (f : string -> string -> unit) : unit =
-  match Unix.openfile jpath [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-    let size = (Unix.fstat fd).Unix.st_size in
-    if size > 0 then begin
-      let buf = Bytes.create size in
-      let rec read_all off =
-        if off >= size then size
-        else
-          match Unix.read fd buf off (size - off) with
-          | 0 -> off
-          | n -> read_all (off + n)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_all off
-      in
-      let got = read_all 0 in
-      let pos = ref 0 in
-      let ok = ref true in
-      while !ok && !pos + 8 <= got do
-        let kl = get_u32 buf !pos and vl = get_u32 buf (!pos + 4) in
-        if kl < 0 || vl < 0 || !pos + 8 + kl + vl > got then ok := false
-        else begin
-          f (Bytes.sub_string buf (!pos + 8) kl) (Bytes.sub_string buf (!pos + 8 + kl) vl);
-          pos := !pos + 8 + kl + vl
-        end
-      done
-    end
-
-(* Replicate another shard's journal into this one: copy every record
-   whose key this journal does not have.  Existing keys are left alone
-   -- verdicts are deterministic functions of their cache key, so a
-   present key already holds the same value and re-appending it would
-   only create dead weight (and ping-pong bytes between journals on
-   every merge round).  One lock covers the whole merge so a record is
-   never half-visible; the appends land through the same O_APPEND
-   writer as [journal_store], so concurrent shard writers interleave at
-   record granularity only. *)
-let journal_merge_from (j : journal) (src_dir : string) : int =
-  let src_path = Filename.concat src_dir "journal.bin" in
-  let copied = ref 0 in
-  with_lock j (fun () ->
-      refresh j;
-      scan_journal_file src_path (fun k v ->
-          if not (Hashtbl.mem j.index k) then begin
-            let b = encode_record k v in
-            write_all j.wfd b 0 (Bytes.length b);
-            Hashtbl.replace j.index k v;
-            j.live <- j.live + record_bytes k v;
-            j.replayed <- j.replayed + Bytes.length b;
-            incr copied
-          end));
-  (* outside the lock, same reason as [journal_store] *)
-  maybe_compact j;
-  !copied
-
-(* ------------------------------------------------------------------ *)
-(* The common face                                                     *)
-(* ------------------------------------------------------------------ *)
+let maybe_compact (t : t) : unit =
+  if t.replayed > 1_048_576 && t.live * 2 < t.replayed then compact t
 
 let find t k : string option =
-  let r = match t.backend with Entries -> entries_find t k | Journal j -> journal_find j k in
+  let r =
+    match Hashtbl.find_opt t.index k with
+    | Some v -> Some v
+    | None ->
+      (* maybe another process stored it since we last replayed *)
+      refresh t;
+      Hashtbl.find_opt t.index k
+  in
   (match r with
   | Some _ -> t.hits <- t.hits + 1
   | None -> t.misses <- t.misses + 1);
   r
 
 let store t k (v : string) : unit =
-  (match t.backend with Entries -> entries_store t k v | Journal j -> journal_store j k v);
-  t.stores <- t.stores + 1
-
-let compact t = match t.backend with Entries -> () | Journal j -> journal_compact j
-
-(* Copy missing records from [src_dir]'s journal into [t]; returns how
-   many were copied.  No-op for the per-entry backend. *)
-let merge_from t (src_dir : string) : int =
-  match t.backend with Entries -> 0 | Journal j -> journal_merge_from j src_dir
+  let b = encode_record k v in
+  with_lock t (fun () ->
+      (* fold in foreign appends first so [replayed] tracks the true end
+         of file: appending while it pointed mid-way into a competitor's
+         record would make every later tail-replay misparse *)
+      refresh t;
+      (* a crashed writer's torn record: cut it off, or this append
+         would land behind bytes no replay can get past *)
+      if t.size > t.replayed then Unix.ftruncate t.wfd t.replayed;
+      write_all t.wfd b 0 (Bytes.length b);
+      (match Hashtbl.find_opt t.index k with
+      | Some old -> t.live <- t.live - record_bytes k old
+      | None -> ());
+      Hashtbl.replace t.index k v;
+      t.live <- t.live + record_bytes k v;
+      t.replayed <- t.replayed + Bytes.length b;
+      t.size <- t.replayed);
+  t.stores <- t.stores + 1;
+  (* outside the lock: [compact] takes it itself, and fcntl locks do
+     not nest (an inner unlock would drop the outer lock) *)
+  maybe_compact t
 
 let close t =
-  match t.backend with
-  | Entries -> ()
-  | Journal j ->
-    (try Unix.close j.wfd with Unix.Unix_error _ -> ());
-    (try Unix.close j.lockfd with Unix.Unix_error _ -> ())
+  (try Unix.close t.wfd with Unix.Unix_error _ -> ());
+  try Unix.close t.lockfd with Unix.Unix_error _ -> ()
 
-let journal_size t =
-  match t.backend with Entries -> 0 | Journal j -> j.replayed
+let journal_size t = t.replayed
 
 let hits t = t.hits
 let misses t = t.misses

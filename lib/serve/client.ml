@@ -166,20 +166,18 @@ module Fleet = struct
     ring : Ring.t;
     shards : shard array;
     client_name : string;
-    max_attempts : int;
-    window_cfg : int;
     mutable wire_seq : int; (* fresh wire id per send attempt *)
   }
 
   let backoff_min = 0.05
   let backoff_max = 2.0
+  let window_max = 64 (* in-flight cap per shard before the hello narrows it *)
 
   let shard_display path =
     let b = Filename.basename path in
     if Filename.check_suffix b ".sock" then Filename.chop_suffix b ".sock" else b
 
-  let make ?(client = "ubc-fleet") ?(vnodes = 64) ?max_attempts ?(window = 64)
-      (sockets : string list) : t =
+  let make ?(client = "ubc-fleet") (sockets : string list) : t =
     if sockets = [] then invalid_arg "Fleet.make: no shard sockets";
     let shards =
       Array.of_list
@@ -189,7 +187,7 @@ module Fleet = struct
                s_path = path;
                s_name = shard_display path;
                s_fd = None;
-               s_window = window;
+               s_window = window_max;
                s_waiting = Queue.create ();
                s_inflight = Hashtbl.create 64;
                s_dead_until = 0.0;
@@ -197,19 +195,8 @@ module Fleet = struct
              })
            sockets)
     in
-    { ring = Ring.make ~vnodes (List.map shard_display sockets);
-      shards;
-      client_name = client;
-      max_attempts = (match max_attempts with Some n -> n | None -> 2 * List.length sockets);
-      window_cfg = window;
-      wire_seq = 0;
-    }
-
-  let sockets (t : t) : string list =
-    Array.to_list (Array.map (fun s -> s.s_path) t.shards)
-
-  let shard_names (t : t) : string list =
-    Array.to_list (Array.map (fun s -> s.s_name) t.shards)
+    { ring = Ring.make (List.map shard_display sockets); shards; client_name = client;
+      wire_seq = 0 }
 
   (* The routing key matches the server's coalescing key structure:
      verdict-cache key of the query plus the deadline class, so two
@@ -260,8 +247,8 @@ module Fleet = struct
           sh.s_fd <- Some fd;
           sh.s_name <- server;
           sh.s_window <-
-            (if queue_limit > 0 then max 1 (min t.window_cfg (queue_limit / 2))
-             else t.window_cfg);
+            (if queue_limit > 0 then max 1 (min window_max (queue_limit / 2))
+             else window_max);
           sh.s_backoff <- backoff_min;
           true
         | _ -> connect_failed fd sh
@@ -331,9 +318,11 @@ module Fleet = struct
         in
         Queue.push p t.shards.(Ring.route t.ring key).s_waiting)
       pairs;
+    (* two passes around the ring before a request gives up *)
+    let max_attempts = 2 * Array.length t.shards in
     let requeue (p : pending) : unit =
       p.p_attempts <- p.p_attempts + 1;
-      if p.p_attempts > t.max_attempts then
+      if p.p_attempts > max_attempts then
         fill p.p_slot
           (Wire.Error_r
              { r_id = None;
@@ -495,12 +484,6 @@ module Fleet = struct
         | Some rt -> rt
         | None -> (Wire.Error_r { r_id = None; message = "no reply received" }, "client"))
       slots
-
-  let check_batch (t : t) ?deadline_s ?enum_only ~mode pairs : Wire.reply array =
-    Array.map fst (check_batch_tagged t ?deadline_s ?enum_only ~mode pairs)
-
-  let check (t : t) ?deadline_s ?enum_only ~mode ~src ~tgt () : Wire.reply =
-    (check_batch t ?deadline_s ?enum_only ~mode [| (src, tgt) |]).(0)
 
   (* Which shard a query routes to (primary); exposed for tests and for
      the fleet front's diagnostics. *)

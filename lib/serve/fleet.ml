@@ -2,39 +2,25 @@
    router.
 
    The front forks one daemon per shard (each with its own socket
-   DIR/shard-K.sock and its own journal DIR/verdicts-K), writes a
-   machine-readable spec DIR/fleet.json so clients can discover the
-   shard set, and then supervises: crashed shards are reaped and (by
-   default) respawned -- a respawned shard replays its journal on open,
-   so it answers warm.  Every [sync_interval_s] the front runs a
-   replication round over the journals: each shard's records merge into
-   an aggregate journal DIR/verdicts-all, and the aggregate merges back
-   into every shard.  Two rounds after any write, every shard can
-   answer every key; the merge appends only missing keys (verdicts are
-   deterministic per key, so existing keys are already identical) and
-   compaction uses the journal's existing rename-committed path, so
-   readers never observe a torn store.
-
-   Invariants the replication scheme maintains:
-   - no lost verdicts: a record in any shard journal reaches the
-     aggregate in the next round, and every other shard the round after;
-   - no divergence: a key is only ever appended where it is missing,
-     so the first value a journal holds for a key is the one it keeps;
-   - crash safety: merges run under each destination journal's fcntl
-     lock and tolerate a torn source tail exactly like replay. *)
+   DIR/shard-K.sock), writes a machine-readable spec DIR/fleet.json so
+   clients can discover the shard set, and then supervises: crashed
+   shards are reaped and respawned.  Every shard opens the same verdict
+   journal, DIR/verdicts.  The journal already shares appends live
+   between processes (fcntl-locked appends; a lookup that misses
+   replays what others appended since), so a verdict one shard stores
+   is visible to every other shard on its next journal miss, and a
+   respawned shard replays the whole journal on open and answers warm.
+   A shard SIGKILLed mid-append leaves at most one torn record at the
+   tail, which the next store under the lock truncates away. *)
 
 module Obs = Ub_obs.Obs
 
 type config = {
-  dir : string; (* fleet home: sockets, journals, spec file *)
+  dir : string; (* fleet home: sockets, the shared journal, spec file *)
   shards : int;
-  jobs : int; (* pool size per shard *)
   queue_limit : int;
   batch_max : int;
   default_deadline_s : float option;
-  sync_interval_s : float; (* journal replication period *)
-  restart : bool; (* respawn crashed shards *)
-  vnodes : int; (* ring points per shard (client-side routing) *)
   trace : bool; (* per-shard JSONL traces under dir/trace-K.jsonl *)
   verbose : bool;
 }
@@ -42,28 +28,17 @@ type config = {
 let default_config ~dir =
   { dir;
     shards = 4;
-    jobs = 1;
     queue_limit = 256;
     batch_max = 64;
     default_deadline_s = None;
-    sync_interval_s = 2.0;
-    restart = true;
-    vnodes = 64;
     trace = false;
     verbose = false;
   }
 
 let shard_name i = Printf.sprintf "shard-%d" i
 let socket_path cfg i = Filename.concat cfg.dir (shard_name i ^ ".sock")
-let journal_dir cfg i = Filename.concat cfg.dir (Printf.sprintf "verdicts-%d" i)
-let aggregate_dir cfg = Filename.concat cfg.dir "verdicts-all"
+let journal_dir cfg = Filename.concat cfg.dir "verdicts"
 let spec_path dir = Filename.concat dir "fleet.json"
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Fleet spec: how clients discover the shard set                      *)
@@ -75,7 +50,6 @@ let write_spec (cfg : config) (pids : int array) : unit =
         Json.Obj
           [ ("name", Json.Str (shard_name i));
             ("socket", Json.Str (socket_path cfg i));
-            ("journal", Json.Str (journal_dir cfg i));
             ("pid", Json.Num (float_of_int pids.(i)));
           ])
   in
@@ -83,6 +57,7 @@ let write_spec (cfg : config) (pids : int array) : unit =
     Json.Obj
       [ ("schema", Json.Str "ubc-fleet-v1");
         ("dir", Json.Str cfg.dir);
+        ("journal", Json.Str (journal_dir cfg));
         ("shards", Json.List shards);
       ]
   in
@@ -119,29 +94,6 @@ let sockets_of_spec (spec : string) : (string list, string) result =
     | sockets -> Ok sockets
 
 (* ------------------------------------------------------------------ *)
-(* Journal replication                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One replication round: shard journals -> aggregate -> shard
-   journals.  Stateless (opens and closes its own handles) so it can
-   run from the front loop or from a one-shot `ubc fleet --sync`.
-   Returns the number of records copied in either direction. *)
-let replicate (cfg : config) : int =
-  let copied = ref 0 in
-  let agg = Ub_exec.Cache.open_journal (aggregate_dir cfg) in
-  Fun.protect ~finally:(fun () -> Ub_exec.Cache.close agg) @@ fun () ->
-  for i = 0 to cfg.shards - 1 do
-    copied := !copied + Ub_exec.Cache.merge_from agg (journal_dir cfg i)
-  done;
-  for i = 0 to cfg.shards - 1 do
-    let sj = Ub_exec.Cache.open_journal (journal_dir cfg i) in
-    Fun.protect
-      ~finally:(fun () -> Ub_exec.Cache.close sj)
-      (fun () -> copied := !copied + Ub_exec.Cache.merge_from sj (aggregate_dir cfg));
-  done;
-  !copied
-
-(* ------------------------------------------------------------------ *)
 (* Shard processes                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -158,11 +110,10 @@ let spawn_shard (cfg : config) (i : int) : int =
       Obs.set_trace (Filename.concat cfg.dir (Printf.sprintf "trace-%d.jsonl" i));
     let code =
       try
-        let cache = Ub_exec.Cache.open_journal (journal_dir cfg i) in
+        let cache = Ub_exec.Cache.open_journal (journal_dir cfg) in
         let scfg =
           { (Server.default_config ~socket_path:(socket_path cfg i)) with
-            Server.jobs = cfg.jobs;
-            queue_limit = cfg.queue_limit;
+            Server.queue_limit = cfg.queue_limit;
             batch_max = cfg.batch_max;
             default_deadline_s = cfg.default_deadline_s;
             cache = Some cache;
@@ -200,14 +151,14 @@ let wait_for_sockets (cfg : config) : unit =
 
 type handle = {
   h_cfg : config;
-  mutable h_pids : int array; (* index = shard; -1 once reaped *)
+  h_pids : int array; (* index = shard; -1 once reaped *)
 }
 
 let handle_sockets (h : handle) : string list =
   List.init h.h_cfg.shards (fun i -> socket_path h.h_cfg i)
 
 let spawn_local (cfg : config) : handle =
-  mkdir_p cfg.dir;
+  Ub_exec.Cache.mkdir_p cfg.dir;
   let pids = Array.init cfg.shards (fun i -> spawn_shard cfg i) in
   write_spec cfg pids;
   wait_for_sockets cfg;
@@ -216,15 +167,6 @@ let spawn_local (cfg : config) : handle =
 let rec waitpid_retry flags pid =
   try Unix.waitpid flags pid
   with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry flags pid
-
-(* Kill one shard hard (tests exercise failover with this). *)
-let kill_shard (h : handle) (i : int) : unit =
-  if h.h_pids.(i) >= 0 then begin
-    (try Unix.kill h.h_pids.(i) Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (waitpid_retry [] h.h_pids.(i));
-    h.h_pids.(i) <- -1;
-    (try Sys.remove (socket_path h.h_cfg i) with Sys_error _ -> ())
-  end
 
 let stop_local (h : handle) : unit =
   Array.iter
@@ -355,70 +297,45 @@ let merge_stats (per_shard : (string * Wire.stats_reply) list) : Json.t =
 (* The front loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Supervise a fleet until SIGTERM/SIGINT: reap crashed shards (respawn
-   when [restart]), run a replication round every [sync_interval_s],
-   and on shutdown drain every shard, run a final replication round,
-   and compact the aggregate journal. *)
+(* Supervise a fleet until SIGTERM/SIGINT: reap and respawn crashed
+   shards, and on shutdown drain every shard and remove the spec. *)
 let run (cfg : config) : unit =
-  mkdir_p cfg.dir;
-  let pids = Array.init cfg.shards (fun i -> spawn_shard cfg i) in
-  write_spec cfg pids;
-  wait_for_sockets cfg;
+  let h = spawn_local cfg in
+  let pids = h.h_pids in
   let draining = ref false in
   let on_signal _ = draining := true in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
   if cfg.verbose then
     Printf.eprintf "[fleet] %d shard(s) up under %s\n%!" cfg.shards cfg.dir;
-  let last_sync = ref (Obs.Clock.now_s ()) in
-  (try
-     while not !draining do
-       (try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-       (* reap; respawn unless we are going down anyway *)
-       for i = 0 to cfg.shards - 1 do
-         if pids.(i) >= 0 then
-           match Unix.waitpid [ Unix.WNOHANG ] pids.(i) with
-           | 0, _ -> ()
-           | _, _ ->
-             pids.(i) <- -1;
-             Obs.count "fleet.shard_exits";
-             if cfg.restart && not !draining then begin
-               Obs.count "fleet.restarts";
-               if cfg.verbose then
-                 Printf.eprintf "[fleet] respawning %s\n%!" (shard_name i);
-               (* the respawned shard replays its journal on open and
-                  picks up everyone else's keys at the next sync round:
-                  it answers warm *)
-               pids.(i) <- spawn_shard cfg i;
-               write_spec cfg pids
-             end
-           | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pids.(i) <- -1
-       done;
-       if Obs.Clock.now_s () -. !last_sync >= cfg.sync_interval_s then begin
-         last_sync := Obs.Clock.now_s ();
-         let n = try replicate cfg with _ -> 0 in
-         Obs.count "fleet.merge_rounds";
-         Obs.count ~by:n "fleet.merged_records";
-         if cfg.verbose && n > 0 then
-           Printf.eprintf "[fleet] replicated %d record(s)\n%!" n
-       end
-     done
-   with e ->
-     Sys.set_signal Sys.sigterm old_term;
-     Sys.set_signal Sys.sigint old_int;
-     raise e);
-  Sys.set_signal Sys.sigterm old_term;
-  Sys.set_signal Sys.sigint old_int;
-  (* drain: forward the signal, wait for graceful exits, replicate one
-     last time so no shard's tail is lost, compact the aggregate *)
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigterm old_term;
+      Sys.set_signal Sys.sigint old_int)
+    (fun () ->
+      while not !draining do
+        (try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        (* reap; respawn unless we are going down anyway *)
+        for i = 0 to cfg.shards - 1 do
+          if pids.(i) >= 0 then
+            match Unix.waitpid [ Unix.WNOHANG ] pids.(i) with
+            | 0, _ -> ()
+            | _, _ ->
+              pids.(i) <- -1;
+              Obs.count "fleet.shard_exits";
+              if not !draining then begin
+                Obs.count "fleet.restarts";
+                if cfg.verbose then
+                  Printf.eprintf "[fleet] respawning %s\n%!" (shard_name i);
+                (* the respawned shard replays the shared journal on
+                   open: it answers warm *)
+                pids.(i) <- spawn_shard cfg i;
+                write_spec cfg pids
+              end
+            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pids.(i) <- -1
+        done
+      done);
   if cfg.verbose then Printf.eprintf "[fleet] draining %d shard(s)\n%!" cfg.shards;
-  Array.iter
-    (fun pid -> if pid >= 0 then try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-    pids;
-  Array.iteri (fun i pid -> if pid >= 0 then begin ignore (waitpid_retry [] pid); pids.(i) <- -1 end) pids;
-  ignore (try replicate cfg with _ -> 0);
-  (let agg = Ub_exec.Cache.open_journal (aggregate_dir cfg) in
-   Ub_exec.Cache.compact agg;
-   Ub_exec.Cache.close agg);
+  stop_local h;
   (try Sys.remove (spec_path cfg.dir) with Sys_error _ -> ());
   if cfg.verbose then Printf.eprintf "[fleet] down\n%!"

@@ -131,7 +131,7 @@ let with_tmp_cache k =
   Sys.remove dir;
   Fun.protect
     ~finally:(fun () -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
-    (fun () -> k (Cache.open_dir dir))
+    (fun () -> k (Cache.open_journal dir))
 
 let cache_tests =
   [ Alcotest.test_case "store/find roundtrip" `Quick (fun () ->
@@ -148,16 +148,9 @@ let cache_tests =
           (Cache.key ~parts:[ "ab"; "c" ] = Cache.key ~parts:[ "a"; "bc" ]);
         Alcotest.(check bool) "same parts same key" true
           (Cache.key ~parts:[ "x"; "y" ] = Cache.key ~parts:[ "x"; "y" ]));
-    Alcotest.test_case "cache persists across handles" `Quick (fun () ->
-        with_tmp_cache (fun c ->
-            let k = Cache.key ~parts:[ "persistent" ] in
-            Cache.store c k "v1";
-            let reopened = Cache.open_dir c.Cache.dir in
-            Alcotest.(check (option string)) "visible to a fresh handle" (Some "v1")
-              (Cache.find reopened k)));
   ]
 
-(* the journal backend: single-file append log, fcntl-locked appends,
+(* the journal: single-file append log, fcntl-locked appends,
    compaction behind an atomic rename, safe under concurrent writers
    from several processes *)
 
@@ -299,132 +292,28 @@ let journal_tests =
             let c2 = Cache.open_journal dir in
             Alcotest.(check (option string)) "prefix intact" (Some "fine")
               (Cache.find c2 (Cache.key ~parts:[ "ok" ]));
-            Cache.close c2));
-  ]
-
-(* cross-journal merge: the fleet replication primitive.  Missing keys
-   copy over; keys the destination already holds are left alone (first
-   value wins -- verdicts are deterministic per key, so re-appending
-   would only create dead weight and merge ping-pong). *)
-let merge_tests =
-  [ Alcotest.test_case "merge copies missing keys, never overwrites" `Quick (fun () ->
-        with_tmp_journal (fun dir_a ->
-            with_tmp_journal (fun dir_b ->
-                let ka = Cache.key ~parts:[ "a" ]
-                and kb = Cache.key ~parts:[ "b" ]
-                and shared = Cache.key ~parts:[ "shared" ] in
-                let a = Cache.open_journal dir_a in
-                Cache.store a ka "from-a";
-                Cache.store a shared "a-value";
-                let b = Cache.open_journal dir_b in
-                Cache.store b kb "from-b";
-                Cache.store b shared "b-value";
-                Cache.close b;
-                let copied = Cache.merge_from a dir_b in
-                Alcotest.(check int) "only the missing key copied" 1 copied;
-                Alcotest.(check (option string)) "own key intact" (Some "from-a")
-                  (Cache.find a ka);
-                Alcotest.(check (option string)) "foreign key arrived" (Some "from-b")
-                  (Cache.find a kb);
-                Alcotest.(check (option string)) "shared key kept the first value"
-                  (Some "a-value") (Cache.find a shared);
-                (* idempotent: a second round copies nothing *)
-                Alcotest.(check int) "re-merge is a no-op" 0 (Cache.merge_from a dir_b);
-                Cache.close a)));
-    Alcotest.test_case "merge+compact under 4 concurrent cross-journal writers" `Quick
-      (fun () ->
-        with_tmp_journal (fun dir_a ->
-            with_tmp_journal (fun dir_b ->
-                with_tmp_journal (fun dir_all ->
-                    (* the PR-5 writer stress, split across two journals:
-                       writers 0/1 append to A, 2/3 to B, racing the
-                       parent's replication rounds into the aggregate *)
-                    let n_procs = 4 and n_keys = 50 in
-                    flush stdout;
-                    flush stderr;
-                    let pids =
-                      List.init n_procs (fun p ->
-                          match Unix.fork () with
-                          | 0 ->
-                            let c =
-                              Cache.open_journal (if p < 2 then dir_a else dir_b)
-                            in
-                            for i = 0 to n_keys - 1 do
-                              Cache.store c
-                                (Cache.key ~parts:[ string_of_int p; string_of_int i ])
-                                (Printf.sprintf "%d-%d" p i)
-                            done;
-                            Cache.close c;
-                            Unix._exit 0
-                          | pid -> pid)
-                    in
-                    (* replication rounds race the live writers *)
-                    let agg = Cache.open_journal dir_all in
-                    for _ = 1 to 10 do
-                      ignore (Cache.merge_from agg dir_a);
-                      ignore (Cache.merge_from agg dir_b)
-                    done;
-                    List.iter waitpid_retry pids;
-                    (* final round after the writers exit: nothing may be
-                       missing afterwards *)
-                    ignore (Cache.merge_from agg dir_a);
-                    ignore (Cache.merge_from agg dir_b);
-                    Cache.compact agg;
-                    for p = 0 to n_procs - 1 do
-                      for i = 0 to n_keys - 1 do
-                        Alcotest.(check (option string))
-                          (Printf.sprintf "key %d-%d reached the aggregate" p i)
-                          (Some (Printf.sprintf "%d-%d" p i))
-                          (Cache.find agg
-                             (Cache.key ~parts:[ string_of_int p; string_of_int i ]))
-                      done
-                    done;
-                    (* no duplicate keys: every record in the compacted file
-                       is live, so size equals one record per unique key --
-                       re-merging both sources must copy nothing and leave
-                       the file byte-identical *)
-                    let size_after = Cache.journal_size agg in
-                    Alcotest.(check int) "re-merge A is a no-op" 0
-                      (Cache.merge_from agg dir_a);
-                    Alcotest.(check int) "re-merge B is a no-op" 0
-                      (Cache.merge_from agg dir_b);
-                    Alcotest.(check bool) "no bytes appended by the no-op rounds" true
-                      (Cache.journal_size agg = size_after);
-                    (* merge back: both shard journals end up answering
-                       every key (the fleet's warm-restart guarantee) *)
-                    let a = Cache.open_journal dir_a in
-                    ignore (Cache.merge_from a dir_all);
-                    for p = 0 to n_procs - 1 do
-                      for i = 0 to n_keys - 1 do
-                        Alcotest.(check (option string))
-                          (Printf.sprintf "key %d-%d replicated back to A" p i)
-                          (Some (Printf.sprintf "%d-%d" p i))
-                          (Cache.find a
-                             (Cache.key ~parts:[ string_of_int p; string_of_int i ]))
-                      done
-                    done;
-                    Cache.close a;
-                    Cache.close agg))));
-    Alcotest.test_case "merge tolerates a torn source tail" `Quick (fun () ->
-        with_tmp_journal (fun dir_src ->
-            with_tmp_journal (fun dir_dst ->
-                let s = Cache.open_journal dir_src in
-                Cache.store s (Cache.key ~parts:[ "one" ]) "1";
-                Cache.store s (Cache.key ~parts:[ "two" ]) "2";
-                Cache.close s;
-                (* crash mid-append in the source shard *)
-                let jpath = Filename.concat dir_src "journal.bin" in
-                let fd = Unix.openfile jpath [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
-                ignore (Unix.write fd (Bytes.of_string "\x00\x00\x00\x20torn") 0 8);
-                Unix.close fd;
-                let d = Cache.open_journal dir_dst in
-                Alcotest.(check int) "both intact records copied" 2
-                  (Cache.merge_from d dir_src);
-                Alcotest.(check (option string)) "first survives" (Some "1")
-                  (Cache.find d (Cache.key ~parts:[ "one" ]));
-                Alcotest.(check (option string)) "second survives" (Some "2")
-                  (Cache.find d (Cache.key ~parts:[ "two" ]));
-                Cache.close d)));
+            (* a store after the tear must not land behind the torn bytes *)
+            Cache.store c2 (Cache.key ~parts:[ "after" ]) "2";
+            Cache.close c2;
+            let c3 = Cache.open_journal dir in
+            Alcotest.(check (option string)) "later store survives reopen" (Some "2")
+              (Cache.find c3 (Cache.key ~parts:[ "after" ]));
+            Cache.close c3;
+            (* and another process sees it: exit code 0 = found *)
+            flush stdout;
+            flush stderr;
+            match Unix.fork () with
+            | 0 ->
+              let child = Cache.open_journal dir in
+              let found = Cache.find child (Cache.key ~parts:[ "after" ]) = Some "2" in
+              Unix._exit (if found then 0 else 1)
+            | pid ->
+              let rec wait () =
+                try snd (Unix.waitpid [] pid)
+                with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+              in
+              Alcotest.(check bool) "a forked reader sees the later store" true
+                (wait () = Unix.WEXITED 0)));
   ]
 
 (* the verdict cache: decisive verdicts roundtrip, unknowns are skipped *)
@@ -443,5 +332,5 @@ let verdict_tests =
 let () =
   Alcotest.run "exec"
     [ ("pool", pool_tests); ("cache", cache_tests); ("journal", journal_tests);
-      ("journal-merge", merge_tests); ("verdict-cache", verdict_tests);
+      ("verdict-cache", verdict_tests);
     ]

@@ -193,11 +193,11 @@ let stats_tests =
 (* Live 2-shard fleet                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let with_fleet ?(shards = 2) ?(jobs = 1) ?(queue_limit = 64) k =
+let with_fleet ?(shards = 2) ?(queue_limit = 64) k =
   let dir = Filename.temp_file "ub_fleet_test" "" in
   Sys.remove dir;
   let cfg =
-    { (Fleet.default_config ~dir) with Fleet.shards; jobs; queue_limit; batch_max = 16 }
+    { (Fleet.default_config ~dir) with Fleet.shards; queue_limit; batch_max = 16 }
   in
   let h = Fleet.spawn_local cfg in
   Fun.protect
@@ -216,14 +216,13 @@ let expect_verdict label want = function
 
 let fleet_tests =
   [ Alcotest.test_case "hello handshake echoes the shard tuning" `Quick (fun () ->
-        with_fleet ~jobs:2 ~queue_limit:48 (fun h ->
+        with_fleet ~queue_limit:48 (fun h ->
             List.iter
               (fun socket_path ->
                 let cl = Client.connect ~socket_path () in
                 Fun.protect
                   ~finally:(fun () -> Client.close cl)
                   (fun () ->
-                    Alcotest.(check int) "jobs echoed" 2 cl.Client.jobs;
                     Alcotest.(check int) "queue limit echoed" 48 cl.Client.queue_limit;
                     Alcotest.(check bool) "shard name in server string" true
                       (String.length cl.Client.server > 0)))
@@ -286,9 +285,9 @@ let fleet_tests =
                   match Unix.fork () with
                   | 0 ->
                     (* raw SIGKILL only: the shard is the *parent's*
-                       child, so reaping (Fleet.kill_shard) is the
-                       parent's job; any exception here must not leak
-                       the test framework out of the fork *)
+                       child, so reaping is the parent's job; any
+                       exception here must not leak the test framework
+                       out of the fork *)
                     (try
                        Unix.sleepf 0.15;
                        Unix.kill h.Fleet.h_pids.(0) Sys.sigkill
@@ -332,11 +331,12 @@ let fleet_tests =
                   (Printf.sprintf "most queries answered (%d/%d)" !answered n)
                   true
                   (!answered >= n / 2))));
-    Alcotest.test_case "journals replicate: any shard answers every key" `Quick (fun () ->
+    Alcotest.test_case "shards share one journal: any shard answers every key" `Quick
+      (fun () ->
         with_fleet (fun h ->
             let sockets = Fleet.handle_sockets h in
             (* seed distinct work through the router so each shard
-               journals its own slice *)
+               checks and stores its own slice *)
             let fl = Client.Fleet.make sockets in
             let n = 12 in
             let pairs = Array.init n (fun i -> (src_fn (200 + i), src_fn (200 + i))) in
@@ -345,14 +345,9 @@ let fleet_tests =
               (fun i rt -> expect_verdict (Printf.sprintf "seed %d" i) "refines" rt)
               replies;
             Client.Fleet.close fl;
-            (* one manual replication round (the front runs this on a
-               timer; spawn_local leaves it to the caller) *)
-            let copied = Fleet.replicate h.Fleet.h_cfg in
-            Alcotest.(check bool) (Printf.sprintf "replication copied %d" copied) true
-              (copied > 0);
-            (* now every key must be answerable by EVERY shard straight
-               from its journal: ask each shard directly, bypassing the
-               ring *)
+            (* every key must be answerable by EVERY shard straight from
+               the shared journal: ask each shard directly, bypassing
+               the ring *)
             List.iter
               (fun socket_path ->
                 let cl = Client.connect ~socket_path () in

@@ -249,7 +249,7 @@ let with_tmp_cache k =
   Fun.protect
     ~finally:(fun () ->
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
-    (fun () -> k (Ub_exec.Cache.open_dir dir))
+    (fun () -> k (Ub_exec.Cache.open_journal dir))
 
 let cache_tests =
   [ Alcotest.test_case "budget-limited verdicts never alias full-budget ones" `Quick

@@ -340,6 +340,13 @@ let server_tests =
             | None -> ()
             | _ -> Alcotest.fail "server must close a version-mismatched connection");
             Unix.close fd));
+    Alcotest.test_case "hello echoes the pool size and queue limit" `Quick (fun () ->
+        with_server
+          ~tune:(fun c -> { c with Server.jobs = 2; queue_limit = 48 })
+          (fun socket_path _ ->
+            Client.with_conn ~socket_path (fun cl ->
+                Alcotest.(check int) "jobs echoed" 2 cl.Client.jobs;
+                Alcotest.(check int) "queue limit echoed" 48 cl.Client.queue_limit)));
     Alcotest.test_case "stats reflect traffic; shutdown drains" `Quick (fun () ->
         with_server (fun socket_path pid ->
             Client.with_conn ~socket_path (fun cl ->
