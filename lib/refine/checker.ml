@@ -12,13 +12,19 @@
    where covers = p_src \/ (not p_tgt /\ (u_src \/ (not u_tgt /\ v_src = v_tgt))).
 
    Source choices (undef materializations, freeze picks, nondet branch
-   directions) are enumerated by bounded expansion; target choices are
-   ordinary existentials in the SAT query. *)
+   directions) are eliminated by bounded expansion; target choices are
+   ordinary existentials in the SAT query.  The source is encoded once,
+   with a fresh circuit input per bit of choice, and the body of the
+   quantifier is built once over those inputs.  Expansion conjoins one
+   cofactor of that body per assignment to the bits it depends on
+   ([Circuit.cofactor]), rebuilding only the choice-dependent cone, and
+   stops as soon as the conjunction folds to false. *)
 
 open Ub_support
 open Ub_ir
 open Ub_sem
 open Ub_smt
+module Obs = Ub_obs.Obs
 
 type verdict =
   | Refines
@@ -33,66 +39,22 @@ let verdict_to_string = function
       witness
   | Unknown r -> "unknown: " ^ r
 
-(* Choice provider that decides and records which sites materialize
-   (first pass) or replays fixed constants along the recorded decision
-   trace (expansion passes).  The replay must not re-decide from its own
-   circuits: substituted constants can fold a site's [cond] to false
-   that the counting pass could not, and skipping that site would
-   desynchronize the assignment stream (the widths no longer line up). *)
+(* Choice providers.  A site whose [cond] is constant false can never
+   observe its choice and is declined; every other site gets a fresh
+   input vector, which [record] sees.  [counting_choices] records each
+   site's width ([None] for a declined site) in [trace]. *)
+let recording_choices ctx (record : Bvterm.t option -> unit) : Encode.choice_fn =
+  { Encode.choose =
+      (fun ~width ~cond ->
+        let c = if Circuit.is_false cond then None else Some (Bvterm.fresh ctx ~width) in
+        record c;
+        c)
+  }
+
 let counting_choices ctx (trace : int option list ref) : Encode.choice_fn =
-  { Encode.choose =
-      (fun ~width ~cond ->
-        if Circuit.is_false cond then begin
-          trace := None :: !trace;
-          None
-        end
-        else begin
-          trace := Some width :: !trace;
-          Some (Bvterm.fresh ctx ~width)
-        end)
-  }
+  recording_choices ctx (fun c -> trace := Option.map Array.length c :: !trace)
 
-let constant_choices ctx (trace : int option list) (vals : Bitvec.t list) : Encode.choice_fn =
-  let tr = ref trace in
-  let rest = ref vals in
-  { Encode.choose =
-      (fun ~width ~cond:_ ->
-        match !tr with
-        | [] -> invalid_arg "Checker: choice trace exhausted"
-        | None :: tl ->
-          tr := tl;
-          None
-        | Some w :: tl -> (
-          tr := tl;
-          assert (w = width);
-          match !rest with
-          | v :: vtl ->
-            rest := vtl;
-            assert (Bitvec.width v = width);
-            (* the site's [cond] may have folded to false under earlier
-               constants — then the ite at the site folds the value away,
-               which is exactly the vacuous case of the enumeration *)
-            Some (Bvterm.const ctx v)
-          | [] -> invalid_arg "Checker: choice list exhausted"))
-  }
-
-let fresh_choices ctx : Encode.choice_fn =
-  { Encode.choose =
-      (fun ~width ~cond ->
-        if Circuit.is_false cond then None else Some (Bvterm.fresh ctx ~width))
-  }
-
-(* All assignments to a list of widths, as a lazy sequence of bitvec
-   lists: the 2^total_bits cross-product is produced one element at a
-   time, so memory stays flat right up to the max_universal_bits
-   ceiling instead of materializing the whole product. *)
-let rec assignments (widths : int list) : Bitvec.t list Seq.t =
-  match widths with
-  | [] -> Seq.return []
-  | w :: rest ->
-    Seq.concat_map
-      (fun bv -> Seq.map (fun tail -> bv :: tail) (assignments rest))
-      (List.to_seq (Bitvec.all ~width:w))
+let fresh_choices ctx : Encode.choice_fn = recording_choices ctx ignore
 
 (* The stock SAT budgets.  Named so budget-aware callers (the verdict
    cache key, reduction oracles) can refer to the same numbers instead
@@ -189,7 +151,7 @@ let arg_syms (s : session) (ctx : Circuit.ctx) (mode : Mode.t)
 let check_sat ?(max_universal_bits = default_max_universal_bits)
     ?(max_conflicts = default_max_conflicts) ?stats ?session (mode : Mode.t)
     ~(src : Func.t) ~(tgt : Func.t) : verdict =
-  Ub_obs.Obs.with_span "refine.check_sat" @@ fun () ->
+  Obs.with_span "refine.check_sat" @@ fun () ->
   if List.map snd src.args <> List.map snd tgt.args then Unknown "argument types differ"
   else if src.ret_ty <> tgt.ret_ty then Unknown "return types differ"
   else
@@ -222,53 +184,59 @@ let check_sat ?(max_universal_bits = default_max_universal_bits)
       let tgt_args =
         List.map2 (fun (_, _, s) (v, _) -> (v, s)) args_syms tgt.args
       in
-      (* pass 1: count source choices, recording the per-site decisions *)
-      let trace = ref [] in
-      let senc0 = Encode.encode ctx mode (counting_choices ctx trace) ~args:src_args src in
-      let trace = List.rev !trace in
-      let widths = List.filter_map Fun.id trace in
-      let total_bits = Util.sum_int widths in
+      (* encode the source once, over a fresh input per bit of
+         universal choice *)
+      let choice_bits = ref [] in
+      let senc =
+        Obs.with_span "refine.count_choices" @@ fun () ->
+        Encode.encode ctx mode
+          (recording_choices ctx (Option.iter (fun c -> choice_bits := c :: !choice_bits)))
+          ~args:src_args src
+      in
+      let vars = Array.concat (List.rev !choice_bits) in
+      let total_bits = Array.length vars in
       if total_bits > max_universal_bits then
         Unknown
           (Printf.sprintf "source has %d bits of nondeterministic choice (max %d)" total_bits
              max_universal_bits)
       else begin
-        (* encode target once, with existential choices *)
-        let tenc = Encode.encode ctx mode (fresh_choices ctx) ~args:tgt_args tgt in
-        let covers (s : Encode.fenc) : Circuit.t =
-          match (s.ret, tenc.ret) with
-          | None, None -> Circuit.btrue
-          | Some rs, Some rt ->
-            Circuit.bor ctx rs.Encode.p
-              (Circuit.band ctx
-                 (Circuit.bnot ctx rt.Encode.p)
-                 (Circuit.bor ctx rs.Encode.u
-                    (Circuit.band ctx
-                       (Circuit.bnot ctx rt.Encode.u)
-                       (Bvterm.eq ctx rs.Encode.v rt.Encode.v))))
-          | _ -> Circuit.bfalse
-        in
-        (* encode the source once per universal assignment, folding the
-           conjunction as the lazy cross-product is produced; shared
-           structure across the encodings hash-conses to shared nodes.
-           A choice-free source has exactly one universal assignment (the
-           empty one) and its encoding is the counting pass itself. *)
-        let sencs =
-          if widths = [] then Seq.return senc0
-          else
-            Seq.map
-              (fun assign ->
-                Encode.encode ctx mode (constant_choices ctx trace assign) ~args:src_args src)
-              (assignments widths)
-        in
         let cex =
-          Seq.fold_left
-            (fun acc s ->
-              Circuit.band ctx acc
-                (Circuit.bnot ctx
-                   (Circuit.bor ctx s.Encode.ub
-                      (Circuit.band ctx (Circuit.bnot ctx tenc.ub) (covers s)))))
-            Circuit.btrue sencs
+          Obs.with_span "refine.expand" @@ fun () ->
+          (* encode target once, with existential choices *)
+          let tenc = Encode.encode ctx mode (fresh_choices ctx) ~args:tgt_args tgt in
+          let covers =
+            match (senc.ret, tenc.ret) with
+            | None, None -> Circuit.btrue
+            | Some rs, Some rt ->
+              Circuit.bor ctx rs.Encode.p
+                (Circuit.band ctx
+                   (Circuit.bnot ctx rt.Encode.p)
+                   (Circuit.bor ctx rs.Encode.u
+                      (Circuit.band ctx
+                         (Circuit.bnot ctx rt.Encode.u)
+                         (Bvterm.eq ctx rs.Encode.v rt.Encode.v))))
+            | _ -> Circuit.bfalse
+          in
+          let body =
+            Circuit.bnot ctx
+              (Circuit.bor ctx senc.ub (Circuit.band ctx (Circuit.bnot ctx tenc.ub) covers))
+          in
+          (* the universal quantifier, expanded: conjoin one cofactor of
+             the body per assignment to the choice bits it depends on
+             (a bit it ignores quantifies nothing), walked in Gray code
+             order so that each step rebuilds only the cone of the one
+             bit that flipped.  Once the conjunction folds to false no
+             assignment can revive it. *)
+          let cf = Circuit.cofactor ctx ~vars body in
+          let n = 1 lsl Array.length cf.Circuit.support in
+          let rec conj acc i =
+            if i = n || Circuit.is_false acc then begin
+              Obs.count ~by:i "refine.expand.assignments";
+              acc
+            end
+            else conj (Circuit.band ctx acc (Circuit.cofactor_apply cf (i lxor (i lsr 1)))) (i + 1)
+          in
+          conj Circuit.btrue 0
         in
         let solve () =
           match session with
@@ -278,8 +246,8 @@ let check_sat ?(max_universal_bits = default_max_universal_bits)
         match solve () with
         | Circuit.Cnf.Unsat_r -> Refines
         | Circuit.Cnf.Sat_model model ->
-          (* extract argument values *)
           let args =
+            Obs.with_span "refine.decode" @@ fun () ->
             List.map
               (fun (_, ty, sym) ->
                 let w = Encode.int_width ty in
@@ -316,7 +284,7 @@ let check_sat ?(max_universal_bits = default_max_universal_bits)
       let key = (mode, src, tgt, max_universal_bits, max_conflicts) in
       match Verdict_tbl.find_opt s.verdicts key with
       | Some v ->
-        Ub_obs.Obs.count "session.verdict_hits";
+        Obs.count "session.verdict_hits";
         v
       | None ->
         let v = compute () in
@@ -329,9 +297,9 @@ let check_sat ?(max_universal_bits = default_max_universal_bits)
    functions are outside the encodable fragment. *)
 let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module_src
     ?module_tgt ?inputs ?session (mode : Mode.t) ~(src : Func.t) ~(tgt : Func.t) : verdict =
-  Ub_obs.Obs.with_span "refine.check" @@ fun () ->
+  Obs.with_span "refine.check" @@ fun () ->
   let counted (v : verdict) : verdict =
-    Ub_obs.Obs.count
+    Obs.count
       (match v with
       | Refines -> "refine.verdict_refines"
       | Counterexample _ -> "refine.verdict_cex"

@@ -33,12 +33,8 @@ type sym = {
    nondeterministic value is actually observable (the undef flag of a
    use, the poison flag of a branched-on condition, ...).  The provider
    returns [None] to decline materialization — the site then keeps the
-   plain value.  Putting the decision in the provider (instead of an
-   [is_false cond] test at the site) keeps the counting pass and the
-   constant-replay passes of the checker in lockstep: replayed constants
-   can fold a [cond] to false that the counting pass could not, and a
-   site-local test would then skip a slot and desynchronize the
-   assignment stream. *)
+   plain value.  The checker's providers decline exactly the sites whose
+   [cond] is constant false, which can never observe the choice. *)
 type choice_fn = { choose : width:int -> cond:Circuit.t -> Bvterm.t option }
 
 type fenc = {

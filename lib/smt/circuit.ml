@@ -6,14 +6,14 @@
 
    Hash-consing: [ctx] carries a table keyed on (constructor, child
    ids), so constructing a gate structurally identical to an existing
-   one returns the existing node.  The checker encodes the source
-   function once per universal choice assignment; shared structure
-   across those encodings now collapses to shared nodes, and the
-   Tseitin translation (memoized on node id) emits one CNF definition
-   per distinct gate instead of one per occurrence.  Commutative gates
-   are canonicalized by child id and Xor never has a negated child
-   (Xor(¬x,y) = ¬Xor(x,y)), so cross-gate CSE catches reassociated and
-   re-polarized duplicates too. *)
+   one returns the existing node.  The checker cofactors the source's
+   encoding once per universal choice assignment ([cofactor] below);
+   shared structure across those copies collapses to shared nodes, and
+   the Tseitin translation (memoized on node id) emits one CNF
+   definition per distinct gate instead of one per occurrence.
+   Commutative gates are canonicalized by child id and Xor never has a
+   negated child (Xor(¬x,y) = ¬Xor(x,y)), so cross-gate CSE catches
+   reassociated and re-polarized duplicates too. *)
 
 type t = { id : int; node : node }
 
@@ -167,6 +167,129 @@ let bimplies ctx a b = bor ctx (bnot ctx a) b
 
 let big_and ctx = List.fold_left (band ctx) btrue
 let big_or ctx = List.fold_left (bor ctx) bfalse
+
+(* ------------------------------------------------------------------ *)
+(* Cofactoring                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Substituting constants for a few inputs of a circuit, once per
+   assignment.  [cofactor ctx ~vars root] walks [root] once.  The [vars]
+   it reaches are its support, numbered in the order the walk meets
+   them: [support.(k)] is bit k of an assignment, so there are
+   [2^(Array.length support)] distinct cofactors, and a var outside the
+   support cannot change any.  Every node gets the bitmask of the
+   support it depends on (an int: at most [Sys.int_size - 1] bits), and
+   the nodes with a non-empty mask — the cone that a substitution can
+   change — are kept in topological order; nothing else is visited
+   again.  A node older than every var cannot reach one (ids grow and
+   children are built first), so the walk stops there. *)
+type cnode = {
+  n : t; (* the original node *)
+  mask : int; (* the support bits it depends on *)
+  k0 : int; (* per child: its cone index, or -1 when outside the cone; *)
+  k1 : int; (* for an input, k0 is its bit instead *)
+  k2 : int;
+}
+
+type cofactor = {
+  cctx : ctx;
+  root : t;
+  root_k : int; (* the root's cone index, or -1 *)
+  support : t array;
+  cone : cnode array;
+  res : t array; (* per cone node: its rebuild under [last] *)
+  mutable last : int option; (* the previous assignment *)
+}
+
+let cofactor ctx ~(vars : t array) (root : t) : cofactor =
+  let is_var = Hashtbl.create (2 * Array.length vars) in
+  Array.iter
+    (fun v ->
+      match v.node with
+      | Input _ -> Hashtbl.replace is_var v.id ()
+      | _ -> invalid_arg "Circuit.cofactor: not an input")
+    vars;
+  let min_id = Array.fold_left (fun m v -> min m v.id) max_int vars in
+  let index = Hashtbl.create 64 in
+  let cone = ref [] and size = ref 0 and support = ref [] and bits = ref 0 in
+  let push c =
+    cone := c :: !cone;
+    incr size;
+    !size - 1
+  in
+  (* visit: the node's (cone index or -1, mask), memoized on its id *)
+  let rec visit n =
+    if n.id < min_id then (-1, 0)
+    else
+      match Hashtbl.find_opt index n.id with
+      | Some r -> r
+      | None ->
+        let node k0 k1 k2 mask =
+          if mask = 0 then (-1, 0) else (push { n; mask; k0; k1; k2 }, mask)
+        in
+        let r =
+          match n.node with
+          | True | False -> (-1, 0)
+          | Input _ ->
+            if Hashtbl.mem is_var n.id then begin
+              let b = !bits in
+              incr bits;
+              support := n :: !support;
+              node b (-1) (-1) (1 lsl b)
+            end
+            else (-1, 0)
+          | Not x ->
+            let kx, mx = visit x in
+            node kx (-1) (-1) mx
+          | And (x, y) | Or (x, y) | Xor (x, y) ->
+            let kx, mx = visit x in
+            let ky, my = visit y in
+            node kx ky (-1) (mx lor my)
+          | Ite (c, x, y) ->
+            let kc, mc = visit c in
+            let kx, mx = visit x in
+            let ky, my = visit y in
+            node kc kx ky (mc lor mx lor my)
+        in
+        Hashtbl.add index n.id r;
+        r
+  in
+  let root_k, _ = visit root in
+  let cone = Array.of_list (List.rev !cone) in
+  { cctx = ctx;
+    root;
+    root_k;
+    support = Array.of_list (List.rev !support);
+    cone;
+    res = Array.map (fun c -> c.n) cone;
+    last = None;
+  }
+
+(* [root] with bit k of [assignment] substituted for [support.(k)], rebuilt
+   bottom-up through the smart constructors, so constants fold exactly
+   as they would had the circuit been built with them.  Only the cone
+   is rebuilt, and of it only the nodes that depend on a bit that
+   changed since the previous call; a node outside the cone comes back
+   physically unchanged. *)
+let cofactor_apply (cf : cofactor) (assignment : int) : t =
+  let changed = match cf.last with None -> -1 | Some a -> a lxor assignment in
+  cf.last <- Some assignment;
+  let ctx = cf.cctx and res = cf.res in
+  let arg k orig = if k < 0 then orig else res.(k) in
+  for k = 0 to Array.length cf.cone - 1 do
+    let c = cf.cone.(k) in
+    if c.mask land changed <> 0 then
+      res.(k) <-
+        (match c.n.node with
+        | Input _ -> of_bool ((assignment lsr c.k0) land 1 = 1)
+        | Not x -> bnot ctx (arg c.k0 x)
+        | And (x, y) -> band ctx (arg c.k0 x) (arg c.k1 y)
+        | Or (x, y) -> bor ctx (arg c.k0 x) (arg c.k1 y)
+        | Xor (x, y) -> bxor ctx (arg c.k0 x) (arg c.k1 y)
+        | Ite (x, y, z) -> bite ctx (arg c.k0 x) (arg c.k1 y) (arg c.k2 z)
+        | True | False -> assert false)
+  done;
+  arg cf.root_k cf.root
 
 (* ------------------------------------------------------------------ *)
 (* Tseitin CNF                                                         *)

@@ -290,7 +290,144 @@ let cache_tests =
           [ Verdict_cache.combined_kind; Verdict_cache.sat_kind; Verdict_cache.enum_kind ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Universal expansion                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Bits of universal choice in [src]: the checker's counting pass. *)
+let choice_bits (mode : Mode.t) (src : Func.t) : int =
+  let ctx = Ub_smt.Circuit.create_ctx () in
+  let args =
+    List.map
+      (fun (v, ty) ->
+        let w = Encode.int_width ty in
+        ( v,
+          { Encode.v = Ub_smt.Bvterm.fresh ctx ~width:w;
+            p = Ub_smt.Circuit.fresh ctx;
+            u = (if mode.Mode.undef_enabled then Ub_smt.Circuit.fresh ctx else Ub_smt.Circuit.bfalse);
+          } ))
+      src.Func.args
+  in
+  let trace = ref [] in
+  ignore (Encode.encode ctx mode (Checker.counting_choices ctx trace) ~args src);
+  List.fold_left (fun n -> function Some w -> n + w | None -> n) 0 !trace
+
+(* Hunt-generator programs (undef operands, a CFG diamond, width 2)
+   against their legacy -O2 output, under the two old modes, kept when
+   the source has 1-12 bits of universal choice: the checker's verdict
+   class must match enumeration's, and every counterexample must replay
+   through enumeration on its own arguments. *)
+let expansion_pairs =
+  lazy
+    (let params = { Ub_fuzz.Gen.default_hunt with Ub_fuzz.Gen.h_undef = true; h_cfg = true } in
+     let pairs = ref [] and seed = ref 0 in
+     while List.length !pairs < 48 && !seed < 2_000 do
+       let src =
+         Ub_fuzz.Gen.hunt_func (Ub_support.Prng.create ~seed:!seed) ~name:"f" params
+       in
+       let tgt = Ub_opt.Pipeline.run_o2_func Ub_opt.Pass.legacy src in
+       if not (Func.equal src tgt) then
+         List.iter
+           (fun mode ->
+             let bits = try choice_bits mode src with Encode.Unsupported _ -> 0 in
+             if bits >= 1 && bits <= 12 then pairs := (mode, src, tgt) :: !pairs)
+           [ Mode.old_langref; Mode.old_unswitch ];
+       incr seed
+     done;
+     List.rev !pairs)
+
+let expansion_differential ~shared () =
+  let pairs = Lazy.force expansion_pairs in
+  Alcotest.(check bool) "enough pairs with choice" true (List.length pairs >= 40);
+  let session = if shared then Some (Checker.create_session ()) else None in
+  let cex = ref 0 in
+  List.iter
+    (fun (mode, src, tgt) ->
+      let name = Printf.sprintf "%s %s" mode.Mode.name (Printer.func_to_string src) in
+      let v = Checker.check ?session mode ~src ~tgt in
+      match (Enum_check.check ~mode ~src ~tgt (), v) with
+      | Enum_check.Refines, Checker.Refines | Enum_check.Unknown _, _ -> ()
+      | Enum_check.Counterexample _, Checker.Counterexample { args; _ } -> (
+        incr cex;
+        match Enum_check.check ~mode ~inputs:[ args ] ~src ~tgt () with
+        | Enum_check.Counterexample _ -> ()
+        | _ -> Alcotest.failf "counterexample does not replay: %s" name)
+      | _, v -> Alcotest.failf "verdict class differs (%s): %s" (Checker.verdict_to_string v) name)
+    pairs;
+  Alcotest.(check bool) "some pairs are refuted" true (!cex > 0)
+
+(* A traced check of an undef pair records every child span of
+   [refine.check_sat], and the children fit inside their parent.  The
+   target's poison at x = 1 is uncovered under every choice, so no
+   cofactor folds to false and all 2^6 assignments (two undef uses
+   and the possibly-undef %x) are conjoined. *)
+let undef_src =
+  {|define i2 @f(i2 %x) {
+e:
+  %y = add i2 undef, %x
+  %z = add i2 %y, undef
+  ret i2 %z
+}|}
+
+(* The verdict, each span's (count, total ns) and the assignments
+   conjoined, from a fresh registry. *)
+let check_traced mode src tgt =
+  Ub_obs.Obs.reset ();
+  Fun.protect ~finally:Ub_obs.Obs.reset @@ fun () ->
+  let v = Checker.check_sat mode ~src:(f src) ~tgt:(f tgt) in
+  let spans =
+    Hashtbl.fold
+      (fun n s acc -> (n, (s.Ub_obs.Obs.s_count, s.Ub_obs.Obs.s_total_ns)) :: acc)
+      Ub_obs.Obs.spans []
+  in
+  let span n = Option.value ~default:(0, 0) (List.assoc_opt n spans) in
+  (v, span, Ub_obs.Obs.counter_value "refine.expand.assignments")
+
+let expansion_tests =
+  [ Alcotest.test_case "child spans of a traced undef check" `Quick (fun () ->
+        let v, span, assignments =
+          check_traced Mode.old_langref undef_src
+            {|define i2 @f(i2 %x) {
+e:
+  %y = add nsw i2 %x, 1
+  ret i2 %y
+}|}
+        in
+        (match v with
+        | Checker.Counterexample _ -> ()
+        | v -> Alcotest.failf "expected a counterexample, got %s" (Checker.verdict_to_string v));
+        let children = [ "refine.count_choices"; "refine.expand"; "smt.solve"; "refine.decode" ] in
+        List.iter
+          (fun n -> Alcotest.(check int) (n ^ " recorded once") 1 (fst (span n)))
+          children;
+        let parent = snd (span "refine.check_sat") in
+        let sum = List.fold_left (fun acc n -> acc + snd (span n)) 0 children in
+        Alcotest.(check bool) "children within the parent" true (sum <= parent);
+        Alcotest.(check int) "every assignment conjoined" 64 assignments);
+    Alcotest.test_case "expansion stops once the conjunction is false" `Quick (fun () ->
+        (* every choice but one leaves the target's 1 uncovered; the
+           second assignment in Gray order is that one *)
+        let v, _, assignments =
+          check_traced Mode.old_langref
+            {|define i2 @f(i2 %x) {
+e:
+  %y = add i2 undef, 0
+  ret i2 %y
+}|}
+            {|define i2 @f(i2 %x) {
+e:
+  ret i2 1
+}|}
+        in
+        Alcotest.(check bool) "refines" true (v = Checker.Refines);
+        Alcotest.(check int) "two of four assignments conjoined" 2 assignments);
+    Alcotest.test_case "differential vs enumeration, fresh contexts" `Slow
+      (expansion_differential ~shared:false);
+    Alcotest.test_case "differential vs enumeration, one session" `Slow
+      (expansion_differential ~shared:true);
+  ]
+
 let () =
   Alcotest.run "refine"
     [ ("known-pairs", known_pairs); ("cross-validation", [ checkers_agree ]);
-      ("verdict-cache", cache_tests) ]
+      ("verdict-cache", cache_tests); ("expansion", expansion_tests) ]

@@ -184,9 +184,92 @@ let solver_agreement =
          | Circuit.Cnf.Unsat_r -> true
          | Circuit.Cnf.Sat_model _ -> false))
 
+(* Cofactoring: a random circuit whose inputs are created between its
+   gates (so some gates predate the substituted inputs), a random subset
+   of inputs substituted, and a run of assignments through one prepared
+   cofactor, so the incremental rebuild is exercised too.  The support
+   is a subset of the substituted inputs, and under every sampled σ,
+   eval of the cofactor for assignment a equals eval of the original
+   under σ overridden by a on the support. *)
+let input_index (b : Circuit.t) =
+  match b.Circuit.node with Circuit.Input i -> i | _ -> assert false
+
+let random_circuit ctx rng ~gates =
+  let inputs = ref [ Circuit.fresh ctx; Circuit.fresh ctx ] in
+  let pool = ref !inputs in
+  for _ = 1 to gates do
+    if Prng.chance rng ~num:1 ~den:5 then begin
+      let x = Circuit.fresh ctx in
+      inputs := x :: !inputs;
+      pool := x :: !pool
+    end;
+    let pick () = Prng.choose_list rng !pool in
+    let g =
+      match Prng.int rng 5 with
+      | 0 -> Circuit.bnot ctx (pick ())
+      | 1 -> Circuit.band ctx (pick ()) (pick ())
+      | 2 -> Circuit.bor ctx (pick ()) (pick ())
+      | 3 -> Circuit.bxor ctx (pick ()) (pick ())
+      | _ -> Circuit.bite ctx (pick ()) (pick ()) (pick ())
+    in
+    pool := g :: !pool
+  done;
+  (List.rev !inputs, List.hd !pool)
+
+let cofactor_agrees =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"eval (cofactor σ) = eval original under σ[x:=b]" ~count:300
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Prng.create ~seed in
+         let ctx = Circuit.create_ctx () in
+         let inputs, root = random_circuit ctx rng ~gates:(5 + Prng.int rng 40) in
+         let vars = Array.of_list (List.filter (fun _ -> Prng.bool rng) inputs) in
+         let cf = Circuit.cofactor ctx ~vars root in
+         let support = cf.Circuit.support in
+         let nv = Array.length support in
+         Array.for_all (fun v -> Array.memq v vars) support
+         && List.for_all
+           (fun _ ->
+             let a = Prng.int rng (1 lsl nv) in
+             let cof = Circuit.cofactor_apply cf a in
+             List.for_all
+               (fun _ ->
+                 let sigma = Prng.int rng (1 lsl 30) in
+                 let base i = (sigma lsr (i mod 30)) land 1 = 1 in
+                 let overridden i =
+                   let rec find k =
+                     if k = nv then base i
+                     else if input_index support.(k) = i then (a lsr k) land 1 = 1
+                     else find (k + 1)
+                   in
+                   find 0
+                 in
+                 Circuit.eval base cof = Circuit.eval overridden root)
+               (List.init 8 Fun.id))
+           (List.init 6 Fun.id)))
+
+let cofactor_tests =
+  [ Alcotest.test_case "nodes outside the substituted support come back unchanged" `Quick
+      (fun () ->
+        let ctx = Circuit.create_ctx () in
+        let x = Circuit.fresh ctx and y = Circuit.fresh ctx and v = Circuit.fresh ctx in
+        let g = Circuit.band ctx x y in
+        let root = Circuit.bor ctx (Circuit.band ctx v x) g in
+        let cf = Circuit.cofactor ctx ~vars:[| v |] root in
+        Alcotest.(check bool) "v := 0 leaves g itself" true (Circuit.cofactor_apply cf 0 == g);
+        Alcotest.(check bool) "v := 1 folds to x" true (Circuit.cofactor_apply cf 1 == x);
+        let outside = Circuit.cofactor ctx ~vars:[| v |] g in
+        Alcotest.(check int) "v is outside g's support" 0 (Array.length outside.Circuit.support);
+        Alcotest.(check bool) "a root outside the cone is returned as-is" true
+          (Circuit.cofactor_apply outside 0 == g));
+    cofactor_agrees;
+  ]
+
 let () =
   Alcotest.run "smt"
     [ ("unit", unit_tests);
       ("exhaustive", exhaustive_tests @ div_tests);
       ("solver", [ solver_agreement ]);
+      ("cofactor", cofactor_tests);
     ]
