@@ -34,8 +34,7 @@ let trace_file = ref (None : string option)
 let solver_out = ref "BENCH_solver.json"
 let solver_baseline = ref "bench/solver_baseline.tsv"
 let solver_save_baseline = ref (None : string option)
-let solver_sessions = ref false
-let solver_budget_failed = ref false
+let solver_failed = ref false
 let serve_out = ref "BENCH_serve.json"
 let serve_failed = ref false
 let serve_fleet = ref false
@@ -517,10 +516,10 @@ exit:
 let solver () =
   sep "T-SOLVER | solver-stack benchmark (seeded checker-query corpus)";
   let ok =
-    Solver_bench.run ~jobs:!jobs ?timeout_s:!timeout_s ~sessions:!solver_sessions
-      ~out:!solver_out ~baseline:!solver_baseline ?save_baseline_to:!solver_save_baseline ()
+    Solver_bench.run ~jobs:!jobs ?timeout_s:!timeout_s ~out:!solver_out
+      ~baseline:!solver_baseline ?save_baseline_to:!solver_save_baseline ()
   in
-  if not ok then solver_budget_failed := true
+  if not ok then solver_failed := true
 
 (* ------------------------------------------------------------------ *)
 (* T-SERVE: the daemon load generator (see serve_bench.ml)             *)
@@ -619,12 +618,9 @@ let usage () =
      --trace FILE   stream a JSONL telemetry trace to FILE and write the\n\
     \                aggregated run report to FILE.report.json\n\
      --solver-out F          solver: write the benchmark JSON to F (default BENCH_solver.json)\n\
-     --solver-baseline F     solver: compare against the recorded baseline TSV\n\
+     --solver-baseline F     solver: compare speed and verdicts against a baseline TSV\n\
     \                         (default bench/solver_baseline.tsv)\n\
      --solver-save-baseline F  solver: also record this run as a baseline TSV\n\
-     --sessions              solver: also run the incremental-session differential\n\
-    \                         mode (streams through one persistent session vs\n\
-    \                         scratch; gates a geomean speedup)\n\
      --serve-out F           serve: write the benchmark JSON to F (default BENCH_serve.json)\n\
      --fleet                 serve: also run the sharded-fleet scaling experiment\n\
      --fleet-shards N        serve: fleet size for the scaled run (default 4)\n\
@@ -692,9 +688,6 @@ let () =
     | "--solver-save-baseline" :: f :: rest ->
       solver_save_baseline := Some f;
       parse rest names
-    | "--sessions" :: rest ->
-      solver_sessions := true;
-      parse rest names
     | "--serve-out" :: f :: rest ->
       serve_out := f;
       parse rest names
@@ -742,10 +735,10 @@ let () =
       !dropped_total;
     exit 1
   end;
-  if !solver_budget_failed then begin
+  if !solver_failed then begin
     print_endline
-      "\nFAILURE: solver benchmark quer(ies) exceeded the conflict budget or the \
-       incremental-session gate failed";
+      "\nFAILURE: solver benchmark quer(ies) exceeded the conflict budget or drifted \
+       from the baseline verdict";
     exit 1
   end;
   if !serve_failed then begin

@@ -16,8 +16,8 @@
 
 open Ub_sem
 
-(* The corpus lives in [Ub_corpus] so the session differential tests
-   replay the exact same queries this benchmark times. *)
+(* The corpus lives in [Ub_corpus] so the regression tests replay the
+   exact same queries this benchmark times. *)
 type query = Ub_corpus.query = {
   qname : string;
   qmode : string; (* Mode.name *)
@@ -222,136 +222,25 @@ let vs_baseline (current : record list) (baseline : record list) : string option
          (List.length paired) (geomean speedups) (shrink b_vars c_vars) (shrink b_cls c_cls))
   end
 
-(* ------------------------------------------------------------------ *)
-(* Incremental-session differential mode                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Multi-query workloads through one persistent [Checker.session] vs a
-   fresh solver per query.  Each stream is replayed three times
-   back-to-back (re-solving near-identical queries against a warm
-   session is where hash-consed sharing and verdict memoization pay;
-   the serve daemon and the shrinker see exactly this shape), both
-   sides are timed as min-of-reps, and the verdict *classes* must
-   match query by query — counterexample models may legitimately
-   differ between solvers, the verdicts may not.  The geomean of
-   per-stream speedups is gated. *)
-
-let session_gate = 1.5
-let session_reps = 3
-
-(* Sub-50ms streams are noise-dominated at 3 reps: a single scheduler
-   hiccup moves the min by tens of percent.  Give them triple the reps
-   so min-of-reps converges; the heavy streams keep 3. *)
-let session_reps_cheap = 9
-let cheap_stream_s = 0.05
-
-type stream_result = {
-  sr_name : string;
-  sr_queries : int; (* per workload: stream length x 3 replays *)
-  sr_reps : int;
-  sr_wall_scratch : float;
-  sr_wall_session : float;
-  sr_speedup : float;
-  sr_identical : bool;
-}
-
-let verdict_class = function
-  | Ub_refine.Checker.Refines -> "refines"
-  | Ub_refine.Checker.Counterexample _ -> "counterexample"
-  | Ub_refine.Checker.Unknown _ -> "unknown"
-
-let session_streams () : Ub_corpus.stream list =
-  Ub_corpus.streams () @ [ Ub_corpus.hunt_stream ~entry:"mul2-add-dup" () ]
-
-let run_stream (s : Ub_corpus.stream) : stream_result =
-  let qs =
-    Array.of_list (s.Ub_corpus.s_queries @ s.Ub_corpus.s_queries @ s.Ub_corpus.s_queries)
-  in
-  let modes =
-    Array.map
-      (fun (q : Ub_corpus.query) ->
-        match Mode.find q.Ub_corpus.qmode with
-        | Some m -> m
-        | None -> invalid_arg ("solver bench: unknown mode " ^ q.Ub_corpus.qmode))
-      qs
-  in
-  let replay ~session () =
-    let t0 = Ub_obs.Obs.Clock.now_s () in
-    let verdicts =
-      Array.mapi
-        (fun i (q : Ub_corpus.query) ->
-          verdict_class
-            (Ub_refine.Checker.check_sat ~max_conflicts:conflict_budget ?session modes.(i)
-               ~src:q.Ub_corpus.qsrc ~tgt:q.Ub_corpus.qtgt))
-        qs
-    in
-    (Ub_obs.Obs.Clock.elapsed_s ~since:t0, verdicts)
-  in
-  (* warm-up replay: warms allocator and code paths, and its wall
-     estimate picks the rep count; it is not counted in the mins *)
-  let estimate, _ = replay ~session:None () in
-  let reps = if estimate < cheap_stream_s then session_reps_cheap else session_reps in
-  let best_scratch = ref infinity and best_session = ref infinity in
-  let identical = ref true in
-  for _rep = 1 to reps do
-    let ws, vs = replay ~session:None () in
-    (* fresh session per rep: reps measure the same cold-to-warm curve *)
-    let session = Ub_refine.Checker.create_session () in
-    let wn, vn = replay ~session:(Some session) () in
-    if ws < !best_scratch then best_scratch := ws;
-    if wn < !best_session then best_session := wn;
-    if vs <> vn then identical := false
-  done;
-  { sr_name = s.Ub_corpus.s_name;
-    sr_queries = Array.length qs;
-    sr_reps = reps;
-    sr_wall_scratch = !best_scratch;
-    sr_wall_session = !best_session;
-    sr_speedup = !best_scratch /. max !best_session 1e-9;
-    sr_identical = !identical;
-  }
-
-let json_of_stream_result (r : stream_result) : string =
-  Printf.sprintf
-    "{\"stream\":\"%s\",\"queries\":%d,\"reps\":%d,\"wall_s_scratch\":%.6f,\"wall_s_session\":%.6f,\"speedup\":%.3f,\"verdicts_identical\":%b}"
-    r.sr_name r.sr_queries r.sr_reps r.sr_wall_scratch r.sr_wall_session r.sr_speedup
-    r.sr_identical
-
-(* Returns the "sessions" JSON block and whether the gate passed. *)
-let run_sessions () : string * bool =
-  let streams = session_streams () in
-  Printf.printf
-    "\nincremental sessions: %d streams, each replayed x3, min over %d-%d reps (adaptive), gate %.1fx\n%!"
-    (List.length streams) session_reps session_reps_cheap session_gate;
-  let results = List.map run_stream streams in
-  List.iter
+(* Verdict identity against the baseline: the verdict class of every
+   query present in both recordings must match.  Counterexample models
+   may legitimately differ between solver versions; the verdicts may
+   not.  Returns the drifted (name, mode, baseline, current) rows. *)
+let verdict_drift (current : record list) (baseline : record list) :
+    (string * string * string * string) list =
+  List.filter_map
     (fun r ->
-      Printf.printf "  %-20s %4d queries  scratch %8.1fms  session %8.1fms  %5.2fx  %s\n"
-        r.sr_name r.sr_queries (1000.0 *. r.sr_wall_scratch) (1000.0 *. r.sr_wall_session)
-        r.sr_speedup
-        (if r.sr_identical then "verdicts-identical" else "VERDICT-DIVERGENCE"))
-    results;
-  let g = geomean (List.map (fun r -> r.sr_speedup) results) in
-  let identical = List.for_all (fun r -> r.sr_identical) results in
-  let pass = identical && g >= session_gate in
-  Printf.printf "session geomean speedup: %.2fx (gate %.1fx)\n" g session_gate;
-  if pass then Printf.printf "SESSIONS-OK: verdict-identical, geomean %.2fx >= %.1fx\n" g session_gate
-  else if not identical then
-    Printf.printf "SESSIONS-FAIL: verdict divergence between scratch and session solving\n"
-  else Printf.printf "SESSIONS-FAIL: geomean %.2fx below the %.1fx gate\n" g session_gate;
-  let json =
-    Printf.sprintf "{\"reps\":%d,\"gate\":%.2f,\"geomean_speedup\":%.3f,\"verdicts_identical\":%b,\"pass\":%b,\"streams\":[%s]}"
-      session_reps session_gate g identical pass
-      (String.concat "," (List.map json_of_stream_result results))
-  in
-  (json, pass)
+      match List.find_opt (fun b -> b.rname = r.rname && b.rmode = r.rmode) baseline with
+      | Some b when b.rverdict <> r.rverdict -> Some (r.rname, r.rmode, b.rverdict, r.rverdict)
+      | _ -> None)
+    current
 
 (* ------------------------------------------------------------------ *)
 (* Entry point; returns false when a query blew the conflict budget     *)
-(* or (with ~sessions) the incremental-session gate failed.             *)
+(* or its verdict class drifted from the baseline.                      *)
 (* ------------------------------------------------------------------ *)
 
-let run ~(jobs : int) ?timeout_s ?(sessions = false) ~(out : string) ~(baseline : string)
+let run ~(jobs : int) ?timeout_s ~(out : string) ~(baseline : string)
     ?save_baseline_to () : bool =
   let queries = Array.of_list (Ub_corpus.corpus ()) in
   Printf.printf "corpus: %d checker queries (matrix x 2 modes, opt-fuzz slice, wide-width identities)\n%!"
@@ -387,10 +276,6 @@ let run ~(jobs : int) ?timeout_s ?(sessions = false) ~(out : string) ~(baseline 
   | None -> ());
   let base = load_baseline baseline in
   let vs = vs_baseline records base in
-  (* sessions run single-threaded in-process: the differential replay
-     compares warm-vs-cold solver state, which forked pool workers
-     would throw away *)
-  let sess = if sessions then Some (run_sessions ()) else None in
   let oc = open_out out in
   output_string oc "{\n  \"schema\": \"ubc-solver-bench-v1\",\n";
   Printf.fprintf oc "  \"conflict_budget\": %d,\n" conflict_budget;
@@ -399,9 +284,6 @@ let run ~(jobs : int) ?timeout_s ?(sessions = false) ~(out : string) ~(baseline 
      absorbed back from the pool workers, cache hit rate, task
      lifecycle.  See DESIGN.md section 10. *)
   Printf.fprintf oc "  \"obs_report\": %s,\n" (Ub_obs.Obs.report_json ());
-  (match sess with
-  | Some (j, _) -> Printf.fprintf oc "  \"sessions\": %s,\n" j
-  | None -> ());
   (match vs with
   | Some j ->
     Printf.fprintf oc "  \"vs_baseline\": %s,\n" j;
@@ -431,4 +313,11 @@ let run ~(jobs : int) ?timeout_s ?(sessions = false) ~(out : string) ~(baseline 
       true
     end
   in
-  budget_ok && match sess with Some (_, ok) -> ok | None -> true
+  let drift = verdict_drift records base in
+  if base <> [] && drift = [] then
+    Printf.printf "verdicts: every query matches its baseline verdict class\n";
+  List.iter
+    (fun (name, mode, was, now) ->
+      Printf.printf "VERDICT-DRIFT: %s [%s] baseline %s, now %s\n" name mode was now)
+    drift;
+  budget_ok && drift = []

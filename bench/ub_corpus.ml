@@ -1,18 +1,9 @@
-(* The seeded checker-query corpus shared by `bench solver`, the
-   incremental-session differential mode, and the session regression
-   tests.  Everything here is deterministic: the Section-3 matrix under
-   two semantics modes, handcrafted wide-width identities, an enumerated
-   opt-fuzz slice, and (on demand) the replayed query stream of one
-   `ubc hunt` recall entry.
-
-   The corpus doubles as a set of *streams*: multi-query workloads
-   grouped so that consecutive queries are structurally related (the
-   same matrix family, the same generator seed), which is the shape the
-   incremental solver sessions are built for and what the differential
-   harness replays through scratch and session solving. *)
+(* The seeded checker-query corpus shared by `bench solver` and the
+   regression tests.  Everything here is deterministic: the Section-3
+   matrix under two semantics modes, handcrafted wide-width identities,
+   and an enumerated opt-fuzz slice. *)
 
 open Ub_ir
-open Ub_sem
 
 type query = {
   qname : string;
@@ -225,54 +216,3 @@ let handcrafted_queries () : query list =
 
 (* The 90-query `bench solver` corpus, in its committed order. *)
 let corpus () : query list = matrix_queries () @ handcrafted_queries () @ fuzz_pairs ()
-
-(* ------------------------------------------------------------------ *)
-(* Multi-query streams                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type stream = {
-  s_name : string;
-  s_queries : query list;
-}
-
-(* The corpus partitioned into pipeline-shaped workloads: within one
-   stream the queries share structure (same matrix family and mode, the
-   same generator), so a persistent session gets realistic reuse; across
-   streams nothing is shared, which is what per-stream fresh sessions
-   model. *)
-let streams () : stream list =
-  let matrix = matrix_queries () in
-  let by_mode m = List.filter (fun q -> q.qmode = m) matrix in
-  [ { s_name = "matrix/proposed"; s_queries = by_mode "proposed" };
-    { s_name = "matrix/old-langref"; s_queries = by_mode "old-langref" };
-    { s_name = "handcrafted"; s_queries = handcrafted_queries () };
-    { s_name = "optfuzz3"; s_queries = fuzz_pairs () };
-  ]
-
-(* Replay one `ubc hunt` recall-catalog entry as a query stream: the
-   committed-seed generator feeds the entry's inject-only lane, and
-   every (program, rewritten program) pair the lane changed becomes a
-   query — exactly the oracle workload of the recall campaign, minus
-   the shrinking.  [seed] defaults to the hunt bench's committed seed. *)
-let hunt_stream ?(seed = 20170601) ?(programs = 48) ~(entry : string) () : stream =
-  match Ub_opt.Inject.find entry with
-  | None -> invalid_arg ("Ub_corpus.hunt_stream: unknown catalog entry " ^ entry)
-  | Some e ->
-    let cfg = Ub_hunt.Hunt.entry_config ~seed ~programs e in
-    let queries = ref [] in
-    for idx = 0 to programs - 1 do
-      let f = Ub_hunt.Hunt.generate cfg idx in
-      List.iter
-        (fun (lane : Ub_hunt.Hunt.lane) ->
-          let f' = Ub_hunt.Hunt.optimize lane f in
-          if f' <> f then
-            queries :=
-              { qname = Printf.sprintf "hunt-%s-%04d" entry idx;
-                qmode = lane.Ub_hunt.Hunt.lane_mode.Mode.name;
-                qsrc = f;
-                qtgt = f';
-              }
-              :: !queries)
-        cfg.Ub_hunt.Hunt.lanes
-    done;
-    { s_name = "hunt/" ^ entry; s_queries = List.rev !queries }

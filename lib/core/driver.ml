@@ -78,71 +78,6 @@ let compile ?(pipeline = Prototype) (src : string) : compiled_program =
       };
   }
 
-(* ------------------------------------------------------------------ *)
-(* Pipeline translation validation                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Validate one pipeline run pass by pass: every time a function pass
-   changes a function, check that the output refines its input under
-   [mode].  All queries of a run go through ONE checker session — the
-   before/after pairs of consecutive passes are near-identical circuits
-   over the same argument symbols, which is exactly the workload the
-   incremental session turns into table hits against a warm solver.
-   The module-level inliner runs up front unvalidated (it has no
-   per-function before/after pair); function passes are validated. *)
-
-type pass_verdict = {
-  pv_pass : string;
-  pv_func : string;
-  pv_verdict : Ub_refine.Checker.verdict;
-}
-
-type validation = {
-  validated_ir : Func.module_; (* the pipeline's output *)
-  pass_verdicts : pass_verdict list; (* one per (pass, func) that changed IR *)
-  unsound : pass_verdict list; (* the counterexample subset *)
-  session_queries : int;
-  session_resets : int;
-}
-
-let validate_pipeline ?(pipeline = Prototype) ?(mode = Ub_sem.Mode.proposed)
-    ?max_universal_bits ?max_conflicts (m : Func.module_) : validation =
-  Ub_obs.Obs.with_span "driver.validate_pipeline" @@ fun () ->
-  let cfg = pass_config pipeline in
-  let session = Ub_refine.Checker.create_session () in
-  let verdicts = ref [] in
-  let m = Ub_opt.Inline.run_module cfg m in
-  let funcs =
-    List.map
-      (fun fn ->
-        List.fold_left
-          (fun fn (p : Ub_opt.Pass.t) ->
-            let fn' = p.Ub_opt.Pass.run cfg fn in
-            if fn' <> fn then begin
-              let v =
-                Ub_refine.Checker.check_sat ?max_universal_bits ?max_conflicts ~session
-                  mode ~src:fn ~tgt:fn'
-              in
-              verdicts :=
-                { pv_pass = p.Ub_opt.Pass.name; pv_func = fn.Func.name; pv_verdict = v }
-                :: !verdicts
-            end;
-            fn')
-          fn Ub_opt.Pipeline.o2_function_passes)
-      m.Func.funcs
-  in
-  let pass_verdicts = List.rev !verdicts in
-  { validated_ir = { Func.funcs };
-    pass_verdicts;
-    unsound =
-      List.filter
-        (fun pv ->
-          match pv.pv_verdict with Ub_refine.Checker.Counterexample _ -> true | _ -> false)
-        pass_verdicts;
-    session_queries = Ub_refine.Checker.session_queries session;
-    session_resets = Ub_refine.Checker.session_resets session;
-  }
-
 (* Simulated run: execute the OPTIMIZED IR under the proposed semantics
    to obtain the block-level profile, then price the machine code. *)
 type sim_result = {

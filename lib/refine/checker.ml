@@ -62,124 +62,31 @@ let fresh_choices ctx : Encode.choice_fn = recording_choices ctx ignore
 let default_max_universal_bits = 12
 let default_max_conflicts = 300_000
 
-(* A checker session: one persistent SMT session plus a cache of
-   argument symbol triples.  Reusing the same input variables for
-   arguments of the same shape is what makes consecutive queries about
-   one function (a pass pipeline's before/after chain) hash-cons to the
-   same circuit nodes and re-encode as pure table hits in the live
-   solver.  The cache key is the argument width list plus whether undef
-   inputs exist in the mode — argument *names* are debug-only.  A hard
-   reset of the underlying session invalidates every cached circuit, so
-   the cache is keyed on the session generation and dropped when it
-   moves.
-
-   The session also memoizes whole verdicts.  [check_sat] is a pure
-   function of (mode, src, tgt) and its two budgets — the IR is
-   immutable data and the search is deterministic — so a repeat query
-   replays the recorded verdict without rebuilding a circuit.  Verdicts
-   are semantic, not tied to any circuit context, so this cache survives
-   both soft and hard resets of the underlying SMT session; it is
-   dropped wholesale when it outgrows [max_verdicts]. *)
-type verdict_key = Mode.t * Func.t * Func.t * int * int
-
-(* The stock polymorphic hash inspects only ~10 nodes of a deep key, so
-   distinct functions that share a prefix all collide and every probe
-   degenerates into a deep structural compare.  Hash deep enough to
-   separate real workloads; equality stays structural, so a rare
-   collision is still answered correctly. *)
-module Verdict_tbl = Hashtbl.Make (struct
-  type t = verdict_key
-
-  let equal : t -> t -> bool = ( = )
-  let hash (k : t) = Hashtbl.hash_param 500 1000 k
-end)
-
-type session = {
-  smt : Session.t;
-  mutable syms_gen : int;
-  syms : (string, Encode.sym list) Hashtbl.t;
-  verdicts : verdict Verdict_tbl.t;
-  max_verdicts : int;
-}
-
-let create_session ?max_vars ?max_clauses ?max_nodes ?max_live_vars ?simplify_every
-    ?(max_verdicts = 8_192) () : session =
-  { smt = Session.create ?max_vars ?max_clauses ?max_nodes ?max_live_vars ?simplify_every ();
-    syms_gen = 0;
-    syms = Hashtbl.create 8;
-    verdicts = Verdict_tbl.create 64;
-    max_verdicts;
-  }
-
-let session_queries (s : session) = Session.queries s.smt
-let session_resets (s : session) = Session.resets s.smt
-
-let session_ctx (s : session) : Circuit.ctx =
-  let ctx = Session.ctx s.smt in
-  if Session.generation s.smt <> s.syms_gen then begin
-    Hashtbl.reset s.syms;
-    s.syms_gen <- Session.generation s.smt
-  end;
-  ctx
-
-let arg_syms (s : session) (ctx : Circuit.ctx) (mode : Mode.t)
-    (args : (string * Types.t) list) : Encode.sym list =
-  let key =
-    String.concat ","
-      (List.map (fun (_, ty) -> string_of_int (Encode.int_width ty)) args)
-    ^ if mode.Mode.undef_enabled then "+u" else "-u"
-  in
-  match Hashtbl.find_opt s.syms key with
-  | Some syms -> syms
-  | None ->
-    let syms =
-      List.map
-        (fun (v, ty) ->
-          let w = Encode.int_width ty in
-          { Encode.v = Bvterm.fresh ~name:("arg_" ^ v) ctx ~width:w;
-            p = Circuit.fresh ~name:(lazy ("poison_" ^ v)) ctx;
-            u =
-              (if mode.Mode.undef_enabled then
-                 Circuit.fresh ~name:(lazy ("undef_" ^ v)) ctx
-               else Circuit.bfalse);
-          })
-        args
-    in
-    Hashtbl.replace s.syms key syms;
-    syms
-
 let check_sat ?(max_universal_bits = default_max_universal_bits)
-    ?(max_conflicts = default_max_conflicts) ?stats ?session (mode : Mode.t)
+    ?(max_conflicts = default_max_conflicts) ?stats (mode : Mode.t)
     ~(src : Func.t) ~(tgt : Func.t) : verdict =
   Obs.with_span "refine.check_sat" @@ fun () ->
   if List.map snd src.args <> List.map snd tgt.args then Unknown "argument types differ"
   else if src.ret_ty <> tgt.ret_ty then Unknown "return types differ"
   else
-    let compute () =
     try
-      let ctx =
-        match session with None -> Circuit.create_ctx () | Some s -> session_ctx s
-      in
-      (* shared inputs: per argument a (value, poison, undef) triple —
-         from the session's cache when one is live, so repeat queries
-         over same-shaped functions reuse the same circuit inputs *)
-      let syms =
-        match session with
-        | Some s -> arg_syms s ctx mode src.args
-        | None ->
-          List.map
-            (fun (v, ty) ->
-              let w = Encode.int_width ty in
+      let ctx = Circuit.create_ctx () in
+      (* shared inputs: per argument a (value, poison, undef) triple *)
+      let args_syms =
+        List.map
+          (fun (v, ty) ->
+            let w = Encode.int_width ty in
+            ( v,
+              ty,
               { Encode.v = Bvterm.fresh ~name:("arg_" ^ v) ctx ~width:w;
                 p = Circuit.fresh ~name:(lazy ("poison_" ^ v)) ctx;
                 u =
                   (if mode.Mode.undef_enabled then
                      Circuit.fresh ~name:(lazy ("undef_" ^ v)) ctx
                    else Circuit.bfalse);
-              })
-            src.args
+              } ))
+          src.args
       in
-      let args_syms = List.map2 (fun (v, ty) sym -> (v, ty, sym)) src.args syms in
       let src_args = List.map (fun (v, _, s) -> (v, s)) args_syms in
       let tgt_args =
         List.map2 (fun (_, _, s) (v, _) -> (v, s)) args_syms tgt.args
@@ -238,12 +145,7 @@ let check_sat ?(max_universal_bits = default_max_universal_bits)
           in
           conj Circuit.btrue 0
         in
-        let solve () =
-          match session with
-          | None -> Circuit.Cnf.solve ~max_conflicts ?stats ctx cex
-          | Some s -> Session.solve ~max_conflicts ?stats s.smt cex
-        in
-        match solve () with
+        match Circuit.Cnf.solve ~max_conflicts ?stats ctx cex with
         | Circuit.Cnf.Unsat_r -> Refines
         | Circuit.Cnf.Sat_model model ->
           let args =
@@ -273,30 +175,11 @@ let check_sat ?(max_universal_bits = default_max_universal_bits)
     with
     | Encode.Unsupported r -> Unknown ("not encodable: " ^ r)
     | Circuit.Cnf.Too_hard -> Unknown "SAT budget exceeded"
-    in
-    match session with
-    | None -> compute ()
-    | Some s -> (
-      (* the verdict memo: [check_sat] is deterministic in its key, so a
-         repeat query replays the recorded verdict.  Note the [?stats]
-         out-parameter is left untouched on a hit — there is no solver
-         work to report. *)
-      let key = (mode, src, tgt, max_universal_bits, max_conflicts) in
-      match Verdict_tbl.find_opt s.verdicts key with
-      | Some v ->
-        Obs.count "session.verdict_hits";
-        v
-      | None ->
-        let v = compute () in
-        if Verdict_tbl.length s.verdicts >= s.max_verdicts then
-          Verdict_tbl.reset s.verdicts;
-        Verdict_tbl.replace s.verdicts key v;
-        v)
 
 (* Combined checker: try the SAT path, fall back to enumeration when the
    functions are outside the encodable fragment. *)
 let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module_src
-    ?module_tgt ?inputs ?session (mode : Mode.t) ~(src : Func.t) ~(tgt : Func.t) : verdict =
+    ?module_tgt ?inputs (mode : Mode.t) ~(src : Func.t) ~(tgt : Func.t) : verdict =
   Obs.with_span "refine.check" @@ fun () ->
   let counted (v : verdict) : verdict =
     Obs.count
@@ -319,7 +202,7 @@ let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module
     | Enum_check.Counterexample { args; witness } -> Counterexample { args; witness }
     | Enum_check.Unknown r -> Unknown r)
   | None -> (
-    match check_sat ?max_universal_bits ?max_conflicts ?session mode ~src ~tgt with
+    match check_sat ?max_universal_bits ?max_conflicts mode ~src ~tgt with
     | (Refines | Counterexample _) as v -> v
     | Unknown sat_reason -> (
       match

@@ -19,11 +19,11 @@ let kind_tag = function
   | Sat_only -> Verdict_cache.sat_kind
   | Enum_only -> Verdict_cache.enum_kind
 
-let check_one ?session (kind : kind) (mode : Mode.t) ~(src : Func.t) ~(tgt : Func.t) :
+let check_one (kind : kind) (mode : Mode.t) ~(src : Func.t) ~(tgt : Func.t) :
     Checker.verdict =
   match kind with
-  | Combined -> Checker.check ?session mode ~src ~tgt
-  | Sat_only -> Checker.check_sat ?session mode ~src ~tgt
+  | Combined -> Checker.check mode ~src ~tgt
+  | Sat_only -> Checker.check_sat mode ~src ~tgt
   | Enum_only -> (
     match Enum_check.check ~mode ~src ~tgt () with
     | Enum_check.Refines -> Checker.Refines
@@ -37,13 +37,8 @@ type report = {
   cache_misses : int;
 }
 
-let check_pairs ?(kind = Combined) ?(jobs = 1) ?timeout_s ?session
-    ?(cache : Ub_exec.Cache.t option) (mode : Mode.t) (pairs : (Func.t * Func.t) array) :
-    report =
-  (* a session is single-solver mutable state: it can only serve the
-     in-process pool.  With forked workers each child would warm a copy
-     of the session and throw it away — run those scratch instead. *)
-  let session = if jobs <= 1 then session else None in
+let check_pairs ?(kind = Combined) ?(jobs = 1) ?timeout_s ?(cache : Ub_exec.Cache.t option)
+    (mode : Mode.t) (pairs : (Func.t * Func.t) array) : report =
   let hits0 = match cache with Some c -> Ub_exec.Cache.hits c | None -> 0 in
   let misses0 = match cache with Some c -> Ub_exec.Cache.misses c | None -> 0 in
   let key_of (src, tgt) =
@@ -64,7 +59,7 @@ let check_pairs ?(kind = Combined) ?(jobs = 1) ?timeout_s ?session
     Ub_exec.Pool.map_stats ~jobs ?timeout_s
       (fun i ->
         let src, tgt = pairs.(i) in
-        check_one ?session kind mode ~src ~tgt)
+        check_one kind mode ~src ~tgt)
       fresh_idx
   in
   let verdicts = Array.make (Array.length pairs) (Checker.Unknown "pending") in

@@ -9,14 +9,9 @@
    own solver — see DESIGN.md section 9).  Literal encoding: variable
    [v >= 0] maps to literals [2v] (positive) and [2v+1] (negated).
 
-   Incremental use (DESIGN.md section 13): [new_var] grows the instance
-   on demand, [solve ~assumptions] answers satisfiability under a set of
-   literals forced true for that call only, and [simplify] runs bounded
-   root-level inprocessing between queries (satisfied-clause purging,
-   false-literal strengthening, signature-guarded subsumption).  A
-   persistent caller retracts a query by adding the negation of its
-   activation literal as a root unit; the next [simplify] then purges
-   every clause the retired literal guarded. *)
+   [solve ~assumptions] answers satisfiability under a set of literals
+   forced true for that call only, so one instance can be re-solved
+   under different assumptions without rebuilding the CNF. *)
 
 open Ub_support
 
@@ -35,36 +30,36 @@ type result = Sat of bool array | Unsat
    positive literal). *)
 
 type clause = {
-  mutable lits : lit array; (* mutated in place by root-level strengthening *)
+  lits : lit array; (* watched literals at positions 0 and 1 *)
   mutable activity : float;
   learned : bool;
-  mutable deleted : bool; (* tombstone set by DB reduction / inprocessing *)
+  mutable deleted : bool; (* tombstone set by DB reduction *)
 }
 
 let dummy_clause = { lits = [||]; activity = 0.0; learned = false; deleted = true }
 
 type t = {
-  mutable nvars : int; (* variables in use; arrays may hold spare capacity *)
+  nvars : int;
   mutable clauses : clause list; (* original clauses, for debugging *)
-  mutable watches : clause Vec.t array; (* watch vectors indexed by literal *)
-  mutable assign : int array; (* per var: 0 / 1 (true) / 2 (false) *)
-  mutable phase : bool array; (* saved polarity per var (last assigned value) *)
-  mutable level : int array; (* decision level per var *)
-  mutable reason : clause option array; (* antecedent clause per var *)
-  mutable trail : int array; (* assigned literals in order *)
+  watches : clause Vec.t array; (* watch vectors indexed by literal *)
+  assign : int array; (* per var: 0 / 1 (true) / 2 (false) *)
+  phase : bool array; (* saved polarity per var (last assigned value) *)
+  level : int array; (* decision level per var *)
+  reason : clause option array; (* antecedent clause per var *)
+  trail : int array; (* assigned literals in order *)
   mutable trail_len : int;
-  mutable trail_lim : int array; (* trail length at each decision level *)
+  trail_lim : int array; (* trail length at each decision level *)
   mutable decision_level : int;
   mutable qhead : int; (* propagation queue head *)
-  mutable activity : float array; (* VSIDS per var *)
+  activity : float array; (* VSIDS per var *)
   mutable var_inc : float;
-  mutable heap : int array; (* binary max-heap of vars, ordered by activity *)
-  mutable heap_pos : int array; (* var -> index in heap, -1 when absent *)
+  heap : int array; (* binary max-heap of vars, ordered by activity *)
+  heap_pos : int array; (* var -> index in heap, -1 when absent *)
   mutable heap_len : int;
   mutable cla_inc : float; (* learned-clause activity increment *)
   learnts : clause Vec.t; (* the learned-clause database *)
   mutable max_learnts : float; (* reduction threshold (geometric) *)
-  mutable seen : bool array; (* scratch for conflict analysis *)
+  seen : bool array; (* scratch for conflict analysis *)
   mutable conflicts : int;
   mutable propagations : int;
   mutable decisions : int;
@@ -72,17 +67,8 @@ type t = {
   mutable learned_peak : int; (* peak size of the learned DB *)
   mutable db_reductions : int;
   mutable restarts : int;
-  mutable simplifies : int; (* inprocessing passes run *)
-  mutable purged : int; (* clauses removed as root-satisfied *)
-  mutable strengthened : int; (* clauses shortened by root-false literals *)
-  mutable subsumed : int; (* clauses removed by root-level subsumption *)
-  mutable evicted : int; (* clauses dropped by [simplify ~keep] cone eviction *)
   mutable root_unsat : bool; (* instance refuted at level 0: final for every later solve *)
-  mutable focus : bool array; (* per-solve decision mask, all-false between solves *)
-  mutable focus_on : bool;
 }
-
-exception Unsat_exn
 
 let create nvars =
   { nvars;
@@ -113,68 +99,11 @@ let create nvars =
     learned_peak = 0;
     db_reductions = 0;
     restarts = 0;
-    simplifies = 0;
-    purged = 0;
-    strengthened = 0;
-    subsumed = 0;
-    evicted = 0;
     root_unsat = false;
-    focus = Array.make nvars false;
-    focus_on = false;
   }
 
-let num_vars (s : t) = s.nvars
 let is_root_unsat (s : t) = s.root_unsat
 let trail_length (s : t) = s.trail_len
-let num_learnts (s : t) = Vec.length s.learnts
-let num_live_clauses (s : t) = List.length s.clauses
-(* O(1) lifetime count of accepted problem clauses (monotone; deletions
-   by inprocessing do not decrease it) — cheap enough for per-query
-   watermark checks, where [num_live_clauses] would cost O(database). *)
-let num_added_clauses (s : t) = s.num_clauses
-
-(* Grow every per-variable structure to capacity [n] (geometric).  The
-   fixed-size [create nvars] sizing still serves one-shot callers; a
-   session allocates variables one at a time as new circuit nodes appear
-   and relies on this path. *)
-let ensure_capacity (s : t) (n : int) =
-  let cap = Array.length s.assign in
-  if n > cap then begin
-    let cap' = max n (max 16 (2 * cap)) in
-    let extend a fill =
-      let b = Array.make cap' fill in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    s.assign <- extend s.assign 0;
-    s.phase <- extend s.phase false;
-    s.level <- extend s.level 0;
-    s.reason <- extend s.reason None;
-    s.activity <- extend s.activity 0.0;
-    s.heap_pos <- extend s.heap_pos (-1);
-    s.seen <- extend s.seen false;
-    s.focus <- extend s.focus false;
-    (* trail / trail_lim / heap were sized [max 1 nvars]; re-extend to
-       the same invariant (capacity >= 1 even when cap' could be 0) *)
-    s.trail <- extend s.trail 0;
-    s.trail_lim <- extend s.trail_lim 0;
-    s.heap <- extend s.heap 0;
-    let w = Array.make (2 * cap') (Vec.create dummy_clause) in
-    Array.blit s.watches 0 w 0 (Array.length s.watches);
-    for i = Array.length s.watches to (2 * cap') - 1 do
-      w.(i) <- Vec.create dummy_clause
-    done;
-    s.watches <- w
-  end
-
-(* Allocate a fresh variable.  Cheap enough to call once per Tseitin
-   gate: growth is amortized O(1) and a fresh variable starts unassigned
-   with zero activity, exactly as if it had been preallocated. *)
-let new_var (s : t) : int =
-  let v = s.nvars in
-  ensure_capacity s (v + 1);
-  s.nvars <- v + 1;
-  v
 
 let value_lit (s : t) (l : lit) =
   (* 0 unassigned, 1 true, 2 false *)
@@ -284,8 +213,7 @@ let watch (s : t) (c : clause) (l : lit) =
 
    Once [root_unsat] is latched the solver is inert: adding more clauses
    must not touch the trail (a latched instance stays exactly as its
-   refutation left it — see the session differential tests, which stream
-   add/solve interleavings past a mid-stream refutation). *)
+   refutation left it). *)
 let add_clause (s : t) (lits : lit list) : bool =
   if s.root_unsat then false
   else
@@ -524,197 +452,6 @@ let reduce_db (s : t) =
   Array.iter (fun ws -> Vec.filter_in_place (fun c -> not c.deleted) ws) s.watches;
   s.max_learnts <- s.max_learnts *. 1.2
 
-(* ------------------------------------------------------------------ *)
-(* Root-level inprocessing                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Bounded work for the subsumption pass: the number of literal
-   comparisons one [simplify] call may spend.  Inprocessing runs between
-   queries, where an O(n^2) sweep would eat the very latency a session
-   exists to save. *)
-let subsumption_budget = 200_000
-
-(* Only clauses this short act as subsumers; long clauses rarely subsume
-   anything and their occurrence lists are expensive to walk. *)
-let max_subsumer_len = 8
-
-(* 63-bit variable signature: [sig C land lnot (sig D) <> 0] proves C
-   cannot be a subset of D without looking at a single literal. *)
-let signature (lits : lit array) : int =
-  Array.fold_left (fun acc l -> acc lor (1 lsl (var_of l mod 63))) 0 lits
-
-let sorted_copy (lits : lit array) : lit array =
-  let a = Array.copy lits in
-  Array.sort (fun (x : int) y -> compare x y) a;
-  a
-
-(* [subset a b]: sorted literal arrays, is every literal of [a] in [b]? *)
-let subset (a : lit array) (b : lit array) : bool =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i j = i >= na || (j < nb && (if a.(i) = b.(j) then go (i + 1) (j + 1) else if a.(i) > b.(j) then go i (j + 1) else false)) in
-  go 0 0
-
-(* Root-level inprocessing, to be called between queries at decision
-   level 0.  Three phases:
-
-   1. *Purge*: drop every clause satisfied by a root assignment.  This
-      is what retires an activation literal for good — once the session
-      adds the unit [¬a], every clause guarded by [¬a] is root-satisfied
-      and leaves the database here.
-   2. *Strengthen*: delete root-false literals in place (the clause can
-      never be satisfied through them again).  Clauses of a retracted
-      query that MENTION the retired literal positively shrink here.
-   3. *Subsume*: signature-guarded backward subsumption seeded from
-      short clauses, bounded by [subsumption_budget].
-
-   Watch vectors are rebuilt wholesale at the end: simpler than patching
-   them through strengthening, and the rebuild is linear in the live
-   database.  [~subsume:false] skips phase 3 — purge and strengthen are
-   linear in the database, while subsumption costs its full budget even
-   when it finds nothing, so sessions run it on a slower cadence.
-
-   [~keep], when given, additionally EVICTS every clause (problem or
-   learned) that mentions a variable the predicate rejects.  This is the
-   session's cone eviction: a long-lived solver accumulates Tseitin
-   definitions of retired queries, and because their input variables are
-   shared with live queries, every new assignment re-propagates through
-   all of them — cost proportional to the session, not the query.  The
-   caller guarantees the dropped variables are not load-bearing: for a
-   session that means [keep] accepts complete encoding cones (a kept
-   gate's definition never straddles the boundary), and the caller
-   forgets its node→variable memos for rejected variables so the
-   structure is re-encoded fresh if it ever returns.  Dropping a problem
-   clause is generally unsound — with a cone-closed [keep] it only
-   forgets constraints on variables no future query will read.
-   Returns [false] iff the instance is (now) root-unsat. *)
-let simplify ?(subsume = true) ?keep (s : t) : bool =
-  if s.root_unsat then false
-  else if s.decision_level <> 0 then invalid_arg "Solver.simplify: not at decision level 0"
-  else begin
-    match propagate s with
-    | Some _ ->
-      s.root_unsat <- true;
-      false
-    | None ->
-      s.simplifies <- s.simplifies + 1;
-      (* level-0 antecedents are never consulted again (conflict analysis
-         stops above level 0); clearing them unlocks their clauses *)
-      for i = 0 to s.trail_len - 1 do
-        s.reason.(var_of s.trail.(i)) <- None
-      done;
-      let strengthen (c : clause) =
-        if not c.deleted then begin
-          if Array.exists (fun l -> value_lit s l = 1) c.lits then begin
-            c.deleted <- true;
-            s.purged <- s.purged + 1
-          end
-          else if
-            match keep with
-            | Some pred -> Array.exists (fun l -> not (pred (var_of l))) c.lits
-            | None -> false
-          then begin
-            c.deleted <- true;
-            s.evicted <- s.evicted + 1
-          end
-          else begin
-            let n = Array.length c.lits in
-            let live = ref 0 in
-            Array.iter (fun l -> if value_lit s l <> 2 then incr live) c.lits;
-            if !live < n then begin
-              let keep = Array.make !live 0 in
-              let j = ref 0 in
-              Array.iter
-                (fun l ->
-                  if value_lit s l <> 2 then begin
-                    keep.(!j) <- l;
-                    incr j
-                  end)
-                c.lits;
-              s.strengthened <- s.strengthened + 1;
-              c.lits <- keep;
-              (* after a propagation fixpoint a non-satisfied clause has
-                 >= 2 non-false literals, so these cases are defensive *)
-              match !live with
-              | 0 ->
-                s.root_unsat <- true;
-                c.deleted <- true
-              | 1 ->
-                enqueue s keep.(0) None;
-                c.deleted <- true
-              | _ -> ()
-            end
-          end
-        end
-      in
-      List.iter strengthen s.clauses;
-      Vec.iter strengthen s.learnts;
-      if (not s.root_unsat) && subsume then begin
-        (* backward subsumption: short clauses kill their supersets *)
-        let live = ref [] in
-        List.iter (fun c -> if not c.deleted then live := c :: !live) s.clauses;
-        Vec.iter (fun c -> if not c.deleted then live := c :: !live) s.learnts;
-        let live = Array.of_list !live in
-        let n = Array.length live in
-        let sorted = Array.map (fun c -> sorted_copy c.lits) live in
-        let sigs = Array.map signature sorted in
-        (* occurrence lists over every live clause, indexed by literal;
-           lengths are tracked separately so picking a rarest literal is
-           O(clause), not O(sum of its occurrence lists) *)
-        let occ : int list array = Array.make (2 * Array.length s.assign) [] in
-        let occ_len = Array.make (2 * Array.length s.assign) 0 in
-        Array.iteri
-          (fun i c ->
-            Array.iter
-              (fun l ->
-                occ.(l) <- i :: occ.(l);
-                occ_len.(l) <- occ_len.(l) + 1)
-              c.lits)
-          live;
-        let budget = ref subsumption_budget in
-        for i = 0 to n - 1 do
-          let c = live.(i) in
-          if (not c.deleted) && Array.length c.lits <= max_subsumer_len && !budget > 0
-          then begin
-            (* walk the occurrence list of c's rarest literal *)
-            let best = ref c.lits.(0) in
-            Array.iter (fun l -> if occ_len.(l) < occ_len.(!best) then best := l) c.lits;
-            List.iter
-              (fun j ->
-                let d = live.(j) in
-                if
-                  j <> i && (not d.deleted) && !budget > 0
-                  && Array.length d.lits >= Array.length c.lits
-                  && sigs.(i) land Stdlib.lnot sigs.(j) = 0
-                then begin
-                  budget := !budget - Array.length d.lits;
-                  if subset sorted.(i) sorted.(j) then begin
-                    (* never drop a problem clause for a learned copy:
-                       learned clauses may be reduced away later *)
-                    if (not c.learned) || d.learned then begin
-                      d.deleted <- true;
-                      s.subsumed <- s.subsumed + 1
-                    end
-                  end
-                end)
-              occ.(!best)
-          end
-        done
-      end;
-      (* rebuild the database and every watch vector *)
-      s.clauses <- List.filter (fun c -> not c.deleted) s.clauses;
-      Vec.filter_in_place (fun c -> not c.deleted) s.learnts;
-      Array.iter Vec.clear s.watches;
-      let rewatch (c : clause) =
-        watch s c c.lits.(0);
-        watch s c c.lits.(1)
-      in
-      List.iter rewatch s.clauses;
-      Vec.iter rewatch s.learnts;
-      (* strengthening may have queued fresh root units *)
-      (match propagate s with Some _ -> s.root_unsat <- true | None -> ());
-      not s.root_unsat
-  end
-
 let learn (s : t) (lits : lit array) : clause =
   let c = { lits; activity = 0.0; learned = true; deleted = false } in
   Vec.push s.learnts c;
@@ -732,15 +469,7 @@ let pick_branch_var (s : t) : int option =
     if s.heap_len = 0 then None
     else begin
       let v = heap_pop s in
-      if s.assign.(v) <> 0 then go ()
-      else if s.focus_on && not s.focus.(v) then
-        (* outside the caller's decision set: drop it, so the heap runs
-           dry over exactly the focus variables.  Safe to lose from the
-           heap: an unfocused solve reseeds every unassigned variable on
-           entry and a focused one seeds its own set, and [backtrack]
-           re-inserts anything that gets assigned meanwhile. *)
-        go ()
-      else Some v
+      if s.assign.(v) <> 0 then go () else Some v
     end
   in
   go ()
@@ -777,50 +506,14 @@ let next_assumption (s : t) (assumptions : lit array) =
    different assumptions without rebuilding the CNF.
 
    The conflict budget is per CALL, not per solver lifetime: the counter
-   baseline is captured on entry, so a session issuing many queries
-   against one solver gives each query the full budget instead of
-   eroding it by everything earlier queries consumed.
-
-   [decision_vars], when given, restricts *branching* to those variables
-   (propagation still runs over the whole database): the search declares
-   Sat once every focus variable is assigned, with unassigned variables
-   defaulting to false in the returned model.  This is how a session
-   keeps per-query work proportional to the query instead of to the
-   accumulated database — and it is only sound under the session's
-   database discipline, where every clause outside the focus cone is
-   either a Tseitin definition over otherwise-unconstrained fresh
-   variables (always extendable to a total model) or a retired guard
-   already satisfied at the root.  The partial model is a real model of
-   every clause that lives entirely inside the focus cone; callers must
-   only read those variables. *)
-let solve_checked ~max_conflicts ~assumptions ?decision_vars (s : t) : result =
+   baseline is captured on entry, so repeated calls on one instance each
+   get the full budget. *)
+let solve_checked ~max_conflicts ~assumptions (s : t) : result =
   let assumptions = Array.of_list assumptions in
   let conflicts0 = s.conflicts in
-  (* (re)seed the order heap: everything unassigned, or just the focus
-     set — variables outside it cannot be branched on anyway, and a
-     session's database makes the full sweep O(session), not O(query) *)
-  (match decision_vars with
-  | None ->
-    for v = 0 to s.nvars - 1 do
-      if s.assign.(v) = 0 then heap_insert s v
-    done
-  | Some dv ->
-    s.focus_on <- true;
-    Array.iter
-      (fun v ->
-        if v >= 0 && v < s.nvars then begin
-          s.focus.(v) <- true;
-          if s.assign.(v) = 0 then heap_insert s v
-        end)
-      dv);
-  let unfocus () =
-    if s.focus_on then begin
-      s.focus_on <- false;
-      match decision_vars with
-      | Some dv -> Array.iter (fun v -> if v >= 0 && v < s.nvars then s.focus.(v) <- false) dv
-      | None -> ()
-    end
-  in
+  for v = 0 to s.nvars - 1 do
+    if s.assign.(v) = 0 then heap_insert s v
+  done;
   if s.max_learnts < Float.max 2000.0 (float_of_int s.num_clauses) then
     s.max_learnts <- Float.max 2000.0 (float_of_int s.num_clauses);
   let restart_num = ref 0 in
@@ -892,18 +585,15 @@ let solve_checked ~max_conflicts ~assumptions ?decision_vars (s : t) : result =
      done
    with Budget_exceeded ->
      backtrack s 0;
-     unfocus ();
      raise Budget_exceeded);
   backtrack s 0;
-  unfocus ();
   match !result with Some r -> r | None -> assert false
 
 (* [root_unsat] makes repeat calls (incremental solving under different
    assumptions) sound: a level-0 refutation consumed the propagation
    queue, so re-running the search would not rediscover the conflict. *)
-let solve ?(max_conflicts = max_int) ?(assumptions = []) ?decision_vars (s : t) : result =
-  if s.root_unsat then Unsat
-  else solve_checked ~max_conflicts ~assumptions ?decision_vars s
+let solve ?(max_conflicts = max_int) ?(assumptions = []) (s : t) : result =
+  if s.root_unsat then Unsat else solve_checked ~max_conflicts ~assumptions s
 
 (* One-shot convenience: clauses as lists of literals. *)
 let solve_clauses ?max_conflicts ?assumptions ~nvars (clauses : lit list list) : result =
@@ -931,11 +621,6 @@ type statistics = {
   st_learned_peak : int; (* peak size of the learned-clause DB *)
   st_db_reductions : int;
   st_restarts : int;
-  st_simplifies : int; (* inprocessing passes run *)
-  st_purged : int; (* root-satisfied clauses dropped by simplify *)
-  st_strengthened : int; (* clauses shrunk by root-false literal removal *)
-  st_subsumed : int; (* clauses deleted by backward subsumption *)
-  st_evicted : int; (* clauses dropped by cone eviction ([simplify ~keep]) *)
 }
 
 let statistics s =
@@ -946,9 +631,4 @@ let statistics s =
     st_learned_peak = s.learned_peak;
     st_db_reductions = s.db_reductions;
     st_restarts = s.restarts;
-    st_simplifies = s.simplifies;
-    st_purged = s.purged;
-    st_strengthened = s.strengthened;
-    st_subsumed = s.subsumed;
-    st_evicted = s.evicted;
   }

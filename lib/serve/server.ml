@@ -1,7 +1,7 @@
 (* The refinement-checking daemon.
 
    `ubc serve --socket PATH` turns the cold-start batch checker into a
-   long-lived service: one process owns the warmed solver stack, the
+   long-lived service: one process owns the request queue, the
    verdict cache and the worker pool, and serves checking requests over
    a Unix-domain socket speaking the framed JSON protocol of
    [Wire].  The shape is a single-threaded event loop:
@@ -82,13 +82,6 @@ type conn = {
   outq : string Queue.t; (* encoded reply frames not yet written *)
   mutable out_off : int; (* bytes of the queue head already written *)
   mutable closing : bool; (* close once [outq] drains; no more reads *)
-  mutable session : Ub_refine.Checker.session option;
-      (* persistent checker session, created on first in-process SAT
-         task from this connection.  A client streams related queries
-         (a fuzzer mutating one seed, a pipeline validating pass by
-         pass), so per-connection is the natural sharing scope.  The
-         session's own watermark/root-unsat/dirty policy governs resets;
-         dropping the connection drops the session. *)
 }
 
 type waiter = {
@@ -99,7 +92,8 @@ type waiter = {
 }
 
 type task = {
-  t_key : string;
+  t_key : string; (* coalescing key: [t_cache_key] plus the deadline class *)
+  t_cache_key : string; (* verdict-cache key, built once per request *)
   t_src : Func.t;
   t_tgt : Func.t;
   t_mode : Ub_sem.Mode.t;
@@ -172,7 +166,7 @@ let close_after_flush st c : unit =
 (* What the pool computes per unique task.  The inner [Pool.run_task]
    envelope maps the request deadline onto ITIMER_REAL; the outer pool
    layer only adds crash isolation when [jobs > 1]. *)
-let run_check ?session (t : task) : Ub_refine.Checker.verdict Ub_exec.Pool.result =
+let run_check (t : task) : Ub_refine.Checker.verdict Ub_exec.Pool.result =
   Ub_exec.Pool.run_task ?timeout_s:t.t_deadline
     (fun () ->
       if t.t_enum then
@@ -181,31 +175,8 @@ let run_check ?session (t : task) : Ub_refine.Checker.verdict Ub_exec.Pool.resul
         | Ub_refine.Enum_check.Counterexample { args; witness } ->
           Ub_refine.Checker.Counterexample { args; witness }
         | Ub_refine.Enum_check.Unknown r -> Ub_refine.Checker.Unknown r
-      else Ub_refine.Checker.check ?session t.t_mode ~src:t.t_src ~tgt:t.t_tgt)
+      else Ub_refine.Checker.check t.t_mode ~src:t.t_src ~tgt:t.t_tgt)
     ()
-
-(* The session for a task, if sessions apply: only with the in-process
-   pool (a forked worker's warmed solver dies with the fork) and only
-   for SAT-path tasks.  The session belongs to the connection that
-   FIRST enqueued the task (waiters are in reverse arrival order);
-   coalesced followers just read the shared verdict.  A deadline that
-   fires mid-solve leaves the session marked dirty, and its next query
-   starts from a clean solver — that recovery path is exercised by the
-   serve deadline tests. *)
-let task_session (st : state) (t : task) : Ub_refine.Checker.session option =
-  if st.cfg.jobs > 1 || t.t_enum then None
-  else
-    match List.rev t.waiters with
-    | [] -> None
-    | w :: _ -> (
-      let c = w.w_conn in
-      match c.session with
-      | Some _ as s -> s
-      | None ->
-        Obs.count "serve.sessions_created";
-        let s = Ub_refine.Checker.create_session () in
-        c.session <- Some s;
-        Some s)
 
 let verdict_fields : Ub_refine.Checker.verdict -> string * string * string list = function
   | Ub_refine.Checker.Refines -> ("refines", "", [])
@@ -238,13 +209,6 @@ let reply_verdict st (t : task) ~(cached : bool)
              wall_s = now -. w.enqueued_at;
            }))
     (List.rev t.waiters)
-
-let cache_key (t : task) : string =
-  Ub_refine.Verdict_cache.key ~mode:t.t_mode
-    ~kind:
-      (if t.t_enum then Ub_refine.Verdict_cache.enum_kind
-       else Ub_refine.Verdict_cache.combined_kind)
-    ~src:t.t_src ~tgt:t.t_tgt ()
 
 (* Drain up to [batch_max] unique tasks: cache hits answer immediately,
    the rest go through the pool in one [map] call. *)
@@ -280,7 +244,7 @@ let run_batch (st : state) : unit =
         match st.cfg.cache with
         | None -> true
         | Some c -> (
-          match Ub_refine.Verdict_cache.find c (cache_key t) with
+          match Ub_refine.Verdict_cache.find c t.t_cache_key with
           | Some v ->
             reply_verdict st t ~cached:true (Ub_exec.Pool.Done v);
             false
@@ -289,11 +253,7 @@ let run_batch (st : state) : unit =
   in
   let to_run = Array.of_list to_run in
   if Array.length to_run > 0 then begin
-    let results =
-      Ub_exec.Pool.map ~jobs:st.cfg.jobs
-        (fun t -> run_check ?session:(task_session st t) t)
-        to_run
-    in
+    let results = Ub_exec.Pool.map ~jobs:st.cfg.jobs run_check to_run in
     Array.iteri
       (fun i r ->
         let t = to_run.(i) in
@@ -306,7 +266,7 @@ let run_batch (st : state) : unit =
           | Ub_exec.Pool.Timed_out -> Ub_exec.Pool.Timed_out
         in
         (match (flat, st.cfg.cache) with
-        | Ub_exec.Pool.Done v, Some c -> Ub_refine.Verdict_cache.store c (cache_key t) v
+        | Ub_exec.Pool.Done v, Some c -> Ub_refine.Verdict_cache.store c t.t_cache_key v
         | _ -> ());
         reply_verdict st t ~cached:false flat)
       results
@@ -329,21 +289,18 @@ let enqueue_check (st : state) (c : conn) ~(id : int option) ~(mode : Ub_sem.Mod
       match deadline_s with Some _ as d -> d | None -> st.cfg.default_deadline_s
     in
     let t0 = Obs.Clock.now_s () in
-    let base =
-      { t_key = "";
-        t_src = src;
-        t_tgt = tgt;
-        t_mode = mode;
-        t_enum = enum;
-        t_deadline = deadline;
-        waiters = [];
-      }
+    let cache_key =
+      Ub_refine.Verdict_cache.key ~mode
+        ~kind:
+          (if enum then Ub_refine.Verdict_cache.enum_kind
+           else Ub_refine.Verdict_cache.combined_kind)
+        ~src ~tgt ()
     in
     (* the coalescing key is the verdict-cache key plus the deadline
        class: two requests for the same query under different budgets
        must not share a timeout verdict *)
     let key =
-      Printf.sprintf "%s/%s" (cache_key base)
+      Printf.sprintf "%s/%s" cache_key
         (match deadline with None -> "-" | Some s -> Printf.sprintf "%.3f" s)
     in
     let w = { w_conn = c; w_id = id; enqueued_at = t0; w_coalesced = false } in
@@ -352,7 +309,17 @@ let enqueue_check (st : state) (c : conn) ~(id : int option) ~(mode : Ub_sem.Mod
       Obs.count "serve.coalesced";
       t.waiters <- { w with w_coalesced = true } :: t.waiters
     | None ->
-      let t = { base with t_key = key; waiters = [ w ] } in
+      let t =
+        { t_key = key;
+          t_cache_key = cache_key;
+          t_src = src;
+          t_tgt = tgt;
+          t_mode = mode;
+          t_enum = enum;
+          t_deadline = deadline;
+          waiters = [ w ];
+        }
+      in
       Hashtbl.replace st.queue key t;
       st.order <- key :: st.order;
       st.queued <- st.queued + 1
@@ -567,7 +534,6 @@ let run (cfg : config) : unit =
             outq = Queue.create ();
             out_off = 0;
             closing = false;
-            session = None;
           }
           :: st.conns;
         Obs.count "serve.accepts";

@@ -298,49 +298,27 @@ let cofactor_apply (cf : cofactor) (assignment : int) : t =
 module Cnf = struct
   open Ub_sat
 
-  (* The builder is shared between the one-shot [solve] below and the
-     persistent [Session] layer: variable allocation is a closure (a
-     bump counter for one-shot solving, [Solver.new_var] for sessions),
-     and input variables go through a memo table of their own instead of
-     a fixed [1 + i] layout, because a session interleaves inputs of
-     many queries with Tseitin variables.  The [vars_new] /
-     [clauses_new] / [hits] counters are per-encoding: a session resets
-     them before each query, so "re-encoding an identical circuit adds
-     zero new clauses and variables" is a checkable property. *)
+  (* The Tseitin builder of one query: SAT variables are allocated on
+     demand (variable 0 is pinned true), circuit nodes and inputs each
+     through a memo table, so a shared node is encoded once. *)
   type builder = {
     solver : Solver.t;
     node_var : (int, int) Hashtbl.t; (* circuit node id -> SAT var *)
     input_var : (int, int) Hashtbl.t; (* input index -> SAT var *)
-    alloc : unit -> int; (* fresh-SAT-variable allocator *)
-    mutable vars_new : int; (* variables allocated since the last reset *)
-    mutable clauses_new : int; (* clauses submitted since the last reset *)
-    mutable hits : int; (* node/input memo hits since the last reset *)
+    mutable next_var : int; (* the next unallocated SAT variable *)
     mutable ok : bool; (* false once add_clause reported level-0 unsat *)
   }
 
-  let make_builder ~(solver : Solver.t) ~(alloc : unit -> int) : builder =
-    { solver; node_var = Hashtbl.create 64; input_var = Hashtbl.create 16; alloc;
-      vars_new = 0; clauses_new = 0; hits = 0; ok = true }
-
-  let reset_counters (b : builder) =
-    b.vars_new <- 0;
-    b.clauses_new <- 0;
-    b.hits <- 0
-
-  let add b c =
-    b.clauses_new <- b.clauses_new + 1;
-    if not (Solver.add_clause b.solver c) then b.ok <- false
+  let add b c = if not (Solver.add_clause b.solver c) then b.ok <- false
 
   let fresh_var b =
-    let v = b.alloc () in
-    b.vars_new <- b.vars_new + 1;
+    let v = b.next_var in
+    b.next_var <- v + 1;
     v
 
   let input_lit (b : builder) (i : int) : Solver.lit =
     match Hashtbl.find_opt b.input_var i with
-    | Some v ->
-      b.hits <- b.hits + 1;
-      Solver.pos v
+    | Some v -> Solver.pos v
     | None ->
       let v = fresh_var b in
       Hashtbl.replace b.input_var i v;
@@ -355,9 +333,7 @@ module Cnf = struct
     | Not x -> Solver.lnot (lit_of b x)
     | _ -> (
       match Hashtbl.find_opt b.node_var t.id with
-      | Some v ->
-        b.hits <- b.hits + 1;
-        Solver.pos v
+      | Some v -> Solver.pos v
       | None ->
         let v = fresh_var b in
         Hashtbl.replace b.node_var t.id v;
@@ -397,59 +373,6 @@ module Cnf = struct
       | Some v when v < Array.length assignment -> assignment.(v)
       | _ -> false
 
-  (* The CNF variables of [root]'s cone under this builder — every gate
-     and input of the subgraph that [lit_of] assigned a variable — plus
-     the circuit input indices of the cone.  A session passes the
-     variables to [Solver.solve ~decision_vars] so a query against a
-     long-lived solver branches only on its own encoding (everything
-     else in the accumulated database is retired guards and
-     always-extendable Tseitin definitions), and uses the input indices
-     to materialize cached models without sweeping the whole input
-     table.  Call after encoding [root] (a node outside the tables
-     contributes nothing). *)
-  let cone_vars (b : builder) (root : t) : int array * int array =
-    let seen = Hashtbl.create 256 in
-    let vars = ref [] in
-    let inputs = ref [] in
-    let rec go (n : t) =
-      if not (Hashtbl.mem seen n.id) then begin
-        Hashtbl.add seen n.id ();
-        (match Hashtbl.find_opt b.node_var n.id with
-        | Some v -> vars := v :: !vars
-        | None -> ());
-        match n.node with
-        | True | False -> ()
-        | Input i -> (
-          match Hashtbl.find_opt b.input_var i with
-          | Some v ->
-            vars := v :: !vars;
-            inputs := i :: !inputs
-          | None -> ())
-        | Not x -> go x
-        | And (x, y) | Or (x, y) | Xor (x, y) ->
-          go x;
-          go y
-        | Ite (c, x, y) ->
-          go c;
-          go x;
-          go y
-      end
-    in
-    go root;
-    (Array.of_list !vars, Array.of_list !inputs)
-
-  (* Forget every node→variable and input→variable memo whose variable
-     [kept] rejects.  Must mirror a [Solver.simplify ~keep] eviction
-     exactly: a memo surviving its definitions would make a later
-     re-encode return a variable with no clauses behind it. *)
-  let evict (b : builder) (kept : int -> bool) =
-    let drop tbl =
-      let dead = Hashtbl.fold (fun k v acc -> if kept v then acc else k :: acc) tbl [] in
-      List.iter (Hashtbl.remove tbl) dead
-    in
-    drop b.node_var;
-    drop b.input_var
-
   type model = { bool_of_input : int -> bool }
 
   type solve_result = Sat_model of model | Unsat_r
@@ -468,15 +391,11 @@ module Cnf = struct
     propagations : int;
     restarts : int;
     learned_peak : int; (* peak learned-clause DB size *)
-    vars_new : int; (* SAT vars this query allocated (≠ cnf_vars in a session) *)
-    clauses_new : int; (* clauses this query emitted *)
-    shared_hits : int; (* node/input encodings reused from an earlier query *)
   }
 
   let no_stats =
     { circuit_nodes = 0; cnf_vars = 0; cnf_clauses = 0; conflicts = 0; decisions = 0;
-      propagations = 0; restarts = 0; learned_peak = 0; vars_new = 0; clauses_new = 0;
-      shared_hits = 0 }
+      propagations = 0; restarts = 0; learned_peak = 0 }
 
   (* Every query also feeds the process-wide telemetry registry: run
      reports carry aggregate solver counters without any caller having
@@ -490,7 +409,7 @@ module Cnf = struct
     Obs.count ~by:st.Ub_sat.Solver.st_propagations "solver.propagations";
     Obs.count ~by:st.Ub_sat.Solver.st_restarts "solver.restarts";
     Obs.observe "smt.cnf_clauses" (float_of_int st.Ub_sat.Solver.st_clauses);
-    Obs.observe "smt.cnf_vars" (float_of_int (1 + b.vars_new));
+    Obs.observe "smt.cnf_vars" (float_of_int b.next_var);
     Obs.observe "smt.circuit_nodes" (float_of_int ctx.next_id)
 
   let record_stats (stats_out : stats ref option) (ctx : ctx) (b : builder) =
@@ -499,38 +418,29 @@ module Cnf = struct
     | None -> ()
     | Some r ->
       let st = Ub_sat.Solver.statistics b.solver in
-      (* one-shot builder: every used var is new, plus the pinned const *)
-      let used_vars = 1 + b.vars_new in
       r :=
         { circuit_nodes = ctx.next_id;
-          cnf_vars = used_vars;
+          cnf_vars = b.next_var;
           cnf_clauses = st.Ub_sat.Solver.st_clauses;
           conflicts = st.Ub_sat.Solver.st_conflicts;
           decisions = st.Ub_sat.Solver.st_decisions;
           propagations = st.Ub_sat.Solver.st_propagations;
           restarts = st.Ub_sat.Solver.st_restarts;
           learned_peak = st.Ub_sat.Solver.st_learned_peak;
-          vars_new = b.vars_new;
-          clauses_new = b.clauses_new;
-          shared_hits = b.hits;
         }
 
   (* Satisfiability of [root = true].  [max_conflicts] bounds solver
      effort; raises [Too_hard] when exceeded. *)
   let solve ?(max_conflicts = 2_000_000) ?stats (ctx : ctx) (root : t) : solve_result =
     Ub_obs.Obs.with_span "smt.solve" @@ fun () ->
-    (* var 0: constant true; inputs and Tseitin vars allocated on demand.
-       Upper bound on vars: 1 + inputs + nodes; preallocating it avoids
-       the growth path entirely on the one-shot hot path. *)
+    (* var 0: constant true; inputs and Tseitin vars allocated on demand,
+       at most one per input and one per node, so the solver is sized
+       for 1 + inputs + nodes up front. *)
     let nvars = 1 + ctx.next_input + ctx.next_id in
-    let solver = Ub_sat.Solver.create nvars in
-    let next = ref 1 in
-    let alloc () =
-      let v = !next in
-      incr next;
-      v
+    let b =
+      { solver = Ub_sat.Solver.create nvars; node_var = Hashtbl.create 64;
+        input_var = Hashtbl.create 16; next_var = 1; ok = true }
     in
-    let b = make_builder ~solver ~alloc in
     add b [ Ub_sat.Solver.pos 0 ];
     let root_lit = lit_of b root in
     add b [ root_lit ];
@@ -541,7 +451,7 @@ module Cnf = struct
     else begin
       match
         try
-          let r = Ub_sat.Solver.solve ~max_conflicts solver in
+          let r = Ub_sat.Solver.solve ~max_conflicts b.solver in
           record_stats stats ctx b;
           r
         with Ub_sat.Solver.Budget_exceeded ->

@@ -336,15 +336,14 @@ let expansion_pairs =
      done;
      List.rev !pairs)
 
-let expansion_differential ~shared () =
+let expansion_differential () =
   let pairs = Lazy.force expansion_pairs in
   Alcotest.(check bool) "enough pairs with choice" true (List.length pairs >= 40);
-  let session = if shared then Some (Checker.create_session ()) else None in
   let cex = ref 0 in
   List.iter
     (fun (mode, src, tgt) ->
       let name = Printf.sprintf "%s %s" mode.Mode.name (Printer.func_to_string src) in
-      let v = Checker.check ?session mode ~src ~tgt in
+      let v = Checker.check mode ~src ~tgt in
       match (Enum_check.check ~mode ~src ~tgt (), v) with
       | Enum_check.Refines, Checker.Refines | Enum_check.Unknown _, _ -> ()
       | Enum_check.Counterexample _, Checker.Counterexample { args; _ } -> (
@@ -422,12 +421,57 @@ e:
         Alcotest.(check bool) "refines" true (v = Checker.Refines);
         Alcotest.(check int) "two of four assignments conjoined" 2 assignments);
     Alcotest.test_case "differential vs enumeration, fresh contexts" `Slow
-      (expansion_differential ~shared:false);
-    Alcotest.test_case "differential vs enumeration, one session" `Slow
-      (expansion_differential ~shared:true);
+      expansion_differential;
+  ]
+
+(* The `bench solver` corpus against its committed baseline: every
+   query's verdict class must match bench/solver_baseline.tsv (name,
+   mode and verdict are its first three columns).  Counterexample
+   models may differ between solver versions; verdicts may not. *)
+let baseline_verdicts () =
+  let ic = open_in "../bench/solver_baseline.tsv" in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file -> acc
+    | line -> (
+      match String.split_on_char '\t' line with
+      | name :: mode :: verdict :: _ when line.[0] <> '#' -> go (((name, mode), verdict) :: acc)
+      | _ -> go acc)
+  in
+  go []
+
+let verdict_class = function
+  | Checker.Refines -> "refines"
+  | Checker.Counterexample _ -> "counterexample"
+  | Checker.Unknown _ -> "unknown"
+
+let regression_tests =
+  [ Alcotest.test_case "90-query bench corpus keeps its baseline verdicts" `Slow (fun () ->
+        let baseline = baseline_verdicts () in
+        let corpus = Ub_corpus.corpus () in
+        Alcotest.(check int) "every query has a baseline row" (List.length corpus)
+          (List.length baseline);
+        List.iter
+          (fun (q : Ub_corpus.query) ->
+            let mode = Option.get (Mode.find q.Ub_corpus.qmode) in
+            let got =
+              verdict_class
+                (Checker.check_sat ~max_conflicts:200_000 mode ~src:q.Ub_corpus.qsrc
+                   ~tgt:q.Ub_corpus.qtgt)
+            in
+            match List.assoc_opt (q.Ub_corpus.qname, q.Ub_corpus.qmode) baseline with
+            | Some want when want = got -> ()
+            | want ->
+              Alcotest.failf "%s [%s]: baseline %s, now %s\n%a\n%a" q.Ub_corpus.qname
+                q.Ub_corpus.qmode
+                (Option.value ~default:"missing" want)
+                got Printer.pp_func q.Ub_corpus.qsrc Printer.pp_func q.Ub_corpus.qtgt)
+          corpus);
   ]
 
 let () =
   Alcotest.run "refine"
     [ ("known-pairs", known_pairs); ("cross-validation", [ checkers_agree ]);
-      ("verdict-cache", cache_tests); ("expansion", expansion_tests) ]
+      ("verdict-cache", cache_tests); ("expansion", expansion_tests);
+      ("regression", regression_tests) ]

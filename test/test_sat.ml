@@ -174,7 +174,7 @@ let unit_tests =
         let tl = Solver.trail_length s in
         (* a refuted database must answer Unsat without re-establishing
            the assumptions: enqueueing onto a poisoned trail corrupted
-           sessions that retried after a root refutation *)
+           callers that retried after a root refutation *)
         (match Solver.solve ~assumptions:[ Solver.pos 1; Solver.neg 2 ] s with
         | Solver.Unsat -> ()
         | Solver.Sat _ -> Alcotest.fail "refuted database must stay unsat");
@@ -241,10 +241,9 @@ let random_cnf_with_assumptions =
     list_size (int_range 0 4) lit >>= fun assumptions ->
     return (nvars, clauses, assumptions))
 
-(* Activation-literal protocol streams, the shape [Ub_smt.Session] plays
-   against one persistent solver: each query is a clause set added under
-   a fresh guard, solved assuming the guard, then retired with the unit
-   [¬guard].  [permanent] clauses go in unguarded and can refute the
+(* Activation-literal protocol streams against one solver instance:
+   each query is a clause set added under a fresh guard, solved assuming
+   the guard, then retired with the unit [¬guard].  [permanent] clauses go in unguarded and can refute the
    shared database mid-stream; [tight] first runs the query under a
    zero-conflict budget to exercise budget-exhaustion recovery. *)
 let random_protocol =
@@ -339,89 +338,13 @@ let props =
                | Solver.Sat m2 -> m1 = m2 (* phase saving replays the model *)
                | Solver.Unsat -> false)));
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"simplify preserves the verdict" ~count:200 random_cnf_large
-         (fun (nvars, clauses) ->
-           let sat r = match r with Solver.Sat _ -> true | Solver.Unsat -> false in
-           let reference = sat (Solver.solve_clauses ~nvars clauses) in
-           let s = Solver.create nvars in
-           let ok = List.for_all (fun c -> Solver.add_clause s c) clauses in
-           if not ok then reference = false
-           else begin
-             ignore (Solver.simplify s);
-             let r1 = sat (Solver.solve s) in
-             (* again, now with learned clauses and root units in play *)
-             ignore (Solver.simplify s);
-             let r2 = sat (Solver.solve s) in
-             r1 = reference && r2 = reference
-           end));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"simplify ~keep evicts every clause outside the kept set"
-         ~print:(fun (nvars, clauses) ->
-           Printf.sprintf "nvars=%d clauses=[%s]" nvars
-             (String.concat "; "
-                (List.map
-                   (fun c ->
-                     "["
-                     ^ String.concat ","
-                         (List.map
-                            (fun l ->
-                              (if Solver.is_neg l then "-" else "+")
-                              ^ string_of_int (Solver.var_of l))
-                            c)
-                     ^ "]")
-                   clauses)))
-         ~count:200 random_cnf_large
-         (fun (nvars, clauses) ->
-           let s = Solver.create nvars in
-           let ok = List.for_all (fun c -> Solver.add_clause s c) clauses in
-           if not ok then true
-           else begin
-             let p v = v mod 2 = 0 in
-             let swept = Solver.simplify ~keep:p s in
-             if not swept then
-               (* the database was root-unsat at the propagation fixpoint:
-                  no sweep happens, the only contract is the verdict *)
-               match Solver.solve s with Solver.Unsat -> true | Solver.Sat _ -> false
-             else
-             let live_ok =
-               List.for_all
-                 (fun (c : Solver.clause) ->
-                   c.Solver.deleted
-                   || Array.for_all (fun l -> p (Solver.var_of l)) c.Solver.lits)
-                 s.Solver.clauses
-             in
-             let counted = (Solver.statistics s).Solver.st_evicted >= 0 in
-             (* the evicted database must still solve: no dangling watches *)
-             let solvable =
-               match Solver.solve s with Solver.Sat _ | Solver.Unsat -> true
-             in
-             live_ok && counted && solvable
-           end));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"cone-restricted decisions agree with unrestricted" ~count:300
-         random_cnf_large
-         (fun (nvars, clauses) ->
-           let occurs = Array.make nvars false in
-           List.iter (List.iter (fun l -> occurs.(Solver.var_of l) <- true)) clauses;
-           let cone = ref [] in
-           Array.iteri (fun v b -> if b then cone := v :: !cone) occurs;
-           let cone = Array.of_list !cone in
-           let s1 = Solver.create nvars in
-           let ok1 = List.for_all (fun c -> Solver.add_clause s1 c) clauses in
-           let s2 = Solver.create nvars in
-           let ok2 = List.for_all (fun c -> Solver.add_clause s2 c) clauses in
-           let r1 = if ok1 then Solver.solve s1 else Solver.Unsat in
-           let r2 = if ok2 then Solver.solve ~decision_vars:cone s2 else Solver.Unsat in
-           match (r1, r2) with
-           | Solver.Sat _, Solver.Sat m -> Solver.model_satisfies m clauses
-           | Solver.Unsat, Solver.Unsat -> true
-           | _ -> false));
-    QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"activation-literal protocol matches fresh solving" ~count:200
          random_protocol
          (fun (nvars, queries) ->
-           let s = Solver.create nvars in
+           (* one guard variable per query, above the problem variables *)
+           let s = Solver.create (nvars + List.length queries) in
            let perm = ref [] in
+           let next_guard = ref nvars in
            List.for_all
              (fun (clauses, assumptions, permanent, tight) ->
                (match permanent with
@@ -429,7 +352,8 @@ let props =
                  ignore (Solver.add_clause s c);
                  perm := c :: !perm
                | None -> ());
-               let a = Solver.new_var s in
+               let a = !next_guard in
+               incr next_guard;
                List.iter (fun c -> ignore (Solver.add_clause s (Solver.neg a :: c))) clauses;
                let guarded = Solver.pos a :: assumptions in
                if tight then (

@@ -225,6 +225,10 @@ let with_server ?(tune = fun (c : Server.config) -> c) k =
 let src_id = "define i8 @f(i8 %x) {\ne:\n  ret i8 %x\n}"
 let tgt_zero = "define i8 @f(i8 %x) {\ne:\n  ret i8 0\n}"
 
+(* x*y = y*x at i64: far beyond any millisecond deadline *)
+let hard_mul_src = "define i64 @h(i64 %x, i64 %y) {\ne:\n  %m = mul i64 %x, %y\n  ret i64 %m\n}"
+let hard_mul_tgt = "define i64 @h(i64 %x, i64 %y) {\ne:\n  %m = mul i64 %y, %x\n  ret i64 %m\n}"
+
 let expect_verdict name expected = function
   | Wire.Verdict v -> Alcotest.(check string) name expected v.Wire.verdict
   | Wire.Error_r { message; _ } -> Alcotest.failf "%s: server error: %s" name message
@@ -362,6 +366,21 @@ let server_tests =
             waitpid_retry pid;
             Alcotest.(check bool) "socket removed on drain" false
               (Sys.file_exists socket_path)));
+    Alcotest.test_case "a deadline miss leaves the connection serving" `Quick (fun () ->
+        (* jobs = 1 runs every check inside the daemon process, so the
+           deadline interrupts the checker mid-query there, not in a
+           forked worker that dies with it *)
+        with_server
+          ~tune:(fun c -> { c with Server.jobs = 1 })
+          (fun socket_path _ ->
+            Client.with_conn ~socket_path (fun cl ->
+                expect_verdict "i64 mul commutativity times out" "timeout"
+                  (Client.check cl ~deadline_s:0.001 ~mode:"proposed" ~src:hard_mul_src
+                     ~tgt:hard_mul_tgt ());
+                expect_verdict "next query refuted" "counterexample"
+                  (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:tgt_zero ());
+                expect_verdict "next query refines" "refines"
+                  (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:src_id ()))));
     Alcotest.test_case "coalescing fans one verdict out to every waiter" `Quick (fun () ->
         with_server (fun socket_path _ ->
             let fd = raw_connect socket_path in

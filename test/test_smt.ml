@@ -35,6 +35,32 @@ let unit_tests =
           Array.iteri (fun i bit -> if Circuit.eval m.Circuit.Cnf.bool_of_input bit then v := !v lor (1 lsl i)) a;
           Alcotest.(check int) "a = 255" 255 !v
         | Circuit.Cnf.Unsat_r -> Alcotest.fail "should be sat");
+    Alcotest.test_case "budget exhaustion reports Too_hard and recovers" `Quick (fun () ->
+        (* pigeonhole (4 pigeons, 3 holes) is unsat and any refutation
+           needs a conflict, so a zero-conflict budget always trips *)
+        let ctx = Circuit.create_ctx () in
+        let x = Array.init 4 (fun _ -> Array.init 3 (fun _ -> Circuit.fresh ctx)) in
+        let root = ref Circuit.btrue in
+        Array.iter
+          (fun row -> root := Circuit.band ctx !root (Circuit.big_or ctx (Array.to_list row)))
+          x;
+        for j = 0 to 2 do
+          for i = 0 to 3 do
+            for i' = i + 1 to 3 do
+              root :=
+                Circuit.band ctx !root (Circuit.bnot ctx (Circuit.band ctx x.(i).(j) x.(i').(j)))
+            done
+          done
+        done;
+        let stats = ref Circuit.Cnf.no_stats in
+        (match Circuit.Cnf.solve ~max_conflicts:0 ~stats ctx !root with
+        | exception Circuit.Cnf.Too_hard -> ()
+        | _ -> Alcotest.fail "a zero-conflict budget must raise Too_hard");
+        Alcotest.(check bool) "stats filled on Too_hard" true (!stats.Circuit.Cnf.cnf_vars > 1);
+        (* the context survives: the same circuit solves under a real budget *)
+        match Circuit.Cnf.solve ctx !root with
+        | Circuit.Cnf.Unsat_r -> ()
+        | Circuit.Cnf.Sat_model _ -> Alcotest.fail "pigeonhole is unsat");
     Alcotest.test_case "hash-consing shrinks the Tseitin CNF by >= 30%" `Quick (fun () ->
         (* A checker-style query that mentions the same product twice,
            built once with structural sharing and once without.  The
