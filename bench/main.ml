@@ -37,10 +37,6 @@ let solver_save_baseline = ref (None : string option)
 let solver_failed = ref false
 let serve_out = ref "BENCH_serve.json"
 let serve_failed = ref false
-let serve_fleet = ref false
-let serve_fleet_shards = ref 4
-let serve_fleet_required = ref 3.0
-let serve_fleet_queries = ref 10_000
 
 (* no-silent-caps: every pooled task that was dropped past the --timeout
    budget (or crashed) is counted here, reported per experiment, and
@@ -528,9 +524,7 @@ let solver () =
 let serve () =
   sep "T-SERVE | serve-daemon throughput vs spawning ubc check per query";
   let ok =
-    Serve_bench.run ~jobs:!jobs ~out:!serve_out ~fleet:!serve_fleet
-      ~fleet_shards:!serve_fleet_shards ~fleet_required:!serve_fleet_required
-      ~fleet_queries:!serve_fleet_queries ()
+    Serve_bench.run ~jobs:!jobs ~out:!serve_out
   in
   if not ok then serve_failed := true
 
@@ -621,12 +615,9 @@ let usage () =
      --solver-baseline F     solver: compare speed and verdicts against a baseline TSV\n\
     \                         (default bench/solver_baseline.tsv)\n\
      --solver-save-baseline F  solver: also record this run as a baseline TSV\n\
-     --serve-out F           serve: write the benchmark JSON to F (default BENCH_serve.json)\n\
-     --fleet                 serve: also run the sharded-fleet scaling experiment\n\
-     --fleet-shards N        serve: fleet size for the scaled run (default 4)\n\
-     --fleet-required X      serve: QPS scaling gate at N shards (default 3.0; only\n\
-    \                         enforced when the machine has >= N cores)\n\
-     --fleet-queries N       serve: fleet corpus size (default 10000)\n"
+     --serve-out F           serve: write the benchmark JSON to F (default BENCH_serve.json);\n\
+    \                         with -j N > 1, serve also compares a jobs-1 daemon with a\n\
+    \                         jobs-N one on a distinct-query corpus\n"
     (String.concat " " (List.map fst all));
   exit 2
 
@@ -691,27 +682,6 @@ let () =
     | "--serve-out" :: f :: rest ->
       serve_out := f;
       parse rest names
-    | "--fleet" :: rest ->
-      serve_fleet := true;
-      parse rest names
-    | "--fleet-shards" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        serve_fleet_shards := n;
-        parse rest names
-      | _ -> usage ())
-    | "--fleet-required" :: x :: rest -> (
-      match float_of_string_opt x with
-      | Some x when x > 0.0 ->
-        serve_fleet_required := x;
-        parse rest names
-      | _ -> usage ())
-    | "--fleet-queries" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        serve_fleet_queries := n;
-        parse rest names
-      | _ -> usage ())
     | name :: rest when List.mem_assoc name all -> parse rest (name :: names)
     | _ -> usage ()
   in

@@ -23,23 +23,20 @@
    the overload burst cannot pollute them), a warm re-pass over the
    unique pairs, and the daemon's closing stats report.
 
-   With [fleet] set, a second experiment runs the same measurement
-   shape against `ubc fleet`: a fresh 10k-query corpus (renamed
-   variants of the unique pairs, so every variant is distinct cache
-   work) driven through the consistent-hash fleet client, once against
-   a 1-shard fleet and once against [fleet_shards].  Verdicts from both
-   runs must match the in-process ground truth.  The >=[required]x
-   scaling gate is core-aware: shards are processes, so on a machine
-   with fewer cores than shards the aggregate QPS cannot scale and the
-   gate is recorded but not enforced (gate_enforced=false in the JSON);
-   CI runs the enforced variant on a multi-core runner. *)
+   With [jobs > 1], a second experiment measures worker scaling: a
+   fresh 3,000-query corpus (renamed variants of the unique pairs, so
+   every variant is distinct cache work) pipelined into a jobs-1 daemon
+   and then into a jobs-[jobs] one.  Verdicts from both runs must match
+   the in-process ground truth.  The >=1.5x scaling gate is core-aware:
+   workers are processes, so on a machine with fewer cores than jobs the
+   QPS cannot scale and the gate is recorded but not enforced
+   (gate_enforced=false in the JSON). *)
 
 open Ub_ir
 open Ub_sem
 module Json = Ub_serve.Json
 module Wire = Ub_serve.Wire
 module Client = Ub_serve.Client
-module Fleet = Ub_serve.Fleet
 
 let n_queries = 200
 let n_conns = 4
@@ -219,6 +216,16 @@ let start_daemon ~(jobs : int) ~(dir : string) : string * int =
     wait_sock 0;
     (socket_path, pid)
 
+(* Ask the daemon to drain, then reap it. *)
+let stop_daemon (socket_path : string) (pid : int) : unit =
+  Client.with_conn ~socket_path (fun cl ->
+      Client.send cl Wire.Shutdown;
+      match Client.recv cl with Some Wire.Bye | None -> () | Some _ -> ());
+  let rec reap () =
+    try ignore (Unix.waitpid [] pid) with Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+  in
+  reap ()
+
 (* How each reply was served, stamped from the reply's own flags --
    counting at the reply (not from the daemon's cumulative counters)
    keeps the burst and probe traffic below out of these numbers. *)
@@ -330,10 +337,13 @@ let run_overload_burst (socket_path : string) (unique : pair array) : int * int 
   (!rejected, !answered)
 
 (* ------------------------------------------------------------------ *)
-(* Fleet scaling experiment                                            *)
+(* Jobs scaling experiment                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Shards are processes: the scaling gate only means something when the
+let scale_queries = 3_000
+let scale_required = 1.5
+
+(* Workers are processes: the scaling gate only means something when the
    machine can actually run them in parallel.  Counted from
    /proc/cpuinfo (portable enough for the linux runners this targets);
    1 on any failure, which keeps the gate honest -- it can only
@@ -349,138 +359,131 @@ let ncores () : int =
     in
     max 1 n
 
-(* A fresh corpus for the fleet runs: [queries] renamed copies of the
-   unique pairs.  Renaming changes the verdict-cache key but not the
-   verdict, so the base pair's ground truth carries over.  Every query
-   is DISTINCT on purpose: repeated queries are answered by coalescing
-   and the journal -- single-process client work that cannot scale with
-   shards and is already measured by the daemon experiment above.  The
-   fleet experiment measures checking scale-out, so every query must be
-   real checker work. *)
-let build_fleet_corpus (unique : pair array) (truth : Ub_refine.Checker.verdict array)
-    ~(queries : int) : (string * string) array * int array * string array =
+(* [scale_queries] renamed copies of the unique pairs.  Renaming changes
+   the verdict-cache key but not the verdict, so the base pair's ground
+   truth carries over.  Every query is DISTINCT on purpose: repeated
+   queries are answered by coalescing and the journal, front-side work
+   that cannot scale with workers and is already measured by the daemon
+   experiment above. *)
+let build_scale_corpus (unique : pair array) (truth : Ub_refine.Checker.verdict array) :
+    (string * string) array * string array =
   let n = Array.length unique in
   let texts =
-    Array.init queries (fun i ->
+    Array.init scale_queries (fun i ->
         let p = unique.(i mod n) in
         let name = Printf.sprintf "v%05d" i in
         ( Printer.func_to_string { p.p_src with Func.name },
           Printer.func_to_string { p.p_tgt with Func.name } ))
   in
-  let truth_v = Array.init queries (fun i -> verdict_name truth.(i mod n)) in
-  let picks = Array.init queries Fun.id in
-  (texts, picks, truth_v)
+  (texts, Array.init scale_queries (fun i -> verdict_name truth.(i mod n)))
 
-(* Drive the whole pick stream through the consistent-hash fleet client
-   in one batch call; the client pipelines per shard up to the window
-   the hello handshake negotiated. *)
-let run_fleet_load (sockets : string list) (texts : (string * string) array)
-    (picks : int array) : float * string array =
-  let fl = Client.Fleet.make ~client:"ubc-bench" sockets in
-  Fun.protect ~finally:(fun () -> Client.Fleet.close fl) @@ fun () ->
-  let pairs = Array.map (fun qi -> texts.(qi)) picks in
+(* Pipeline the corpus over one connection, keeping half the daemon's
+   advertised queue in flight so admission control never rejects. *)
+let run_scale_load (socket_path : string) (texts : (string * string) array) :
+    float * string array =
+  Client.with_conn ~client:"ubc-bench" ~socket_path @@ fun cl ->
+  let window = max 1 (cl.Client.queue_limit / 2) in
+  let n = Array.length texts in
+  let verdicts = Array.make n "" in
+  let sent = ref 0 in
+  let send_next () =
+    let src, tgt = texts.(!sent) in
+    Client.send cl
+      (Wire.Check
+         { Wire.id = Some !sent; mode = "proposed"; src; tgt; deadline_s = None;
+           enum_only = false });
+    incr sent
+  in
   let t0 = Ub_obs.Obs.Clock.now_s () in
-  let replies = Client.Fleet.check_batch_tagged fl ~mode:"proposed" pairs in
-  let wall = Ub_obs.Obs.Clock.elapsed_s ~since:t0 in
-  let verdicts =
-    Array.map
-      (fun (reply, _) ->
-        match reply with
-        | Wire.Verdict v -> v.Wire.verdict
-        | Wire.Overloaded _ -> "overloaded"
-        | Wire.Error_r { message; _ } -> "error: " ^ message
-        | _ -> "error: unexpected reply")
-      replies
-  in
-  (wall, verdicts)
+  while !sent < min window n do
+    send_next ()
+  done;
+  for _ = 1 to n do
+    (match Client.recv cl with
+    | Some (Wire.Verdict { r_id = Some qi; verdict; _ }) when qi >= 0 && qi < n ->
+      verdicts.(qi) <- verdict
+    | Some (Wire.Overloaded _) -> failwith "serve bench: rejected during the scaling run"
+    | Some _ -> failwith "serve bench: unexpected reply in the scaling run"
+    | None -> failwith "serve bench: daemon closed the connection");
+    if !sent < n then send_next ()
+  done;
+  (Ub_obs.Obs.Clock.elapsed_s ~since:t0, verdicts)
 
-(* One fleet run at [nshards]: spawn, drive, collect merged stats, tear
-   down.  Each run gets a fresh subdirectory (cold journals) so the
-   1-shard and N-shard runs pay the same cache costs. *)
-let run_fleet_once ~(nshards : int) ~(dir : string) (texts : (string * string) array)
-    (picks : int array) : float * string array * Json.t =
-  let cfg = { (Fleet.default_config ~dir) with Fleet.shards = nshards } in
-  let h = Fleet.spawn_local cfg in
-  Fun.protect ~finally:(fun () -> Fleet.stop_local h) @@ fun () ->
-  let sockets = Fleet.handle_sockets h in
-  let wall, verdicts = run_fleet_load sockets texts picks in
-  let stats =
-    let fl = Client.Fleet.make ~client:"ubc-bench-stats" sockets in
-    Fun.protect
-      ~finally:(fun () -> Client.Fleet.close fl)
-      (fun () -> Fleet.merge_stats (Client.Fleet.stats fl))
-  in
+(* One daemon at [jobs] on a fresh directory (a cold journal), so both
+   runs pay the same cache costs.  Returns wall, verdicts and the
+   daemon's closing stats. *)
+let run_scale_once ~(jobs : int) ~(dir : string) (texts : (string * string) array) :
+    float * string array * Wire.stats_reply =
+  Unix.mkdir dir 0o755;
+  let socket_path, pid = start_daemon ~jobs ~dir in
+  let wall, verdicts = run_scale_load socket_path texts in
+  let stats = Client.with_conn ~socket_path Client.stats in
+  stop_daemon socket_path pid;
   (wall, verdicts, stats)
 
-(* The fleet experiment: same corpus against 1 shard and [shards]
-   shards; verdict agreement with ground truth is always enforced, the
-   >=[required]x QPS gate only when the machine has the cores to scale
-   (recorded either way).  Returns the JSON block and pass/fail. *)
-let run_fleet ~(shards : int) ~(queries : int) ~(required : float) ~(dir : string)
-    (unique : pair array) (truth : Ub_refine.Checker.verdict array) : Json.t * bool =
-  let texts, picks, truth_v = build_fleet_corpus unique truth ~queries in
+(* The same corpus against a jobs-1 daemon and a jobs-[jobs] one.
+   Verdict agreement with ground truth is always enforced, the
+   >=[scale_required]x QPS gate only when the machine has the cores to
+   scale (recorded either way).  Returns the JSON block and pass/fail. *)
+let run_scale ~(jobs : int) ~(dir : string) (unique : pair array)
+    (truth : Ub_refine.Checker.verdict array) : Json.t * bool =
+  let texts, truth_v = build_scale_corpus unique truth in
   let cores = ncores () in
-  Printf.printf "fleet corpus: %d distinct queries; machine: %d core(s)\n%!" queries cores;
+  Printf.printf "scaling corpus: %d distinct queries; machine: %d core(s)\n%!" scale_queries
+    cores;
   let mismatches verdicts =
     let bad = ref 0 in
-    Array.iteri (fun qi v -> if truth_v.(picks.(qi)) <> v then incr bad) verdicts;
+    Array.iteri (fun qi v -> if truth_v.(qi) <> v then incr bad) verdicts;
     !bad
   in
-  Printf.printf "fleet: 1-shard run...\n%!";
-  let wall_1, verdicts_1, _ =
-    run_fleet_once ~nshards:1 ~dir:(Filename.concat dir "fleet1") texts picks
+  let measure j =
+    let wall, verdicts, stats =
+      run_scale_once ~jobs:j ~dir:(Filename.concat dir (Printf.sprintf "scale-j%d" j)) texts
+    in
+    let qps = float_of_int scale_queries /. wall in
+    Printf.printf "scaling: jobs %d: %.2fs wall, %.1f queries/s\n%!" j wall qps;
+    (wall, qps, mismatches verdicts, stats)
   in
-  let qps_1 = float_of_int queries /. wall_1 in
-  Printf.printf "fleet: 1 shard: %.2fs wall, %.1f queries/s\n%!" wall_1 qps_1;
-  Printf.printf "fleet: %d-shard run...\n%!" shards;
-  let wall_n, verdicts_n, stats_n =
-    run_fleet_once ~nshards:shards ~dir:(Filename.concat dir "fleetN") texts picks
-  in
-  let qps_n = float_of_int queries /. wall_n in
+  let wall_1, qps_1, bad_1, _ = measure 1 in
+  let wall_n, qps_n, bad_n, stats_n = measure jobs in
   let speedup = qps_n /. qps_1 in
-  let bad_1 = mismatches verdicts_1 and bad_n = mismatches verdicts_n in
   let verdicts_match = bad_1 = 0 && bad_n = 0 in
-  let gate_enforced = cores >= shards in
-  Printf.printf "fleet: %d shards: %.2fs wall, %.1f queries/s (%.2fx the 1-shard run)\n%!"
-    shards wall_n qps_n speedup;
-  if not gate_enforced then
-    Printf.printf
-      "fleet: gate informational only: %d core(s) < %d shards, processes cannot scale here\n%!"
-      cores shards;
+  let gate_enforced = cores >= jobs in
+  Printf.printf "scaling: %.2fx at jobs %d\n%!" speedup jobs;
   let num f = Json.Num f in
   let int n = Json.Num (float_of_int n) in
   let j =
     Json.Obj
-      [ ("shards", int shards);
-        ("queries", int queries);
+      [ ("jobs", int jobs);
+        ("queries", int scale_queries);
         ("distinct_queries", Json.Bool true);
         ("cores", int cores);
-        ("wall_1shard_s", num wall_1);
-        ("qps_1shard", num qps_1);
-        ("wall_nshard_s", num wall_n);
-        ("qps_nshard", num qps_n);
+        ("wall_1job_s", num wall_1);
+        ("qps_1job", num qps_1);
+        ("wall_njobs_s", num wall_n);
+        ("qps_njobs", num qps_n);
         ("speedup", num speedup);
-        ("required_speedup", num required);
+        ("required_speedup", num scale_required);
         ("gate_enforced", Json.Bool gate_enforced);
         ("verdicts_match", Json.Bool verdicts_match);
-        ("mismatches_1shard", int bad_1);
-        ("mismatches_nshard", int bad_n);
-        ("stats", stats_n);
+        ("mismatches_1job", int bad_1);
+        ("mismatches_njobs", int bad_n);
+        ("stats", Wire.reply_to_json (Wire.Stats_r stats_n));
       ]
   in
   let ok =
     if not verdicts_match then begin
-      Printf.printf "FLEET-MISMATCH: %d + %d verdict disagreement(s) vs ground truth\n" bad_1
+      Printf.printf "SCALE-MISMATCH: %d + %d verdict disagreement(s) vs ground truth\n" bad_1
         bad_n;
       false
     end
-    else if gate_enforced && speedup < required then begin
-      Printf.printf "FLEET-TOO-SLOW: %.2fx < required %.1fx at %d shards on %d cores\n"
-        speedup required shards cores;
+    else if gate_enforced && speedup < scale_required then begin
+      Printf.printf "SCALE-TOO-SLOW: %.2fx < required %.1fx at jobs %d on %d cores\n" speedup
+        scale_required jobs cores;
       false
     end
     else begin
-      Printf.printf "FLEET-OK: identical verdicts, %.2fx at %d shards%s\n" speedup shards
+      Printf.printf "SCALE-OK: identical verdicts, %.2fx at jobs %d%s\n" speedup jobs
         (if gate_enforced then "" else " (gate not enforced: too few cores)");
       true
     end
@@ -510,8 +513,7 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let run ~(jobs : int) ~(out : string) ?(fleet = false) ?(fleet_shards = 4)
-    ?(fleet_required = 3.0) ?(fleet_queries = 10_000) () : bool =
+let run ~(jobs : int) ~(out : string) : bool =
   let dir = Filename.temp_file "ub_serve_bench" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
@@ -573,24 +575,14 @@ let run ~(jobs : int) ~(out : string) ?(fleet = false) ?(fleet_shards = 4)
         | _ -> false)
   in
   let stats = Client.with_conn ~socket_path (fun cl -> Client.stats cl) in
-  Client.with_conn ~socket_path (fun cl ->
-      Client.send cl Wire.Shutdown;
-      match Client.recv cl with Some Wire.Bye | None -> () | Some _ -> ());
-  let rec reap () =
-    try ignore (Unix.waitpid [] daemon_pid)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-  in
-  reap ();
-  (* --- fleet scaling (after the single daemon is down: the shards
-     should not compete with it for cores) --- *)
-  let fleet_block =
-    if not fleet then None
+  stop_daemon socket_path daemon_pid;
+  (* --- jobs scaling (after the first daemon is down: the runs should
+     not compete with it for cores) --- *)
+  let scale_block =
+    if jobs <= 1 then None
     else begin
-      Printf.printf "\nfleet: %d-shard scaling run (gate: >=%.1fx)\n%!" fleet_shards
-        fleet_required;
-      Some
-        (run_fleet ~shards:fleet_shards ~queries:fleet_queries ~required:fleet_required
-           ~dir:(Filename.concat dir "fleet") unique truth)
+      Printf.printf "\nscaling: jobs 1 vs jobs %d (gate: >=%.1fx)\n%!" jobs scale_required;
+      Some (run_scale ~jobs ~dir unique truth)
     end
   in
   (* --- verdict agreement --- *)
@@ -668,7 +660,7 @@ let run ~(jobs : int) ~(out : string) ?(fleet = false) ?(fleet_shards = 4)
          ("verdicts_match", Json.Bool verdicts_match);
          ("server_report", stats.Wire.report);
        ]
-      @ match fleet_block with None -> [] | Some (fj, _) -> [ ("fleet", fj) ])
+      @ match scale_block with None -> [] | Some (sj, _) -> [ ("scaling", sj) ])
   in
   let oc = open_out out in
   output_string oc (Json.to_string j);
@@ -676,7 +668,7 @@ let run ~(jobs : int) ~(out : string) ?(fleet = false) ?(fleet_shards = 4)
   close_out oc;
   Printf.printf "wrote %s\n" out;
   let warm_ok = warm_hits = warm_expected in
-  let fleet_ok = match fleet_block with None -> true | Some (_, ok) -> ok in
+  let scale_ok = match scale_block with None -> true | Some (_, ok) -> ok in
   if not verdicts_match then begin
     Printf.printf "SERVE-MISMATCH: %d verdict disagreement(s) between daemon/baseline/direct\n"
       !mismatches;
@@ -695,5 +687,5 @@ let run ~(jobs : int) ~(out : string) ?(fleet = false) ?(fleet_shards = 4)
   end
   else begin
     Printf.printf "SERVE-OK: identical verdicts, %.1fx the spawn baseline\n" speedup;
-    fleet_ok
+    scale_ok
   end

@@ -9,10 +9,9 @@
      ubc reduce  [-mode MODE] [-o OUT] SRC.ll [TGT.ll]
                                                     (counterexample shrinking)
      ubc serve   --socket PATH [-j N] [--queue N]   (refinement daemon)
-     ubc fleet   --dir DIR [--shards N]             (sharded daemon fleet)
-     ubc submit  --socket PATH|--fleet SPEC [-mode MODE] SRC.ll [TGT.ll]
-                                                    (query a daemon or fleet)
-     ubc hunt    [--entry NAME]... [--all-entries] [--socket PATH|--fleet SPEC]
+     ubc submit  --socket PATH [-mode MODE] SRC.ll [TGT.ll]
+                                                    (query a daemon)
+     ubc hunt    [--entry NAME]... [--all-entries] [--socket PATH]
                                                     (miscompile hunting farm)
      ubc modes                                      (list semantics modes)
 
@@ -32,14 +31,6 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
 
 (* Usage-class failures raised by command bodies (malformed inputs). *)
 exception Usage of string
@@ -420,7 +411,11 @@ let socket_arg =
 let serve_cmd =
   let jobs =
     Arg.(value & opt int 1
-           & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Pool workers per batch (1 = in-process).")
+           & info [ "j"; "jobs" ] ~docv:"N"
+               ~doc:"Checker worker processes, forked at startup and kept for the \
+                     daemon's life; a worker that dies is respawned and only its \
+                     in-flight requests answer 'crashed'. 1 checks in the daemon \
+                     process itself.")
   in
   let queue =
     Arg.(value & opt int 64
@@ -431,7 +426,8 @@ let serve_cmd =
   in
   let batch =
     Arg.(value & opt int 32
-           & info [ "batch" ] ~docv:"N" ~doc:"Max unique tasks dispatched per batch.")
+           & info [ "batch" ] ~docv:"N"
+               ~doc:"Max unique tasks per in-process batch (--jobs 1).")
   in
   let deadline =
     Arg.(value & opt (some float) None
@@ -472,63 +468,6 @@ let serve_cmd =
     Term.(const run $ trace_arg $ socket_arg $ jobs $ queue $ batch $ deadline $ cache_dir)
 
 (* ------------------------------------------------------------------ *)
-(* fleet: N serve shards behind a consistent-hash router               *)
-(* ------------------------------------------------------------------ *)
-
-let fleet_cmd =
-  let dir =
-    Arg.(required & opt (some string) None
-           & info [ "dir" ] ~docv:"DIR"
-               ~doc:"Fleet home: shard sockets, the shared verdict journal, and fleet.json \
-                     land here.")
-  in
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc:"Number of serve shards.")
-  in
-  let queue =
-    Arg.(value & opt int 256
-           & info [ "queue"; "queue-depth" ] ~docv:"N"
-               ~doc:"Admission-control bound per shard.")
-  in
-  let batch =
-    Arg.(value & opt int 64
-           & info [ "batch" ] ~docv:"N" ~doc:"Max unique tasks per shard batch.")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-           & info [ "deadline" ] ~docv:"S"
-               ~doc:"Default per-request deadline applied by every shard.")
-  in
-  let shard_traces =
-    Arg.(value & flag
-           & info [ "shard-traces" ]
-               ~doc:"Write one JSONL trace per shard under DIR (trace-K.jsonl).")
-  in
-  let run trace dir shards queue batch deadline shard_traces =
-    guard @@ fun () ->
-    with_trace trace @@ fun () ->
-    if shards < 1 then raise (Usage "fleet: --shards must be >= 1");
-    if queue < 1 then raise (Usage "fleet: --queue must be >= 1");
-    let cfg =
-      { (Ub_serve.Fleet.default_config ~dir) with
-        Ub_serve.Fleet.shards;
-        queue_limit = queue;
-        batch_max = batch;
-        default_deadline_s = deadline;
-        trace = shard_traces;
-        verbose = true;
-      }
-    in
-    Ub_serve.Fleet.run cfg;
-    0
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:"Run N refinement-checking shards behind a consistent-hash router, with \
-             supervised restarts and one shared verdict journal.")
-    Term.(const run $ trace_arg $ dir $ shards $ queue $ batch $ deadline $ shard_traces)
-
-(* ------------------------------------------------------------------ *)
 (* submit: query a running daemon                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -564,26 +503,8 @@ let reply_code (r : Ub_serve.Wire.reply) : int =
   | Ub_serve.Wire.Error_r _ -> 3
   | _ -> 0
 
-(* `--fleet SPEC`: a fleet directory (holding fleet.json), the
-   fleet.json path itself, or a comma-separated shard socket list. *)
-let fleet_sockets_of (what : string) (spec : string) : string list =
-  match Ub_serve.Fleet.sockets_of_spec spec with
-  | Ok sockets -> sockets
-  | Error e -> raise (Usage (Printf.sprintf "%s: bad --fleet spec: %s" what e))
-
 let submit_cmd =
   let files = Arg.(value & pos_all file [] & info [] ~docv:"FILE") in
-  let socket_opt =
-    Arg.(value & opt (some string) None
-           & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket of a single daemon.")
-  in
-  let fleet =
-    Arg.(value & opt (some string) None
-           & info [ "fleet" ] ~docv:"SPEC"
-               ~doc:"Submit to a shard fleet instead of one daemon: a fleet directory, \
-                     its fleet.json, or a comma-separated socket list. Requests route \
-                     by cache key with failover.")
-  in
   let deadline =
     Arg.(value & opt (some float) None
            & info [ "deadline" ] ~docv:"S" ~doc:"Per-request deadline in seconds.")
@@ -604,65 +525,8 @@ let submit_cmd =
     Arg.(value & flag
            & info [ "shutdown" ] ~doc:"Ask the daemon to drain gracefully and exit.")
   in
-  let run socket fleet mode deadline count enum stats shutdown files =
+  let run socket mode deadline count enum stats shutdown files =
     guard @@ fun () ->
-    let func_text path =
-      match (Parser.parse_module (read_file path)).Func.funcs with
-      | f :: _ -> Printer.func_to_string f
-      | [] -> raise (Usage (Printf.sprintf "submit: %s holds no function" path))
-      | exception e ->
-        raise (Usage (Printf.sprintf "submit: cannot parse %s: %s" path (Printexc.to_string e)))
-    in
-    match (socket, fleet) with
-    | None, None -> raise (Usage "submit: need --socket PATH or --fleet SPEC")
-    | Some _, Some _ -> raise (Usage "submit: --socket and --fleet are mutually exclusive")
-    | None, Some spec ->
-      let sockets = fleet_sockets_of "submit" spec in
-      let fl = Ub_serve.Client.Fleet.make ~client:"ubc-submit" sockets in
-      Fun.protect ~finally:(fun () -> Ub_serve.Client.Fleet.close fl) @@ fun () ->
-      if stats then begin
-        match Ub_serve.Client.Fleet.stats fl with
-        | [] -> raise (Ub_serve.Client.Server_error "no fleet shard reachable")
-        | per ->
-          print_endline (Ub_serve.Json.to_string (Ub_serve.Fleet.merge_stats per));
-          0
-      end
-      else if shutdown then begin
-        Ub_serve.Client.Fleet.shutdown_all fl;
-        0
-      end
-      else begin
-        if count < 1 then raise (Usage "submit: --count must be >= 1");
-        let pair =
-          match files with
-          | [ src; tgt ] -> (func_text src, func_text tgt)
-          | [ one ] -> (
-            (* the fleet client speaks src/tgt checks only: split the
-               two-function witness module client-side *)
-            match (Parser.parse_module (read_file one)).Func.funcs with
-            | s :: t :: _ -> (Printer.func_to_string s, Printer.func_to_string t)
-            | _ ->
-              raise (Usage (Printf.sprintf "submit: %s must hold two functions" one))
-            | exception e ->
-              raise
-                (Usage
-                   (Printf.sprintf "submit: cannot parse %s: %s" one (Printexc.to_string e))))
-          | _ -> raise (Usage "submit: expected SRC.ll TGT.ll, or one two-function FILE.ll")
-        in
-        let tagged =
-          Ub_serve.Client.Fleet.check_batch_tagged fl ?deadline_s:deadline ~enum_only:enum
-            ~mode:mode.Ub_sem.Mode.name
-            (Array.make count pair)
-        in
-        let code = ref 0 in
-        Array.iter
-          (fun (r, tag) ->
-            print_endline (describe_reply r ^ " @" ^ tag);
-            code := max !code (reply_code r))
-          tagged;
-        !code
-      end
-    | Some socket, None ->
     let with_client f = Ub_serve.Client.with_conn ~socket_path:socket f in
     if stats then begin
       with_client (fun cl ->
@@ -727,8 +591,8 @@ let submit_cmd =
   Cmd.v
     (Cmd.info "submit"
        ~doc:"Submit refinement queries to a running 'ubc serve' daemon.")
-    Term.(const run $ socket_opt $ fleet $ mode_arg $ deadline $ count $ enum $ stats
-          $ shutdown $ files)
+    Term.(const run $ socket_arg $ mode_arg $ deadline $ count $ enum $ stats $ shutdown
+          $ files)
 
 (* ------------------------------------------------------------------ *)
 (* hunt: the miscompile hunting farm                                    *)
@@ -792,70 +656,19 @@ let hunt_cmd =
     Arg.(value & opt int 32
            & info [ "batch" ] ~docv:"N" ~doc:"Pipelined daemon requests per round trip.")
   in
-  let fleet =
-    Arg.(value & opt (some string) None
-           & info [ "fleet" ] ~docv:"SPEC"
-               ~doc:"Route checks across a shard fleet: a fleet directory, its \
-                     fleet.json, or a comma-separated socket list. Drop reasons in the \
-                     campaign accounting are tagged with the shard that caused them.")
-  in
-  let fleet_shards =
-    Arg.(value & opt (some int) None
-           & info [ "shards" ] ~docv:"N"
-               ~doc:"Spawn a local $(docv)-shard fleet for the campaign's duration and \
-                     route checks across it.")
-  in
   let run trace mode entries all_entries seed programs jobs timeout stop_after corpus out
-      socket deadline batch fleet fleet_shards =
+      socket deadline batch =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
     if programs < 1 then raise (Usage "hunt: --programs must be >= 1");
     if jobs < 1 then raise (Usage "hunt: --jobs must be >= 1");
     if batch < 1 then raise (Usage "hunt: --batch must be >= 1");
-    let spawned = ref None in
     let remote =
-      match (socket, fleet, fleet_shards) with
-      | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-        raise (Usage "hunt: --socket, --fleet and --shards are mutually exclusive")
-      | Some s, None, None ->
-        Some
-          { (Ub_hunt.Hunt.default_remote ~socket:s) with
-            Ub_hunt.Hunt.deadline_s = deadline;
-            batch;
-          }
-      | None, Some spec, None ->
-        let sockets = fleet_sockets_of "hunt" spec in
-        Some
-          { (Ub_hunt.Hunt.fleet_remote ~sockets) with
-            Ub_hunt.Hunt.deadline_s = deadline;
-            batch;
-          }
-      | None, None, Some n ->
-        if n < 1 then raise (Usage "hunt: --shards must be >= 1");
-        let dir =
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "ubc-hunt-fleet-%d" (Unix.getpid ()))
-        in
-        let fcfg =
-          { (Ub_serve.Fleet.default_config ~dir) with Ub_serve.Fleet.shards = n }
-        in
-        let h = Ub_serve.Fleet.spawn_local fcfg in
-        spawned := Some (h, dir);
-        Some
-          { (Ub_hunt.Hunt.fleet_remote ~sockets:(Ub_serve.Fleet.handle_sockets h)) with
-            Ub_hunt.Hunt.deadline_s = deadline;
-            batch;
-          }
-      | None, None, None -> None
+      Option.map
+        (fun s ->
+          { (Ub_hunt.Hunt.default_remote ~socket:s) with Ub_hunt.Hunt.deadline_s = deadline; batch })
+        socket
     in
-    Fun.protect
-      ~finally:(fun () ->
-        match !spawned with
-        | Some (h, dir) ->
-          Ub_serve.Fleet.stop_local h;
-          rm_rf dir
-        | None -> ())
-    @@ fun () ->
     let entry_list =
       if all_entries then Ub_opt.Inject.all
       else
@@ -949,16 +762,15 @@ let hunt_cmd =
        ~doc:"Hunt for silent miscompiles: stream generated programs through \
              optimization lanes, check refinement, shrink and fingerprint failures.")
     Term.(const run $ trace_arg $ mode_arg $ entries $ all_entries $ seed $ programs
-          $ jobs $ timeout $ stop_after $ corpus $ out $ socket $ deadline $ batch
-          $ fleet $ fleet_shards)
+          $ jobs $ timeout $ stop_after $ corpus $ out $ socket $ deadline $ batch)
 
 let () =
   install_signal_cleanup ();
   let info = Cmd.info "ubc" ~doc:"The taming-undefined-behavior compiler driver." in
   let group =
     Cmd.group info
-      [ compile_cmd; tv_cmd; run_cmd; check_cmd; reduce_cmd; serve_cmd; fleet_cmd;
-        submit_cmd; hunt_cmd; modes_cmd ]
+      [ compile_cmd; tv_cmd; run_cmd; check_cmd; reduce_cmd; serve_cmd; submit_cmd;
+        hunt_cmd; modes_cmd ]
   in
   (* Uniform exit codes: command bodies return 0/1 (and [guard] maps
      usage -> 2, internal -> 3); cmdliner's own CLI errors are usage. *)

@@ -14,7 +14,8 @@
    half-compacted log.  A reader that misses in its index first replays
    whatever other processes have appended since its last look (and
    detects a concurrent compaction by inode change), so cooperating
-   processes -- the shards of a fleet, say -- share entries live.
+   processes -- a daemon and a batch run on one cache directory, say --
+   share entries live.
 
    Journal record layout (little-endian-free, explicit big-endian):
 

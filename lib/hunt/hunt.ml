@@ -446,49 +446,23 @@ let run_local (cfg : config) : report =
 (* Campaign driver: serve daemon                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A remote checking backend: one daemon socket, or a whole fleet (the
-   batch is then routed across the shards by the fleet client, and every
-   drop reason is tagged with the shard that caused it). *)
-type target =
-  | Socket of string
-  | Fleet of string list (* shard socket paths *)
-
+(* The remote checking backend: one daemon socket. *)
 type remote = {
-  target : target;
+  socket : string;
   deadline_s : float option; (* per-request server-side budget *)
   batch : int; (* pipelined requests per round trip *)
 }
 
-let default_remote ~socket = { target = Socket socket; deadline_s = None; batch = 32 }
-let fleet_remote ~sockets = { target = Fleet sockets; deadline_s = None; batch = 32 }
+let default_remote ~socket = { socket; deadline_s = None; batch = 32 }
 
 (* Generation and optimization stay local (they are cheap); refinement
    checks are pipelined to the daemon, [batch] per lane per chunk, and
-   counterexamples are shrunk locally.  Against a fleet, each batch is
-   spread across the shards by cache-key routing; a shard crash
-   mid-campaign surfaces as failover (and, at worst, tagged drops) --
-   never as a lost batch. *)
+   counterexamples are shrunk locally. *)
 let run_daemon (cfg : config) (r : remote) : report =
   Obs.with_span "hunt.campaign" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let acc = new_accum () in
-  (* [check_batch] answers (reply, shard-tag) per pair; "" = the single
-     daemon (no tag in drop reasons, as before the fleet existed) *)
-  let with_backend (k : (mode:string -> (string * string) array -> (Ub_serve.Wire.reply * string) array) -> report) : report =
-    match r.target with
-    | Socket socket ->
-      Ub_serve.Client.with_conn ~client:"ubc-hunt" ~socket_path:socket @@ fun conn ->
-      k (fun ~mode pairs ->
-          Array.map
-            (fun rep -> (rep, ""))
-            (Ub_serve.Client.check_batch conn ?deadline_s:r.deadline_s ~mode pairs))
-    | Fleet sockets ->
-      let fl = Ub_serve.Client.Fleet.make ~client:"ubc-hunt" sockets in
-      Fun.protect ~finally:(fun () -> Ub_serve.Client.Fleet.close fl) @@ fun () ->
-      k (fun ~mode pairs ->
-          Ub_serve.Client.Fleet.check_batch_tagged fl ?deadline_s:r.deadline_s ~mode pairs)
-  in
-  with_backend @@ fun check_batch ->
+  Ub_serve.Client.with_conn ~client:"ubc-hunt" ~socket_path:r.socket @@ fun conn ->
   let stop () =
     match cfg.stop_after with Some n -> acc.findings >= n | None -> false
   in
@@ -554,15 +528,12 @@ let run_daemon (cfg : config) (r : remote) : report =
           in
           let replies =
             Obs.with_span "hunt.check" @@ fun () ->
-            check_batch ~mode:lane.lane_mode.Mode.name pairs
+            Ub_serve.Client.check_batch conn ?deadline_s:r.deadline_s
+              ~mode:lane.lane_mode.Mode.name pairs
           in
           List.iteri
             (fun i (p, lane, src, tgt) ->
-              let reply, tag = replies.(i) in
-              let drop_tagged reason =
-                drop acc (if tag = "" then reason else reason ^ "@" ^ tag)
-              in
-              match reply with
+              match replies.(i) with
               | Ub_serve.Wire.Verdict { verdict = "counterexample"; wall_s; _ } ->
                 acc.checks <- acc.checks + 1;
                 acc.cpu_s <- acc.cpu_s +. wall_s;
@@ -584,13 +555,13 @@ let run_daemon (cfg : config) (r : remote) : report =
                 acc.cpu_s <- acc.cpu_s +. wall_s;
                 Obs.count "hunt.check_done"
               | Ub_serve.Wire.Verdict { verdict = "timeout"; _ } ->
-                drop_tagged "daemon_deadline"
+                drop acc "daemon_deadline"
               | Ub_serve.Wire.Verdict { verdict = "crashed"; _ } ->
-                drop_tagged "daemon_crash"
-              | Ub_serve.Wire.Verdict _ -> drop_tagged "daemon_other"
-              | Ub_serve.Wire.Overloaded _ -> drop_tagged "daemon_overload"
-              | Ub_serve.Wire.Error_r _ -> drop_tagged "daemon_error"
-              | _ -> drop_tagged "daemon_protocol")
+                drop acc "daemon_crash"
+              | Ub_serve.Wire.Verdict _ -> drop acc "daemon_other"
+              | Ub_serve.Wire.Overloaded _ -> drop acc "daemon_overload"
+              | Ub_serve.Wire.Error_r _ -> drop acc "daemon_error"
+              | _ -> drop acc "daemon_protocol")
             mine
         end)
       cfg.lanes

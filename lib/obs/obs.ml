@@ -84,24 +84,12 @@ let attr_to_json = function
     if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
   | B b -> if b then "true" else "false"
 
-(* A fleet-shard tag stamped into trace events and the run report so
-   per-shard telemetry stays attributable after the fleet front merges
-   N obs reports into one.  The JSON field is "shard" but it lives at
-   the event's top level, clear of the pool's per-worker "shard"
-   attr (which sits inside [attrs]). *)
-let fleet_shard : string option ref = ref None
-let set_shard (s : string) : unit = fleet_shard := Some s
-let shard () : string option = !fleet_shard
-
 let event_to_json (e : event) : string =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
     (Printf.sprintf "{\"ev\":\"%s\",\"name\":\"%s\",\"t_ns\":%d" (json_escape e.ev)
        (json_escape e.name) e.t_ns);
   if e.dur_ns >= 0 then Buffer.add_string buf (Printf.sprintf ",\"dur_ns\":%d" e.dur_ns);
-  (match !fleet_shard with
-  | Some s -> Buffer.add_string buf (Printf.sprintf ",\"shard\":\"%s\"" (json_escape s))
-  | None -> ());
   Buffer.add_string buf (Printf.sprintf ",\"depth\":%d" e.depth);
   List.iter
     (fun (k, v) ->
@@ -307,7 +295,7 @@ let drain () : payload =
   p
 
 (* Merge a child's payload into this process: re-emit its events into
-   our sink (annotated with [attrs], e.g. the shard id) and fold its
+   our sink (annotated with [attrs], e.g. the worker it came from) and fold its
    aggregates into the registry. *)
 let absorb ?(attrs : (string * attr) list = []) (p : payload) : unit =
   if tracing () then List.iter (fun e -> emit { e with attrs = e.attrs @ attrs }) p.p_events;
@@ -354,9 +342,6 @@ let sorted_bindings (tbl : (string, 'a) Hashtbl.t) : (string * 'a) list =
 let report_json () : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"schema\":\"ubc-obs-report-v1\"";
-  (match !fleet_shard with
-  | Some s -> Buffer.add_string buf (Printf.sprintf ",\"shard\":\"%s\"" (json_escape s))
-  | None -> ());
   (* counters *)
   Buffer.add_string buf ",\"counters\":{";
   List.iteri

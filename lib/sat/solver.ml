@@ -1,17 +1,18 @@
 (* A CDCL SAT solver: two-watched-literal propagation over growable
    watch vectors, first-UIP clause learning, VSIDS branching through an
    indexed binary max-heap, phase saving, Luby restarts, learned-clause
-   database reduction on a geometric schedule, and incremental solving
-   under assumptions.
+   database reduction on a geometric schedule.
 
    This is the decision-procedure substrate for the refinement checker
    (the paper uses Z3 via Alive; the container is sealed, so we carry our
    own solver — see DESIGN.md section 9).  Literal encoding: variable
    [v >= 0] maps to literals [2v] (positive) and [2v+1] (negated).
 
-   [solve ~assumptions] answers satisfiability under a set of literals
-   forced true for that call only, so one instance can be re-solved
-   under different assumptions without rebuilding the CNF. *)
+   An instance is built, solved once, and dropped.  After an [Unsat]
+   answer (or a [false] from [add_clause]) it must not be solved again:
+   nothing records the refutation, so a second search could miss it.
+   A call that exhausts its conflict budget, or answers [Sat], leaves
+   the instance at level 0, ready for another call. *)
 
 open Ub_support
 
@@ -67,7 +68,6 @@ type t = {
   mutable learned_peak : int; (* peak size of the learned DB *)
   mutable db_reductions : int;
   mutable restarts : int;
-  mutable root_unsat : bool; (* instance refuted at level 0: final for every later solve *)
 }
 
 let create nvars =
@@ -99,11 +99,7 @@ let create nvars =
     learned_peak = 0;
     db_reductions = 0;
     restarts = 0;
-    root_unsat = false;
   }
-
-let is_root_unsat (s : t) = s.root_unsat
-let trail_length (s : t) = s.trail_len
 
 let value_lit (s : t) (l : lit) =
   (* 0 unassigned, 1 true, 2 false *)
@@ -211,12 +207,11 @@ let watch (s : t) (c : clause) (l : lit) =
    a duplicate is adjacent to its copy and a complementary pair [2v],
    [2v+1] is adjacent too.
 
-   Once [root_unsat] is latched the solver is inert: adding more clauses
-   must not touch the trail (a latched instance stays exactly as its
-   refutation left it). *)
+   [false] means the clause is falsified at level 0, so the instance is
+   unsatisfiable.  The clause is then dropped, not stored or enqueued:
+   only unassigned literals are ever enqueued, so the trail stays a
+   consistent assignment and later calls remain safe. *)
 let add_clause (s : t) (lits : lit list) : bool =
-  if s.root_unsat then false
-  else
   let arr = Array.of_list lits in
   Array.sort (fun (a : int) b -> compare a b) arr;
   let n = Array.length arr in
@@ -238,16 +233,12 @@ let add_clause (s : t) (lits : lit list) : bool =
   else begin
     let lits = Array.of_list !out in
     match !m with
-    | 0 ->
-      s.root_unsat <- true;
-      false
+    | 0 -> false
     | 1 ->
       let l = lits.(0) in
       (match value_lit s l with
       | 1 -> true
-      | 2 ->
-        s.root_unsat <- true;
-        false
+      | 2 -> false
       | _ ->
         s.num_clauses <- s.num_clauses + 1;
         enqueue s l None;
@@ -484,32 +475,10 @@ let rec luby i =
 
 exception Budget_exceeded
 
-(* First assumption not currently satisfied: [`Next l] to assume, [`False]
-   when one is falsified (unsat under assumptions), [`Done] when all
-   hold.  Walked from the front at every decision so restarts and
-   backjumps re-establish assumptions automatically. *)
-let next_assumption (s : t) (assumptions : lit array) =
-  let n = Array.length assumptions in
-  let rec go i =
-    if i >= n then `Done
-    else
-      match value_lit s assumptions.(i) with
-      | 1 -> go (i + 1)
-      | 2 -> `False
-      | _ -> `Next assumptions.(i)
-  in
-  go 0
-
-(* Solve under optional [assumptions] (literals forced true for this
-   call only).  [Unsat] then means "unsat under these assumptions"; the
-   solver backtracks to level 0 afterwards and can be re-solved with
-   different assumptions without rebuilding the CNF.
-
-   The conflict budget is per CALL, not per solver lifetime: the counter
-   baseline is captured on entry, so repeated calls on one instance each
-   get the full budget. *)
-let solve_checked ~max_conflicts ~assumptions (s : t) : result =
-  let assumptions = Array.of_list assumptions in
+(* Solve the clauses added so far.  The conflict budget is per CALL,
+   not per solver lifetime: the counter baseline is captured on entry,
+   so a call after [Budget_exceeded] gets the full budget again. *)
+let solve ?(max_conflicts = max_int) (s : t) : result =
   let conflicts0 = s.conflicts in
   for v = 0 to s.nvars - 1 do
     if s.assign.(v) = 0 then heap_insert s v
@@ -520,11 +489,7 @@ let solve_checked ~max_conflicts ~assumptions (s : t) : result =
   let result = ref None in
   (try
      (* top-level propagation of units added by add_clause *)
-     (match propagate s with
-     | Some _ ->
-       s.root_unsat <- true;
-       result := Some Unsat
-     | None -> ());
+     (match propagate s with Some _ -> result := Some Unsat | None -> ());
      while !result = None do
        incr restart_num;
        let budget = 100 * luby !restart_num in
@@ -537,7 +502,6 @@ let solve_checked ~max_conflicts ~assumptions (s : t) : result =
               incr local_conflicts;
               if s.conflicts - conflicts0 > max_conflicts then raise Budget_exceeded;
               if s.decision_level = 0 then begin
-                s.root_unsat <- true;
                 result := Some Unsat;
                 raise Exit
               end;
@@ -558,28 +522,16 @@ let solve_checked ~max_conflicts ~assumptions (s : t) : result =
                 raise Exit
               end
             | None -> (
-              match next_assumption s assumptions with
-              | `False ->
-                (* a violated assumption: every trail entry below is an
-                   assumption or implied, so this is final for the call *)
-                result := Some Unsat;
+              match pick_branch_var s with
+              | None ->
+                (* full assignment: SAT *)
+                result := Some (Sat (Array.init s.nvars (fun v -> s.assign.(v) = 1)));
                 raise Exit
-              | `Next l ->
+              | Some v ->
+                s.decisions <- s.decisions + 1;
                 s.trail_lim.(s.decision_level) <- s.trail_len;
                 s.decision_level <- s.decision_level + 1;
-                enqueue s l None
-              | `Done -> (
-                match pick_branch_var s with
-                | None ->
-                  (* full assignment: SAT *)
-                  result :=
-                    Some (Sat (Array.init s.nvars (fun v -> s.assign.(v) = 1)));
-                  raise Exit
-                | Some v ->
-                  s.decisions <- s.decisions + 1;
-                  s.trail_lim.(s.decision_level) <- s.trail_len;
-                  s.decision_level <- s.decision_level + 1;
-                  enqueue s (lit_of ~negated:(not s.phase.(v)) v) None))
+                enqueue s (lit_of ~negated:(not s.phase.(v)) v) None)
           done
         with Exit -> ())
      done
@@ -589,17 +541,11 @@ let solve_checked ~max_conflicts ~assumptions (s : t) : result =
   backtrack s 0;
   match !result with Some r -> r | None -> assert false
 
-(* [root_unsat] makes repeat calls (incremental solving under different
-   assumptions) sound: a level-0 refutation consumed the propagation
-   queue, so re-running the search would not rediscover the conflict. *)
-let solve ?(max_conflicts = max_int) ?(assumptions = []) (s : t) : result =
-  if s.root_unsat then Unsat else solve_checked ~max_conflicts ~assumptions s
-
 (* One-shot convenience: clauses as lists of literals. *)
-let solve_clauses ?max_conflicts ?assumptions ~nvars (clauses : lit list list) : result =
+let solve_clauses ?max_conflicts ~nvars (clauses : lit list list) : result =
   let s = create nvars in
   let ok = List.for_all (fun c -> add_clause s c) clauses in
-  if not ok then Unsat else solve ?max_conflicts ?assumptions s
+  if not ok then Unsat else solve ?max_conflicts s
 
 (* Check a model against clauses (used by tests and as a runtime
    self-check). *)

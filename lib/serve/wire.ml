@@ -73,15 +73,15 @@ type stats_reply = {
   cache_hit_rate : float;
   cache_hits : int; (* verdict-cache lookups answered from the journal *)
   cache_misses : int; (* lookups that fell through to a real check *)
-  server : string; (* server/shard name, for fleet stat aggregation *)
+  server : string; (* the server's self-description, as in hello_ok *)
   verdicts : (string * int) list; (* verdict kind -> count *)
   report : Json.t; (* the full ubc-obs-report-v1 object *)
 }
 
 type reply =
   | Hello_ok of { v : int; server : string; jobs : int; queue_limit : int }
-    (* jobs/queue_limit echo the server's tuning; 0 from pre-fleet
-       servers that do not send them *)
+    (* jobs/queue_limit echo the server's tuning; 0 from older servers
+       that do not send them *)
   | Verdict of verdict_reply
   | Overloaded of { r_id : int option; queue_depth : int; queue_limit : int }
   | Stats_r of stats_reply

@@ -161,24 +161,28 @@ let unit_tests =
           Alcotest.(check bool) "first model valid" true (Solver.model_satisfies m1 clauses);
           Alcotest.(check (array bool)) "saved phases reproduce the model" m1 m2
         | _ -> Alcotest.fail "instance is satisfiable"));
-    Alcotest.test_case "root_unsat: solve with assumptions leaves the trail alone" `Quick
+    Alcotest.test_case "add_clause after a refutation keeps the trail consistent" `Quick
       (fun () ->
         let s = Solver.create 3 in
-        ignore (Solver.add_clause s [ Solver.pos 0 ]);
-        ignore (Solver.add_clause s [ Solver.neg 0 ]);
-        (if not (Solver.is_root_unsat s) then
-           match Solver.solve s with
-           | Solver.Unsat -> ()
-           | Solver.Sat _ -> Alcotest.fail "x && !x is unsat");
-        Alcotest.(check bool) "the refutation latched" true (Solver.is_root_unsat s);
-        let tl = Solver.trail_length s in
-        (* a refuted database must answer Unsat without re-establishing
-           the assumptions: enqueueing onto a poisoned trail corrupted
-           callers that retried after a root refutation *)
-        (match Solver.solve ~assumptions:[ Solver.pos 1; Solver.neg 2 ] s with
-        | Solver.Unsat -> ()
-        | Solver.Sat _ -> Alcotest.fail "refuted database must stay unsat");
-        Alcotest.(check int) "trail untouched" tl (Solver.trail_length s));
+        Alcotest.(check bool) "x accepted" true (Solver.add_clause s [ Solver.pos 0 ]);
+        Alcotest.(check bool) "!x refutes" false (Solver.add_clause s [ Solver.neg 0 ]);
+        Alcotest.(check bool) "empty clause refutes" false (Solver.add_clause s []);
+        ignore (Solver.add_clause s [ Solver.pos 1 ]);
+        ignore (Solver.add_clause s [ Solver.neg 1 ]);
+        ignore (Solver.add_clause s [ Solver.neg 2; Solver.neg 0 ]);
+        (* every trail entry is the one assignment of its variable *)
+        let seen = Array.make 3 false in
+        for i = 0 to s.Solver.trail_len - 1 do
+          let l = s.Solver.trail.(i) in
+          let v = Solver.var_of l in
+          Alcotest.(check bool) "assigned once" false seen.(v);
+          seen.(v) <- true;
+          Alcotest.(check bool) "trail matches the assignment" true
+            (s.Solver.assign.(v) = if Solver.is_neg l then 2 else 1)
+        done;
+        (* x, y, and !z (the x-falsified literal was dropped from the
+           last clause, leaving the unit !z) *)
+        Alcotest.(check int) "three assignments" 3 s.Solver.trail_len);
     Alcotest.test_case "per-call budget raises; the solver survives" `Quick (fun () ->
         (* pigeonhole needs at least one conflict to refute, so a
            zero-conflict budget deterministically trips *)
@@ -232,35 +236,6 @@ let random_cnf_large =
     let clause = list_size (int_range 1 5) lit in
     pair (return nvars) (list_size (return nclauses) clause))
 
-let random_cnf_with_assumptions =
-  QCheck2.Gen.(
-    random_cnf_large >>= fun (nvars, clauses) ->
-    let lit =
-      map2 (fun v s -> if s then Solver.pos v else Solver.neg v) (int_bound (nvars - 1)) bool
-    in
-    list_size (int_range 0 4) lit >>= fun assumptions ->
-    return (nvars, clauses, assumptions))
-
-(* Activation-literal protocol streams against one solver instance:
-   each query is a clause set added under a fresh guard, solved assuming
-   the guard, then retired with the unit [¬guard].  [permanent] clauses go in unguarded and can refute the
-   shared database mid-stream; [tight] first runs the query under a
-   zero-conflict budget to exercise budget-exhaustion recovery. *)
-let random_protocol =
-  QCheck2.Gen.(
-    int_range 2 8 >>= fun nvars ->
-    let lit =
-      map2 (fun v s -> if s then Solver.pos v else Solver.neg v) (int_bound (nvars - 1)) bool
-    in
-    let clause = list_size (int_range 1 4) lit in
-    let query =
-      quad
-        (list_size (int_range 1 8) clause)
-        (list_size (int_range 0 2) lit)
-        (option clause) bool
-    in
-    pair (return nvars) (list_size (int_range 1 8) query))
-
 let props =
   [ QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"agrees with brute force" ~count:800 random_cnf
@@ -285,24 +260,6 @@ let props =
            | Solver.Sat m -> Solver.model_satisfies m clauses && dpll nvars clauses
            | Solver.Unsat -> not (dpll nvars clauses)));
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"assumptions behave like unit clauses" ~count:300
-         random_cnf_with_assumptions
-         (fun (nvars, clauses, assumptions) ->
-           let direct = Solver.solve_clauses ~nvars ~assumptions clauses in
-           let as_units =
-             Solver.solve_clauses ~nvars (clauses @ List.map (fun l -> [ l ]) assumptions)
-           in
-           match (direct, as_units) with
-           | Solver.Sat m, Solver.Sat _ ->
-             Solver.model_satisfies m clauses
-             && List.for_all
-                  (fun l ->
-                    let v = Solver.var_of l in
-                    if Solver.is_neg l then not m.(v) else m.(v))
-                  assumptions
-           | Solver.Unsat, Solver.Unsat -> true
-           | _ -> false));
-    QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
          ~name:"every live clause is watched exactly twice after solving" ~count:200
          random_cnf_large
@@ -323,61 +280,6 @@ let props =
            in
            List.for_all check_clause s.Solver.clauses
            && List.for_all check_clause (Ub_support.Vec.to_list s.Solver.learnts)));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"re-solving the same solver instance is stable" ~count:200
-         random_cnf_large
-         (fun (nvars, clauses) ->
-           let s = Solver.create nvars in
-           let ok = List.for_all (fun c -> Solver.add_clause s c) clauses in
-           if not ok then Solver.solve s = Solver.Unsat
-           else
-             match Solver.solve s with
-             | Solver.Unsat -> Solver.solve s = Solver.Unsat
-             | Solver.Sat m1 -> (
-               match Solver.solve s with
-               | Solver.Sat m2 -> m1 = m2 (* phase saving replays the model *)
-               | Solver.Unsat -> false)));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"activation-literal protocol matches fresh solving" ~count:200
-         random_protocol
-         (fun (nvars, queries) ->
-           (* one guard variable per query, above the problem variables *)
-           let s = Solver.create (nvars + List.length queries) in
-           let perm = ref [] in
-           let next_guard = ref nvars in
-           List.for_all
-             (fun (clauses, assumptions, permanent, tight) ->
-               (match permanent with
-               | Some c ->
-                 ignore (Solver.add_clause s c);
-                 perm := c :: !perm
-               | None -> ());
-               let a = !next_guard in
-               incr next_guard;
-               List.iter (fun c -> ignore (Solver.add_clause s (Solver.neg a :: c))) clauses;
-               let guarded = Solver.pos a :: assumptions in
-               if tight then (
-                 match Solver.solve ~max_conflicts:0 ~assumptions:guarded s with
-                 | exception Solver.Budget_exceeded -> ()
-                 | Solver.Sat _ | Solver.Unsat -> ());
-               let rs = Solver.solve ~assumptions:guarded s in
-               let rf = Solver.solve_clauses ~nvars ~assumptions (!perm @ clauses) in
-               let ok =
-                 match (rs, rf) with
-                 | Solver.Sat m, Solver.Sat _ ->
-                   Solver.model_satisfies m clauses
-                   && List.for_all
-                        (fun l ->
-                          let v = Solver.var_of l in
-                          if Solver.is_neg l then not m.(v) else m.(v))
-                        assumptions
-                 | Solver.Unsat, Solver.Unsat -> true
-                 | _ -> false
-               in
-               (* retire the guard; the next query must be unaffected *)
-               ignore (Solver.add_clause s [ Solver.neg a ]);
-               ok)
-             queries));
   ]
 
 let () = Alcotest.run "sat" [ ("unit", unit_tests); ("properties", props) ]

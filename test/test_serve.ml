@@ -245,6 +245,89 @@ let raw_connect socket_path : Unix.file_descr =
   | _ -> Alcotest.fail "handshake failed");
   fd
 
+(* A deadline interrupts the checker mid-query: in the daemon process
+   when [jobs = 1], in a persistent worker that must survive it
+   otherwise. *)
+let deadline_miss_test ~jobs name =
+  Alcotest.test_case name `Quick (fun () ->
+      with_server
+        ~tune:(fun c -> { c with Server.jobs })
+        (fun socket_path _ ->
+          Client.with_conn ~socket_path (fun cl ->
+              expect_verdict "i64 mul commutativity times out" "timeout"
+                (Client.check cl ~deadline_s:0.001 ~mode:"proposed" ~src:hard_mul_src
+                   ~tgt:hard_mul_tgt ());
+              expect_verdict "next query refuted" "counterexample"
+                (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:tgt_zero ());
+              expect_verdict "next query refines" "refines"
+                (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:src_id ()))))
+
+(* ------------------------------------------------------------------ *)
+(* Persistent workers                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* /proc/PID/stat fields after the parenthesised command name: state,
+   ppid, ..., utime and stime (in clock ticks) at offsets 11 and 12. *)
+let proc_stat (pid : int) : string list option =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text -> (
+    match String.rindex_opt text ')' with
+    | None -> None
+    | Some i ->
+      Some
+        (String.split_on_char ' '
+           (String.trim (String.sub text (i + 1) (String.length text - i - 1)))))
+
+(* The daemon's workers are its children. *)
+let children (pid : int) : int list =
+  Array.to_list (Sys.readdir "/proc")
+  |> List.filter_map int_of_string_opt
+  |> List.filter (fun p ->
+         match proc_stat p with
+         | Some (_ :: ppid :: _) -> int_of_string_opt ppid = Some pid
+         | _ -> false)
+  |> List.sort compare
+
+let cpu_ticks (pid : int) : int =
+  match proc_stat pid with
+  | Some fields -> (
+    match (List.nth_opt fields 11, List.nth_opt fields 12) with
+    | Some u, Some s -> int_of_string u + int_of_string s
+    | _ -> 0)
+  | None -> 0
+
+let rec wait_until ?(tries = 200) what (p : unit -> bool) : unit =
+  if not (p ()) then
+    if tries = 0 then Alcotest.failf "timed out waiting for %s" what
+    else begin
+      Unix.sleepf 0.05;
+      wait_until ~tries:(tries - 1) what p
+    end
+
+(* The next reply on [fd], failing instead of hanging when none comes. *)
+let recv_within (fd : Unix.file_descr) (what : string) : Wire.reply option =
+  match Unix.select [ fd ] [] [] 10.0 with
+  | [], _, _ -> Alcotest.failf "no reply within 10s: %s" what
+  | _ -> Wire.recv_reply fd
+
+let check_frame ?deadline_s id ~src ~tgt =
+  Wire.frame_of_payload
+    (Json.to_string
+       (Wire.request_to_json
+          (Wire.Check { Wire.id = Some id; mode = "proposed"; src; tgt; deadline_s;
+                        enum_only = false })))
+
+let write_all (fd : Unix.file_descr) (s : string) : unit =
+  let b = Bytes.of_string s in
+  ignore (Unix.write fd b 0 (Bytes.length b))
+
+let hard_mul name =
+  ( Printf.sprintf
+      "define i64 @%s(i64 %%x, i64 %%y) {\ne:\n  %%m = mul i64 %%x, %%y\n  ret i64 %%m\n}" name,
+    Printf.sprintf
+      "define i64 @%s(i64 %%x, i64 %%y) {\ne:\n  %%m = mul i64 %%y, %%x\n  ret i64 %%m\n}" name )
+
 let server_tests =
   [ Alcotest.test_case "verdicts round-trip through the daemon" `Quick (fun () ->
         with_server (fun socket_path _ ->
@@ -366,21 +449,8 @@ let server_tests =
             waitpid_retry pid;
             Alcotest.(check bool) "socket removed on drain" false
               (Sys.file_exists socket_path)));
-    Alcotest.test_case "a deadline miss leaves the connection serving" `Quick (fun () ->
-        (* jobs = 1 runs every check inside the daemon process, so the
-           deadline interrupts the checker mid-query there, not in a
-           forked worker that dies with it *)
-        with_server
-          ~tune:(fun c -> { c with Server.jobs = 1 })
-          (fun socket_path _ ->
-            Client.with_conn ~socket_path (fun cl ->
-                expect_verdict "i64 mul commutativity times out" "timeout"
-                  (Client.check cl ~deadline_s:0.001 ~mode:"proposed" ~src:hard_mul_src
-                     ~tgt:hard_mul_tgt ());
-                expect_verdict "next query refuted" "counterexample"
-                  (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:tgt_zero ());
-                expect_verdict "next query refines" "refines"
-                  (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:src_id ()))));
+    deadline_miss_test ~jobs:1 "a deadline miss leaves the connection serving";
+    deadline_miss_test ~jobs:2 "a deadline miss leaves the connection serving (jobs = 2)";
     Alcotest.test_case "coalescing fans one verdict out to every waiter" `Quick (fun () ->
         with_server (fun socket_path _ ->
             let fd = raw_connect socket_path in
@@ -409,8 +479,131 @@ let server_tests =
             Alcotest.(check bool) "some replies were coalesced" true (!coalesced > 0)));
   ]
 
+(* Forty distinct pairs over four shapes, refining and not. *)
+let batch_pairs : (string * string) array =
+  let fn name ty body = Printf.sprintf "define %s @%s(%s %%x) {\ne:\n%s}" ty name ty body in
+  Array.init 40 (fun i ->
+      let name = Printf.sprintf "f%02d" i in
+      let ty = List.nth [ "i4"; "i8"; "i16" ] (i mod 3) in
+      match i mod 4 with
+      | 0 -> (fn name ty ("  %a = add " ^ ty ^ " %x, 0\n  ret " ^ ty ^ " %a\n"),
+              fn name ty ("  ret " ^ ty ^ " %x\n"))
+      | 1 -> (fn name ty ("  %a = mul " ^ ty ^ " %x, 2\n  ret " ^ ty ^ " %a\n"),
+              fn name ty ("  %a = shl " ^ ty ^ " %x, 1\n  ret " ^ ty ^ " %a\n"))
+      | 2 -> (fn name ty ("  ret " ^ ty ^ " %x\n"), fn name ty ("  ret " ^ ty ^ " 0\n"))
+      | _ -> (fn name ty ("  %a = add nsw " ^ ty ^ " %x, 1\n  ret " ^ ty ^ " %a\n"),
+              fn name ty ("  %a = add " ^ ty ^ " %x, 1\n  ret " ^ ty ^ " %a\n")))
+
+let direct_verdict (src, tgt) : string =
+  let parse = Ub_ir.Parser.parse_func_string in
+  match Ub_refine.Checker.check Ub_sem.Mode.proposed ~src:(parse src) ~tgt:(parse tgt) with
+  | Ub_refine.Checker.Refines -> "refines"
+  | Ub_refine.Checker.Counterexample _ -> "counterexample"
+  | Ub_refine.Checker.Unknown _ -> "unknown"
+
+let worker_tests =
+  [ Alcotest.test_case "a jobs=2 daemon answers a pipelined batch with the checker's verdicts"
+      `Quick (fun () ->
+        with_server
+          ~tune:(fun c -> { c with Server.jobs = 2 })
+          (fun socket_path _ ->
+            let replies =
+              Client.with_conn ~socket_path (fun cl ->
+                  Client.check_batch cl ~mode:"proposed" batch_pairs)
+            in
+            let kinds = Hashtbl.create 4 in
+            Array.iteri
+              (fun i r ->
+                let want = direct_verdict batch_pairs.(i) in
+                Hashtbl.replace kinds want ();
+                expect_verdict (Printf.sprintf "pair %d" i) want r)
+              replies;
+            Alcotest.(check bool) "the batch mixes verdicts" true (Hashtbl.length kinds > 1)));
+    Alcotest.test_case "SIGKILL of a busy worker: its request crashes, the rest are served"
+      `Quick (fun () ->
+        with_server
+          ~tune:(fun c -> { c with Server.jobs = 2 })
+          (fun socket_path daemon ->
+            wait_until "two workers" (fun () -> List.length (children daemon) = 2);
+            let original = children daemon in
+            let fd = raw_connect socket_path in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            (* the hard check takes one worker; the cheap one, sent next
+               to it, the other *)
+            write_all fd
+              (check_frame 1 ~src:hard_mul_src ~tgt:hard_mul_tgt
+              ^ check_frame 2 ~src:src_id ~tgt:tgt_zero);
+            (match recv_within fd "the cheap request" with
+            | Some (Wire.Verdict { r_id = Some 2; verdict; _ }) ->
+              Alcotest.(check string) "cheap request answered" "counterexample" verdict
+            | _ -> Alcotest.fail "expected the cheap request's verdict first");
+            (* the worker still burning CPU is the one on the hard check *)
+            let t0 = List.map cpu_ticks original in
+            Unix.sleepf 0.3;
+            let busy =
+              List.fold_left2
+                (fun (best, d) pid before ->
+                  let d' = cpu_ticks pid - before in
+                  if d' > d then (pid, d') else (best, d))
+                (List.hd original, -1) original t0
+              |> fst
+            in
+            Unix.kill busy Sys.sigkill;
+            (match recv_within fd "the killed request" with
+            | Some (Wire.Verdict { r_id = Some 1; verdict; _ }) ->
+              Alcotest.(check string) "killed request" "crashed" verdict
+            | _ -> Alcotest.fail "expected the hard request to answer crashed");
+            wait_until "the respawn" (fun () ->
+                let now = children daemon in
+                List.length now = 2 && not (List.mem busy now));
+            let fresh = List.find (fun p -> not (List.mem p original)) (children daemon) in
+            (* two bounded hard checks occupy both workers, the fresh one
+               included *)
+            let fresh_t0 = cpu_ticks fresh in
+            let s1, t1 = hard_mul "h1" and s2, t2 = hard_mul "h2" in
+            write_all fd
+              (check_frame 3 ~deadline_s:0.5 ~src:s1 ~tgt:t1
+              ^ check_frame 4 ~deadline_s:0.5 ~src:s2 ~tgt:t2);
+            for _ = 1 to 2 do
+              match recv_within fd "a bounded hard check" with
+              | Some r -> expect_verdict "bounded hard check" "timeout" r
+              | None -> Alcotest.fail "daemon closed the connection"
+            done;
+            Alcotest.(check bool) "the respawned worker ran a check" true
+              (cpu_ticks fresh - fresh_t0 > 0);
+            Client.with_conn ~socket_path (fun cl ->
+                match Json.member "counters" (Client.stats cl).Wire.report with
+                | Some counters ->
+                  Alcotest.(check (option (float 0.0))) "one respawn counted" (Some 1.0)
+                    (Json.num_field counters "serve.worker_respawn")
+                | None -> Alcotest.fail "stats report has no counters")));
+    Alcotest.test_case "after a respawn, a closed connection reads EOF at the client" `Quick
+      (fun () ->
+        with_server
+          ~tune:(fun c -> { c with Server.jobs = 2 })
+          (fun socket_path daemon ->
+            wait_until "two workers" (fun () -> List.length (children daemon) = 2);
+            (* open before the respawn, so the fresh worker forks while
+               this connection is live in the daemon *)
+            let fd = raw_connect socket_path in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            let victim = List.hd (children daemon) in
+            Unix.kill victim Sys.sigkill;
+            wait_until "the respawn" (fun () ->
+                let now = children daemon in
+                List.length now = 2 && not (List.mem victim now));
+            let n = Wire.max_frame_bytes + 1 in
+            write_all fd (String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF)));
+            (match recv_within fd "the oversized-frame error" with
+            | Some (Wire.Error_r _) -> ()
+            | _ -> Alcotest.fail "oversized frame must answer error");
+            match recv_within fd "EOF after the error" with
+            | None -> ()
+            | Some _ -> Alcotest.fail "the daemon must close after a bad prefix"));
+  ]
+
 let () =
   Alcotest.run "serve"
     [ ("json", json_tests); ("wire", wire_tests); ("framing", frame_tests);
-      ("server", server_tests);
+      ("server", server_tests); ("workers", worker_tests);
     ]
