@@ -86,7 +86,9 @@ type config = {
 
 (* Check budgets default to the reducer's own (reduce_universal_bits /
    reduce_conflicts) so that any counterexample the campaign finds is
-   one the shrinker can reproduce. *)
+   one the shrinker can reproduce.  The universal budget bounds the
+   choice bits a check's refinement body reads, not the source's raw
+   choice bits, so choices the body never reads cost nothing. *)
 let default_config ~seed ~programs ~lanes =
   { seed;
     programs;

@@ -18,7 +18,10 @@
    quantifier is built once over those inputs.  Expansion conjoins one
    cofactor of that body per assignment to the bits it depends on
    ([Circuit.cofactor]), rebuilding only the choice-dependent cone, and
-   stops as soon as the conjunction folds to false. *)
+   stops as soon as the conjunction folds to false.  The expansion
+   budget, [max_universal_bits], bounds that support, not the raw
+   number of choice bits: a source may carry many choices its body
+   never reads. *)
 
 open Ub_support
 open Ub_ir
@@ -62,12 +65,23 @@ let fresh_choices ctx : Encode.choice_fn = recording_choices ctx ignore
 let default_max_universal_bits = 12
 let default_max_conflicts = 300_000
 
-let check_sat ?(max_universal_bits = default_max_universal_bits)
-    ?(max_conflicts = default_max_conflicts) ?stats (mode : Mode.t)
-    ~(src : Func.t) ~(tgt : Func.t) : verdict =
+(* Why the SAT path gave up on a query, for the hand-off counters. *)
+type hand_off = Budget_bits | Conflicts | Unsupported | Signature
+
+let hand_off_counter = function
+  | Budget_bits -> "refine.fallback.budget_bits"
+  | Conflicts -> "refine.fallback.conflicts"
+  | Unsupported -> "refine.fallback.unsupported"
+  | Signature -> "refine.fallback.signature"
+
+(* The SAT path: a definite verdict, or the reason it handed off. *)
+let sat_verdict ?(max_universal_bits = default_max_universal_bits)
+    ?(max_conflicts = default_max_conflicts) ?stats (mode : Mode.t) ~(src : Func.t)
+    ~(tgt : Func.t) : (verdict, hand_off * string) result =
   Obs.with_span "refine.check_sat" @@ fun () ->
-  if List.map snd src.args <> List.map snd tgt.args then Unknown "argument types differ"
-  else if src.ret_ty <> tgt.ret_ty then Unknown "return types differ"
+  if List.map snd src.args <> List.map snd tgt.args then
+    Error (Signature, "argument types differ")
+  else if src.ret_ty <> tgt.ret_ty then Error (Signature, "return types differ")
   else
     try
       let ctx = Circuit.create_ctx () in
@@ -101,52 +115,55 @@ let check_sat ?(max_universal_bits = default_max_universal_bits)
           ~args:src_args src
       in
       let vars = Array.concat (List.rev !choice_bits) in
-      let total_bits = Array.length vars in
-      if total_bits > max_universal_bits then
-        Unknown
-          (Printf.sprintf "source has %d bits of nondeterministic choice (max %d)" total_bits
-             max_universal_bits)
-      else begin
-        let cex =
-          Obs.with_span "refine.expand" @@ fun () ->
-          (* encode target once, with existential choices *)
-          let tenc = Encode.encode ctx mode (fresh_choices ctx) ~args:tgt_args tgt in
-          let covers =
-            match (senc.ret, tenc.ret) with
-            | None, None -> Circuit.btrue
-            | Some rs, Some rt ->
-              Circuit.bor ctx rs.Encode.p
-                (Circuit.band ctx
-                   (Circuit.bnot ctx rt.Encode.p)
-                   (Circuit.bor ctx rs.Encode.u
-                      (Circuit.band ctx
-                         (Circuit.bnot ctx rt.Encode.u)
-                         (Bvterm.eq ctx rs.Encode.v rt.Encode.v))))
-            | _ -> Circuit.bfalse
-          in
-          let body =
-            Circuit.bnot ctx
-              (Circuit.bor ctx senc.ub (Circuit.band ctx (Circuit.bnot ctx tenc.ub) covers))
-          in
-          (* the universal quantifier, expanded: conjoin one cofactor of
-             the body per assignment to the choice bits it depends on
-             (a bit it ignores quantifies nothing), walked in Gray code
-             order so that each step rebuilds only the cone of the one
-             bit that flipped.  Once the conjunction folds to false no
-             assignment can revive it. *)
-          let cf = Circuit.cofactor ctx ~vars body in
-          let n = 1 lsl Array.length cf.Circuit.support in
-          let rec conj acc i =
-            if i = n || Circuit.is_false acc then begin
-              Obs.count ~by:i "refine.expand.assignments";
-              acc
-            end
-            else conj (Circuit.band ctx acc (Circuit.cofactor_apply cf (i lxor (i lsr 1)))) (i + 1)
-          in
-          conj Circuit.btrue 0
+      match
+        Obs.with_span "refine.expand" @@ fun () ->
+        (* encode target once, with existential choices *)
+        let tenc = Encode.encode ctx mode (fresh_choices ctx) ~args:tgt_args tgt in
+        let covers =
+          match (senc.ret, tenc.ret) with
+          | None, None -> Circuit.btrue
+          | Some rs, Some rt ->
+            Circuit.bor ctx rs.Encode.p
+              (Circuit.band ctx
+                 (Circuit.bnot ctx rt.Encode.p)
+                 (Circuit.bor ctx rs.Encode.u
+                    (Circuit.band ctx
+                       (Circuit.bnot ctx rt.Encode.u)
+                       (Bvterm.eq ctx rs.Encode.v rt.Encode.v))))
+          | _ -> Circuit.bfalse
         in
+        let body =
+          Circuit.bnot ctx
+            (Circuit.bor ctx senc.ub (Circuit.band ctx (Circuit.bnot ctx tenc.ub) covers))
+        in
+        (* the universal quantifier, expanded: conjoin one cofactor of
+           the body per assignment to the choice bits it depends on
+           (a bit it ignores quantifies nothing), walked in Gray code
+           order so that each step rebuilds only the cone of the one
+           bit that flipped.  Once the conjunction folds to false no
+           assignment can revive it.  The budget caps that support:
+           [cofactor] raises as soon as the body reads one bit more. *)
+        let cf = Circuit.cofactor ctx ~max_support:max_universal_bits ~vars body in
+        let n = 1 lsl Array.length cf.Circuit.support in
+        let rec conj acc i =
+          if i = n || Circuit.is_false acc then begin
+            Obs.count ~by:i "refine.expand.assignments";
+            acc
+          end
+          else conj (Circuit.band ctx acc (Circuit.cofactor_apply cf (i lxor (i lsr 1)))) (i + 1)
+        in
+        conj Circuit.btrue 0
+      with
+      | exception Circuit.Support_exceeds k ->
+        Error
+          ( Budget_bits,
+            Printf.sprintf
+              "refinement reads at least %d of the source's %d bits of nondeterministic \
+               choice (max %d)"
+              k (Array.length vars) max_universal_bits )
+      | cex -> (
         match Circuit.Cnf.solve ~max_conflicts ?stats ctx cex with
-        | Circuit.Cnf.Unsat_r -> Refines
+        | Circuit.Cnf.Unsat_r -> Ok Refines
         | Circuit.Cnf.Sat_model model ->
           let args =
             Obs.with_span "refine.decode" @@ fun () ->
@@ -170,14 +187,21 @@ let check_sat ?(max_universal_bits = default_max_universal_bits)
                 end)
               args_syms
           in
-          Counterexample { args; witness = "SAT model of the refinement violation" }
-      end
+          Ok (Counterexample { args; witness = "SAT model of the refinement violation" }))
     with
-    | Encode.Unsupported r -> Unknown ("not encodable: " ^ r)
-    | Circuit.Cnf.Too_hard -> Unknown "SAT budget exceeded"
+    | Encode.Unsupported r -> Error (Unsupported, "not encodable: " ^ r)
+    | Circuit.Cnf.Too_hard -> Error (Conflicts, "SAT budget exceeded")
 
-(* Combined checker: try the SAT path, fall back to enumeration when the
-   functions are outside the encodable fragment. *)
+let check_sat ?max_universal_bits ?max_conflicts ?stats (mode : Mode.t) ~(src : Func.t)
+    ~(tgt : Func.t) : verdict =
+  match sat_verdict ?max_universal_bits ?max_conflicts ?stats mode ~src ~tgt with
+  | Ok v -> v
+  | Error (_, r) -> Unknown r
+
+(* Combined checker: try the SAT path, fall back to enumeration when it
+   hands off (outside the encodable fragment, over a budget, or a
+   signature mismatch).  The hand-off reason is counted even when
+   enumeration then decides, since the verdict no longer shows it. *)
 let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module_src
     ?module_tgt ?inputs (mode : Mode.t) ~(src : Func.t) ~(tgt : Func.t) : verdict =
   Obs.with_span "refine.check" @@ fun () ->
@@ -202,9 +226,10 @@ let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module
     | Enum_check.Counterexample { args; witness } -> Counterexample { args; witness }
     | Enum_check.Unknown r -> Unknown r)
   | None -> (
-    match check_sat ?max_universal_bits ?max_conflicts mode ~src ~tgt with
-    | (Refines | Counterexample _) as v -> v
-    | Unknown sat_reason -> (
+    match sat_verdict ?max_universal_bits ?max_conflicts mode ~src ~tgt with
+    | Ok v -> v
+    | Error (why, sat_reason) -> (
+      Obs.count (hand_off_counter why);
       match
         Enum_check.check ~mode ?fuel ?max_inputs ?max_runs ?module_src ?module_tgt ~src ~tgt
           ()

@@ -18,15 +18,19 @@
 open Ub_ir
 open Ub_sem
 
-(* Reduction makes hundreds of oracle calls, so the SAT path runs on a
-   deliberately small budget: functions with much nondeterministic
-   choice punt to enumeration immediately (the reduction corpora are
-   narrow-width, so enumeration is microseconds) instead of paying for
-   a universal expansion per candidate.  The budget is part of the
+(* Reduction makes hundreds of oracle calls, and the hunt farm checks
+   under the same budgets so that the shrinker can reproduce whatever
+   it finds.  The universal budget caps the choice bits the refinement
+   body reads (the cofactor support), so expansion costs at most 2^10
+   cofactor applications over one encoding; a body that reads more
+   hands off to enumeration.  10 is the measured knee of hunt
+   throughput: 8 leaves sources that are cheap to expand on the much
+   slower enumeration path, 12 raises peak memory and gains no
+   throughput (EXPERIMENTS.md, "Universal budget knee").  The budget is part of the
    cache key: a verdict reached under a small universal expansion must
    never be served to a full-budget caller.  [Unknown] is never cached
    either way. *)
-let reduce_universal_bits = 6
+let reduce_universal_bits = 10
 let reduce_conflicts = 50_000
 
 let check_cached ?cache ?inputs ?max_universal_bits ?max_conflicts (mode : Mode.t) ~src

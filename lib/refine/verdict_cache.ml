@@ -8,7 +8,7 @@
    noise in the original IR (whitespace, comment placement) cannot split
    cache entries for the same function.  The SAT budget is part of the
    key because a verdict is only as strong as the search that produced
-   it: the shrink oracles deliberately run with tiny universal-expansion
+   it: the shrink oracles deliberately run with reduced universal-expansion
    and conflict budgets, and serving one of their entries to a
    full-budget caller (or vice versa) would silently change what a
    "Refines" means.  [Unknown] verdicts are never cached: they depend on
@@ -22,9 +22,13 @@ let magic = "UBVC1\n"
 
 (* The checker-kind component of the key.  Bump when a checker's verdict
    semantics change incompatibly.  v2: the SAT budget joined the key, so
-   every v1 entry (ambiguous about its budget) must be invalidated. *)
-let combined_kind = "combined-v2"
-let sat_kind = "sat-v2"
+   every v1 entry (ambiguous about its budget) must be invalidated.  v3
+   (combined and SAT only): the [ub=] field bounds the choice bits the
+   refinement body reads, no longer the source's raw choice bits, so a
+   v2 entry means a different budget.  Enumeration ignores the budget
+   and keeps its tag. *)
+let combined_kind = "combined-v3"
+let sat_kind = "sat-v3"
 let enum_kind = "enum-v2"
 
 let key ?(inputs : Value.t list list option)

@@ -178,11 +178,17 @@ let big_or ctx = List.fold_left (bor ctx) bfalse
    them: [support.(k)] is bit k of an assignment, so there are
    [2^(Array.length support)] distinct cofactors, and a var outside the
    support cannot change any.  Every node gets the bitmask of the
-   support it depends on (an int: at most [Sys.int_size - 1] bits), and
-   the nodes with a non-empty mask — the cone that a substitution can
-   change — are kept in topological order; nothing else is visited
-   again.  A node older than every var cannot reach one (ids grow and
-   children are built first), so the walk stops there. *)
+   support it depends on, and the nodes with a non-empty mask — the
+   cone that a substitution can change — are kept in topological order;
+   nothing else is visited again.  A node older than every var cannot
+   reach one (ids grow and children are built first), so the walk stops
+   there.
+
+   The support is the expansion's budget: [cofactor ~max_support]
+   raises [Support_exceeds k] the moment the walk meets the k-th
+   support var with k > max_support, before any cofactor is built.
+   Masks and assignments are ints, so the limit is also capped at
+   [Sys.int_size - 1] bits whatever the caller asks for. *)
 type cnode = {
   n : t; (* the original node *)
   mask : int; (* the support bits it depends on *)
@@ -201,7 +207,12 @@ type cofactor = {
   mutable last : int option; (* the previous assignment *)
 }
 
-let cofactor ctx ~(vars : t array) (root : t) : cofactor =
+exception Support_exceeds of int
+
+let max_mask_bits = Sys.int_size - 1
+
+let cofactor ctx ?(max_support = max_mask_bits) ~(vars : t array) (root : t) : cofactor =
+  let max_support = min max_support max_mask_bits in
   let is_var = Hashtbl.create (2 * Array.length vars) in
   Array.iter
     (fun v ->
@@ -233,6 +244,7 @@ let cofactor ctx ~(vars : t array) (root : t) : cofactor =
           | Input _ ->
             if Hashtbl.mem is_var n.id then begin
               let b = !bits in
+              if b >= max_support then raise (Support_exceeds (b + 1));
               incr bits;
               support := n :: !support;
               node b (-1) (-1) (1 lsl b)

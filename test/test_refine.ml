@@ -24,6 +24,17 @@ e:
   ret i2 %x
 }|}
 
+(* the identity and a constant over (i8 %x, i32 %y) *)
+let id8_2 = {|define i8 @f(i8 %x, i32 %y) {
+e:
+  ret i8 %x
+}|}
+
+let zero8_2 = {|define i8 @f(i8 %x, i32 %y) {
+e:
+  ret i8 0
+}|}
+
 let known_pairs =
   [ expect_refines "identity refines itself" Mode.proposed id2 id2;
     expect_refines "x+0 -> x" Mode.proposed
@@ -277,17 +288,37 @@ let cache_tests =
             in
             Alcotest.(check bool) "replay hits" true
               (v3 = Checker.Refines && Ub_exec.Cache.hits c = 1)));
-    Alcotest.test_case "kind tags carry the v2 bump" `Quick (fun () ->
-        (* stale v1 entries must be unreachable: the kind strings are
-           part of the hashed key, so the bump is the invalidation *)
-        List.iter
-          (fun tag ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s ends in -v2" tag)
-              true
-              (String.length tag > 3
-              && String.sub tag (String.length tag - 3) 3 = "-v2"))
-          [ Verdict_cache.combined_kind; Verdict_cache.sat_kind; Verdict_cache.enum_kind ]);
+    Alcotest.test_case "kind tags carry the v3 bump" `Quick (fun () ->
+        (* stale entries must be unreachable: the kind strings are part
+           of the hashed key, so the bump is the invalidation.  The SAT
+           budget now bounds the support, so the budget-keyed kinds are
+           v3; enumeration ignores the budget and stays v2 *)
+        let ends_in suffix tag =
+          Alcotest.(check bool)
+            (Printf.sprintf "%s ends in %s" tag suffix)
+            true
+            (String.ends_with ~suffix tag)
+        in
+        List.iter (ends_in "-v3") [ Verdict_cache.combined_kind; Verdict_cache.sat_kind ];
+        ends_in "-v2" Verdict_cache.enum_kind);
+    Alcotest.test_case "a combined-v2 entry is not served to a v3 lookup" `Quick (fun () ->
+        with_tmp_cache (fun c ->
+            let src = f id2 and tgt = f id2 in
+            (* a v2 entry for the same pair and budget, deliberately wrong
+               so that serving it would show *)
+            let stale =
+              Verdict_cache.key ~max_universal_bits:Reduce.reduce_universal_bits
+                ~max_conflicts:Reduce.reduce_conflicts ~mode:Mode.proposed ~kind:"combined-v2"
+                ~src ~tgt ()
+            in
+            Verdict_cache.store c stale
+              (Checker.Counterexample { args = []; witness = "stale v2 entry" });
+            let v =
+              Reduce.check_cached ~cache:c ~max_universal_bits:Reduce.reduce_universal_bits
+                ~max_conflicts:Reduce.reduce_conflicts Mode.proposed ~src ~tgt
+            in
+            Alcotest.(check bool) "the v3 lookup refines" true (v = Checker.Refines);
+            Alcotest.(check int) "the v2 entry is never hit" 0 (Ub_exec.Cache.hits c)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -382,6 +413,76 @@ let check_traced mode src tgt =
   let span n = Option.value ~default:(0, 0) (List.assoc_opt n spans) in
   (v, span, Ub_obs.Obs.counter_value "refine.expand.assignments")
 
+(* A source with 40 raw bits of freeze choice, of which the refinement
+   body reads none ([unused_freeze]) or the 8 of the returned freeze
+   ([read_freeze]). *)
+let unused_freeze =
+  {|define i8 @f(i8 %x, i32 %y) {
+e:
+  %a = freeze i32 %y
+  %b = freeze i8 %x
+  ret i8 %x
+}|}
+
+let read_freeze =
+  {|define i8 @f(i8 %x, i32 %y) {
+e:
+  %a = freeze i32 %y
+  %b = freeze i8 %x
+  ret i8 %b
+}|}
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let budget_tests =
+  [ Alcotest.test_case "choice bits the body ignores cost no budget" `Quick (fun () ->
+        let src = f unused_freeze in
+        Alcotest.(check int) "raw choice bits" 40 (choice_bits Mode.proposed src);
+        let check tgt =
+          Checker.check_sat ~max_universal_bits:6 Mode.proposed ~src ~tgt:(f tgt)
+        in
+        (match check id8_2 with
+        | Checker.Refines -> ()
+        | v -> Alcotest.failf "expected refines, got %s" (Checker.verdict_to_string v));
+        match check zero8_2 with
+        | Checker.Counterexample _ -> ()
+        | v -> Alcotest.failf "expected a counterexample, got %s" (Checker.verdict_to_string v));
+    Alcotest.test_case "a body that reads past the budget is Unknown, naming both counts"
+      `Quick (fun () ->
+        let src = f read_freeze in
+        match Checker.check_sat ~max_universal_bits:6 Mode.proposed ~src ~tgt:(f id8_2) with
+        | Checker.Unknown r ->
+          List.iter
+            (fun sub ->
+              Alcotest.(check bool) (Printf.sprintf "%S in %S" sub r) true (contains r sub))
+            [ "bits of nondeterministic choice"; "at least 7"; "40 bits"; "max 6" ]
+        | v -> Alcotest.failf "expected unknown, got %s" (Checker.verdict_to_string v));
+    Alcotest.test_case "the same body fits a budget of its support" `Quick (fun () ->
+        match
+          Checker.check_sat ~max_universal_bits:8 Mode.proposed ~src:(f read_freeze)
+            ~tgt:(f id8_2)
+        with
+        | Checker.Counterexample _ -> ()
+        | v -> Alcotest.failf "expected a counterexample, got %s" (Checker.verdict_to_string v));
+    Alcotest.test_case "each hand-off to enumeration is counted by reason" `Quick (fun () ->
+        Ub_obs.Obs.reset ();
+        Fun.protect ~finally:Ub_obs.Obs.reset @@ fun () ->
+        let check ?max_universal_bits src tgt =
+          ignore (Checker.check ?max_universal_bits Mode.proposed ~src:(f src) ~tgt:(f tgt))
+        in
+        check ~max_universal_bits:6 read_freeze id8_2;
+        check ~max_universal_bits:6 unused_freeze id8_2;
+        check id2 id8_2;
+        List.iter
+          (fun (reason, n) ->
+            Alcotest.(check int) reason n
+              (Ub_obs.Obs.counter_value ("refine.fallback." ^ reason)))
+          [ ("budget_bits", 1); ("signature", 1); ("conflicts", 0); ("unsupported", 0) ]);
+  ]
+
 let expansion_tests =
   [ Alcotest.test_case "child spans of a traced undef check" `Quick (fun () ->
         let v, span, assignments =
@@ -474,4 +575,5 @@ let () =
   Alcotest.run "refine"
     [ ("known-pairs", known_pairs); ("cross-validation", [ checkers_agree ]);
       ("verdict-cache", cache_tests); ("expansion", expansion_tests);
+      ("budget", budget_tests);
       ("regression", regression_tests) ]

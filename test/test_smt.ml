@@ -251,7 +251,8 @@ let cofactor_agrees =
          let ctx = Circuit.create_ctx () in
          let inputs, root = random_circuit ctx rng ~gates:(5 + Prng.int rng 40) in
          let vars = Array.of_list (List.filter (fun _ -> Prng.bool rng) inputs) in
-         let cf = Circuit.cofactor ctx ~vars root in
+         (* a limit the support can reach but not pass *)
+         let cf = Circuit.cofactor ctx ~max_support:(Array.length vars) ~vars root in
          let support = cf.Circuit.support in
          let nv = Array.length support in
          Array.for_all (fun v -> Array.memq v vars) support
@@ -275,8 +276,56 @@ let cofactor_agrees =
                (List.init 8 Fun.id))
            (List.init 6 Fun.id)))
 
+(* The support budget: on a random circuit, [cofactor ~max_support:l]
+   raises [Support_exceeds (l + 1)] exactly when the unbounded support
+   is larger than l, and otherwise prepares the same support. *)
+let support_limit =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"Support_exceeds exactly when the support passes the limit"
+       ~count:300
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Prng.create ~seed in
+         let ctx = Circuit.create_ctx () in
+         let inputs, root = random_circuit ctx rng ~gates:(5 + Prng.int rng 40) in
+         let vars = Array.of_list inputs in
+         let support = (Circuit.cofactor ctx ~vars root).Circuit.support in
+         let limit = Prng.int rng (Array.length support + 2) in
+         match Circuit.cofactor ctx ~max_support:limit ~vars root with
+         | cf ->
+           Array.length support <= limit
+           && Array.length cf.Circuit.support = Array.length support
+           && Array.for_all2 ( == ) cf.Circuit.support support
+         | exception Circuit.Support_exceeds k ->
+           Array.length support > limit && k = limit + 1))
+
+(* An xor over [n] fresh inputs: its support is all of them. *)
+let wide_xor ctx n =
+  let vars = Array.init n (fun _ -> Circuit.fresh ctx) in
+  (vars, Array.fold_left (Circuit.bxor ctx) Circuit.bfalse vars)
+
 let cofactor_tests =
-  [ Alcotest.test_case "nodes outside the substituted support come back unchanged" `Quick
+  [ Alcotest.test_case "support past the int mask width raises instead of wrapping" `Quick
+      (fun () ->
+        let ctx = Circuit.create_ctx () in
+        let vars, root = wide_xor ctx 70 in
+        let raises ?max_support () =
+          match Circuit.cofactor ctx ?max_support ~vars root with
+          | _ -> None
+          | exception Circuit.Support_exceeds k -> Some k
+        in
+        let width = Sys.int_size - 1 in
+        Alcotest.(check (option int)) "default limit is the mask width" (Some (width + 1))
+          (raises ());
+        Alcotest.(check (option int)) "a larger limit is capped at the mask width"
+          (Some (width + 1)) (raises ~max_support:100 ());
+        Alcotest.(check (option int)) "a small limit stops the walk early" (Some 11)
+          (raises ~max_support:10 ());
+        (* 70 substitutable vars, but a root that reads 3 of them *)
+        let narrow = Circuit.band ctx vars.(0) (Circuit.bor ctx vars.(35) vars.(69)) in
+        let cf = Circuit.cofactor ctx ~max_support:3 ~vars narrow in
+        Alcotest.(check int) "support within the limit" 3 (Array.length cf.Circuit.support));
+    Alcotest.test_case "nodes outside the substituted support come back unchanged" `Quick
       (fun () ->
         let ctx = Circuit.create_ctx () in
         let x = Circuit.fresh ctx and y = Circuit.fresh ctx and v = Circuit.fresh ctx in
@@ -290,6 +339,7 @@ let cofactor_tests =
         Alcotest.(check bool) "a root outside the cone is returned as-is" true
           (Circuit.cofactor_apply outside 0 == g));
     cofactor_agrees;
+    support_limit;
   ]
 
 let () =
