@@ -59,12 +59,7 @@ let print_cache_stats ~hits ~misses =
   else if !cache_dir <> None then print_endline "cache: no lookups"
 
 let note_dropped ~experiment (pool : Ub_exec.Pool.stats) =
-  let dropped =
-    List.fold_left
-      (fun n (s : Ub_exec.Pool.shard_stat) ->
-        n + s.Ub_exec.Pool.timed_out + s.Ub_exec.Pool.crashed)
-      0 pool.Ub_exec.Pool.shards
-  in
+  let dropped = pool.Ub_exec.Pool.timed_out + pool.Ub_exec.Pool.crashed in
   if dropped > 0 then
     Printf.printf "DROPPED: %d task(s) in %s fell past the --timeout budget or crashed\n"
       dropped experiment;

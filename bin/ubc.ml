@@ -37,7 +37,7 @@ exception Usage of string
 
 (* ------------------------------------------------------------------ *)
 (* Signal hygiene: Ctrl-C (or a SIGTERM) during a pooled run must not  *)
-(* leave orphaned worker children or stray socket/spool files behind.  *)
+(* leave orphaned worker children or a stray socket file behind.       *)
 (* The serve command swaps these handlers for its own graceful drain.  *)
 (* ------------------------------------------------------------------ *)
 

@@ -430,11 +430,7 @@ let run_local (cfg : config) : report =
       Ub_exec.Pool.map_stats ~jobs:cfg.jobs ?timeout_s:cfg.timeout_s
         (process_program cfg) tasks
     in
-    acc.cpu_s <-
-      acc.cpu_s
-      +. List.fold_left
-           (fun a (s : Ub_exec.Pool.shard_stat) -> a +. s.Ub_exec.Pool.busy_s)
-           0.0 stats.Ub_exec.Pool.shards;
+    acc.cpu_s <- acc.cpu_s +. stats.Ub_exec.Pool.busy_s;
     Array.iter
       (function
         | Ub_exec.Pool.Done u -> absorb_unit acc u

@@ -35,11 +35,12 @@
      wait in the kernel backlog and new bytes sit in socket buffers.
      [batch_max] bounds how long the loop stays away from [select],
      which both caps reply latency under load and gives coalescing a
-     window to fill.  With [jobs > 1] the daemon forks [jobs] workers
-     at startup that live as long as it does.  Tasks stream to them over
-     pipes, at most [worker_slots] in flight per worker, and the result
-     pipes sit in the same [select] as the clients.  A worker that dies
-     answers [crashed] for its own in-flight tasks and is respawned.
+     window to fill.  With [jobs > 1] the daemon spawns [jobs]
+     persistent [Pool] workers at startup that live as long as it does.
+     Tasks stream to them over pipes, at most [Pool.worker_slots] in
+     flight per worker, and the result pipes sit in the same [select]
+     as the clients.  A worker that dies answers [crashed] for the task
+     it was on and is respawned; the tasks queued behind it still run.
      The journal stays in the front: workers never open it.
 
    Replies are never written blockingly: each connection carries an
@@ -109,13 +110,8 @@ type task = {
   mutable waiters : waiter list; (* reverse arrival order *)
 }
 
-type worker = {
-  wk_idx : int;
-  wk_pid : int;
-  wk_task : Unix.file_descr; (* write end of the task pipe *)
-  wk_res : Unix.file_descr; (* read end of the result pipe *)
-  wk_inflight : task Queue.t; (* sent and unanswered, in send order *)
-}
+(* What a worker runs: mode, enumeration only?, source, target. *)
+type query = Ub_sem.Mode.t * bool * Func.t * Func.t
 
 type state = {
   cfg : config;
@@ -125,7 +121,8 @@ type state = {
   mutable order : string list; (* FIFO of keys, reverse order *)
   mutable queued : int; (* distinct tasks in queue *)
   running : (string, task) Hashtbl.t; (* key -> task in flight at a worker *)
-  mutable workers : worker array; (* empty when [jobs = 1] *)
+  mutable pool : (query, Ub_refine.Checker.verdict) Ub_exec.Pool.workers option;
+      (* [None] when [jobs = 1] *)
   mutable conns : conn list;
   mutable draining : bool;
   mutable shutdown_conns : conn list; (* protocol shutdown requesters awaiting Bye *)
@@ -183,21 +180,19 @@ let close_after_flush st c : unit =
 (* Verdict execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One check inside the [Pool.run_task] envelope, which maps the request
-   deadline onto ITIMER_REAL.  It runs in the daemon when [jobs = 1] and
-   in a worker process otherwise. *)
-let run_check ~(mode : Ub_sem.Mode.t) ~(enum : bool) ~(deadline : float option)
-    ~(src : Func.t) ~(tgt : Func.t) : Ub_refine.Checker.verdict Ub_exec.Pool.result =
-  Ub_exec.Pool.run_task ?timeout_s:deadline
-    (fun () ->
-      if enum then
-        match Ub_refine.Enum_check.check ~mode ~src ~tgt () with
-        | Ub_refine.Enum_check.Refines -> Ub_refine.Checker.Refines
-        | Ub_refine.Enum_check.Counterexample { args; witness } ->
-          Ub_refine.Checker.Counterexample { args; witness }
-        | Ub_refine.Enum_check.Unknown r -> Ub_refine.Checker.Unknown r
-      else Ub_refine.Checker.check mode ~src ~tgt)
-    ()
+(* One check.  It runs in the daemon when [jobs = 1] and in a pool
+   worker otherwise, in both cases inside the [Pool.run_task] envelope,
+   which maps the request deadline onto ITIMER_REAL. *)
+let check ((mode, enum, src, tgt) : query) : Ub_refine.Checker.verdict =
+  if enum then
+    match Ub_refine.Enum_check.check ~mode ~src ~tgt () with
+    | Ub_refine.Enum_check.Refines -> Ub_refine.Checker.Refines
+    | Ub_refine.Enum_check.Counterexample { args; witness } ->
+      Ub_refine.Checker.Counterexample { args; witness }
+    | Ub_refine.Enum_check.Unknown r -> Ub_refine.Checker.Unknown r
+  else Ub_refine.Checker.check mode ~src ~tgt
+
+let query (t : task) : query = (t.t_mode, t.t_enum, t.t_src, t.t_tgt)
 
 let verdict_fields : Ub_refine.Checker.verdict -> string * string * string list = function
   | Ub_refine.Checker.Refines -> ("refines", "", [])
@@ -272,223 +267,48 @@ let complete (st : state) (t : task) (r : Ub_refine.Checker.verdict Ub_exec.Pool
   reply_verdict st t ~cached:false r
 
 (* [jobs = 1]: drain up to [batch_max] unique tasks.  Journal hits answer
-   immediately, the rest run in this process in one [Pool.map] call. *)
+   immediately, the rest run one by one in this process. *)
 let run_batch (st : state) : unit =
   Obs.with_span "serve.batch" @@ fun () ->
-  let to_run =
-    Array.of_list
-      (List.filter (fun t -> not (journal_hit st t)) (pop_tasks st st.cfg.batch_max))
-  in
-  if Array.length to_run > 0 then begin
-    let results =
-      Ub_exec.Pool.map ~jobs:1
-        (fun t ->
-          run_check ~mode:t.t_mode ~enum:t.t_enum ~deadline:t.t_deadline ~src:t.t_src
-            ~tgt:t.t_tgt)
-        to_run
-    in
-    Array.iteri
-      (fun i r ->
-        (* the outer pool layer never times tasks out (no ~timeout_s):
-           flatten its crash isolation onto the inner envelope *)
-        let flat =
-          match r with
-          | Ub_exec.Pool.Done inner -> inner
-          | Ub_exec.Pool.Crashed m -> Ub_exec.Pool.Crashed m
-          | Ub_exec.Pool.Timed_out -> Ub_exec.Pool.Timed_out
-        in
-        complete st to_run.(i) flat)
-      results
-  end
+  List.filter (fun t -> not (journal_hit st t)) (pop_tasks st st.cfg.batch_max)
+  |> List.iter (fun t ->
+         complete st t
+           (Obs.with_span "pool.task" (fun () ->
+                Ub_exec.Pool.run_task ?timeout_s:t.t_deadline check (query t))))
 
-(* ------------------------------------------------------------------ *)
-(* Persistent workers ([jobs > 1])                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* What crosses the task pipe.  The mode travels by name: the worker
-   looks it up in its own copy of the mode table. *)
-type job = {
-  j_mode : string;
-  j_enum : bool;
-  j_deadline : float option;
-  j_src : Func.t;
-  j_tgt : Func.t;
-}
-
-(* What comes back: the result and the telemetry recorded while
-   computing it, which the front absorbs. *)
-type outcome = Ub_refine.Checker.verdict Ub_exec.Pool.result * Obs.payload
-
-(* Tasks in flight per worker: one running and one waiting in the pipe,
-   so a worker never idles between tasks for a round trip. *)
-let worker_slots = 2
-
-let worker_loop (task_fd : Unix.file_descr) (res_fd : Unix.file_descr) : unit =
-  Obs.child_begin ();
-  let ic = Unix.in_channel_of_descr task_fd in
-  let oc = Unix.out_channel_of_descr res_fd in
-  let rec loop () =
-    match (Marshal.from_channel ic : job) with
-    | exception End_of_file -> ()
-    | j ->
-      let r =
-        Obs.with_span "pool.task" @@ fun () ->
-        match Ub_sem.Mode.find j.j_mode with
-        | Some mode ->
-          run_check ~mode ~enum:j.j_enum ~deadline:j.j_deadline ~src:j.j_src ~tgt:j.j_tgt
-        | None -> Ub_exec.Pool.Crashed ("unknown mode " ^ j.j_mode)
-      in
-      Marshal.to_channel oc ((r, Obs.drain ()) : outcome) [];
-      flush oc;
-      loop ()
-  in
-  loop ()
-
-(* Fork worker [idx].  The child inherits every descriptor the front
-   holds and closes all but its own pipe ends at once: an inherited
-   client connection would stay open at the client after the front
-   closes it, and an inherited task pipe would keep another worker
-   from ever reading EOF. *)
-let spawn_worker (st : state) (idx : int) : worker =
-  let task_r, task_w = Unix.pipe () in
-  let res_r, res_w = Unix.pipe () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-    Sys.set_signal Sys.sigterm Sys.Signal_default;
-    (* a terminal's ^C reaches the whole process group: the front
-       drains on it, the workers must outlive the drain *)
-    Sys.set_signal Sys.sigint Sys.Signal_ignore;
-    List.iter close_quietly
-      (task_w :: res_r :: st.lfd :: List.map (fun c -> c.fd) st.conns);
-    Array.iter
-      (fun w ->
-        if w.wk_idx <> idx then begin
-          close_quietly w.wk_task;
-          close_quietly w.wk_res
-        end)
-      st.workers;
-    (try worker_loop task_r res_w with _ -> Unix._exit 2);
-    Unix._exit 0
-  | pid ->
-    Unix.close task_r;
-    Unix.close res_w;
-    { wk_idx = idx; wk_pid = pid; wk_task = task_w; wk_res = res_r;
-      wk_inflight = Queue.create () }
-
-let inflight (st : state) : int =
-  Array.fold_left (fun n w -> n + Queue.length w.wk_inflight) 0 st.workers
-
-let send_job (w : worker) (t : task) : unit =
-  let b =
-    Marshal.to_bytes
-      ({ j_mode = t.t_mode.Ub_sem.Mode.name; j_enum = t.t_enum; j_deadline = t.t_deadline;
-         j_src = t.t_src; j_tgt = t.t_tgt } : job)
-      []
-  in
-  (* a blocking write: the pipe takes 64 KiB, so only a task larger
-     than that, behind a busy worker, waits here for the worker *)
-  let rec write off =
-    if off < Bytes.length b then
-      match Unix.write w.wk_task b off (Bytes.length b - off) with
-      | n -> write (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
-      | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
-        (* the worker is dead: EOF on its result pipe answers the task *)
-        ()
-  in
-  write 0;
-  Queue.push t w.wk_inflight
-
-(* Hand queued tasks to the least-loaded worker with a free slot. *)
-let dispatch (st : state) : unit =
-  let rec go () =
-    if st.queued > 0 then begin
-      let w =
-        Array.fold_left
-          (fun a w -> if Queue.length w.wk_inflight < Queue.length a.wk_inflight then w else a)
-          st.workers.(0) st.workers
-      in
-      if Queue.length w.wk_inflight < worker_slots then begin
-        List.iter
-          (fun t ->
-            if not (journal_hit st t) then begin
-              Hashtbl.replace st.running t.t_key t;
-              send_job w t
-            end)
-          (pop_tasks st 1);
-        go ()
-      end
-    end
-  in
-  go ()
-
-(* Exact-length reads from the raw result fd.  A buffered channel could
-   swallow a second result that [select] would then never report. *)
-let rec really_read fd buf off len : bool =
-  len = 0
-  ||
-  match Unix.read fd buf off len with
-  | 0 -> false
-  | n -> really_read fd buf (off + n) (len - n)
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> really_read fd buf off len
-  | exception Unix.Unix_error _ -> false
-
-let read_outcome (fd : Unix.file_descr) : outcome option =
-  let hdr = Bytes.create Marshal.header_size in
-  if not (really_read fd hdr 0 Marshal.header_size) then None
-  else begin
-    let body = Marshal.total_size hdr 0 - Marshal.header_size in
-    let buf = Bytes.extend hdr 0 body in
-    if really_read fd buf Marshal.header_size body then Some (Marshal.from_bytes buf 0)
-    else None
-  end
-
-let stop_worker (w : worker) : unit =
-  close_quietly w.wk_task;
-  close_quietly w.wk_res;
-  (try Unix.kill w.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  try ignore (Ub_exec.Pool.waitpid_eintr w.wk_pid) with Unix.Unix_error _ -> ()
-
-let stop_workers (st : state) : unit =
-  Array.iter stop_worker st.workers;
-  st.workers <- [||]
-
-(* A result pipe is readable: one outcome for the oldest in-flight task,
-   or EOF because the worker died.  A dead worker's in-flight tasks
-   answer [crashed]; a fresh worker takes its slot. *)
-let worker_readable (st : state) (w : worker) : unit =
-  match read_outcome w.wk_res with
-  | Some (r, payload) ->
-    Obs.absorb payload ~attrs:[ ("worker", Obs.I w.wk_idx) ];
-    let t = Queue.pop w.wk_inflight in
-    Hashtbl.remove st.running t.t_key;
-    complete st t r
-  | None ->
-    close_quietly w.wk_task;
-    close_quietly w.wk_res;
-    let why =
-      match Ub_exec.Pool.waitpid_eintr w.wk_pid with
-      | _, status -> Ub_exec.Pool.describe_status status
-      | exception Unix.Unix_error _ -> "worker lost"
-    in
-    Queue.iter
+(* [jobs > 1]: hand queued tasks to the pool while a worker has a free
+   slot. *)
+let dispatch (st : state) pool : unit =
+  while st.queued > 0 && Ub_exec.Pool.has_slot pool do
+    List.iter
       (fun t ->
-        Hashtbl.remove st.running t.t_key;
-        reply_verdict st t ~cached:false (Ub_exec.Pool.Crashed why))
-      w.wk_inflight;
-    Obs.event "serve.worker_respawn"
-      ~attrs:[ ("worker", Obs.I w.wk_idx); ("status", Obs.S why) ];
-    st.workers.(w.wk_idx) <- spawn_worker st w.wk_idx
-
-(* Service the workers whose result pipes are in [ready]. *)
-let service_workers (st : state) (ready : Unix.file_descr list) : unit =
-  Array.iter (fun w -> if List.mem w.wk_res ready then worker_readable st w) (Array.copy st.workers)
+        if not (journal_hit st t) then begin
+          Hashtbl.replace st.running t.t_key t;
+          Ub_exec.Pool.submit pool ?timeout_s:t.t_deadline (query t) (fun r ->
+              Hashtbl.remove st.running t.t_key;
+              complete st t r)
+        end)
+      (pop_tasks st 1)
+  done
 
 (* Run what is queued: an in-process batch, or hand-off to workers. *)
 let pump (st : state) : unit =
-  if Array.length st.workers = 0 then (if st.queued > 0 then run_batch st) else dispatch st
+  match st.pool with
+  | None -> if st.queued > 0 then run_batch st
+  | Some pool -> dispatch st pool
+
+let worker_fds (st : state) : Unix.file_descr list =
+  match st.pool with Some pool -> Ub_exec.Pool.fds pool | None -> []
+
+let service_workers (st : state) (ready : Unix.file_descr list) : unit =
+  Option.iter (fun pool -> Ub_exec.Pool.service pool ready) st.pool
+
+let inflight (st : state) : int =
+  match st.pool with Some pool -> Ub_exec.Pool.in_flight pool | None -> 0
+
+let stop_workers (st : state) : unit =
+  Option.iter Ub_exec.Pool.stop st.pool;
+  st.pool <- None
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -722,7 +542,7 @@ let run (cfg : config) : unit =
       order = [];
       queued = 0;
       running = Hashtbl.create 16;
-      workers = [||];
+      pool = None;
       conns = [];
       draining = false;
       shutdown_conns = [];
@@ -747,9 +567,13 @@ let run (cfg : config) : unit =
       Sys.set_signal Sys.sigint old_int)
   @@ fun () ->
   if cfg.jobs > 1 then
-    for i = 0 to cfg.jobs - 1 do
-      st.workers <- Array.append st.workers [| spawn_worker st i |]
-    done;
+    st.pool <-
+      Some
+        (Ub_exec.Pool.spawn ~jobs:cfg.jobs ~respawn_event:"serve.worker_respawn"
+           (* an inherited client connection would stay open at the
+              client after the daemon closes it *)
+           ~in_child:(fun () -> List.iter close_quietly (lfd :: List.map (fun c -> c.fd) st.conns))
+           check);
   let accept_new () =
     Obs.with_span "serve.accept" @@ fun () ->
     let rec go () =
@@ -772,12 +596,11 @@ let run (cfg : config) : unit =
     in
     go ()
   in
-  let worker_fds () = Array.to_list (Array.map (fun w -> w.wk_res) st.workers) in
   let stop = ref false in
   while not !stop do
     if not st.draining then begin
       let rfds =
-        (lfd :: worker_fds ())
+        (lfd :: worker_fds st)
         @ List.filter_map (fun c -> if c.closing then None else Some c.fd) st.conns
       in
       let wfds =
@@ -804,7 +627,7 @@ let run (cfg : config) : unit =
       while st.queued > 0 || inflight st > 0 do
         pump st;
         if inflight st > 0 then
-          match Unix.select (worker_fds ()) [] [] 0.5 with
+          match Unix.select (worker_fds st) [] [] 0.5 with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | ready, _, _ -> service_workers st ready
       done;

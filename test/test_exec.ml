@@ -32,7 +32,7 @@ let pool_tests =
           rs);
     Alcotest.test_case "a dying worker loses only the task it was on" `Quick (fun () ->
         (* SIGKILL is not catchable: this is the segfault/OOM-kill case.
-           The pool must respawn and finish the rest of the shard. *)
+           The pool must respawn and finish the tasks queued behind it. *)
         let f x =
           if x = 5 then begin
             Unix.kill (Unix.getpid ()) Sys.sigkill;
@@ -46,7 +46,9 @@ let pool_tests =
             match (i, r) with
             | 5, Pool.Crashed msg ->
               Alcotest.(check bool) "killed by signal" true
-                (Ub_support.Util.string_contains ~needle:"signal" msg)
+                (Ub_support.Util.string_contains ~needle:"signal" msg);
+              Alcotest.(check bool) "the signal is named" true
+                (Ub_support.Util.string_contains ~needle:"SIGKILL" msg)
             | 5, _ -> Alcotest.fail "task 5 should have crashed"
             | _, Pool.Done v -> Alcotest.(check int) "value" i v
             | _, _ -> Alcotest.failf "task %d lost to the crash" i)
@@ -98,11 +100,25 @@ let pool_tests =
         | Pool.Timed_out -> ()
         | Pool.Done _ -> Alcotest.fail "outer deadline was disarmed by the inner pool"
         | Pool.Crashed m -> Alcotest.failf "outer task crashed: %s" m));
+    Alcotest.test_case "a timeout firing at any point stays inside the envelope" `Quick
+      (fun () ->
+        (* a deadline of a microsecond can fire before the task starts
+           or after it returned: either way run_task must answer, never
+           let Task_timeout escape to the caller *)
+        let work n = Array.fold_left ( + ) 0 (Array.init n (fun i -> i)) in
+        for i = 1 to 4000 do
+          match Pool.run_task ~timeout_s:1e-6 work (i mod 400 * 25) with
+          | Pool.Done _ | Pool.Timed_out -> ()
+          | Pool.Crashed m -> Alcotest.failf "crashed: %s" m
+        done);
     Alcotest.test_case "stats account for every task" `Quick (fun () ->
         let rs, stats = Pool.map_stats ~jobs:3 (fun x -> x) int_results in
         Alcotest.(check int) "task_count" (Array.length int_results) stats.Pool.task_count;
-        Alcotest.(check int) "shards cover all tasks" (Array.length rs)
-          (List.fold_left (fun a s -> a + s.Pool.tasks) 0 stats.Pool.shards);
+        Alcotest.(check int) "every task resolved" (Array.length rs)
+          (Array.fold_left (fun n r -> match r with Pool.Done _ -> n + 1 | _ -> n) 0 rs);
+        Alcotest.(check int) "totals: nothing crashed, timed out or respawned" 0
+          (stats.Pool.crashed + stats.Pool.timed_out + stats.Pool.respawns);
+        Alcotest.(check int) "jobs" 3 stats.Pool.jobs;
         Alcotest.(check bool) "utilization sane" true
           (stats.Pool.utilization >= 0.0 && stats.Pool.utilization <= 1.01));
     Alcotest.test_case "worker telemetry is forwarded to the parent" `Quick (fun () ->

@@ -501,8 +501,66 @@ let direct_verdict (src, tgt) : string =
   | Ub_refine.Checker.Counterexample _ -> "counterexample"
   | Ub_refine.Checker.Unknown _ -> "unknown"
 
+(* Every distinct check runs in exactly one [Pool.run_task] envelope,
+   in the daemon ([jobs = 1]) or in a worker ([jobs = 2]). *)
+let task_done_test ~jobs =
+  Alcotest.test_case
+    (Printf.sprintf "a jobs=%d daemon counts each distinct check once" jobs)
+    `Quick (fun () ->
+      with_server
+        ~tune:(fun c -> { c with Server.jobs })
+        (fun socket_path _ ->
+          let pairs = Array.sub batch_pairs 0 10 in
+          Client.with_conn ~socket_path (fun cl ->
+              ignore (Client.check_batch cl ~mode:"proposed" pairs);
+              match Json.member "counters" (Client.stats cl).Wire.report with
+              | Some counters ->
+                Alcotest.(check (option (float 0.0))) "pool.task_done"
+                  (Some (float_of_int (Array.length pairs)))
+                  (Json.num_field counters "pool.task_done")
+              | None -> Alcotest.fail "stats report has no counters")))
+
 let worker_tests =
-  [ Alcotest.test_case "a jobs=2 daemon answers a pipelined batch with the checker's verdicts"
+  [ task_done_test ~jobs:1;
+    task_done_test ~jobs:2;
+    Alcotest.test_case "SIGKILL of a worker crashes its running task, not the one queued behind"
+      `Quick (fun () ->
+        with_server
+          ~tune:(fun c -> { c with Server.jobs = 2 })
+          (fun socket_path daemon ->
+            wait_until "two workers" (fun () -> List.length (children daemon) = 2);
+            let fd = raw_connect socket_path in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            (* four hard checks fill both workers' two slots: one worker
+               runs id 1 with id 3 behind it, the other ids 2 and 4 *)
+            write_all fd
+              (String.concat ""
+                 (List.init 4 (fun i ->
+                      let src, tgt = hard_mul (Printf.sprintf "k%d" (i + 1)) in
+                      check_frame (i + 1) ~deadline_s:1.0 ~src ~tgt)));
+            Unix.sleepf 0.3;
+            Unix.kill (List.hd (children daemon)) Sys.sigkill;
+            let verdicts =
+              List.init 4 (fun _ ->
+                  match recv_within fd "a hard check" with
+                  | Some (Wire.Verdict { r_id = Some id; verdict; detail; _ }) ->
+                    (id, verdict, detail)
+                  | _ -> Alcotest.fail "expected a verdict")
+            in
+            match List.filter (fun (_, v, _) -> v = "crashed") verdicts with
+            | [ (id, _, detail) ] ->
+              Alcotest.(check bool) "the crashed task was a worker's running one" true
+                (id = 1 || id = 2);
+              Alcotest.(check bool) "the crash names the signal" true
+                (Ub_support.Util.string_contains ~needle:"SIGKILL" detail);
+              List.iter
+                (fun (id', v, _) ->
+                  if id' <> id then
+                    Alcotest.(check string) (Printf.sprintf "id %d" id') "timeout" v)
+                verdicts
+            | crashed ->
+              Alcotest.failf "expected exactly one crashed reply, got %d" (List.length crashed)));
+    Alcotest.test_case "a jobs=2 daemon answers a pipelined batch with the checker's verdicts"
       `Quick (fun () ->
         with_server
           ~tune:(fun c -> { c with Server.jobs = 2 })
