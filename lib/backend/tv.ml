@@ -178,7 +178,7 @@ let check_func ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000)
    reports a violation.  The reduced function *is* the witness — the
    "target" is always its own compilation. *)
 let shrink ?mode ?(fuel = 250) ?(max_inputs = 400) ?(max_runs = 100)
-    ?(max_steps = 600) ?(budget_s = 2.0) ?bug (fn : Func.t) :
+    ?(max_steps = 600) ?(max_checks = 2_000) ?bug (fn : Func.t) :
     Func.t * Ub_shrink.Reduce.stats =
   (* The oracle runs a full TV check per candidate, so its budgets are
      much tighter than [check_func]'s defaults: a candidate whose input
@@ -187,15 +187,13 @@ let shrink ?mode ?(fuel = 250) ?(max_inputs = 400) ?(max_runs = 100)
      being enumerated, and [fuel]/[max_runs] are sized so a candidate
      whose machine loop diverges costs one bounded sweep, not minutes
      (the worst case per candidate is max_runs * 20 * fuel MIR steps).
-     [budget_s] bounds the whole descent: once the budget is spent the
-     oracle rejects every further candidate without checking and the
-     reducer stops at the current (still-violating) function. *)
-  let deadline = Unix.gettimeofday () +. budget_s in
+     [max_checks] bounds the whole descent by a count, not a clock, so
+     the witness does not depend on machine speed: once that many
+     candidates have been checked the reducer stops at the current
+     (still-violating) function. *)
   let oracle fn' =
-    Unix.gettimeofday () < deadline
-    &&
     match check_func ?mode ~fuel ~max_inputs ~max_runs ?bug fn' with
     | Not_refined _ -> true
     | Refined | Unsupported _ -> false
   in
-  Ub_shrink.Reduce.minimize ~max_steps ~oracle fn
+  Ub_shrink.Reduce.minimize ~max_steps ~max_oracle_calls:max_checks ~oracle fn

@@ -381,7 +381,7 @@ let report_json () : string =
   let rate = if hit + miss = 0 then 0.0 else float_of_int hit /. float_of_int (hit + miss) in
   Buffer.add_string buf
     (Printf.sprintf
-       ",\"derived\":{\"verdict_cache_hit_rate\":%.6f,\"verdict_cache_lookups\":%d,\"pool_tasks\":%d,\"pool_crashes\":%d,\"pool_timeouts\":%d,\"hunt_programs\":%d,\"hunt_findings\":%d,\"hunt_unique\":%d,\"hunt_dropped\":%d,\"tv_checked\":%d,\"tv_refined\":%d,\"tv_violations\":%d,\"tv_unsupported\":%d}"
+       ",\"derived\":{\"verdict_cache_hit_rate\":%.6f,\"verdict_cache_lookups\":%d,\"pool_tasks\":%d,\"pool_crashes\":%d,\"pool_timeouts\":%d,\"hunt_programs\":%d,\"hunt_findings\":%d,\"hunt_unique\":%d,\"hunt_dropped\":%d,\"tv_checked\":%d,\"tv_mir_runs\":%d,\"tv_refined\":%d,\"tv_violations\":%d,\"tv_unsupported\":%d}"
        rate (hit + miss)
        (counter_value "pool.task_done" + counter_value "pool.task_crashed"
        + counter_value "pool.task_timeout")
@@ -392,6 +392,7 @@ let report_json () : string =
        (counter_value "hunt.unique")
        (counter_value "hunt.dropped")
        (counter_value "tv.checked")
+       (counter_value "tv.mir_runs")
        (counter_value "tv.refined")
        (counter_value "tv.violations")
        (counter_value "tv.unsupported"));

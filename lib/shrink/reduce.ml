@@ -555,13 +555,17 @@ let shrink_candidates (fn : Func.t) : Func.t list =
    guarantees termination even for edits (like the frozen-input
    rewrite) that do not shrink the instruction count.  The caller is
    expected to have established [oracle fn0] already; the engine only
-   queries the oracle on candidates. *)
-let minimize ?(max_steps = 1000) ~(oracle : Func.t -> bool) (fn0 : Func.t) :
-    Func.t * stats =
+   queries the oracle on candidates.  Once [max_oracle_calls] candidates
+   have reached the oracle, the descent stops with the current
+   function. *)
+let minimize ?(max_steps = 1000) ?(max_oracle_calls = max_int) ~(oracle : Func.t -> bool)
+    (fn0 : Func.t) : Func.t * stats =
+  let exception Oracle_budget_spent in
   let seen = Hashtbl.create 512 in
   let oracle_calls = ref 0 and candidates = ref 0 and accepted = ref 0 in
   Hashtbl.replace seen (Printer.func_to_string fn0) ();
   let try_edit fn e =
+    if !oracle_calls >= max_oracle_calls then raise Oracle_budget_spent;
     match (try apply e fn with _ -> None) with
     | None -> None
     | Some fn' ->
@@ -585,6 +589,7 @@ let minimize ?(max_steps = 1000) ~(oracle : Func.t -> bool) (fn0 : Func.t) :
         incr accepted;
         fix fn'
       | None -> fn
+      | exception Oracle_budget_spent -> fn
   in
   let r = fix fn0 in
   ( r,

@@ -407,6 +407,123 @@ e:
         | v -> Alcotest.failf "expected unsupported, got: %s" (Tv.verdict_to_string v));
   ]
 
+(* Shrinking stops after a count of TV checks, not at a clock
+   deadline, so its witness does not depend on machine speed. *)
+let shrink_deterministic =
+  Alcotest.test_case "spill-slot-alias shrink under max_checks is deterministic" `Quick
+    (fun () ->
+      let bug = Mir_inject.find_exn "spill-slot-alias" in
+      let run () =
+        let red, stats = Tv.shrink ~max_checks:50 ~bug (parse trigger_pressure) in
+        (red, Printer.func_to_string red, stats)
+      in
+      let red, w1, s1 = run () in
+      let _, w2, s2 = run () in
+      Alcotest.(check string) "same witness" w1 w2;
+      Alcotest.(check bool) "same stats" true (s1 = s2);
+      Alcotest.(check bool) "budget respected" true (s1.Ub_shrink.Reduce.oracle_calls <= 50);
+      match Tv.check_func ~bug red with
+      | Tv.Not_refined _ -> ()
+      | v -> Alcotest.failf "shrunk witness: %s" (Tv.verdict_to_string v))
+
+(* ------------------------------------------------------------------ *)
+(* Undefined flags resolve one bit at a time, pinned until the next    *)
+(* flag write.  Hand-built virtual-form MIR; runs are counted by       *)
+(* wrapping the oracle exploration.                                    *)
+(* ------------------------------------------------------------------ *)
+
+let v i = Mir.Reg (Mir.Vreg i)
+
+(* r0 := 3; r1 := 5; r2 := r3 := 0, then [body], returning r2. *)
+let mir_func body =
+  { Mir.mname = "flags";
+    blocks =
+      [ { Mir.mlabel = "entry";
+          insts =
+            [ Mir.Mov (Mir.W32, Mir.Vreg 0, Mir.Imm 3L);
+              Mir.Mov (Mir.W32, Mir.Vreg 1, Mir.Imm 5L);
+              Mir.Mov (Mir.W32, Mir.Vreg 2, Mir.Imm 0L);
+              Mir.Mov (Mir.W32, Mir.Vreg 3, Mir.Imm 0L);
+            ]
+            @ body
+            @ [ Mir.Ret (Some (Mir.Vreg 2)) ];
+        };
+      ];
+    nvregs = 4;
+    nslots = 0;
+  }
+
+let imul = Mir.Bin (Mir.BImul, Mir.W32, Mir.Vreg 0, v 1)
+
+(* (number of runs, sorted distinct returned words) *)
+let explore_mir f =
+  let runs = ref 0 in
+  let results =
+    Ub_sem.Oracle.explore ~max_runs:1_000 (fun oracle ->
+        incr runs;
+        match (Mir_sem.run ~oracle ~form:Mir_sem.Virtual f []).Mir_sem.outcome with
+        | Mir_sem.Returned (Some bv) -> Ub_support.Bitvec.to_uint64 bv
+        | o -> Alcotest.failf "unexpected outcome: %s" (Mir_sem.outcome_to_string o))
+  in
+  (!runs, List.sort_uniq compare results)
+
+(* r2 := (r2 << 1) | r3 *)
+let pack =
+  [ Mir.Bin (Mir.BShl, Mir.W32, Mir.Vreg 2, Mir.Imm 1L); Mir.Bin (Mir.BOr, Mir.W32, Mir.Vreg 2, v 3) ]
+
+let results = Alcotest.(list int64)
+
+let mir_flag_tests =
+  let conds = Mir.[ CEq; CNe; CUgt; CUge; CUlt; CUle; CSgt; CSge; CSlt; CSle ] in
+  [ Alcotest.test_case "setcc eq after imul reads only ZF: 2 runs" `Quick (fun () ->
+        let runs, rs = explore_mir (mir_func [ imul; Mir.Setcc (Mir.CEq, Mir.Vreg 2) ]) in
+        Alcotest.(check int) "runs" 2 runs;
+        Alcotest.check results "results" [ 0L; 1L ] rs);
+    Alcotest.test_case "a read bit stays pinned until the next flag write" `Quick (fun () ->
+        let _, rs =
+          explore_mir
+            (mir_func
+               ([ imul; Mir.Setcc (Mir.CEq, Mir.Vreg 2); Mir.Setcc (Mir.CNe, Mir.Vreg 3) ]
+               @ pack))
+        in
+        Alcotest.check results "eq and ne always disagree" [ 1L; 2L ] rs);
+    Alcotest.test_case "a flag write resets the pins" `Quick (fun () ->
+        let _, rs =
+          explore_mir
+            (mir_func
+               ([ imul; Mir.Setcc (Mir.CEq, Mir.Vreg 2); imul; Mir.Setcc (Mir.CEq, Mir.Vreg 3) ]
+               @ pack))
+        in
+        Alcotest.check results "all four combinations" [ 0L; 1L; 2L; 3L ] rs);
+    Alcotest.test_case "cmp then jcc makes no choice" `Quick (fun () ->
+        let f =
+          { (mir_func []) with
+            Mir.blocks =
+              [ { Mir.mlabel = "entry";
+                  insts =
+                    [ Mir.Mov (Mir.W32, Mir.Vreg 0, Mir.Imm 3L);
+                      Mir.Mov (Mir.W32, Mir.Vreg 2, Mir.Imm 1L);
+                      Mir.Cmp (Mir.W32, Mir.Vreg 0, Mir.Imm 3L);
+                      Mir.Jcc (Mir.CEq, "out");
+                      Mir.Mov (Mir.W32, Mir.Vreg 2, Mir.Imm 0L);
+                      Mir.Jmp "out";
+                    ];
+                };
+                { Mir.mlabel = "out"; insts = [ Mir.Ret (Some (Mir.Vreg 2)) ] };
+              ];
+          }
+        in
+        let runs, rs = explore_mir f in
+        Alcotest.(check int) "runs" 1 runs;
+        Alcotest.check results "results" [ 1L ] rs);
+    Alcotest.test_case "every condition read after imul yields 0 and 1" `Quick (fun () ->
+        List.iteri
+          (fun i c ->
+            let _, rs = explore_mir (mir_func [ imul; Mir.Setcc (c, Mir.Vreg 2) ]) in
+            Alcotest.check results (Printf.sprintf "condition %d" i) [ 0L; 1L ] rs)
+          conds);
+  ]
+
 (* property: compiling the whole corpus succeeds, with no vregs left and
    positive sizes *)
 let corpus_compiles =
@@ -426,7 +543,8 @@ let () =
     [ ("isel", isel_tests);
       ("regalloc", regalloc_tests);
       ("parallel-move", parallel_move_tests);
-      ("tv", tv_tests);
+      ("tv", tv_tests @ [ shrink_deterministic ]);
+      ("mir-flags", mir_flag_tests);
       ("cost", cost_tests);
       ("emit", emit_tests);
       ("properties", [ corpus_compiles ]);

@@ -156,6 +156,17 @@ let shrink_tests =
           ^ Printer.func_to_string r.Ub_refine.Reduce.red_tgt
         in
         Alcotest.(check string) "two runs agree" (run ()) (run ()));
+    Alcotest.test_case "max_oracle_calls bounds the oracle calls" `Quick (fun () ->
+        let calls = ref 0 in
+        let oracle _ =
+          incr calls;
+          false
+        in
+        let r, stats = Ub_shrink.Reduce.minimize ~max_oracle_calls:5 ~oracle mul2_noise_src in
+        Alcotest.(check int) "oracle called" 5 !calls;
+        Alcotest.(check int) "stats count" 5 stats.Ub_shrink.Reduce.oracle_calls;
+        Alcotest.(check string) "input unchanged" (Printer.func_to_string mul2_noise_src)
+          (Printer.func_to_string r));
   ]
 
 let oracle_consistency =
