@@ -39,10 +39,16 @@ type clause = {
 
 let dummy_clause = { lits = [||]; activity = 0.0; learned = false; deleted = true }
 
+(* The watch vector of every literal nothing watches yet.  A solver is
+   sized by every node of its circuit context, so most literals are
+   never watched; they share this one empty vector, and [watch] gives a
+   literal its own at the first push.  It must stay empty. *)
+let unwatched : clause Vec.t = Vec.create dummy_clause
+
 type t = {
   nvars : int;
   mutable clauses : clause list; (* original clauses, for debugging *)
-  watches : clause Vec.t array; (* watch vectors indexed by literal *)
+  watches : clause Vec.t array; (* watch vectors indexed by literal, [unwatched] until used *)
   assign : int array; (* per var: 0 / 1 (true) / 2 (false) *)
   phase : bool array; (* saved polarity per var (last assigned value) *)
   level : int array; (* decision level per var *)
@@ -73,7 +79,7 @@ type t = {
 let create nvars =
   { nvars;
     clauses = [];
-    watches = Array.init (2 * nvars) (fun _ -> Vec.create dummy_clause);
+    watches = Array.make (2 * nvars) unwatched;
     assign = Array.make nvars 0;
     phase = Array.make nvars false;
     level = Array.make nvars 0;
@@ -199,39 +205,51 @@ let enqueue (s : t) (l : lit) (reason : clause option) =
 let watch (s : t) (c : clause) (l : lit) =
   (* watching literal l of c: insertion is keyed by (lnot l), the
      literal whose becoming true falsifies l and requires a visit *)
-  Vec.push s.watches.(lnot l) c
+  let k = lnot l in
+  if s.watches.(k) == unwatched then s.watches.(k) <- Vec.create dummy_clause;
+  Vec.push s.watches.(k) c
 
 (* Add a clause; returns false if the instance is already unsat at level
-   0.  Duplicate literals and tautologies are simplified away with one
-   int-specialized sort and a single adjacent-pair scan: sorted as ints,
-   a duplicate is adjacent to its copy and a complementary pair [2v],
-   [2v+1] is adjacent too.
+   0.  The clause is normalised in place: an insertion sort (clauses are
+   short), then one forward scan that compacts the literals to the front
+   of [lits].  Sorted as ints, a duplicate is adjacent to its copy and a
+   complementary pair [2v], [2v+1] is adjacent too; the scan also drops
+   literals false at level 0.  The kept literals stay in ascending
+   order.  The solver takes ownership of [lits]: a stored clause may be
+   [lits] itself, and propagation reorders it.
 
    [false] means the clause is falsified at level 0, so the instance is
    unsatisfiable.  The clause is then dropped, not stored or enqueued:
    only unassigned literals are ever enqueued, so the trail stays a
    consistent assignment and later calls remain safe. *)
-let add_clause (s : t) (lits : lit list) : bool =
-  let arr = Array.of_list lits in
-  Array.sort (fun (a : int) b -> compare a b) arr;
-  let n = Array.length arr in
+let add_clause (s : t) (lits : lit array) : bool =
+  let n = Array.length lits in
+  for i = 1 to n - 1 do
+    let l = lits.(i) in
+    let j = ref i in
+    while !j > 0 && lits.(!j - 1) > l do
+      lits.(!j) <- lits.(!j - 1);
+      decr j
+    done;
+    lits.(!j) <- l
+  done;
   let taut = ref false in
-  let out = ref [] in
   let m = ref 0 in
-  for i = n - 1 downto 0 do
-    let l = arr.(i) in
-    if i + 1 < n && arr.(i + 1) = l lxor 1 then taut := true;
-    if (i + 1 >= n || arr.(i + 1) <> l)
+  for i = 0 to n - 1 do
+    let l = lits.(i) in
+    if i > 0 && lits.(i - 1) = l lxor 1 then taut := true;
+    if (i = 0 || lits.(i - 1) <> l)
        (* drop literals false at level 0 *)
        && not (value_lit s l = 2 && s.level.(var_of l) = 0)
     then begin
-      out := l :: !out;
+      (* m <= i, and a write at index i stores lits.(i) itself, so the
+         next iteration still reads sorted lits.(i) *)
+      lits.(!m) <- l;
       incr m
     end
   done;
   if !taut then true
   else begin
-    let lits = Array.of_list !out in
     match !m with
     | 0 -> false
     | 1 ->
@@ -243,18 +261,15 @@ let add_clause (s : t) (lits : lit list) : bool =
         s.num_clauses <- s.num_clauses + 1;
         enqueue s l None;
         true)
-    | _ ->
+    | m ->
       s.num_clauses <- s.num_clauses + 1;
+      let lits = if m = n then lits else Array.sub lits 0 m in
       let c = { lits; activity = 0.0; learned = false; deleted = false } in
       s.clauses <- c :: s.clauses;
       watch s c lits.(0);
       watch s c lits.(1);
       true
   end
-
-(* Debug/test view: the clauses currently watching literal [l]'s
-   falsification (i.e. visited when [lnot l] becomes true). *)
-let watchers (s : t) (l : lit) : clause list = Vec.to_list s.watches.(lnot l)
 
 (* Propagate until fixpoint; returns the conflicting clause if any.
    Watch vectors are compacted in place: a clause keeps its slot unless
@@ -544,7 +559,7 @@ let solve ?(max_conflicts = max_int) (s : t) : result =
 (* One-shot convenience: clauses as lists of literals. *)
 let solve_clauses ?max_conflicts ~nvars (clauses : lit list list) : result =
   let s = create nvars in
-  let ok = List.for_all (fun c -> add_clause s c) clauses in
+  let ok = List.for_all (fun c -> add_clause s (Array.of_list c)) clauses in
   if not ok then Unsat else solve ?max_conflicts s
 
 (* Check a model against clauses (used by tests and as a runtime
@@ -555,8 +570,6 @@ let model_satisfies (model : bool array) (clauses : lit list list) =
          let v = var_of l in
          if is_neg l then not model.(v) else model.(v)))
     clauses
-
-let stats s = (s.conflicts, s.decisions, s.propagations)
 
 (* Full counters, for the solver benchmark harness. *)
 type statistics = {

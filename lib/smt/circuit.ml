@@ -312,15 +312,18 @@ module Cnf = struct
 
   (* The Tseitin builder of one query: SAT variables are allocated on
      demand (variable 0 is pinned true), circuit nodes and inputs each
-     through a memo table, so a shared node is encoded once. *)
+     through a memo table, so a shared node is encoded once.  Node ids
+     and input indices are dense, so the tables are arrays sized by the
+     context, and 0 means "no variable yet" (var 0 is the constant). *)
   type builder = {
     solver : Solver.t;
-    node_var : (int, int) Hashtbl.t; (* circuit node id -> SAT var *)
-    input_var : (int, int) Hashtbl.t; (* input index -> SAT var *)
+    node_var : int array; (* circuit node id -> SAT var, or 0 *)
+    input_var : int array; (* input index -> SAT var, or 0 *)
     mutable next_var : int; (* the next unallocated SAT variable *)
     mutable ok : bool; (* false once add_clause reported level-0 unsat *)
   }
 
+  (* [c] is a fresh array: the solver takes it over. *)
   let add b c = if not (Solver.add_clause b.solver c) then b.ok <- false
 
   let fresh_var b =
@@ -329,12 +332,8 @@ module Cnf = struct
     v
 
   let input_lit (b : builder) (i : int) : Solver.lit =
-    match Hashtbl.find_opt b.input_var i with
-    | Some v -> Solver.pos v
-    | None ->
-      let v = fresh_var b in
-      Hashtbl.replace b.input_var i v;
-      Solver.pos v
+    if b.input_var.(i) = 0 then b.input_var.(i) <- fresh_var b;
+    Solver.pos b.input_var.(i)
 
   (* Translate a node to a SAT variable, memoized. *)
   let rec lit_of (b : builder) (t : t) : Solver.lit =
@@ -343,47 +342,47 @@ module Cnf = struct
     | False -> Solver.neg 0
     | Input i -> input_lit b i
     | Not x -> Solver.lnot (lit_of b x)
-    | _ -> (
-      match Hashtbl.find_opt b.node_var t.id with
-      | Some v -> Solver.pos v
-      | None ->
+    | _ ->
+      let v = b.node_var.(t.id) in
+      if v <> 0 then Solver.pos v
+      else begin
         let v = fresh_var b in
-        Hashtbl.replace b.node_var t.id v;
+        b.node_var.(t.id) <- v;
         let out = Solver.pos v in
         (match t.node with
         | And (x, y) ->
           let lx = lit_of b x and ly = lit_of b y in
-          add b [ Solver.lnot out; lx ];
-          add b [ Solver.lnot out; ly ];
-          add b [ out; Solver.lnot lx; Solver.lnot ly ]
+          add b [| Solver.lnot out; lx |];
+          add b [| Solver.lnot out; ly |];
+          add b [| out; Solver.lnot lx; Solver.lnot ly |]
         | Or (x, y) ->
           let lx = lit_of b x and ly = lit_of b y in
-          add b [ out; Solver.lnot lx ];
-          add b [ out; Solver.lnot ly ];
-          add b [ Solver.lnot out; lx; ly ]
+          add b [| out; Solver.lnot lx |];
+          add b [| out; Solver.lnot ly |];
+          add b [| Solver.lnot out; lx; ly |]
         | Xor (x, y) ->
           let lx = lit_of b x and ly = lit_of b y in
-          add b [ Solver.lnot out; lx; ly ];
-          add b [ Solver.lnot out; Solver.lnot lx; Solver.lnot ly ];
-          add b [ out; lx; Solver.lnot ly ];
-          add b [ out; Solver.lnot lx; ly ]
+          add b [| Solver.lnot out; lx; ly |];
+          add b [| Solver.lnot out; Solver.lnot lx; Solver.lnot ly |];
+          add b [| out; lx; Solver.lnot ly |];
+          add b [| out; Solver.lnot lx; ly |]
         | Ite (c, x, y) ->
           let lc = lit_of b c and lx = lit_of b x and ly = lit_of b y in
-          add b [ Solver.lnot out; Solver.lnot lc; lx ];
-          add b [ Solver.lnot out; lc; ly ];
-          add b [ out; Solver.lnot lc; Solver.lnot lx ];
-          add b [ out; lc; Solver.lnot ly ]
+          add b [| Solver.lnot out; Solver.lnot lc; lx |];
+          add b [| Solver.lnot out; lc; ly |];
+          add b [| out; Solver.lnot lc; Solver.lnot lx |];
+          add b [| out; lc; Solver.lnot ly |]
         | True | False | Input _ | Not _ -> assert false);
-        out)
+        out
+      end
 
   (* Read a model for the circuit inputs out of a full SAT assignment.
      An input the encoding never referenced is unconstrained; report it
      false (the zeros-bias default). *)
   let model_of_assignment (b : builder) (assignment : bool array) =
     fun i ->
-      match Hashtbl.find_opt b.input_var i with
-      | Some v when v < Array.length assignment -> assignment.(v)
-      | _ -> false
+      let v = if i < Array.length b.input_var then b.input_var.(i) else 0 in
+      v > 0 && v < Array.length assignment && assignment.(v)
 
   type model = { bool_of_input : int -> bool }
 
@@ -442,20 +441,28 @@ module Cnf = struct
         }
 
   (* Satisfiability of [root = true].  [max_conflicts] bounds solver
-     effort; raises [Too_hard] when exceeded. *)
+     effort; raises [Too_hard] when exceeded.  The span [smt.tseitin]
+     covers setting up the solver and the builder and every clause add;
+     [sat.search] covers the search. *)
   let solve ?(max_conflicts = 2_000_000) ?stats (ctx : ctx) (root : t) : solve_result =
     Ub_obs.Obs.with_span "smt.solve" @@ fun () ->
-    (* var 0: constant true; inputs and Tseitin vars allocated on demand,
-       at most one per input and one per node, so the solver is sized
-       for 1 + inputs + nodes up front. *)
-    let nvars = 1 + ctx.next_input + ctx.next_id in
     let b =
-      { solver = Ub_sat.Solver.create nvars; node_var = Hashtbl.create 64;
-        input_var = Hashtbl.create 16; next_var = 1; ok = true }
+      Ub_obs.Obs.with_span "smt.tseitin" @@ fun () ->
+      (* Var 0 is the constant true; every input and every And/Or/Xor/Ite
+         node gets at most one var, on demand.  The solver is sized for
+         1 + inputs + node ids, a bound that also counts the ids of
+         constants, inputs and Not nodes, and the search decides every
+         var it is sized for, encoded or not. *)
+      let nvars = 1 + ctx.next_input + ctx.next_id in
+      let b =
+        { solver = Ub_sat.Solver.create nvars; node_var = Array.make ctx.next_id 0;
+          input_var = Array.make ctx.next_input 0; next_var = 1; ok = true }
+      in
+      add b [| Ub_sat.Solver.pos 0 |];
+      let root_lit = lit_of b root in
+      add b [| root_lit |];
+      b
     in
-    add b [ Ub_sat.Solver.pos 0 ];
-    let root_lit = lit_of b root in
-    add b [ root_lit ];
     if not b.ok then begin
       record_stats stats ctx b;
       Unsat_r
@@ -463,7 +470,10 @@ module Cnf = struct
     else begin
       match
         try
-          let r = Ub_sat.Solver.solve ~max_conflicts b.solver in
+          let r =
+            Ub_obs.Obs.with_span "sat.search" @@ fun () ->
+            Ub_sat.Solver.solve ~max_conflicts b.solver
+          in
           record_stats stats ctx b;
           r
         with Ub_sat.Solver.Budget_exceeded ->

@@ -6,8 +6,7 @@
 type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
 (* Capacity 0 shares the empty-array atom: a freshly created vector
-   costs one record and nothing else, which matters when a solver
-   allocates two watch vectors per variable up front. *)
+   costs one record and nothing else. *)
 let create ?(capacity = 0) (dummy : 'a) : 'a t =
   { data = (if capacity <= 0 then [||] else Array.make capacity dummy); len = 0; dummy }
 

@@ -86,6 +86,11 @@ let brute nvars clauses =
   in
   try_ 0
 
+(* The clauses watching literal [l]'s falsification, i.e. visited when
+   [lnot l] becomes true. *)
+let watchers (s : Solver.t) (l : Solver.lit) =
+  Ub_support.Vec.to_list s.Solver.watches.(Solver.lnot l)
+
 let unit_tests =
   [ Alcotest.test_case "trivially sat" `Quick (fun () ->
         match Solver.solve_clauses ~nvars:2 [ [ Solver.pos 0 ]; [ Solver.neg 1 ] ] with
@@ -123,7 +128,7 @@ let unit_tests =
         let s = Solver.create 4 in
         let ok =
           List.for_all
-            (fun c -> Solver.add_clause s c)
+            (fun c -> Solver.add_clause s (Array.of_list c))
             [ [ Solver.neg 0; Solver.pos 1 ];
               [ Solver.neg 0; Solver.neg 1 ];
               [ Solver.neg 0; Solver.pos 2 ];
@@ -131,7 +136,7 @@ let unit_tests =
             ]
         in
         Alcotest.(check bool) "clauses accepted" true ok;
-        let before = Solver.watchers s (Solver.neg 0) in
+        let before = watchers s (Solver.neg 0) in
         Alcotest.(check int) "four clauses watch ~x0" 4 (List.length before);
         s.Solver.trail_lim.(0) <- s.Solver.trail_len;
         s.Solver.decision_level <- 1;
@@ -139,7 +144,7 @@ let unit_tests =
         (match Solver.propagate s with
         | None -> Alcotest.fail "expected a conflict"
         | Some _ -> ());
-        let after = Solver.watchers s (Solver.neg 0) in
+        let after = watchers s (Solver.neg 0) in
         Alcotest.(check int) "watch list intact after conflict" 4 (List.length after);
         List.iter2
           (fun a b -> Alcotest.(check bool) "same clause in the same slot" true (a == b))
@@ -154,7 +159,7 @@ let unit_tests =
             [ Solver.neg 1; Solver.neg 5 ];
           ]
         in
-        let ok = List.for_all (fun c -> Solver.add_clause s c) clauses in
+        let ok = List.for_all (fun c -> Solver.add_clause s (Array.of_list c)) clauses in
         Alcotest.(check bool) "clauses accepted" true ok;
         (match (Solver.solve s, Solver.solve s) with
         | Solver.Sat m1, Solver.Sat m2 ->
@@ -164,12 +169,12 @@ let unit_tests =
     Alcotest.test_case "add_clause after a refutation keeps the trail consistent" `Quick
       (fun () ->
         let s = Solver.create 3 in
-        Alcotest.(check bool) "x accepted" true (Solver.add_clause s [ Solver.pos 0 ]);
-        Alcotest.(check bool) "!x refutes" false (Solver.add_clause s [ Solver.neg 0 ]);
-        Alcotest.(check bool) "empty clause refutes" false (Solver.add_clause s []);
-        ignore (Solver.add_clause s [ Solver.pos 1 ]);
-        ignore (Solver.add_clause s [ Solver.neg 1 ]);
-        ignore (Solver.add_clause s [ Solver.neg 2; Solver.neg 0 ]);
+        Alcotest.(check bool) "x accepted" true (Solver.add_clause s [| Solver.pos 0 |]);
+        Alcotest.(check bool) "!x refutes" false (Solver.add_clause s [| Solver.neg 0 |]);
+        Alcotest.(check bool) "empty clause refutes" false (Solver.add_clause s [||]);
+        ignore (Solver.add_clause s [| Solver.pos 1 |]);
+        ignore (Solver.add_clause s [| Solver.neg 1 |]);
+        ignore (Solver.add_clause s [| Solver.neg 2; Solver.neg 0 |]);
         (* every trail entry is the one assignment of its variable *)
         let seen = Array.make 3 false in
         for i = 0 to s.Solver.trail_len - 1 do
@@ -190,7 +195,7 @@ let unit_tests =
         let nv i j = Solver.neg ((2 * i) + j) in
         let s = Solver.create 6 in
         List.iter
-          (fun c -> ignore (Solver.add_clause s c))
+          (fun c -> ignore (Solver.add_clause s (Array.of_list c)))
           ([ [ v 0 0; v 0 1 ]; [ v 1 0; v 1 1 ]; [ v 2 0; v 2 1 ] ]
           @ List.concat_map
               (fun j -> [ [ nv 0 j; nv 1 j ]; [ nv 0 j; nv 2 j ]; [ nv 1 j; nv 2 j ] ])
@@ -236,8 +241,44 @@ let random_cnf_large =
     let clause = list_size (int_range 1 5) lit in
     pair (return nvars) (list_size (return nclauses) clause))
 
+(* A 0-5 literal clause over 4 vars, with duplicates and complementary
+   pairs likely, after level-0 units on some of the vars. *)
+let clause_after_units =
+  QCheck2.Gen.(
+    pair (list_repeat 4 (opt bool)) (list_size (int_range 0 5) (int_bound 7)))
+
 let props =
   [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"add_clause normalises like the list reference" ~count:1000
+         clause_after_units
+         (fun (units, clause) ->
+           let s = Solver.create 4 in
+           List.iteri
+             (fun v -> function
+               | None -> ()
+               | Some b -> ignore (Solver.add_clause s [| Solver.lit_of ~negated:(not b) v |]))
+             units;
+           (* the reference: sort, dedupe, drop literals false at level 0;
+              a tautology is accepted and not stored *)
+           let sorted = List.sort_uniq compare clause in
+           let taut = List.exists (fun l -> List.mem (Solver.lnot l) sorted) sorted in
+           let kept = List.filter (fun l -> Solver.value_lit s l <> 2) sorted in
+           let stored0 = List.length s.Solver.clauses and trail0 = s.Solver.trail_len in
+           let was_true = match kept with [ l ] -> Solver.value_lit s l = 1 | _ -> false in
+           let ok = Solver.add_clause s (Array.of_list clause) in
+           let stored = List.length s.Solver.clauses - stored0
+           and enqueued = s.Solver.trail_len - trail0 in
+           if taut then ok && stored = 0 && enqueued = 0
+           else
+             match kept with
+             | [] -> (not ok) && stored = 0 && enqueued = 0
+             | [ l ] ->
+               ok && stored = 0
+               && if was_true then enqueued = 0 else enqueued = 1 && s.Solver.trail.(trail0) = l
+             | _ ->
+               ok && stored = 1 && enqueued = 0
+               && (List.hd s.Solver.clauses).Solver.lits = Array.of_list kept));
+    QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"agrees with brute force" ~count:800 random_cnf
          (fun (nvars, clauses) ->
            match (Solver.solve_clauses ~nvars clauses, brute nvars clauses) with
@@ -265,7 +306,7 @@ let props =
          random_cnf_large
          (fun (nvars, clauses) ->
            let s = Solver.create nvars in
-           let ok = List.for_all (fun c -> Solver.add_clause s c) clauses in
+           let ok = List.for_all (fun c -> Solver.add_clause s (Array.of_list c)) clauses in
            if ok then ignore (Solver.solve s);
            let count_watches c =
              let n = ref 0 in
@@ -279,7 +320,8 @@ let props =
              else Array.length c.Solver.lits < 2 || count_watches c = 2
            in
            List.for_all check_clause s.Solver.clauses
-           && List.for_all check_clause (Ub_support.Vec.to_list s.Solver.learnts)));
+           && List.for_all check_clause (Ub_support.Vec.to_list s.Solver.learnts)
+           && Ub_support.Vec.length Solver.unwatched = 0));
   ]
 
 let () = Alcotest.run "sat" [ ("unit", unit_tests); ("properties", props) ]

@@ -4,6 +4,23 @@
 open Ub_support
 open Ub_smt
 
+(* A checker-style query that mentions the same product twice:
+   5 < a*b and a*b < 9 over 6-bit inputs. *)
+let solve_reference_query ctx =
+  let a = Bvterm.fresh ctx ~width:6 and b = Bvterm.fresh ctx ~width:6 in
+  let m1 = Bvterm.mul ctx a b in
+  let m2 = Bvterm.mul ctx a b in
+  let c5 = Bvterm.const ctx (Bitvec.of_int ~width:6 5) in
+  let c9 = Bvterm.const ctx (Bitvec.of_int ~width:6 9) in
+  let root = Circuit.band ctx (Bvterm.ult ctx c5 m1) (Bvterm.ult ctx m2 c9) in
+  let stats = ref Circuit.Cnf.no_stats in
+  let sat =
+    match Circuit.Cnf.solve ~stats ctx root with
+    | Circuit.Cnf.Sat_model _ -> true
+    | Circuit.Cnf.Unsat_r -> false
+  in
+  (sat, !stats)
+
 let unit_tests =
   [ Alcotest.test_case "constant folding in smart constructors" `Quick (fun () ->
         let ctx = Circuit.create_ctx () in
@@ -66,26 +83,8 @@ let unit_tests =
            built once with structural sharing and once without.  The
            shared build must encode the multiplier circuit a single time,
            cutting CNF variables and clauses well past the 30% bar. *)
-        let build ctx =
-          let a = Bvterm.fresh ctx ~width:6 and b = Bvterm.fresh ctx ~width:6 in
-          let m1 = Bvterm.mul ctx a b in
-          let m2 = Bvterm.mul ctx a b in
-          let c5 = Bvterm.const ctx (Bitvec.of_int ~width:6 5) in
-          let c9 = Bvterm.const ctx (Bitvec.of_int ~width:6 9) in
-          Circuit.band ctx (Bvterm.ult ctx c5 m1) (Bvterm.ult ctx m2 c9)
-        in
-        let solve_stats ctx =
-          let stats = ref Circuit.Cnf.no_stats in
-          let root = build ctx in
-          let sat =
-            match Circuit.Cnf.solve ~stats ctx root with
-            | Circuit.Cnf.Sat_model _ -> true
-            | Circuit.Cnf.Unsat_r -> false
-          in
-          (sat, !stats)
-        in
-        let sat_shared, shared = solve_stats (Circuit.create_ctx ()) in
-        let sat_plain, plain = solve_stats (Circuit.create_ctx ~sharing:false ()) in
+        let sat_shared, shared = solve_reference_query (Circuit.create_ctx ()) in
+        let sat_plain, plain = solve_reference_query (Circuit.create_ctx ~sharing:false ()) in
         Alcotest.(check bool) "verdicts agree" sat_plain sat_shared;
         Alcotest.(check bool) "5 < a*b < 9 is satisfiable" true sat_shared;
         let shrunk part s p =
@@ -96,6 +95,19 @@ let unit_tests =
         in
         shrunk "cnf vars" shared.Circuit.Cnf.cnf_vars plain.Circuit.Cnf.cnf_vars;
         shrunk "cnf clauses" shared.Circuit.Cnf.cnf_clauses plain.Circuit.Cnf.cnf_clauses);
+    Alcotest.test_case "the reference query's CNF and search trajectory are pinned" `Quick
+      (fun () ->
+        (* Variable numbering, clause set, literal order and solver size
+           fix the search.  A change that renumbers or reorders the CNF
+           moves these counts and must update them on purpose. *)
+        let sat, st = solve_reference_query (Circuit.create_ctx ()) in
+        Alcotest.(check bool) "satisfiable" true sat;
+        Alcotest.(check int) "circuit nodes" 135 st.Circuit.Cnf.circuit_nodes;
+        Alcotest.(check int) "cnf vars" 96 st.Circuit.Cnf.cnf_vars;
+        Alcotest.(check int) "cnf clauses" 276 st.Circuit.Cnf.cnf_clauses;
+        Alcotest.(check int) "conflicts" 1 st.Circuit.Cnf.conflicts;
+        Alcotest.(check int) "decisions" 108 st.Circuit.Cnf.decisions;
+        Alcotest.(check int) "propagations" 218 st.Circuit.Cnf.propagations);
     Alcotest.test_case "udiv circuit guards against zero later" `Quick (fun () ->
         let ctx = Circuit.create_ctx () in
         let a = Bvterm.const ctx (Bitvec.of_int ~width:4 13) in
