@@ -12,7 +12,7 @@
    is missed, the clean campaign finds a bug, or any work was dropped. *)
 
 module Hunt = Ub_hunt.Hunt
-module Json = Ub_serve.Json
+module Json = Ub_obs.Json
 
 (* The committed seed: recall below is a deterministic number. *)
 let hunt_seed = 20170601
@@ -77,13 +77,13 @@ let run ~(jobs : int) ?(timeout_s : float option) ~(programs : int) ~(out : stri
   let json =
     Json.Obj
       [ ("schema", Json.Str "ubc-hunt-bench-v1");
-        ("seed", Json.Num (float_of_int hunt_seed));
-        ("programs_per_entry", Json.Num (float_of_int programs));
-        ("findings_cap", Json.Num (float_of_int findings_cap));
+        ("seed", Json.int hunt_seed);
+        ("programs_per_entry", Json.int programs);
+        ("findings_cap", Json.int findings_cap);
         ( "recall",
           Json.Obj
-            [ ("found", Json.Num (float_of_int found));
-              ("total", Json.Num (float_of_int total));
+            [ ("found", Json.int found);
+              ("total", Json.int total);
               ( "entries",
                 Json.Obj
                   (List.map
@@ -92,11 +92,11 @@ let run ~(jobs : int) ?(timeout_s : float option) ~(programs : int) ~(out : stri
                          Json.Obj
                            [ ("section", Json.Str e.Ub_opt.Inject.section);
                              ("found", Json.Bool (r.Hunt.r_unique > 0));
-                             ("findings", Json.Num (float_of_int r.Hunt.r_findings));
-                             ("unique", Json.Num (float_of_int r.Hunt.r_unique));
-                             ("witness_insns", Json.Num (float_of_int insns));
-                             ("checks", Json.Num (float_of_int r.Hunt.r_checks));
-                             ("dropped", Json.Num (float_of_int r.Hunt.r_dropped));
+                             ("findings", Json.int r.Hunt.r_findings);
+                             ("unique", Json.int r.Hunt.r_unique);
+                             ("witness_insns", Json.int insns);
+                             ("checks", Json.int r.Hunt.r_checks);
+                             ("dropped", Json.int r.Hunt.r_dropped);
                              ("cpu_s", Json.Num r.Hunt.r_cpu_s);
                            ] ))
                      entry_results) );
@@ -104,13 +104,10 @@ let run ~(jobs : int) ?(timeout_s : float option) ~(programs : int) ~(out : stri
         ("clean", Hunt.report_json clean);
         ("dedup_ratio", Json.Num dedup);
         ("bugs_per_cpu_hour", Json.Num bugs_per_hour);
-        ("dropped", Json.Num (float_of_int dropped));
+        ("dropped", Json.int dropped);
       ]
   in
-  let oc = open_out out in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
+  Json.to_file out json;
   Printf.printf "wrote %s\n" out;
   let ok = found = total && clean.Hunt.r_unique = 0 && dropped = 0 in
   if not ok then begin

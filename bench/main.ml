@@ -65,28 +65,20 @@ let note_dropped ~experiment (pool : Ub_exec.Pool.stats) =
       dropped experiment;
   dropped_total := !dropped_total + dropped
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* A minimized witness on disk is a re-parsable module — the source
    renamed @src, the target renamed @tgt — behind a ';' metadata header
    the lexer skips, so `ubc check <witness> src tgt` replays it. *)
 let write_witness ~dir ~name ~mode_name ~(red : Ub_refine.Reduce.reduction) =
-  mkdir_p dir;
+  Util.mkdir_p dir;
   let path = Filename.concat dir (name ^ ".ll") in
-  let oc = open_out path in
-  Printf.fprintf oc "; minimized counterexample: %s\n" name;
-  Printf.fprintf oc "; mode: %s\n" mode_name;
-  Printf.fprintf oc "; %s\n\n"
-    (Format.asprintf "%a" Ub_shrink.Reduce.pp_stats red.Ub_refine.Reduce.stats);
-  output_string oc
-    (Printer.func_to_string { red.Ub_refine.Reduce.red_src with Func.name = "src" });
-  output_string oc "\n";
-  output_string oc (Printer.func_to_string { red.Ub_refine.Reduce.red_tgt with Func.name = "tgt" });
-  close_out oc;
+  let header =
+    [ "minimized counterexample: " ^ name; "mode: " ^ mode_name;
+      Format.asprintf "%a" Ub_shrink.Reduce.pp_stats red.Ub_refine.Reduce.stats ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        (Printer.witness_to_string ~header ~tgt:red.Ub_refine.Reduce.red_tgt
+           red.Ub_refine.Reduce.red_src));
   path
 
 let report_reduction ~label (red : Ub_refine.Reduce.reduction) =

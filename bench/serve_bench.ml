@@ -34,7 +34,7 @@
 
 open Ub_ir
 open Ub_sem
-module Json = Ub_serve.Json
+module Json = Ub_obs.Json
 module Wire = Ub_serve.Wire
 module Client = Ub_serve.Client
 
@@ -451,7 +451,7 @@ let run_scale ~(jobs : int) ~(dir : string) (unique : pair array)
   let gate_enforced = cores >= jobs in
   Printf.printf "scaling: %.2fx at jobs %d\n%!" speedup jobs;
   let num f = Json.Num f in
-  let int n = Json.Num (float_of_int n) in
+  let int = Json.int in
   let j =
     Json.Obj
       [ ("jobs", int jobs);
@@ -619,7 +619,7 @@ let run ~(jobs : int) ~(out : string) : bool =
     timed_out;
   (* --- the JSON record --- *)
   let num f = Json.Num f in
-  let int n = Json.Num (float_of_int n) in
+  let int = Json.int in
   let j =
     Json.Obj
       ([ ("schema", Json.Str "ubc-serve-bench-v2");
@@ -662,10 +662,7 @@ let run ~(jobs : int) ~(out : string) : bool =
        ]
       @ match scale_block with None -> [] | Some (sj, _) -> [ ("scaling", sj) ])
   in
-  let oc = open_out out in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
+  Json.to_file out j;
   Printf.printf "wrote %s\n" out;
   let warm_ok = warm_hits = warm_expected in
   let scale_ok = match scale_block with None -> true | Some (_, ok) -> ok in

@@ -15,6 +15,7 @@
    apply. *)
 
 open Ub_sem
+module Json = Ub_obs.Json
 
 (* The corpus lives in [Ub_corpus] so the regression tests replay the
    exact same queries this benchmark times. *)
@@ -184,21 +185,31 @@ let summarize (records : record list) : summary =
     over_budget = List.fold_left (fun a r -> if r.rbudget_exceeded then a + 1 else a) 0 records;
   }
 
-let json_of_record (r : record) : string =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"mode\":\"%s\",\"verdict\":\"%s\",\"wall_s\":%.6f,\"circuit_nodes\":%d,\"cnf_vars\":%d,\"cnf_clauses\":%d,\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_peak\":%d}"
-    r.rname r.rmode r.rverdict r.rwall_s r.rnodes r.rvars r.rclauses r.rconflicts
-    r.rdecisions r.rpropagations r.rlearned_peak
+(* A measured float at the resolution the file has always carried. *)
+let fixed digits f =
+  let scale = 10.0 ** float_of_int digits in
+  Json.Num (Float.round (f *. scale) /. scale)
 
-let json_of_summary (s : summary) : string =
-  Printf.sprintf
-    "{\"queries\":%d,\"wall_s_total\":%.6f,\"wall_s_geomean\":%.6f,\"cnf_vars_total\":%d,\"cnf_clauses_total\":%d,\"conflicts_total\":%d,\"propagations_total\":%d,\"learned_peak_max\":%d,\"over_budget\":%d}"
-    s.n s.wall_total s.wall_geomean s.vars_total s.clauses_total s.conflicts_total
-    s.propagations_total s.learned_peak_max s.over_budget
+let record_json (r : record) : Json.t =
+  Json.Obj
+    [ ("name", Json.Str r.rname); ("mode", Json.Str r.rmode); ("verdict", Json.Str r.rverdict);
+      ("wall_s", fixed 6 r.rwall_s); ("circuit_nodes", Json.int r.rnodes);
+      ("cnf_vars", Json.int r.rvars); ("cnf_clauses", Json.int r.rclauses);
+      ("conflicts", Json.int r.rconflicts); ("decisions", Json.int r.rdecisions);
+      ("propagations", Json.int r.rpropagations); ("learned_peak", Json.int r.rlearned_peak) ]
+
+let summary_json (s : summary) : Json.t =
+  Json.Obj
+    [ ("queries", Json.int s.n); ("wall_s_total", fixed 6 s.wall_total);
+      ("wall_s_geomean", fixed 6 s.wall_geomean); ("cnf_vars_total", Json.int s.vars_total);
+      ("cnf_clauses_total", Json.int s.clauses_total);
+      ("conflicts_total", Json.int s.conflicts_total);
+      ("propagations_total", Json.int s.propagations_total);
+      ("learned_peak_max", Json.int s.learned_peak_max); ("over_budget", Json.int s.over_budget) ]
 
 (* Pair up current and baseline records by (name, mode) and compute the
    before/after ratios the acceptance criteria are stated in. *)
-let vs_baseline (current : record list) (baseline : record list) : string option =
+let vs_baseline (current : record list) (baseline : record list) : Json.t option =
   let key r = (r.rname, r.rmode) in
   let base = List.map (fun r -> (key r, r)) baseline in
   let paired =
@@ -217,9 +228,11 @@ let vs_baseline (current : record list) (baseline : record list) : string option
       else 100.0 *. (1.0 -. (float_of_int now /. float_of_int before))
     in
     Some
-      (Printf.sprintf
-         "{\"paired_queries\":%d,\"wall_geomean_speedup\":%.3f,\"cnf_vars_shrink_pct\":%.1f,\"cnf_clauses_shrink_pct\":%.1f}"
-         (List.length paired) (geomean speedups) (shrink b_vars c_vars) (shrink b_cls c_cls))
+      (Json.Obj
+         [ ("paired_queries", Json.int (List.length paired));
+           ("wall_geomean_speedup", fixed 3 (geomean speedups));
+           ("cnf_vars_shrink_pct", fixed 1 (shrink b_vars c_vars));
+           ("cnf_clauses_shrink_pct", fixed 1 (shrink b_cls c_cls)) ])
   end
 
 (* Verdict identity against the baseline: the verdict class of every
@@ -276,30 +289,22 @@ let run ~(jobs : int) ?timeout_s ~(out : string) ~(baseline : string)
   | None -> ());
   let base = load_baseline baseline in
   let vs = vs_baseline records base in
-  let oc = open_out out in
-  output_string oc "{\n  \"schema\": \"ubc-solver-bench-v1\",\n";
-  Printf.fprintf oc "  \"conflict_budget\": %d,\n" conflict_budget;
-  Printf.fprintf oc "  \"summary\": %s,\n" (json_of_summary s);
-  (* the aggregated telemetry for this run: per-query solver counters
-     absorbed back from the pool workers, cache hit rate, task
-     lifecycle.  See DESIGN.md section 10. *)
-  Printf.fprintf oc "  \"obs_report\": %s,\n" (Ub_obs.Obs.report_json ());
-  (match vs with
-  | Some j ->
-    Printf.fprintf oc "  \"vs_baseline\": %s,\n" j;
-    Printf.fprintf oc "  \"baseline_summary\": %s,\n" (json_of_summary (summarize base))
-  | None -> ());
-  output_string oc "  \"queries\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "    %s%s\n" (json_of_record r)
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  output_string oc "  ]\n}\n";
-  close_out oc;
+  (* [obs_report] is the aggregated telemetry for this run: per-query
+     solver counters absorbed back from the pool workers, cache hit
+     rate, task lifecycle.  See DESIGN.md section 10. *)
+  Json.to_file out
+    (Json.Obj
+       ([ ("schema", Json.Str "ubc-solver-bench-v1");
+          ("conflict_budget", Json.int conflict_budget);
+          ("summary", summary_json s);
+          ("obs_report", Ub_obs.Obs.report ()) ]
+       @ (match vs with
+         | Some j -> [ ("vs_baseline", j); ("baseline_summary", summary_json (summarize base)) ]
+         | None -> [])
+       @ [ ("queries", Json.List (List.map record_json records)) ]));
   Printf.printf "wrote %s\n" out;
   (match vs with
-  | Some j -> Printf.printf "vs baseline: %s\n" j
+  | Some j -> Printf.printf "vs baseline: %s\n" (Json.to_string j)
   | None -> Printf.printf "(no baseline at %s; speedup not computed)\n" baseline);
   Format.printf "%a@." Ub_exec.Pool.pp_stats pool;
   let budget_ok =

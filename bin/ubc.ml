@@ -126,6 +126,16 @@ let with_trace trace k =
         Ub_obs.Obs.write_report (f ^ ".report.json"))
       k
 
+(* The daemon answers [error] to a deadline outside (0, max] seconds;
+   refuse it here before anything starts. *)
+let check_deadline cmd = function
+  | Some s when not (Ub_serve.Wire.valid_deadline s) ->
+    raise
+      (Usage
+         (Printf.sprintf "%s: --deadline must be in (0, %g] seconds" cmd
+            Ub_serve.Wire.max_deadline_s))
+  | _ -> ()
+
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 let mode_arg =
   Arg.(value & opt mode_conv Ub_sem.Mode.proposed & info [ "mode" ] ~docv:"MODE"
@@ -368,24 +378,16 @@ let reduce_cmd =
         (Ub_refine.Checker.verdict_to_string (Ub_refine.Checker.check mode ~src ~tgt));
       1
     | Some r ->
-      let header =
-        Printf.sprintf "; minimized counterexample\n; mode: %s\n; %s\n; verdict: %s\n\n"
-          mode.Ub_sem.Mode.name
-          (Format.asprintf "%a" Ub_shrink.Reduce.pp_stats r.Ub_refine.Reduce.stats)
-          (Ub_refine.Checker.verdict_to_string r.Ub_refine.Reduce.verdict)
-      in
       let text =
-        Printer.func_to_string { r.Ub_refine.Reduce.red_src with Func.name = "src" }
-        ^ "\n"
-        ^ Printer.func_to_string { r.Ub_refine.Reduce.red_tgt with Func.name = "tgt" }
+        Printer.witness_to_string
+          ~header:
+            [ "minimized counterexample"; "mode: " ^ mode.Ub_sem.Mode.name;
+              Format.asprintf "%a" Ub_shrink.Reduce.pp_stats r.Ub_refine.Reduce.stats;
+              "verdict: " ^ Ub_refine.Checker.verdict_to_string r.Ub_refine.Reduce.verdict ]
+          ~tgt:r.Ub_refine.Reduce.red_tgt r.Ub_refine.Reduce.red_src
       in
-      print_string (header ^ text);
-      (match out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (header ^ text);
-        close_out oc);
+      print_string text;
+      Option.iter (fun path -> Out_channel.with_open_text path (fun oc -> output_string oc text)) out;
       0
   in
   Cmd.v
@@ -447,6 +449,7 @@ let serve_cmd =
     if jobs < 1 then raise (Usage "serve: --jobs must be >= 1");
     if queue < 1 then raise (Usage "serve: --queue must be >= 1");
     if batch < 1 then raise (Usage "serve: --batch must be >= 1");
+    check_deadline "serve" deadline;
     register_cleanup socket;
     let cache = Option.map Ub_exec.Cache.open_journal cache_dir in
     let cfg =
@@ -527,6 +530,7 @@ let submit_cmd =
   in
   let run socket mode deadline count enum stats shutdown files =
     guard @@ fun () ->
+    check_deadline "submit" deadline;
     let with_client f = Ub_serve.Client.with_conn ~socket_path:socket f in
     if stats then begin
       with_client (fun cl ->
@@ -663,6 +667,7 @@ let hunt_cmd =
     if programs < 1 then raise (Usage "hunt: --programs must be >= 1");
     if jobs < 1 then raise (Usage "hunt: --jobs must be >= 1");
     if batch < 1 then raise (Usage "hunt: --batch must be >= 1");
+    check_deadline "hunt" deadline;
     let remote =
       Option.map
         (fun s ->
@@ -730,16 +735,9 @@ let hunt_cmd =
     (match out with
     | None -> ()
     | Some path ->
-      let json =
-        Ub_serve.Json.Obj
-          (List.map
-             (fun (name, _, rep) -> (name, Ub_hunt.Hunt.report_json rep))
-             results)
-      in
-      let oc = open_out path in
-      output_string oc (Ub_serve.Json.to_string json);
-      output_string oc "\n";
-      close_out oc;
+      Ub_obs.Json.to_file path
+        (Ub_obs.Json.Obj
+           (List.map (fun (name, _, rep) -> (name, Ub_hunt.Hunt.report_json rep)) results));
       Printf.printf "wrote %s\n" path);
     let missed =
       List.filter (fun (_, must, r) -> must && r.Ub_hunt.Hunt.r_unique = 0) results

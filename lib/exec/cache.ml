@@ -41,11 +41,7 @@ type t = {
   mutable stores : int;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let mkdir_p = Ub_support.Util.mkdir_p
 
 (* Canonical key: length-prefixed concatenation (a la netstrings) of the
    components, hashed.  The length prefix is what makes the key

@@ -75,13 +75,13 @@ let run_task ?timeout_s f x : _ result =
                end))
       in
       let t0 = Obs.Clock.now_s () in
-      (* setitimer returns the previous timer: if a caller (an enclosing
-         run_task) had a deadline running, remember it so we can re-arm
-         what is left of it on the way out.  Blindly zeroing the timer
-         here used to cancel the outer task's timeout for good. *)
-      let old_timer =
-        Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.0; it_value = s }
-      in
+      (* If a caller (an enclosing run_task) had a deadline running,
+         remember it so we can re-arm what is left of it on the way out.
+         Blindly zeroing the timer here used to cancel the outer task's
+         timeout for good.  Our own timer is armed inside the envelope:
+         a value the kernel refuses (EINVAL) makes this task [Crashed]
+         and still restores the handler. *)
+      let old_timer = Unix.getitimer Unix.ITIMER_REAL in
       Fun.protect
         ~finally:(fun () ->
           set_timer 0.0;
@@ -93,6 +93,7 @@ let run_task ?timeout_s f x : _ result =
           end)
         (fun () ->
           try
+            set_timer s;
             live := true;
             if !fired then raise Task_timeout;
             let v = f x in

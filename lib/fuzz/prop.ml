@@ -123,16 +123,10 @@ let shrink_failure (arb : 'a arbitrary) (prop : 'a -> bool) (x0 : 'a) (err0 : st
   let x, err = go x0 err0 in
   (x, err, !steps)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Corpus files are valid IR with a ';'-comment header, so a persisted
    counterexample can be re-parsed and replayed directly. *)
 let persist ~dir ~prop_name ~seed (f : failure) : string =
-  mkdir_p dir;
+  Util.mkdir_p dir;
   let path = Filename.concat dir (Printf.sprintf "%s-seed%d.cex" prop_name seed) in
   let oc = open_out path in
   Printf.fprintf oc

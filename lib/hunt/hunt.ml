@@ -19,7 +19,7 @@ open Ub_support
 open Ub_ir
 open Ub_sem
 module Obs = Ub_obs.Obs
-module Json = Ub_serve.Json
+module Json = Ub_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Lanes                                                               *)
@@ -573,12 +573,6 @@ let run ?remote (cfg : config) : report =
 (* Triaged corpus                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let sanitize name =
   String.map (fun c -> if c = '/' || c = '[' || c = ']' then '-' else c) name
 
@@ -586,32 +580,34 @@ let sanitize name =
    lexer skips ';' lines), then the pair renamed @src/@tgt so
    `ubc check --mode <mode> <file>` replays it. *)
 let write_corpus ~(dir : string) (r : report) : string list =
-  mkdir_p dir;
+  Util.mkdir_p dir;
   List.map
     (fun (f : finding) ->
       let path =
         Filename.concat dir
           (Printf.sprintf "%s-%s.ll" (sanitize f.f_lane) (String.sub f.fp 0 12))
       in
-      let oc = open_out path in
-      Printf.fprintf oc "; hunt witness %s\n" f.fp;
-      Printf.fprintf oc "; lane: %s\n; mode: %s\n; program: %d (seed-relative)\n"
-        f.f_lane f.f_mode f.f_program;
-      Printf.fprintf oc "; shrink: %d -> %d insns, %d oracle call(s)\n" f.orig_insns
-        f.final_insns f.oracle_calls;
-      Printf.fprintf oc "; verdict: %s\n" f.f_verdict;
-      (match f.f_backend with
-      | Some bug ->
-        (* the witness is the single source function: the "target" is
-           always its own (buggy) compilation *)
-        Printf.fprintf oc "; repro: ubc tv --inject %s %s\n\n" bug path;
-        output_string oc (Printer.func_to_string { f.red_src with Func.name = "src" })
-      | None ->
-        Printf.fprintf oc "; repro: ubc check --mode %s %s\n\n" f.f_mode path;
-        output_string oc (Printer.func_to_string { f.red_src with Func.name = "src" });
-        output_string oc "\n";
-        output_string oc (Printer.func_to_string { f.red_tgt with Func.name = "tgt" }));
-      close_out oc;
+      let header =
+        [ "hunt witness " ^ f.fp; "lane: " ^ f.f_lane; "mode: " ^ f.f_mode;
+          Printf.sprintf "program: %d (seed-relative)" f.f_program;
+          Printf.sprintf "shrink: %d -> %d insns, %d oracle call(s)" f.orig_insns f.final_insns
+            f.oracle_calls;
+          "verdict: " ^ f.f_verdict ]
+      in
+      let text =
+        match f.f_backend with
+        | Some bug ->
+          (* the witness is the single source function: the "target" is
+             always its own (buggy) compilation *)
+          Printer.witness_to_string
+            ~header:(header @ [ Printf.sprintf "repro: ubc tv --inject %s %s" bug path ])
+            f.red_src
+        | None ->
+          Printer.witness_to_string
+            ~header:(header @ [ Printf.sprintf "repro: ubc check --mode %s %s" f.f_mode path ])
+            ~tgt:f.red_tgt f.red_src
+      in
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
       path)
     r.r_uniques
 
@@ -625,24 +621,24 @@ let finding_json (f : finding) : Json.t =
       ("lane", Json.Str f.f_lane);
       ("mode", Json.Str f.f_mode);
       ("backend", (match f.f_backend with Some b -> Json.Str b | None -> Json.Null));
-      ("program", Json.Num (float_of_int f.f_program));
-      ("orig_insns", Json.Num (float_of_int f.orig_insns));
-      ("final_insns", Json.Num (float_of_int f.final_insns));
+      ("program", Json.int f.f_program);
+      ("orig_insns", Json.int f.orig_insns);
+      ("final_insns", Json.int f.final_insns);
       ("verdict", Json.Str f.f_verdict);
     ]
 
 let report_json (r : report) : Json.t =
   Json.Obj
-    [ ("programs", Json.Num (float_of_int r.r_programs));
-      ("completed", Json.Num (float_of_int r.r_completed));
-      ("changed", Json.Num (float_of_int r.r_changed));
-      ("checks", Json.Num (float_of_int r.r_checks));
-      ("unknown", Json.Num (float_of_int r.r_unknown));
-      ("findings", Json.Num (float_of_int r.r_findings));
-      ("unique", Json.Num (float_of_int r.r_unique));
-      ("dropped", Json.Num (float_of_int r.r_dropped));
+    [ ("programs", Json.int r.r_programs);
+      ("completed", Json.int r.r_completed);
+      ("changed", Json.int r.r_changed);
+      ("checks", Json.int r.r_checks);
+      ("unknown", Json.int r.r_unknown);
+      ("findings", Json.int r.r_findings);
+      ("unique", Json.int r.r_unique);
+      ("dropped", Json.int r.r_dropped);
       ( "dropped_detail",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) r.r_dropped_detail)
+        Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) r.r_dropped_detail)
       );
       ("cpu_s", Json.Num r.r_cpu_s);
       ("wall_s", Json.Num r.r_wall_s);

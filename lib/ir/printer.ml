@@ -89,3 +89,12 @@ let pp_module ppf (m : Func.module_) =
 let func_to_string fn = Fmt.str "%a" pp_func fn
 let module_to_string m = Fmt.str "%a" pp_module m
 let insn_to_string i = Fmt.str "%a" pp_insn i
+
+(* A witness file: [header] as ';' comment lines (the lexer skips them),
+   a blank line, then [src] renamed @src and, when given, [tgt] renamed
+   @tgt, so the file reads back as a (source, target) module. *)
+let witness_to_string ~(header : string list) ?tgt (src : Func.t) : string =
+  let named name (f : Func.t) = func_to_string { f with Func.name } in
+  String.concat "" (List.map (fun l -> "; " ^ l ^ "\n") header)
+  ^ "\n" ^ named "src" src
+  ^ match tgt with Some t -> "\n" ^ named "tgt" t | None -> ""

@@ -22,10 +22,11 @@
    everything into a marshal-safe [payload] that the parent [absorb]s
    over its existing result channel.  See lib/exec/pool.ml.
 
-   The run report ([report_json]) is the machine-readable aggregation of
+   The run report ([report]) is the machine-readable aggregation of
    everything above: counters, span totals, histogram summaries, and a
-   few derived rates (cache hit rate).  `bench` embeds it in its JSON
-   output and writes it next to the trace file. *)
+   few derived rates (cache hit rate), as a [Json.t] value.  `bench`
+   embeds it in its JSON output and writes it next to the trace file;
+   the serve daemon returns it in its stats reply. *)
 
 (* ------------------------------------------------------------------ *)
 (* Monotonic clock                                                     *)
@@ -59,44 +60,19 @@ type event = {
   attrs : (string * attr) list;
 }
 
-(* Minimal JSON emission; the only strings we serialize are short
-   telemetry names and verdicts, but escape properly anyway. *)
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let attr_to_json = function
-  | S s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | I i -> string_of_int i
-  | F f ->
-    (* JSON has no nan/inf; clamp to null *)
-    if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
-  | B b -> if b then "true" else "false"
-
+(* One trace line.  [dur_ns] is left out of instantaneous events. *)
 let event_to_json (e : event) : string =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"ev\":\"%s\",\"name\":\"%s\",\"t_ns\":%d" (json_escape e.ev)
-       (json_escape e.name) e.t_ns);
-  if e.dur_ns >= 0 then Buffer.add_string buf (Printf.sprintf ",\"dur_ns\":%d" e.dur_ns);
-  Buffer.add_string buf (Printf.sprintf ",\"depth\":%d" e.depth);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (json_escape k) (attr_to_json v)))
-    e.attrs;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let attr = function
+    | S s -> Json.Str s
+    | I i -> Json.int i
+    | F f -> Json.Num f
+    | B b -> Json.Bool b
+  in
+  Json.to_string
+    (Json.Obj
+       ([ ("ev", Json.Str e.ev); ("name", Json.Str e.name); ("t_ns", Json.int e.t_ns) ]
+       @ (if e.dur_ns >= 0 then [ ("dur_ns", Json.int e.dur_ns) ] else [])
+       @ (("depth", Json.int e.depth) :: List.map (fun (k, v) -> (k, attr v)) e.attrs)))
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
@@ -339,68 +315,47 @@ let sorted_bindings (tbl : (string, 'a) Hashtbl.t) : (string * 'a) list =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let report_json () : string =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"schema\":\"ubc-obs-report-v1\"";
-  (* counters *)
-  Buffer.add_string buf ",\"counters\":{";
-  List.iteri
-    (fun i (k, r) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) !r))
-    (sorted_bindings counters);
-  Buffer.add_char buf '}';
-  (* spans *)
-  Buffer.add_string buf ",\"spans\":{";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"count\":%d,\"total_s\":%.9g,\"max_s\":%.9g}"
-           (json_escape k) s.s_count
-           (float_of_int s.s_total_ns /. 1e9)
-           (float_of_int s.s_max_ns /. 1e9)))
-    (sorted_bindings spans);
-  Buffer.add_char buf '}';
-  (* histograms *)
-  Buffer.add_string buf ",\"histograms\":{";
-  List.iteri
-    (fun i (k, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"sum\":%.9g,\"min\":%.9g,\"max\":%.9g,\"p50\":%.9g,\"p90\":%.9g}"
-           (json_escape k) h.h_count h.h_sum
-           (if h.h_count = 0 then 0.0 else h.h_min)
-           (if h.h_count = 0 then 0.0 else h.h_max)
-           (hist_quantile h 0.5) (hist_quantile h 0.9)))
-    (sorted_bindings hists);
-  Buffer.add_char buf '}';
-  (* derived rates the acceptance criteria care about *)
+let report () : Json.t =
+  let section tbl f = Json.Obj (List.map (fun (k, v) -> (k, f v)) (sorted_bindings tbl)) in
+  let secs ns = Json.Num (float_of_int ns /. 1e9) in
   let hit = counter_value "verdict_cache.hit" and miss = counter_value "verdict_cache.miss" in
   let rate = if hit + miss = 0 then 0.0 else float_of_int hit /. float_of_int (hit + miss) in
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"derived\":{\"verdict_cache_hit_rate\":%.6f,\"verdict_cache_lookups\":%d,\"pool_tasks\":%d,\"pool_crashes\":%d,\"pool_timeouts\":%d,\"hunt_programs\":%d,\"hunt_findings\":%d,\"hunt_unique\":%d,\"hunt_dropped\":%d,\"tv_checked\":%d,\"tv_mir_runs\":%d,\"tv_refined\":%d,\"tv_violations\":%d,\"tv_unsupported\":%d}"
-       rate (hit + miss)
-       (counter_value "pool.task_done" + counter_value "pool.task_crashed"
-       + counter_value "pool.task_timeout")
-       (counter_value "pool.task_crashed")
-       (counter_value "pool.task_timeout")
-       (counter_value "hunt.program")
-       (counter_value "hunt.finding")
-       (counter_value "hunt.unique")
-       (counter_value "hunt.dropped")
-       (counter_value "tv.checked")
-       (counter_value "tv.mir_runs")
-       (counter_value "tv.refined")
-       (counter_value "tv.violations")
-       (counter_value "tv.unsupported"));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [ ("schema", Json.Str "ubc-obs-report-v1");
+      ("counters", section counters (fun r -> Json.int !r));
+      ( "spans",
+        section spans (fun s ->
+            Json.Obj
+              [ ("count", Json.int s.s_count); ("total_s", secs s.s_total_ns);
+                ("max_s", secs s.s_max_ns) ]) );
+      ( "histograms",
+        section hists (fun h ->
+            let seen v = Json.Num (if h.h_count = 0 then 0.0 else v) in
+            Json.Obj
+              [ ("count", Json.int h.h_count); ("sum", Json.Num h.h_sum); ("min", seen h.h_min);
+                ("max", seen h.h_max); ("p50", Json.Num (hist_quantile h 0.5));
+                ("p90", Json.Num (hist_quantile h 0.9)) ]) );
+      (* derived rates the acceptance criteria care about *)
+      ( "derived",
+        Json.Obj
+          (("verdict_cache_hit_rate", Json.Num rate)
+          :: List.map
+               (fun (k, n) -> (k, Json.int n))
+               [ ("verdict_cache_lookups", hit + miss);
+                 ( "pool_tasks",
+                   counter_value "pool.task_done" + counter_value "pool.task_crashed"
+                   + counter_value "pool.task_timeout" );
+                 ("pool_crashes", counter_value "pool.task_crashed");
+                 ("pool_timeouts", counter_value "pool.task_timeout");
+                 ("hunt_programs", counter_value "hunt.program");
+                 ("hunt_findings", counter_value "hunt.finding");
+                 ("hunt_unique", counter_value "hunt.unique");
+                 ("hunt_dropped", counter_value "hunt.dropped");
+                 ("tv_checked", counter_value "tv.checked");
+                 ("tv_mir_runs", counter_value "tv.mir_runs");
+                 ("tv_refined", counter_value "tv.refined");
+                 ("tv_violations", counter_value "tv.violations");
+                 ("tv_unsupported", counter_value "tv.unsupported") ]) );
+    ]
 
-let write_report (path : string) : unit =
-  let oc = open_out path in
-  output_string oc (report_json ());
-  output_char oc '\n';
-  close_out oc
+let write_report (path : string) : unit = Json.to_file path (report ())

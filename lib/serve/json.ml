@@ -1,303 +1,3 @@
-(* A minimal JSON codec for the serve wire protocol.  The container has
-   no JSON library, and the protocol only needs the data model itself --
-   no streaming, no schemas -- so a ~150-line recursive-descent parser
-   beats a dependency.  Numbers are floats (the protocol only carries
-   small counters and second-resolution durations); strings are byte
-   strings with \uXXXX escapes decoded to UTF-8 on the way in and
-   control characters escaped on the way out, matching what
-   [Ub_obs.Obs.json_escape] emits. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-exception Parse_error of string
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let number_to_string (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else if Float.is_finite f then Printf.sprintf "%.17g" f
-  else "null" (* JSON has no nan/inf *)
-
-let rec write buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num f -> Buffer.add_string buf (number_to_string f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    escape_into buf s;
-    Buffer.add_char buf '"'
-  | List xs ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        write buf x)
-      xs;
-    Buffer.add_char buf ']'
-  | Obj kvs ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        escape_into buf k;
-        Buffer.add_string buf "\":";
-        write buf v)
-      kvs;
-    Buffer.add_char buf '}'
-
-let to_string (v : t) : string =
-  let buf = Buffer.create 256 in
-  write buf v;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type state = { s : string; mutable pos : int }
-
-let fail st msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg st.pos))
-
-let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let skip_ws st =
-  while
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      true
-    | _ -> false
-  do
-    ()
-  done
-
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected '%c'" c)
-
-let literal st word value =
-  let n = String.length word in
-  if st.pos + n <= String.length st.s && String.sub st.s st.pos n = word then begin
-    st.pos <- st.pos + n;
-    value
-  end
-  else fail st ("expected " ^ word)
-
-(* Encode a Unicode code point as UTF-8 bytes. *)
-let add_utf8 buf cp =
-  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-  else if cp < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else if cp < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-
-let hex4 st =
-  let v = ref 0 in
-  for _ = 1 to 4 do
-    let d =
-      match peek st with
-      | Some ('0' .. '9' as c) -> Char.code c - Char.code '0'
-      | Some ('a' .. 'f' as c) -> Char.code c - Char.code 'a' + 10
-      | Some ('A' .. 'F' as c) -> Char.code c - Char.code 'A' + 10
-      | _ -> fail st "bad \\u escape"
-    in
-    advance st;
-    v := (!v * 16) + d
-  done;
-  !v
-
-let parse_string st : string =
-  expect st '"';
-  let buf = Buffer.create 32 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-      | Some '"' -> advance st; Buffer.add_char buf '"'
-      | Some '\\' -> advance st; Buffer.add_char buf '\\'
-      | Some '/' -> advance st; Buffer.add_char buf '/'
-      | Some 'b' -> advance st; Buffer.add_char buf '\b'
-      | Some 'f' -> advance st; Buffer.add_char buf '\012'
-      | Some 'n' -> advance st; Buffer.add_char buf '\n'
-      | Some 'r' -> advance st; Buffer.add_char buf '\r'
-      | Some 't' -> advance st; Buffer.add_char buf '\t'
-      | Some 'u' ->
-        advance st;
-        let cp = hex4 st in
-        (* surrogate pair: a high surrogate must be followed by \uDC00-\uDFFF *)
-        let cp =
-          if cp >= 0xD800 && cp <= 0xDBFF then begin
-            if peek st = Some '\\' then begin
-              advance st;
-              expect st 'u';
-              let lo = hex4 st in
-              if lo >= 0xDC00 && lo <= 0xDFFF then
-                0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-              else fail st "unpaired surrogate"
-            end
-            else fail st "unpaired surrogate"
-          end
-          else cp
-        in
-        add_utf8 buf cp
-      | _ -> fail st "bad escape");
-      loop ()
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let parse_number st : float =
-  let start = st.pos in
-  let consume pred =
-    while (match peek st with Some c -> pred c | None -> false) do
-      advance st
-    done
-  in
-  if peek st = Some '-' then advance st;
-  consume (function '0' .. '9' -> true | _ -> false);
-  if peek st = Some '.' then begin
-    advance st;
-    consume (function '0' .. '9' -> true | _ -> false)
-  end;
-  (match peek st with
-  | Some ('e' | 'E') ->
-    advance st;
-    (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-    consume (function '0' .. '9' -> true | _ -> false)
-  | _ -> ());
-  let text = String.sub st.s start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> f
-  | None -> fail st ("bad number " ^ text)
-
-let rec parse_value st : t =
-  skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '{' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some '}' then begin
-      advance st;
-      Obj []
-    end
-    else begin
-      let rec members acc =
-        skip_ws st;
-        let k = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          members ((k, v) :: acc)
-        | Some '}' ->
-          advance st;
-          List.rev ((k, v) :: acc)
-        | _ -> fail st "expected ',' or '}'"
-      in
-      Obj (members [])
-    end
-  | Some '[' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some ']' then begin
-      advance st;
-      List []
-    end
-    else begin
-      let rec elements acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          elements (v :: acc)
-        | Some ']' ->
-          advance st;
-          List.rev (v :: acc)
-        | _ -> fail st "expected ',' or ']'"
-      in
-      List (elements [])
-    end
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> Num (parse_number st)
-  | Some c -> fail st (Printf.sprintf "unexpected '%c'" c)
-
-let of_string (s : string) : (t, string) result =
-  let st = { s; pos = 0 } in
-  match
-    let v = parse_value st in
-    skip_ws st;
-    if st.pos <> String.length s then fail st "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Accessors (all total: Error-free lookup helpers for decoders)       *)
-(* ------------------------------------------------------------------ *)
-
-let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-
-let to_str = function Str s -> Some s | _ -> None
-let to_num = function Num f -> Some f | _ -> None
-let to_int = function Num f when Float.is_integer f -> Some (int_of_float f) | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function List xs -> Some xs | _ -> None
-
-let str_field j k = Option.bind (member k j) to_str
-let num_field j k = Option.bind (member k j) to_num
-let int_field j k = Option.bind (member k j) to_int
-let bool_field j k = Option.bind (member k j) to_bool
+(* The JSON codec is lib/obs/json.ml; [Ub_serve.Json] stays as an alias
+   of it for the code that names it here. *)
+include Ub_obs.Json

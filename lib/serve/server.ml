@@ -369,9 +369,6 @@ let enqueue_check (st : state) (c : conn) ~(id : int option) ~(mode : Ub_sem.Mod
   end
 
 let stats_reply (st : state) : Wire.reply =
-  let report =
-    match Json.of_string (Obs.report_json ()) with Ok j -> j | Error _ -> Json.Obj []
-  in
   let verdicts =
     List.filter_map
       (fun k ->
@@ -398,7 +395,7 @@ let stats_reply (st : state) : Wire.reply =
       cache_misses = (match st.cfg.cache with Some c -> Ub_exec.Cache.misses c | None -> 0);
       server = st.cfg.server_name;
       verdicts;
-      report;
+      report = Obs.report ();
     }
 
 let parse_one_func (text : string) : (Func.t, string) result =
@@ -467,13 +464,13 @@ let handle_payload (st : state) (c : conn) (payload : string) : unit =
   let parsed =
     Obs.with_span "serve.parse" @@ fun () ->
     match Json.of_string payload with
-    | Error e -> Error ("invalid JSON: " ^ e)
-    | Ok j -> Wire.request_of_json j
+    | Error e -> Error (None, "invalid JSON: " ^ e)
+    | Ok j -> Result.map_error (fun e -> (Json.int_field j "id", e)) (Wire.request_of_json j)
   in
   match parsed with
-  | Error e ->
+  | Error (r_id, message) ->
     Obs.count "serve.bad_request";
-    send st c (Wire.Error_r { r_id = None; message = e })
+    send st c (Wire.Error_r { r_id; message })
   | Ok req -> Obs.with_span "serve.dispatch" (fun () -> handle_request st c req)
 
 (* Extract as many complete frames as [c.pending] holds. *)

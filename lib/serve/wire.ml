@@ -26,6 +26,12 @@
 let version = 1
 let max_frame_bytes = 8 * 1024 * 1024
 
+(* A deadline is a number of seconds in (0, max_deadline_s].  The timer
+   behind it refuses negative and huge values, and 0 would disarm it;
+   NaN and the infinities fail both comparisons. *)
+let max_deadline_s = 86400.0
+let valid_deadline s = s > 0.0 && s <= max_deadline_s
+
 (* ------------------------------------------------------------------ *)
 (* Protocol types                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -93,7 +99,7 @@ type reply =
 (* ------------------------------------------------------------------ *)
 
 let opt_id_field id rest =
-  match id with None -> rest | Some i -> ("id", Json.Num (float_of_int i)) :: rest
+  match id with None -> rest | Some i -> ("id", Json.int i) :: rest
 
 let opt_deadline_field d rest =
   match d with None -> rest | Some s -> ("deadline_s", Json.Num s) :: rest
@@ -107,7 +113,7 @@ let check_fields ~op (c : check_req) : (string * Json.t) list =
 let request_to_json : request -> Json.t = function
   | Hello { v; client } ->
     Json.Obj
-      [ ("op", Json.Str "hello"); ("v", Json.Num (float_of_int v)); ("client", Json.Str client) ]
+      [ ("op", Json.Str "hello"); ("v", Json.int v); ("client", Json.Str client) ]
   | Check c -> Json.Obj (check_fields ~op:"check" c)
   | Enum_check c -> Json.Obj (check_fields ~op:"enum_check" c)
   | Check_pair { id; mode; module_text; deadline_s } ->
@@ -122,9 +128,9 @@ let request_to_json : request -> Json.t = function
 let reply_to_json : reply -> Json.t = function
   | Hello_ok { v; server; jobs; queue_limit } ->
     Json.Obj
-      [ ("op", Json.Str "hello_ok"); ("v", Json.Num (float_of_int v));
-        ("server", Json.Str server); ("jobs", Json.Num (float_of_int jobs));
-        ("queue_limit", Json.Num (float_of_int queue_limit)) ]
+      [ ("op", Json.Str "hello_ok"); ("v", Json.int v);
+        ("server", Json.Str server); ("jobs", Json.int jobs);
+        ("queue_limit", Json.int queue_limit) ]
   | Verdict r ->
     Json.Obj
       (("op", Json.Str "verdict")
@@ -137,23 +143,23 @@ let reply_to_json : reply -> Json.t = function
     Json.Obj
       (("op", Json.Str "overloaded")
       :: opt_id_field r_id
-           [ ("queue_depth", Json.Num (float_of_int queue_depth));
-             ("queue_limit", Json.Num (float_of_int queue_limit)) ])
+           [ ("queue_depth", Json.int queue_depth);
+             ("queue_limit", Json.int queue_limit) ])
   | Stats_r s ->
     Json.Obj
       [ ("op", Json.Str "stats");
-        ("queue_depth", Json.Num (float_of_int s.queue_depth));
-        ("queue_limit", Json.Num (float_of_int s.queue_limit));
+        ("queue_depth", Json.int s.queue_depth);
+        ("queue_limit", Json.int s.queue_limit);
         ("uptime_s", Json.Num s.uptime_s);
-        ("served", Json.Num (float_of_int s.served));
-        ("coalesced", Json.Num (float_of_int s.coalesced_total));
-        ("rejected", Json.Num (float_of_int s.rejected));
-        ("timeouts", Json.Num (float_of_int s.timeouts));
+        ("served", Json.int s.served);
+        ("coalesced", Json.int s.coalesced_total);
+        ("rejected", Json.int s.rejected);
+        ("timeouts", Json.int s.timeouts);
         ("cache_hit_rate", Json.Num s.cache_hit_rate);
-        ("cache_hits", Json.Num (float_of_int s.cache_hits));
-        ("cache_misses", Json.Num (float_of_int s.cache_misses));
+        ("cache_hits", Json.int s.cache_hits);
+        ("cache_misses", Json.int s.cache_misses);
         ("server", Json.Str s.server);
-        ("verdicts", Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) s.verdicts));
+        ("verdicts", Json.Obj (List.map (fun (k, n) -> (k, Json.int n)) s.verdicts));
         ("report", s.report);
       ]
   | Error_r { r_id; message } ->
@@ -168,18 +174,20 @@ let required what = function Some v -> Ok v | None -> Error ("missing field " ^ 
 
 let ( let* ) = Result.bind
 
+let decode_deadline (j : Json.t) : (float option, string) result =
+  match Json.member "deadline_s" j with
+  | None -> Ok None
+  | Some v -> (
+    match Json.to_num v with
+    | Some s when valid_deadline s -> Ok (Some s)
+    | _ -> Error (Printf.sprintf "deadline_s must be a number of seconds in (0, %g]" max_deadline_s))
+
 let decode_check (j : Json.t) : (check_req, string) result =
   let* mode = required "mode" (Json.str_field j "mode") in
   let* src = required "src" (Json.str_field j "src") in
   let* tgt = required "tgt" (Json.str_field j "tgt") in
-  Ok
-    { id = Json.int_field j "id";
-      mode;
-      src;
-      tgt;
-      deadline_s = Json.num_field j "deadline_s";
-      enum_only = false;
-    }
+  let* deadline_s = decode_deadline j in
+  Ok { id = Json.int_field j "id"; mode; src; tgt; deadline_s; enum_only = false }
 
 let request_of_json (j : Json.t) : (request, string) result =
   match Json.str_field j "op" with
@@ -196,13 +204,8 @@ let request_of_json (j : Json.t) : (request, string) result =
   | Some "check_pair" ->
     let* mode = required "mode" (Json.str_field j "mode") in
     let* module_text = required "module" (Json.str_field j "module") in
-    Ok
-      (Check_pair
-         { id = Json.int_field j "id";
-           mode;
-           module_text;
-           deadline_s = Json.num_field j "deadline_s";
-         })
+    let* deadline_s = decode_deadline j in
+    Ok (Check_pair { id = Json.int_field j "id"; mode; module_text; deadline_s })
   | Some "stats" -> Ok Stats
   | Some "shutdown" -> Ok Shutdown
   | Some op -> Error ("unknown op " ^ op)

@@ -63,3 +63,10 @@ let with_timer f =
 let pp_pct ppf p = Fmt.pf ppf "%+.2f%%" p
 
 let pp_list pp_elt ppf xs = Fmt.(list ~sep:(any ", ") pp_elt) ppf xs
+
+(* [mkdir -p]: create [dir] and every missing parent. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end

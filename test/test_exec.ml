@@ -111,6 +111,20 @@ let pool_tests =
           | Pool.Done _ | Pool.Timed_out -> ()
           | Pool.Crashed m -> Alcotest.failf "crashed: %s" m
         done);
+    Alcotest.test_case "a timeout the kernel refuses crashes only its task" `Quick (fun () ->
+        let before = Sys.signal Sys.sigalrm Sys.Signal_default in
+        Sys.set_signal Sys.sigalrm before;
+        List.iter
+          (fun s ->
+            match Pool.run_task ~timeout_s:s (fun x -> x) 1 with
+            | Pool.Crashed _ -> ()
+            | _ -> Alcotest.failf "timeout %g must crash the task" s)
+          [ -1.0; 1e300 ];
+        Alcotest.(check bool) "SIGALRM handler restored" true
+          (Sys.signal Sys.sigalrm before == before);
+        match Pool.run_task ~timeout_s:0.05 Unix.sleepf 5.0 with
+        | Pool.Timed_out -> ()
+        | _ -> Alcotest.fail "a valid timeout still fires");
     Alcotest.test_case "stats account for every task" `Quick (fun () ->
         let rs, stats = Pool.map_stats ~jobs:3 (fun x -> x) int_results in
         Alcotest.(check int) "task_count" (Array.length int_results) stats.Pool.task_count;

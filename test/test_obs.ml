@@ -4,6 +4,26 @@
    stays cheap. *)
 
 module Obs = Ub_obs.Obs
+module Json = Ub_obs.Json
+
+let parse text =
+  match Json.of_string text with Ok j -> j | Error e -> Alcotest.failf "bad JSON %S: %s" text e
+
+(* [path] is a list of object keys from the root. *)
+let rec field j = function
+  | [] -> j
+  | k :: rest -> (
+    match Json.member k j with Some v -> field v rest | None -> Alcotest.failf "no field %s" k)
+
+let int_at j path =
+  match Json.to_int (field j path) with
+  | Some n -> n
+  | None -> Alcotest.failf "%s is not an integer" (String.concat "." path)
+
+let num_at j path = Option.get (Json.to_num (field j path))
+
+(* The run report as a reader of the file sees it: printed, then parsed. *)
+let printed_report () = parse (Json.to_string (Obs.report ()))
 
 let with_clean_registry f =
   Obs.reset ();
@@ -44,14 +64,7 @@ let test_span_aggregation () =
   for _ = 1 to 5 do
     Obs.with_span "agg" (fun () -> ())
   done;
-  let json = Obs.report_json () in
-  (* count appears in the aggregated report *)
-  let has sub =
-    let n = String.length sub and m = String.length json in
-    let rec go i = i + n <= m && (String.sub json i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "span in report" true (has "\"agg\":{\"count\":5")
+  Alcotest.(check int) "span in report" 5 (int_at (printed_report ()) [ "spans"; "agg"; "count" ])
 
 let test_span_survives_raise () =
   with_clean_registry @@ fun () ->
@@ -81,28 +94,15 @@ let test_counters () =
 let test_histograms () =
   with_clean_registry @@ fun () ->
   List.iter (Obs.observe "h") [ 1.0; 2.0; 4.0; 8.0; 1024.0 ];
-  let json = Obs.report_json () in
-  let has sub =
-    let n = String.length sub and m = String.length json in
-    let rec go i = i + n <= m && (String.sub json i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "count=5" true (has "\"count\":5");
-  Alcotest.(check bool) "sum" true (has "\"sum\":1039");
-  Alcotest.(check bool) "min" true (has "\"min\":1");
-  Alcotest.(check bool) "max" true (has "\"max\":1024")
+  let h = field (printed_report ()) [ "histograms"; "h" ] in
+  Alcotest.(check int) "count" 5 (int_at h [ "count" ]);
+  Alcotest.(check (float 0.0)) "sum" 1039.0 (num_at h [ "sum" ]);
+  Alcotest.(check (float 0.0)) "min" 1.0 (num_at h [ "min" ]);
+  Alcotest.(check (float 0.0)) "max" 1024.0 (num_at h [ "max" ])
 
 (* ------------------------------------------------------------------ *)
 (* JSONL round-trip                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* A tiny structural check that every trace line is an object with the
-   required fields — not a full JSON parser, but enough to catch broken
-   escaping or truncated lines. *)
-let looks_like_json_object line =
-  String.length line > 2
-  && line.[0] = '{'
-  && line.[String.length line - 1] = '}'
 
 let test_jsonl_roundtrip () =
   with_clean_registry @@ fun () ->
@@ -121,21 +121,29 @@ let test_jsonl_roundtrip () =
    with End_of_file -> close_in ic);
   let lines = List.rev !lines in
   Alcotest.(check int) "two trace lines" 2 (List.length lines);
-  List.iter
-    (fun l -> Alcotest.(check bool) ("object: " ^ l) true (looks_like_json_object l))
-    lines;
-  let has sub l =
-    let n = String.length sub and m = String.length l in
-    let rec go i = i + n <= m && (String.sub l i n = sub || go (i + 1)) in
-    go 0
+  let span = parse (List.nth lines 0) and event = parse (List.nth lines 1) in
+  let str j k = Json.str_field j k in
+  Alcotest.(check (option string)) "span kind" (Some "span") (str span "ev");
+  Alcotest.(check (option string)) "escaped attr" (Some "weird \"name\"\n") (str span "mode");
+  Alcotest.(check (option int)) "int attr" (Some 3) (Json.int_field span "n");
+  Alcotest.(check (option string)) "event kind" (Some "event") (str event "ev");
+  Alcotest.(check (option bool)) "bool attr" (Some true) (Json.bool_field event "ok");
+  Alcotest.(check (option (float 0.0))) "float attr" (Some 1.5) (Json.num_field event "x");
+  Alcotest.(check bool) "no dur on events" true (Json.member "dur_ns" event = None)
+
+(* Every byte of a string attr survives print and parse, and the event's
+   integer fields read back as integers, not as rounded floats. *)
+let test_event_roundtrip () =
+  let text = "say \"hi\"\nbell \007 tab\t caf\xc3\xa9 \xe2\x88\x80x" in
+  let e =
+    { Obs.ev = "span"; name = "n"; t_ns = 4_503_599_627_370_497; dur_ns = 42_670; depth = 3;
+      attrs = [ ("s", Obs.S text) ] }
   in
-  let span_line = List.nth lines 0 and event_line = List.nth lines 1 in
-  Alcotest.(check bool) "span kind" true (has "\"ev\":\"span\"" span_line);
-  Alcotest.(check bool) "escaped attr" true (has "weird \\\"name\\\"\\n" span_line);
-  Alcotest.(check bool) "int attr" true (has "\"n\":3" span_line);
-  Alcotest.(check bool) "event kind" true (has "\"ev\":\"event\"" event_line);
-  Alcotest.(check bool) "bool attr" true (has "\"ok\":true" event_line);
-  Alcotest.(check bool) "no dur on events" false (has "dur_ns" event_line)
+  let j = parse (Obs.event_to_json e) in
+  Alcotest.(check (option string)) "string attr" (Some text) (Json.str_field j "s");
+  Alcotest.(check int) "t_ns" e.Obs.t_ns (int_at j [ "t_ns" ]);
+  Alcotest.(check int) "dur_ns" 42_670 (int_at j [ "dur_ns" ]);
+  Alcotest.(check int) "depth" 3 (int_at j [ "depth" ])
 
 (* ------------------------------------------------------------------ *)
 (* drain/absorb (the fork-forwarding path, without the fork)           *)
@@ -159,14 +167,10 @@ let test_drain_absorb () =
   Obs.absorb p ~attrs:[ ("shard", Obs.I 7) ];
   Alcotest.(check int) "counters folded in" 4 (Obs.counter_value "pool.task_done");
   Alcotest.(check int) "event counts folded in" 1 (Obs.counter_value "tick");
-  let json = Obs.report_json () in
-  let has sub =
-    let n = String.length sub and m = String.length json in
-    let rec go i = i + n <= m && (String.sub json i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "hist merged" true (has "\"lat\":{\"count\":2,\"sum\":10");
-  Alcotest.(check bool) "span merged" true (has "\"work\":{\"count\":1")
+  let r = printed_report () in
+  Alcotest.(check int) "hist merged" 2 (int_at r [ "histograms"; "lat"; "count" ]);
+  Alcotest.(check (float 0.0)) "hist sum merged" 10.0 (num_at r [ "histograms"; "lat"; "sum" ]);
+  Alcotest.(check int) "span merged" 1 (int_at r [ "spans"; "work"; "count" ])
 
 (* ------------------------------------------------------------------ *)
 (* Null-sink overhead smoke                                            *)
@@ -191,14 +195,11 @@ let test_report_parses () =
   with_clean_registry @@ fun () ->
   Obs.count "verdict_cache.hit";
   Obs.count "verdict_cache.miss";
-  let json = Obs.report_json () in
-  let has sub =
-    let n = String.length sub and m = String.length json in
-    let rec go i = i + n <= m && (String.sub json i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "schema tag" true (has "\"schema\":\"ubc-obs-report-v1\"");
-  Alcotest.(check bool) "derived hit rate" true (has "\"verdict_cache_hit_rate\":0.5")
+  let r = printed_report () in
+  Alcotest.(check (option string)) "schema tag" (Some "ubc-obs-report-v1") (Json.str_field r "schema");
+  Alcotest.(check int) "counters are integers" 1 (int_at r [ "counters"; "verdict_cache.hit" ]);
+  Alcotest.(check (float 0.0)) "derived hit rate" 0.5 (num_at r [ "derived"; "verdict_cache_hit_rate" ]);
+  Alcotest.(check int) "derived lookups" 2 (int_at r [ "derived"; "verdict_cache_lookups" ])
 
 let () =
   Alcotest.run "obs"
@@ -212,7 +213,10 @@ let () =
           Alcotest.test_case "histogram summary stats" `Quick test_histograms;
         ] );
       ( "trace",
-        [ Alcotest.test_case "JSONL sink round-trips events" `Quick test_jsonl_roundtrip ] );
+        [ Alcotest.test_case "JSONL sink round-trips events" `Quick test_jsonl_roundtrip;
+          Alcotest.test_case "escaped attrs and integer fields read back unchanged" `Quick
+            test_event_roundtrip;
+        ] );
       ( "forwarding",
         [ Alcotest.test_case "drain/absorb merges child telemetry" `Quick test_drain_absorb ] );
       ( "overhead",

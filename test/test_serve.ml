@@ -39,6 +39,15 @@ let json_tests =
         | Ok (Json.Str s) ->
           Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80" s
         | _ -> Alcotest.fail "surrogate parse failed");
+    Alcotest.test_case "to_int refuses what a float cannot hold exactly" `Quick (fun () ->
+        let id text = Option.bind (Result.to_option (Json.of_string text)) Json.to_int in
+        Alcotest.(check (option int)) "1e300" None (id "1e300");
+        Alcotest.(check (option int)) "2^53 + 1" None (id "9007199254740993");
+        Alcotest.(check (option int)) "-2^53" None (id "-9007199254740992");
+        Alcotest.(check (option int)) "2^53 - 1" (Some 9007199254740991) (id "9007199254740991");
+        Alcotest.(check (option int)) "-2^53 + 1" (Some (-9007199254740991))
+          (id "-9007199254740991");
+        Alcotest.(check (option int)) "fraction" None (id "1.5"));
     Alcotest.test_case "garbage is rejected" `Quick (fun () ->
         let bad = [ "{"; "[1,"; "\"unterminated"; "{} trailing"; "nul"; "+1"; "" ] in
         List.iter
@@ -450,6 +459,21 @@ let server_tests =
             Alcotest.(check bool) "socket removed on drain" false
               (Sys.file_exists socket_path)));
     deadline_miss_test ~jobs:1 "a deadline miss leaves the connection serving";
+    Alcotest.test_case "a jobs=1 daemon answers error to a bad deadline and keeps serving"
+      `Quick (fun () ->
+        with_server (fun socket_path _ ->
+            Client.with_conn ~socket_path (fun cl ->
+                List.iteri
+                  (fun i deadline_s ->
+                    match
+                      Client.check cl ~id:i ~deadline_s ~mode:"proposed" ~src:src_id ~tgt:src_id ()
+                    with
+                    | Wire.Error_r { r_id; _ } ->
+                      Alcotest.(check (option int)) "error echoes the id" (Some i) r_id
+                    | _ -> Alcotest.failf "deadline %g must answer error" deadline_s)
+                  [ -1.0; 0.0; 1e300 ];
+                expect_verdict "still serving" "refines"
+                  (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:src_id ()))));
     deadline_miss_test ~jobs:2 "a deadline miss leaves the connection serving (jobs = 2)";
     Alcotest.test_case "coalescing fans one verdict out to every waiter" `Quick (fun () ->
         with_server (fun socket_path _ ->
