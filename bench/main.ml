@@ -481,8 +481,11 @@ exit:
   in
   let cycles p fn =
     let c = Ub_backend.Compile.compile_func fn in
-    let r = Interp.run fn [ Value.of_int ~width:32 500; Value.of_int ~width:64 0 ] in
-    Ub_backend.Compile.simulate_cycles p c ~profile:r.Interp.block_counts
+    let counts, _ =
+      Interp.profile ~module_:{ Func.funcs = [ fn ] } fn
+        [ Value.of_int ~width:32 500; Value.of_int ~width:64 0 ]
+    in
+    Ub_backend.Compile.simulate_cycles p c ~profile:(List.map (fun ((_, l), n) -> (l, n)) counts)
   in
   List.iter
     (fun p ->

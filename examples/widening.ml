@@ -42,9 +42,12 @@ let () =
   (* cost: simulated cycles per machine *)
   let cycles fn =
     let c = Ub_backend.Compile.compile_func fn in
-    let r = Interp.run fn [ Value.of_int ~width:32 100; Value.of_int ~width:64 0 ] in
+    let counts, _ =
+      Interp.profile ~module_:{ Func.funcs = [ fn ] } fn
+        [ Value.of_int ~width:32 100; Value.of_int ~width:64 0 ]
+    in
     Ub_backend.Compile.simulate_cycles Ub_backend.Target.machine1 c
-      ~profile:r.Interp.block_counts
+      ~profile:(List.map (fun ((_, l), n) -> (l, n)) counts)
   in
   let before = cycles src and after = cycles widened in
   Printf.printf "simulated cycles: %.0f -> %.0f  (%.1f%% faster; the paper reports up to 39%%)\n"

@@ -88,6 +88,45 @@ let outcome_to_string = function
 
 type run_result = { outcome : outcome; mem_fp : string; steps : int }
 
+(* A block's instructions, and for each [Jmp]/[Jcc] among them the index
+   of the target block (-1 when no block has that label: the jump raises
+   [Unsupported] only when taken). *)
+type code = { insts : Mir.inst array; targets : int array }
+
+(* A function resolved once for runs in one form: blocks are array
+   indices and every jump names its target block. *)
+type prepared = {
+  func : Mir.func;
+  form : form;
+  reg_index : Mir.reg -> int;
+  code : code array; (* in block order; the entry block first *)
+}
+
+let prepare ~(form : form) (f : Mir.func) : prepared =
+  let index = Hashtbl.create 16 in
+  (* a label names the last block that carries it *)
+  List.iteri (fun i (b : Mir.block) -> Hashtbl.replace index b.Mir.mlabel i) f.Mir.blocks;
+  let target = function
+    | Mir.Jmp l | Mir.Jcc (_, l) -> Option.value ~default:(-1) (Hashtbl.find_opt index l)
+    | _ -> -1
+  in
+  let code (b : Mir.block) =
+    let insts = Array.of_list b.Mir.insts in
+    { insts; targets = Array.map target insts }
+  in
+  let reg_index =
+    match form with
+    | Virtual -> (
+      function
+      | Mir.Vreg v -> v
+      | Mir.Preg _ -> raise (Unsupported "physical register in virtual form"))
+    | Physical _ -> (
+      function
+      | Mir.Preg p -> p
+      | Mir.Vreg _ -> raise (Unsupported "virtual register in physical form"))
+  in
+  { func = f; form; reg_index; code = Array.of_list (List.map code f.Mir.blocks) }
+
 type state = {
   regs : value array;
   slots : value array;
@@ -96,7 +135,7 @@ type state = {
   oracle : Oracle.t;
   mutable fuel : int;
   reg_index : Mir.reg -> int;
-  blocks : (string, Mir.inst list) Hashtbl.t;
+  code : code array;
 }
 
 let wbits = function Mir.W8 -> 8 | Mir.W16 -> 16 | Mir.W32 -> 32 | Mir.W64 -> 64
@@ -291,21 +330,16 @@ let exec_call st callee (args : Mir.reg list) (res : Mir.reg option) =
   end
   else raise (Unsupported (Printf.sprintf "call to @%s" callee))
 
-let jump st l =
-  match Hashtbl.find_opt st.blocks l with
-  | Some insts -> insts
-  | None -> raise (Unsupported (Printf.sprintf "jump to unknown label %s" l))
-
-let rec step st (insts : Mir.inst list) : Bitvec.t option =
-  match insts with
-  | [] -> raise (Unsupported "fell off the end of a block")
-  | i :: rest ->
+(* Run block code [c] from instruction [pc]. *)
+let rec step st (c : code) pc : Bitvec.t option =
+  if pc >= Array.length c.insts then raise (Unsupported "fell off the end of a block")
+  else begin
     st.fuel <- st.fuel - 1;
     if st.fuel < 0 then raise Out_of_fuel;
-    (match i with
+    (match c.insts.(pc) with
     | Mir.Mov (w, d, src) ->
       write_reg st d w (operand st w src);
-      step st rest
+      step st c (pc + 1)
     | Mir.Bin (k, w, d, src) -> (
       let a = read_reg st d w in
       let b = operand st w src in
@@ -314,16 +348,16 @@ let rec step st (insts : Mir.inst list) : Bitvec.t option =
         let res = Int64.add a b in
         st.flags <- flags_addsub w ~a ~b ~res ~is_sub:false;
         write_reg st d w res;
-        step st rest
+        step st c (pc + 1)
       | Mir.BSub ->
         let res = Int64.sub a b in
         st.flags <- flags_addsub w ~a ~b ~res ~is_sub:true;
         write_reg st d w res;
-        step st rest
+        step st c (pc + 1)
       | Mir.BImul ->
         st.flags <- fundef ();
         write_reg st d w (Int64.mul a b);
-        step st rest
+        step st c (pc + 1)
       | Mir.BAnd | Mir.BOr | Mir.BXor ->
         let res =
           match k with
@@ -333,11 +367,11 @@ let rec step st (insts : Mir.inst list) : Bitvec.t option =
         in
         st.flags <- flags_logic w res;
         write_reg st d w res;
-        step st rest
+        step st c (pc + 1)
       | Mir.BShl | Mir.BShr | Mir.BSar ->
         (* x86 masks the count to the operand size *)
         let count = Int64.to_int (Int64.logand b (if w = Mir.W64 then 63L else 31L)) in
-        if count = 0 then step st rest (* count 0: no flag update, value unchanged *)
+        if count = 0 then step st c (pc + 1) (* count 0: no flag update, value unchanged *)
         else begin
           let res =
             match k with
@@ -347,18 +381,18 @@ let rec step st (insts : Mir.inst list) : Bitvec.t option =
           in
           st.flags <- fundef ();
           write_reg st d w res;
-          step st rest
+          step st c (pc + 1)
         end)
     | Mir.Neg (w, r) ->
       let a = read_reg st r w in
       let res = Int64.neg a in
       st.flags <- flags_addsub w ~a:0L ~b:a ~res ~is_sub:true;
       write_reg st r w res;
-      step st rest
+      step st c (pc + 1)
     | Mir.Not (w, r) ->
       (* NOT does not affect flags *)
       write_reg st r w (Int64.lognot (read_reg st r w));
-      step st rest
+      step st c (pc + 1)
     | Mir.Div { signed; width = w; dst_quot; dst_rem; lhs; rhs } ->
       let a = read_reg st lhs w in
       let b = read_reg st rhs w in
@@ -375,30 +409,30 @@ let rec step st (insts : Mir.inst list) : Bitvec.t option =
       st.flags <- fundef ();
       write_reg st dst_quot w q;
       write_reg st dst_rem w r;
-      step st rest
+      step st c (pc + 1)
     | Mir.Cmp (w, a, b) ->
       let va = read_reg st a w in
       let vb = operand st w b in
       st.flags <- flags_addsub w ~a:va ~b:vb ~res:(Int64.sub va vb) ~is_sub:true;
-      step st rest
+      step st c (pc + 1)
     | Mir.Test (w, a, b) ->
       st.flags <- flags_logic w (Int64.logand (read_reg st a w) (read_reg st b w));
-      step st rest
-    | Mir.Setcc (c, d) ->
-      write_reg st d Mir.W8 (if cond_holds st c then 1L else 0L);
-      step st rest
-    | Mir.Cmov (c, w, d, s) ->
-      if cond_holds st c then write_reg st d w (read_reg st s w)
+      step st c (pc + 1)
+    | Mir.Setcc (cc, d) ->
+      write_reg st d Mir.W8 (if cond_holds st cc then 1L else 0L);
+      step st c (pc + 1)
+    | Mir.Cmov (cc, w, d, s) ->
+      if cond_holds st cc then write_reg st d w (read_reg st s w)
       else if w = Mir.W32 then
         (* a 32-bit cmov zero-extends even when the move is suppressed *)
         write_reg st d w (read_reg st d w);
-      step st rest
+      step st c (pc + 1)
     | Mir.Movsx { dst; src; from_w; to_w } ->
       write_reg st dst to_w (sext64 from_w (read_reg st src from_w));
-      step st rest
+      step st c (pc + 1)
     | Mir.Movzx { dst; src; from_w; to_w } ->
       write_reg st dst to_w (read_reg st src from_w);
-      step st rest
+      step st c (pc + 1)
     | Mir.Lea { dst; addr } ->
       (* LEA computes the full 64-bit address expression, no flags *)
       let base = read_reg64 st addr.Mir.base in
@@ -408,36 +442,42 @@ let rec step st (insts : Mir.inst list) : Bitvec.t option =
         | Some r -> Int64.mul (read_reg64 st r) (Int64.of_int addr.Mir.scale)
       in
       write_reg st dst Mir.W64 (Int64.add (Int64.add base idx) (Int64.of_int addr.Mir.disp));
-      step st rest
+      step st c (pc + 1)
     | Mir.Load (w, d, addr) ->
       let nbytes = wbits w / 8 in
       write_reg st d w (load_concrete st (eff_addr st addr) ~nbytes);
-      step st rest
+      step st c (pc + 1)
     | Mir.Store (w, addr, src) ->
       store_concrete st (eff_addr st addr) (operand st w src) ~nbits:(wbits w);
-      step st rest
+      step st c (pc + 1)
     | Mir.Copy (w, d, s) ->
       (* a copy out of an undef register freezes it: reading resolves *)
       write_reg st d w (read_reg st s w);
-      step st rest
+      step st c (pc + 1)
     | Mir.Undef_def r ->
       st.regs.(st.reg_index r) <- Vundef;
-      step st rest
+      step st c (pc + 1)
     | Mir.Call (callee, args, res) ->
       exec_call st callee args res;
       st.flags <- fundef ();
-      step st rest
+      step st c (pc + 1)
     | Mir.Push _ | Mir.Pop _ -> raise (Unsupported "push/pop")
-    | Mir.Jmp l -> step st (jump st l)
-    | Mir.Jcc (c, l) -> if cond_holds st c then step st (jump st l) else step st rest
+    | Mir.Jmp l -> jump st c pc l
+    | Mir.Jcc (cc, l) -> if cond_holds st cc then jump st c pc l else step st c (pc + 1)
     | Mir.Ret None -> None
     | Mir.Ret (Some r) -> Some (Bitvec.of_int64 ~width:64 (read_reg64 st r))
     | Mir.Spill_store (s, r) ->
       st.slots.(s) <- Concrete (read_reg64 st r);
-      step st rest
+      step st c (pc + 1)
     | Mir.Spill_load (s, r) ->
       st.regs.(st.reg_index r) <- Concrete (resolve_slot st s);
-      step st rest)
+      step st c (pc + 1))
+  end
+
+and jump st (c : code) pc l =
+  let t = c.targets.(pc) in
+  if t < 0 then raise (Unsupported (Printf.sprintf "jump to unknown label %s" l))
+  else step st st.code.(t) 0
 
 (* Seed an argument register/slot from an IR value: concretes are
    zero-extended to the machine word, poison/undef become machine
@@ -448,21 +488,15 @@ let value_of_ir (v : Value.t) : value =
   | Value.Scalar (Value.Poison | Value.Undef) -> Vundef
   | Value.Vector _ -> raise (Unsupported "vector argument")
 
-let run ?(fuel = 50_000) ?(oracle = Oracle.zeros) ?mem ?phase ~(form : form) (f : Mir.func)
+(* One run of a prepared function. *)
+let exec ?(fuel = 50_000) ?(oracle = Oracle.zeros) ?mem ?phase (p : prepared)
     (args : Value.t list) : run_result =
+  let f = p.func in
   let mem = match mem with Some m -> m | None -> Memory.create ?phase () in
-  let nregs, reg_index =
-    match form with
-    | Virtual ->
-      ( max f.Mir.nvregs (List.length args),
-        function
-        | Mir.Vreg v -> v
-        | Mir.Preg _ -> raise (Unsupported "physical register in virtual form") )
-    | Physical _ ->
-      ( Target.num_regs,
-        function
-        | Mir.Preg p -> p
-        | Mir.Vreg _ -> raise (Unsupported "virtual register in physical form") )
+  let nregs =
+    match p.form with
+    | Virtual -> max f.Mir.nvregs (List.length args)
+    | Physical _ -> Target.num_regs
   in
   let st =
     { regs = Array.make (max nregs 1) Vundef;
@@ -471,12 +505,11 @@ let run ?(fuel = 50_000) ?(oracle = Oracle.zeros) ?mem ?phase ~(form : form) (f 
       mem;
       oracle;
       fuel;
-      reg_index;
-      blocks = Hashtbl.create 16;
+      reg_index = p.reg_index;
+      code = p.code;
     }
   in
-  List.iter (fun (b : Mir.block) -> Hashtbl.replace st.blocks b.Mir.mlabel b.Mir.insts) f.Mir.blocks;
-  (match form with
+  (match p.form with
   | Virtual -> List.iteri (fun i v -> st.regs.(i) <- value_of_ir v) args
   | Physical locs ->
     if List.length locs <> List.length args then
@@ -489,30 +522,30 @@ let run ?(fuel = 50_000) ?(oracle = Oracle.zeros) ?mem ?phase ~(form : form) (f 
           if s >= Array.length st.slots then raise (Unsupported "argument slot out of range")
           else st.slots.(s) <- value_of_ir v)
       locs args);
-  let entry =
-    match f.Mir.blocks with
-    | b :: _ -> b.Mir.insts
-    | [] -> raise (Unsupported "function with no blocks")
-  in
+  if Array.length p.code = 0 then raise (Unsupported "function with no blocks");
   let outcome =
-    try Returned (step st entry) with
+    try Returned (step st p.code.(0) 0) with
     | Ub_exn m -> Ub m
     | Out_of_fuel -> Timeout
   in
   { outcome; mem_fp = Memory.fingerprint mem; steps = fuel - st.fuel }
 
-(* All behaviours of [f] on [args] by exhaustive oracle exploration,
-   mirroring [Interp.Behaviors.enumerate].  Outcome plus final-memory
-   fingerprint; MIR has no observable events (external calls are
-   unsupported, intrinsics are silent on both sides). *)
+let run ?fuel ?oracle ?mem ?phase ~(form : form) (f : Mir.func) (args : Value.t list) :
+    run_result =
+  exec ?fuel ?oracle ?mem ?phase (prepare ~form f) args
+
+(* All behaviours of a prepared function on [args] by exhaustive oracle
+   exploration, mirroring [Interp.Behaviors.enumerate].  Outcome plus
+   final-memory fingerprint; MIR has no observable events (external
+   calls are unsupported, intrinsics are silent on both sides). *)
 type behavior = { b_outcome : outcome; b_mem : string }
 
-let enumerate ?(fuel = 50_000) ?(max_runs = 200_000) ?max_width_bits ?phase ~form f args :
+let enumerate ?(fuel = 50_000) ?(max_runs = 200_000) ?max_width_bits ?phase (p : prepared) args :
     behavior list =
   let runs = ref 0 in
   Fun.protect ~finally:(fun () -> Ub_obs.Obs.count ~by:!runs "tv.mir_runs") @@ fun () ->
   List.sort_uniq compare
     (Oracle.explore ?max_width_bits ~max_runs (fun oracle ->
          incr runs;
-         let r = run ~fuel ~oracle ?phase ~form f args in
+         let r = exec ~fuel ~oracle ?phase p args in
          { b_outcome = r.outcome; b_mem = r.mem_fp }))

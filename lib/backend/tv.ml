@@ -102,11 +102,17 @@ let check_func ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000)
   let result =
     try
       prescan fn;
-      let compiled =
-        try Compile.compile_func ?bug fn
-        with Isel.Unsupported r -> raise (Drop ("isel: " ^ r))
+      (* lower once, and resolve both sides once for every input and phase *)
+      let src, tgt =
+        Ub_obs.Obs.with_span "tv.compile" @@ fun () ->
+        let compiled =
+          try Compile.compile_func ?bug fn
+          with Isel.Unsupported r -> raise (Drop ("isel: " ^ r))
+        in
+        ( Interp.prepare ~mode fn,
+          Mir_sem.prepare ~form:(Mir_sem.Physical compiled.Compile.arg_locs)
+            compiled.Compile.mir )
       in
-      let form = Mir_sem.Physical compiled.Compile.arg_locs in
       let tuples =
         match Enum_check.input_space ~mode ~max_inputs fn with
         | Some ts -> ts
@@ -120,7 +126,7 @@ let check_func ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000)
             List.find_map
               (fun phase ->
                 let src_behs =
-                  try Interp.Behaviors.enumerate ~mode ~fuel ~max_runs ~phase fn args
+                  try Interp.Behaviors.enumerate ~fuel ~max_runs ~phase src args
                   with Oracle.Exhausted -> raise (Drop "source behaviour space too large")
                 in
                 if
@@ -129,10 +135,7 @@ let check_func ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000)
                     src_behs
                 then raise (Drop "source timeout");
                 let tgt_behs =
-                  try
-                    Mir_sem.enumerate ~fuel:(20 * fuel) ~max_runs ~phase ~form
-                      compiled.Compile.mir args
-                  with
+                  try Mir_sem.enumerate ~fuel:(20 * fuel) ~max_runs ~phase tgt args with
                   | Oracle.Exhausted -> raise (Drop "target behaviour space too large")
                   | Mir_sem.Unsupported r -> raise (Drop r)
                 in

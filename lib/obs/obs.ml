@@ -351,6 +351,7 @@ let report () : Json.t =
                  ("hunt_findings", counter_value "hunt.finding");
                  ("hunt_unique", counter_value "hunt.unique");
                  ("hunt_dropped", counter_value "hunt.dropped");
+                 ("interp_runs", counter_value "interp.runs");
                  ("tv_checked", counter_value "tv.checked");
                  ("tv_mir_runs", counter_value "tv.mir_runs");
                  ("tv_refined", counter_value "tv.refined");

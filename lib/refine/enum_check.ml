@@ -77,8 +77,11 @@ let behavior_covers (s : Interp.Behaviors.behavior) (t : Interp.Behaviors.behavi
    we only accept a target timeout with a covered event prefix.  Programs
    in the experiments terminate well within fuel. *)
 
-(* All argument tuples for a function over small integer types.  Poison
-   and (mode-dependent) undef are included, as Alive does. *)
+(* All argument tuples for a function over small integer types, or
+   [None] when an argument type is not enumerable or there would be more
+   than [max_inputs] tuples.  Poison and (mode-dependent) undef are
+   included, as Alive does.  The tuples are counted before any is built:
+   four i8 arguments alone make about 4.4e9 of them. *)
 let input_space ~(mode : Mode.t) ~max_inputs (fn : Func.t) : Value.t list list option =
   let arg_values (ty : Types.t) : Value.t list option =
     match ty with
@@ -91,18 +94,31 @@ let input_space ~(mode : Mode.t) ~max_inputs (fn : Func.t) : Value.t list list o
       Some (concs @ extra)
     | _ -> None
   in
-  let rec build = function
-    | [] -> Some [ [] ]
+  let rec values = function
+    | [] -> Some []
     | (_, ty) :: rest -> (
-      match (arg_values ty, build rest) with
-      | Some vs, Some tails ->
-        Some (List.concat_map (fun v -> List.map (fun t -> v :: t) tails) vs)
+      match (arg_values ty, values rest) with
+      | Some vs, Some vss -> Some (vs :: vss)
       | _ -> None)
   in
-  match build fn.args with
-  | Some tuples when List.length tuples <= max_inputs -> Some tuples
-  | Some _ -> None
+  let rec build = function
+    | [] -> [ [] ]
+    | vs :: rest ->
+      let tails = build rest in
+      List.concat_map (fun v -> List.map (fun t -> v :: t) tails) vs
+  in
+  match values fn.args with
   | None -> None
+  | Some per_arg -> (
+    (* n * k <= max_inputs without overflow: every k is at least 1 *)
+    let count =
+      List.fold_left
+        (fun acc vs ->
+          let k = List.length vs in
+          match acc with Some n when n <= max_inputs / k -> Some (n * k) | _ -> None)
+        (Some 1) per_arg
+    in
+    match count with Some n when n <= max_inputs -> Some (build per_arg) | _ -> None)
 
 (* Does the function allocate?  Only allocating programs are sensitive
    to the memory phase, so everything else is checked under the
@@ -148,20 +164,16 @@ let check ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000) ?(max_ru
     | None -> Unknown "input space too large or not enumerable"
     | Some tuples -> (
       let phases = phases_for ~src ~tgt in
+      let src_p = Interp.prepare ~mode ?module_:module_src src in
+      let tgt_p = Interp.prepare ~mode ?module_:module_tgt tgt in
       try
         let bad =
           List.find_map
             (fun args ->
               List.find_map
                 (fun phase ->
-                  let behs_src =
-                    Interp.Behaviors.enumerate ~mode ~fuel ?module_:module_src ~max_runs
-                      ~phase src args
-                  in
-                  let behs_tgt =
-                    Interp.Behaviors.enumerate ~mode ~fuel ?module_:module_tgt ~max_runs
-                      ~phase tgt args
-                  in
+                  let behs_src = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase src_p args in
+                  let behs_tgt = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase tgt_p args in
                   match
                     List.find_opt
                       (fun bt -> not (List.exists (fun bs -> behavior_covers bs bt) behs_src))

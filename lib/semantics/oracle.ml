@@ -53,10 +53,16 @@ module Explorer = struct
      drops everything after it; when no decision can be advanced the
      exploration is complete.
 
-     Domains: a [width]-bit choice has 2^width values (width is capped by
-     [max_width_bits] — wider choices are sampled at 0 and all-ones only,
-     a documented approximation used nowhere in the experiments, which
-     run at small widths); a boolean choice has 2. *)
+     Domains: a [width]-bit choice has 2^width values, and a boolean
+     choice has 2.  A choice wider than [max_width_bits] is sampled at 0
+     and all-ones only, an under-approximation.  The IR side of the
+     experiments runs at small widths and never reaches it.  [Mir_sem]
+     reaches it whenever a run reads an undefined 64-bit register or
+     spill slot: in one traced `perfbench hunt --seed 1` run, all
+     540,481 wide choices were such reads.  Under-enumerating the
+     machine side can miss a violation but never invent one.  Raising
+     [Exhausted] there instead would make every translation validation
+     that reads an undefined register [Unsupported]. *)
 
   type decision = { domain : int; mutable taken : int }
 

@@ -524,6 +524,30 @@ let mir_flag_tests =
           conds);
   ]
 
+(* A read of an undefined 64-bit register or spill slot is a choice
+   wider than the explorer's [max_width_bits], sampled at 0 and all-ones
+   only (oracle.ml).  Pinned so that changing this approximation is a
+   deliberate act: raising [Exhausted] instead would make every TV of a
+   function that reads an undef register [Unsupported]. *)
+let mir_undef_tests =
+  let behaviours insts =
+    let f =
+      { Mir.mname = "undef"; blocks = [ { Mir.mlabel = "entry"; insts } ]; nvregs = 1; nslots = 1 }
+    in
+    List.map
+      (fun (b : Mir_sem.behavior) -> Mir_sem.outcome_to_string b.Mir_sem.b_outcome)
+      (Mir_sem.enumerate (Mir_sem.prepare ~form:Mir_sem.Virtual f) [])
+  in
+  let both = [ "ret 0xffffffffffffffff"; "ret 0x0" ] in
+  [ Alcotest.test_case "returning an undefined register has exactly two behaviours" `Quick
+      (fun () ->
+        Alcotest.(check (list string)) "0 and all-ones" both
+          (behaviours [ Mir.Undef_def (Mir.Vreg 0); Mir.Ret (Some (Mir.Vreg 0)) ]));
+    Alcotest.test_case "so has reloading an unwritten spill slot" `Quick (fun () ->
+        Alcotest.(check (list string)) "0 and all-ones" both
+          (behaviours [ Mir.Spill_load (0, Mir.Vreg 0); Mir.Ret (Some (Mir.Vreg 0)) ]));
+  ]
+
 (* property: compiling the whole corpus succeeds, with no vregs left and
    positive sizes *)
 let corpus_compiles =
@@ -545,6 +569,7 @@ let () =
       ("parallel-move", parallel_move_tests);
       ("tv", tv_tests @ [ shrink_deterministic ]);
       ("mir-flags", mir_flag_tests);
+      ("mir-undef", mir_undef_tests);
       ("cost", cost_tests);
       ("emit", emit_tests);
       ("properties", [ corpus_compiles ]);

@@ -571,9 +571,39 @@ let regression_tests =
           corpus);
   ]
 
+(* [Enum_check.input_space] counts the tuples before it builds any: at
+   257 values per i8 argument (in the proposed mode), three arguments
+   make 17M tuples and four about 4.4e9. *)
+let input_space_tests =
+  let i8s n =
+    f
+      (Printf.sprintf "define i8 @f(%s) {\ne:\n  ret i8 %%a0\n}"
+         (String.concat ", " (List.init n (Printf.sprintf "i8 %%a%d"))))
+  in
+  let space ?(max_inputs = 5_000) fn = Enum_check.input_space ~mode:Mode.proposed ~max_inputs fn in
+  [ Alcotest.test_case "a 3 x i8 space is refused without being built" `Quick (fun () ->
+        let before = Gc.allocated_bytes () in
+        let r = space (i8s 3) in
+        let allocated = Gc.allocated_bytes () -. before in
+        Alcotest.(check bool) "refused" true (r = None);
+        if allocated >= 1_048_576.0 then
+          Alcotest.failf "allocated %.0f bytes to refuse it" allocated);
+    Alcotest.test_case "the bound is inclusive, and tuples keep their order" `Quick (fun () ->
+        let n = 257 * 257 in
+        (match space ~max_inputs:n (i8s 2) with
+        | Some ts ->
+          Alcotest.(check int) "every tuple" n (List.length ts);
+          Alcotest.(check string) "first argument varies slowest" "0, 1"
+            (String.concat ", " (List.map Value.to_string (List.nth ts 1)))
+        | None -> Alcotest.fail "a space of exactly max_inputs must be built");
+        Alcotest.(check bool) "one over" true (space ~max_inputs:(n - 1) (i8s 2) = None);
+        Alcotest.(check bool) "no arguments: one empty tuple" true
+          (space ~max_inputs:1 (i8s 0) = Some [ [] ]));
+  ]
+
 let () =
   Alcotest.run "refine"
     [ ("known-pairs", known_pairs); ("cross-validation", [ checkers_agree ]);
       ("verdict-cache", cache_tests); ("expansion", expansion_tests);
-      ("budget", budget_tests);
+      ("budget", budget_tests); ("input-space", input_space_tests);
       ("regression", regression_tests) ]

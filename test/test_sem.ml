@@ -61,7 +61,8 @@ e:
   %y = add i2 %x, %x
   ret i2 %y
 }|} in
-        let behs = Interp.Behaviors.enumerate ~mode:Mode.old_unswitch fn [ undef ] in
+        let p = Interp.prepare ~mode:Mode.old_unswitch fn in
+        let behs = Interp.Behaviors.enumerate p [ undef ] in
         let values =
           List.filter_map
             (fun b ->
@@ -85,7 +86,8 @@ u:
   ret i8 2
 }|} in
         check_ret "proposed" "UB: branch on poison" (run src [ poison ]);
-        let behs = Interp.Behaviors.enumerate ~mode:Mode.old_unswitch (parse src) [ poison ] in
+        let p = Interp.prepare ~mode:Mode.old_unswitch (parse src) in
+        let behs = Interp.Behaviors.enumerate p [ poison ] in
         Alcotest.(check int) "old-unswitch: both arms" 2 (List.length behs));
     Alcotest.test_case "select semantics per mode" `Quick (fun () ->
         let src = {|define i8 @f(i1 %c, i8 %a, i8 %b) {
@@ -111,7 +113,8 @@ e:
 }|} in
         (* freeze picks once: f - f = 0 on every path *)
         let fn = parse src in
-        let behs = Interp.Behaviors.enumerate ~mode:Mode.proposed ~max_width_bits:8 fn [ poison ] in
+        let p = Interp.prepare ~mode:Mode.proposed fn in
+        let behs = Interp.Behaviors.enumerate ~max_width_bits:8 p [ poison ] in
         List.iter
           (fun b -> check_ret "f-f=0" "ret 0" b.Interp.Behaviors.b_outcome)
           behs);
@@ -233,6 +236,237 @@ let ty_updown_tests =
         Alcotest.(check bool) "conc covers self" true (Value.covers ~src:conc ~tgt:conc));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The prepared form: what resolving a function once must not change.  *)
+(* The pinned values were computed by the interpreter that walked      *)
+(* [Func.t] directly.                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let raises_invalid name expected f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument %S" name expected
+  | exception Invalid_argument m -> Alcotest.(check string) name expected m
+
+let bit b = vi ~w:1 b
+
+let prepared_tests =
+  [ Alcotest.test_case "a missing phi edge raises only on the path taking it" `Quick (fun () ->
+        let src = {|define i8 @f(i1 %c) {
+e:
+  br i1 %c, label %t, label %u
+t:
+  br label %m
+u:
+  br label %m
+m:
+  %x = phi i8 [ 7, %t ]
+  ret i8 %x
+}|} in
+        check_ret "edge from t" "ret 7" (run src [ bit 1 ]);
+        raises_invalid "edge from u" "Interp: phi %x missing edge from %u" (fun () ->
+            run src [ bit 0 ]));
+    Alcotest.test_case "a branch to a missing label raises only when taken" `Quick (fun () ->
+        let src = {|define i8 @f(i1 %c) {
+e:
+  br i1 %c, label %t, label %nowhere
+t:
+  ret i8 1
+}|} in
+        check_ret "taken arm exists" "ret 1" (run src [ bit 1 ]);
+        raises_invalid "missing arm" "Func.find_block: no block %nowhere in @f" (fun () ->
+            run src [ bit 0 ]));
+    Alcotest.test_case "an unbound register raises invalid_arg" `Quick (fun () ->
+        (* %v is defined on one path only; %w nowhere *)
+        let src = {|define i8 @f(i1 %c) {
+e:
+  br i1 %c, label %a, label %b
+a:
+  %v = add i8 1, 2
+  br label %m
+b:
+  br label %m
+m:
+  ret i8 %v
+}|} in
+        check_ret "defined on the path" "ret 3" (run src [ bit 1 ]);
+        raises_invalid "undefined on the path" "Interp: unbound register %v" (fun () ->
+            run src [ bit 0 ]);
+        raises_invalid "defined nowhere" "Interp: unbound register %w" (fun () ->
+            run {|define i8 @f() {
+e:
+  ret i8 %w
+}|} []));
+    Alcotest.test_case "timeout and steps do not move on a fuel-bounded loop" `Quick (fun () ->
+        (* [steps] is the fuel left: each trip spends its two phis
+           together, then one per instruction and one for the branch *)
+        let loop = {|define i8 @f(i8 %n) {
+e:
+  br label %l
+l:
+  %i = phi i8 [ 0, %e ], [ %j, %l ]
+  %k = phi i8 [ 0, %e ], [ %i, %l ]
+  %j = add i8 %i, 1
+  %d = icmp eq i8 %j, %n
+  br i1 %d, label %x, label %l
+x:
+  ret i8 %j
+}|} in
+        let fn = parse loop in
+        let expect name fuel n outcome steps =
+          let r = Interp.run ~fuel fn [ vi n ] in
+          check_ret name outcome r.Interp.outcome;
+          Alcotest.(check int) (name ^ ": steps") steps r.Interp.steps
+        in
+        expect "never matches" 100 0 "timeout" (-1);
+        expect "five trips" 100 5 "ret 5" 73;
+        expect "exactly enough fuel" 27 5 "ret 5" 0;
+        expect "one short" 26 5 "timeout" (-1);
+        expect "out of fuel at a phi pair" 21 5 "timeout" (-2));
+    Alcotest.test_case "enumeration counts its runs as interp.runs" `Quick (fun () ->
+        (* two uses of an undef i2, each an independent 4-way choice *)
+        let fn = parse {|define i2 @f(i2 %x) {
+e:
+  %y = add i2 %x, %x
+  ret i2 %y
+}|} in
+        Ub_obs.Obs.reset ();
+        let p = Interp.prepare ~mode:Mode.old_unswitch fn in
+        let behs = Interp.Behaviors.enumerate p [ undef ] in
+        Alcotest.(check int) "distinct results" 4 (List.length behs);
+        Alcotest.(check int) "runs" 16 (Ub_obs.Obs.counter_value "interp.runs");
+        match Ub_obs.Json.member "derived" (Ub_obs.Obs.report ()) with
+        | Some d ->
+          Alcotest.(check (option int)) "derived interp_runs" (Some 16)
+            (Option.bind (Ub_obs.Json.member "interp_runs" d) Ub_obs.Json.to_int)
+        | None -> Alcotest.fail "report has no derived block");
+    Alcotest.test_case "calls into the module and out of it" `Quick (fun () ->
+        let m =
+          Parser.parse_module
+            {|define i8 @g(i8 %x) {
+e:
+  %y = mul i8 %x, 2
+  %z = add i8 %y, 1
+  ret i8 %z
+}
+
+define i8 @fact(i8 %n) {
+e:
+  %z = icmp eq i8 %n, 0
+  br i1 %z, label %b, label %r
+b:
+  ret i8 1
+r:
+  %m = sub i8 %n, 1
+  %f = call i8 @fact(i8 %m)
+  %p = mul i8 %n, %f
+  ret i8 %p
+}
+
+define i8 @f(i8 %a) {
+e:
+  %u = call i8 @g(i8 %a)
+  %v = call i8 @fact(i8 4)
+  %w = call i8 @ext(i8 %u)
+  %s = add i8 %u, %v
+  %t = add i8 %s, %w
+  ret i8 %t
+}|}
+        in
+        let f = Func.find_func_exn m "f" in
+        let r = Interp.run ~module_:m f [ vi 3 ] in
+        check_ret "g(3) + 4! + ext" "ret 31" r.Interp.outcome;
+        Alcotest.(check (list string)) "only the external call is an event" [ "ext(7)" ]
+          (List.map
+             (fun (Interp.Call_event (n, vs)) ->
+               Printf.sprintf "%s(%s)" n (String.concat "," (List.map Value.to_string vs)))
+             r.Interp.events);
+        Alcotest.(check int) "steps left" 199_964 r.Interp.steps;
+        (* without the module every call is external and returns 0 *)
+        check_ret "no module" "ret 0" (Interp.run f [ vi 3 ]).Interp.outcome);
+  ]
+
+(* Ground truth: the behaviour sets of 300 generated hunt-shaped
+   functions, under every mode and in every memory phase, on every
+   seventh tuple of their input space, and those of their compiled MIR.
+   Each set is printed (outcome, events, memory) and folded into one
+   digest per side.  The pinned digests were computed by the
+   interpreters that walked [Func.t] and rebuilt MIR's label table on
+   every run, so any change to what enumeration returns shows here. *)
+let ground_truth_digests () =
+  let shapes =
+    let d = Ub_fuzz.Gen.default_hunt in
+    [ d; { d with h_cfg = true }; { d with h_mem = true }; { d with h_undef = true };
+      { d with h_cfg = true; h_undef = true; h_mem = true }; { d with h_backend = true } ]
+  in
+  let fns =
+    let rng = Prng.create ~seed:2017 in
+    List.init 300 (fun i ->
+        Ub_fuzz.Gen.hunt_func rng ~name:(Printf.sprintf "g%d" i)
+          (List.nth shapes (i mod List.length shapes)))
+  in
+  let per_input ~mode fn f =
+    match Ub_refine.Enum_check.input_space ~mode ~max_inputs:5_000 fn with
+    | None -> "no inputs\n"
+    | Some tuples ->
+      let b = Buffer.create 4096 in
+      List.iteri
+        (fun i args ->
+          if i mod 7 = 0 then
+            List.iter
+              (fun phase ->
+                Buffer.add_string b (f args phase);
+                Buffer.add_char b '\n')
+              (Ub_refine.Enum_check.phases_for ~src:fn ~tgt:fn))
+        tuples;
+      Buffer.contents b
+  in
+  let digest sets =
+    let all = Buffer.create 4096 in
+    List.iter (fun fn -> Buffer.add_string all (Digest.string (sets fn))) fns;
+    Digest.to_hex (Digest.string (Buffer.contents all))
+  in
+  let show_ir (b : Interp.Behaviors.behavior) =
+    let ev (Interp.Call_event (n, vs)) =
+      n ^ "(" ^ String.concat "," (List.map Value.to_string vs) ^ ")"
+    in
+    String.concat " | "
+      [ Interp.outcome_to_string b.b_outcome; String.concat ";" (List.map ev b.b_events); b.b_mem ]
+  in
+  let ir_sets fn =
+    String.concat ""
+      (List.map
+         (fun mode ->
+           let p = Interp.prepare ~mode fn in
+           per_input ~mode fn (fun args phase ->
+               match Interp.Behaviors.enumerate ~fuel:5_000 ~max_runs:300 ~phase p args with
+               | bs -> String.concat "\n" (List.map show_ir bs)
+               | exception Oracle.Exhausted -> "exhausted"))
+         Mode.all)
+  in
+  let show_mir (b : Ub_backend.Mir_sem.behavior) =
+    Ub_backend.Mir_sem.outcome_to_string b.b_outcome ^ " | " ^ b.b_mem
+  in
+  let mir_sets fn =
+    match Ub_backend.Compile.compile_func fn with
+    | exception e -> "no compile: " ^ Printexc.to_string e
+    | c ->
+      let p =
+        Ub_backend.Mir_sem.prepare ~form:(Ub_backend.Mir_sem.Physical c.arg_locs) c.mir
+      in
+      per_input ~mode:Mode.proposed fn (fun args phase ->
+          match Ub_backend.Mir_sem.enumerate ~fuel:100_000 ~max_runs:300 ~phase p args with
+          | bs -> String.concat "\n" (List.map show_mir bs)
+          | exception Oracle.Exhausted -> "exhausted"
+          | exception Ub_backend.Mir_sem.Unsupported r -> "unsupported: " ^ r)
+  in
+  (digest ir_sets, digest mir_sets)
+
+let ground_truth =
+  Alcotest.test_case "behaviour sets of 300 generated functions" `Quick (fun () ->
+      let ir, mir = ground_truth_digests () in
+      Alcotest.(check string) "IR behaviour sets" "d4aa555ce63cbb8f5676b2ba25681f42" ir;
+      Alcotest.(check string) "MIR behaviour sets" "08b2ccfd0a97a80980a961eee03a82e5" mir)
+
 (* interpreter determinism given an oracle *)
 let determinism =
   QCheck_alcotest.to_alcotest
@@ -252,5 +486,6 @@ let () =
       ("branch-select", branch_select_tests);
       ("memory", memory_tests);
       ("ty-up-down", ty_updown_tests);
+      ("prepared", prepared_tests @ [ ground_truth ]);
       ("properties", [ determinism ]);
     ]

@@ -474,6 +474,16 @@ let server_tests =
                   [ -1.0; 0.0; 1e300 ];
                 expect_verdict "still serving" "refines"
                   (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:src_id ()))));
+    Alcotest.test_case "a jobs=1 daemon answers unknown to a 4 x i8 enum_check and keeps serving"
+      `Quick (fun () ->
+        (* about 4.4e9 input tuples: refused before any is built *)
+        let wide = "define i8 @f(i8 %a, i8 %b, i8 %c, i8 %d) {\ne:\n  ret i8 %a\n}" in
+        with_server (fun socket_path _ ->
+            Client.with_conn ~socket_path (fun cl ->
+                expect_verdict "input space too large" "unknown"
+                  (Client.check cl ~enum_only:true ~mode:"proposed" ~src:wide ~tgt:wide ());
+                expect_verdict "still serving" "refines"
+                  (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:src_id ()))));
     deadline_miss_test ~jobs:2 "a deadline miss leaves the connection serving (jobs = 2)";
     Alcotest.test_case "coalescing fans one verdict out to every waiter" `Quick (fun () ->
         with_server (fun socket_path _ ->
