@@ -91,22 +91,24 @@ let check_func (fn : Func.t) : error list =
       | Var v -> ty_of_var v
       | Const c -> Some (Constant.ty c)
     in
+    (* [ctx] is a thunk: the context text (a printed instruction) is
+       built only when an error is reported *)
     let check_operand ctx expected op =
       match ty_of_operand op with
       | None -> (
         match op with
-        | Var v -> err "@%s: %s: use of undefined register %%%s" fn.name ctx v
+        | Var v -> err "@%s: %s: use of undefined register %%%s" fn.name (ctx ()) v
         | Const _ -> ())
       | Some got ->
         if not (Types.equal got expected) then
-          err "@%s: %s: operand has type %s but %s expected" fn.name ctx (Types.to_string got)
-            (Types.to_string expected)
+          err "@%s: %s: operand has type %s but %s expected" fn.name (ctx ())
+            (Types.to_string got) (Types.to_string expected)
     in
     (* per-block: phis first; terminator targets exist; typing *)
     let preds = Func.predecessors fn in
     List.iter
       (fun (b : Func.block) ->
-        let ctx = Printf.sprintf "block %%%s" b.label in
+        let ctx () = Printf.sprintf "block %%%s" b.label in
         (* phis first *)
         let rec phi_prefix seen_non_phi = function
           | [] -> ()
@@ -119,16 +121,16 @@ let check_func (fn : Func.t) : error list =
         (* instruction-level checks *)
         List.iter
           (fun { def; ins } ->
-            let ictx = Printf.sprintf "%s: %s" ctx (Printer.insn_to_string { def; ins }) in
+            let ictx () = Printf.sprintf "%s: %s" (ctx ()) (Printer.insn_to_string { def; ins }) in
             (match (def, result_ty ins) with
-            | Some _, None -> err "@%s: %s: void instruction has a name" fn.name ictx
-            | None, Some _ -> err "@%s: %s: value-producing instruction unnamed" fn.name ictx
+            | Some _, None -> err "@%s: %s: void instruction has a name" fn.name (ictx ())
+            | None, Some _ -> err "@%s: %s: value-producing instruction unnamed" fn.name (ictx ())
             | _ -> ());
             (match ins with
             | Binop (op, attrs, ty, a, bb) ->
-              if not (attrs_ok op attrs) then err "@%s: %s: bad attributes" fn.name ictx;
+              if not (attrs_ok op attrs) then err "@%s: %s: bad attributes" fn.name (ictx ());
               if not (Types.is_integer (Types.element ty)) then
-                err "@%s: %s: binop on non-integer type" fn.name ictx;
+                err "@%s: %s: binop on non-integer type" fn.name (ictx ());
               check_operand ictx ty a;
               check_operand ictx ty bb
             | Icmp (_, ty, a, bb) ->
@@ -143,27 +145,27 @@ let check_func (fn : Func.t) : error list =
               let fw = Types.bitwidth from and tw = Types.bitwidth to_ in
               (match op with
               | Zext | Sext ->
-                if tw <= fw then err "@%s: %s: %s must widen" fn.name ictx (conv_name op)
-              | Trunc -> if tw >= fw then err "@%s: %s: trunc must narrow" fn.name ictx
+                if tw <= fw then err "@%s: %s: %s must widen" fn.name (ictx ()) (conv_name op)
+              | Trunc -> if tw >= fw then err "@%s: %s: trunc must narrow" fn.name (ictx ())
               | Ptrtoint ->
                 if not (Types.is_pointer (Types.element from)) then
-                  err "@%s: %s: ptrtoint from non-pointer type" fn.name ictx;
+                  err "@%s: %s: ptrtoint from non-pointer type" fn.name (ictx ());
                 if not (Types.is_integer (Types.element to_)) then
-                  err "@%s: %s: ptrtoint to non-integer type" fn.name ictx
+                  err "@%s: %s: ptrtoint to non-integer type" fn.name (ictx ())
               | Inttoptr ->
                 if not (Types.is_integer (Types.element from)) then
-                  err "@%s: %s: inttoptr from non-integer type" fn.name ictx;
+                  err "@%s: %s: inttoptr from non-integer type" fn.name (ictx ());
                 if not (Types.is_pointer (Types.element to_)) then
-                  err "@%s: %s: inttoptr to non-pointer type" fn.name ictx);
+                  err "@%s: %s: inttoptr to non-pointer type" fn.name (ictx ()));
               (match (from, to_) with
               | Types.Vec (n, _), Types.Vec (m, _) when n = m -> ()
               | Types.Vec _, _ | _, Types.Vec _ ->
-                err "@%s: %s: vector/scalar conversion mismatch" fn.name ictx
+                err "@%s: %s: vector/scalar conversion mismatch" fn.name (ictx ())
               | _ -> ())
             | Bitcast (from, x, to_) ->
               check_operand ictx from x;
               if not (Types.bitcast_compatible from to_) then
-                err "@%s: %s: bitcast between types of different widths" fn.name ictx
+                err "@%s: %s: bitcast between types of different widths" fn.name (ictx ())
             | Freeze (ty, x) -> check_operand ictx ty x
             | Phi (ty, incoming) ->
               let my_preds =
@@ -173,12 +175,12 @@ let check_func (fn : Func.t) : error list =
               List.iter
                 (fun p ->
                   if not (List.mem p in_labels) then
-                    err "@%s: %s: phi missing incoming for predecessor %%%s" fn.name ictx p)
+                    err "@%s: %s: phi missing incoming for predecessor %%%s" fn.name (ictx ()) p)
                 my_preds;
               List.iter
                 (fun (v, l) ->
                   if not (List.mem l my_preds) then
-                    err "@%s: %s: phi has incoming for non-predecessor %%%s" fn.name ictx l;
+                    err "@%s: %s: phi has incoming for non-predecessor %%%s" fn.name (ictx ()) l;
                   check_operand ictx ty v)
                 incoming
             | Gep { pointee; base; indices; _ } ->
@@ -186,7 +188,7 @@ let check_func (fn : Func.t) : error list =
               List.iter
                 (fun (t, v) ->
                   if not (Types.is_integer t) then
-                    err "@%s: %s: gep index must be an integer" fn.name ictx;
+                    err "@%s: %s: gep index must be an integer" fn.name (ictx ());
                   check_operand ictx t v)
                 indices
             | Load (ty, p) -> check_operand ictx (Types.Ptr ty) p
@@ -196,12 +198,12 @@ let check_func (fn : Func.t) : error list =
             | Call (_, _, args) -> List.iter (fun (t, v) -> check_operand ictx t v) args
             | Extractelement (vty, v, i) ->
               if not (Types.is_vector vty) then
-                err "@%s: %s: extractelement on non-vector" fn.name ictx;
+                err "@%s: %s: extractelement on non-vector" fn.name (ictx ());
               check_operand ictx vty v;
               check_operand ictx (Types.Int 32) i
             | Insertelement (vty, v, e, i) ->
               if not (Types.is_vector vty) then
-                err "@%s: %s: insertelement on non-vector" fn.name ictx;
+                err "@%s: %s: insertelement on non-vector" fn.name (ictx ());
               check_operand ictx vty v;
               check_operand ictx (Types.element vty) e;
               check_operand ictx (Types.Int 32) i))
@@ -212,17 +214,19 @@ let check_func (fn : Func.t) : error list =
           (match fn.ret_ty with
           | Some rt when Types.equal rt ty -> ()
           | Some rt ->
-            err "@%s: %s: ret type %s but function returns %s" fn.name ctx (Types.to_string ty)
-              (Types.to_string rt)
-          | None -> err "@%s: %s: ret with value in void function" fn.name ctx);
+            err "@%s: %s: ret type %s but function returns %s" fn.name (ctx ())
+              (Types.to_string ty) (Types.to_string rt)
+          | None -> err "@%s: %s: ret with value in void function" fn.name (ctx ()));
           check_operand ctx ty x
         | Ret_void ->
-          if fn.ret_ty <> None then err "@%s: %s: ret void in non-void function" fn.name ctx
-        | Br l -> if not (List.mem l labels) then err "@%s: %s: branch to unknown %%%s" fn.name ctx l
+          if fn.ret_ty <> None then err "@%s: %s: ret void in non-void function" fn.name (ctx ())
+        | Br l ->
+          if not (List.mem l labels) then
+            err "@%s: %s: branch to unknown %%%s" fn.name (ctx ()) l
         | Cond_br (c, t, e) ->
           check_operand ctx (Types.Int 1) c;
-          if not (List.mem t labels) then err "@%s: %s: branch to unknown %%%s" fn.name ctx t;
-          if not (List.mem e labels) then err "@%s: %s: branch to unknown %%%s" fn.name ctx e
+          if not (List.mem t labels) then err "@%s: %s: branch to unknown %%%s" fn.name (ctx ()) t;
+          if not (List.mem e labels) then err "@%s: %s: branch to unknown %%%s" fn.name (ctx ()) e
         | Unreachable -> ());
         if List.exists (fun s -> s = entry_label) (Instr.successors b.term) then
           err "@%s: entry block %%%s must not have predecessors" fn.name entry_label)
@@ -256,7 +260,7 @@ let check_func (fn : Func.t) : error list =
       seen
     in
     let arg_names = List.map fst fn.args in
-    let check_use_dominance blabel ~before_pos ins_ctx op =
+    let check_use_dominance blabel ~before_pos (ins_ctx : unit -> string) op =
       if not (Hashtbl.mem reachable blabel) then ()
       else
       match op with
@@ -270,10 +274,10 @@ let check_func (fn : Func.t) : error list =
             if dblock = blabel then begin
               (* must appear earlier in the same block *)
               if not (List.mem v before_pos) then
-                err "@%s: %s: %%%s used before its definition" fn.name ins_ctx v
+                err "@%s: %s: %%%s used before its definition" fn.name (ins_ctx ()) v
             end
             else if not (dominates dblock blabel) then
-              err "@%s: %s: definition of %%%s does not dominate this use" fn.name ins_ctx v
+              err "@%s: %s: definition of %%%s does not dominate this use" fn.name (ins_ctx ()) v
         end
     in
     List.iter
@@ -281,7 +285,7 @@ let check_func (fn : Func.t) : error list =
         let seen = ref [] in
         List.iter
           (fun { def; ins } ->
-            let ictx = Printer.insn_to_string { def; ins } in
+            let ictx () = Printer.insn_to_string { def; ins } in
             (match ins with
             | Phi (_, incoming) ->
               (* phi uses are checked at the end of the incoming block *)
@@ -297,13 +301,13 @@ let check_func (fn : Func.t) : error list =
                       | Some dblock ->
                         if not (dblock = l || dominates dblock l) then
                           err "@%s: %s: phi operand %%%s does not dominate predecessor %%%s"
-                            fn.name ictx x l))
+                            fn.name (ictx ()) x l))
                 incoming
             | _ -> List.iter (check_use_dominance b.label ~before_pos:!seen ictx) (operands ins));
             match def with Some v -> seen := v :: !seen | None -> ())
           b.insns;
         List.iter
-          (check_use_dominance b.label ~before_pos:!seen "terminator")
+          (check_use_dominance b.label ~before_pos:!seen (fun () -> "terminator"))
           (term_operands b.term))
       fn.blocks;
     List.rev !errors
