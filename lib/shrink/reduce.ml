@@ -530,28 +530,57 @@ let pp_stats ppf (s : stats) =
   Format.fprintf ppf "%d -> %d insns in %d step(s) (%d candidate(s), %d oracle call(s))"
     s.initial_insns s.final_insns s.accepted s.candidates s.oracle_calls
 
+(* Seen-sets are keyed on the candidates themselves: structural
+   equality, and a hash that folds in every instruction and terminator
+   (one [Hashtbl.hash] of a whole function stops after a few hundred
+   nodes, so candidates differing only in a late block would share a
+   bucket). *)
+let hash_func (fn : Func.t) =
+  let h x = Hashtbl.hash_param 64 128 x in
+  List.fold_left
+    (fun acc (b : Func.block) ->
+      List.fold_left
+        (fun acc n -> (acc * 31) + h n)
+        ((acc * 31) + h (b.Func.label, b.Func.term))
+        b.Func.insns)
+    (h (fn.Func.name, fn.Func.args, fn.Func.ret_ty))
+    fn.Func.blocks
+
+module Seen = Hashtbl.Make (struct
+  type t = Func.t
+
+  let equal = Func.equal
+  let hash = hash_func
+end)
+
+module Seen_pair = Hashtbl.Make (struct
+  type t = Func.t * Func.t
+
+  let equal (a, b) (c, d) = Func.equal a c && Func.equal b d
+  let hash (a, b) = (hash_func a * 65599) + hash_func b
+end)
+
 (* All valid one-edit variants of [fn], deduplicated, in candidate
    order: the shrinker behind the property-test layer. *)
 let shrink_candidates (fn : Func.t) : Func.t list =
-  let seen = Hashtbl.create 64 in
-  Hashtbl.replace seen (Printer.func_to_string fn) ();
+  let seen = Seen.create 64 in
+  Seen.replace seen fn ();
   List.filter_map
     (fun e ->
       match (try apply e fn with _ -> None) with
       | None -> None
       | Some fn' ->
-        let k = Printer.func_to_string fn' in
-        if Hashtbl.mem seen k then None
+        if Seen.mem seen fn' then None
         else begin
-          Hashtbl.replace seen k ();
+          Seen.replace seen fn' ();
           if Validate.check_func fn' = [] then Some fn' else None
         end)
     (candidate_edits fn)
 
 (* Greedy first-improvement descent: after every accepted edit the
    candidate list is regenerated from scratch, so coarse edits get
-   another chance on the smaller function.  [seen] holds the printed
-   form of every candidate ever tried, which both deduplicates work and
+   another chance on the smaller function.  [seen] holds every
+   candidate ever tried, which both deduplicates work and
    guarantees termination even for edits (like the frozen-input
    rewrite) that do not shrink the instruction count.  The caller is
    expected to have established [oracle fn0] already; the engine only
@@ -561,18 +590,17 @@ let shrink_candidates (fn : Func.t) : Func.t list =
 let minimize ?(max_steps = 1000) ?(max_oracle_calls = max_int) ~(oracle : Func.t -> bool)
     (fn0 : Func.t) : Func.t * stats =
   let exception Oracle_budget_spent in
-  let seen = Hashtbl.create 512 in
+  let seen = Seen.create 512 in
   let oracle_calls = ref 0 and candidates = ref 0 and accepted = ref 0 in
-  Hashtbl.replace seen (Printer.func_to_string fn0) ();
+  Seen.replace seen fn0 ();
   let try_edit fn e =
     if !oracle_calls >= max_oracle_calls then raise Oracle_budget_spent;
     match (try apply e fn with _ -> None) with
     | None -> None
     | Some fn' ->
-      let k = Printer.func_to_string fn' in
-      if Hashtbl.mem seen k then None
+      if Seen.mem seen fn' then None
       else begin
-        Hashtbl.replace seen k ();
+        Seen.replace seen fn' ();
         incr candidates;
         if Validate.check_func fn' <> [] then None
         else begin
@@ -608,10 +636,9 @@ let minimize ?(max_steps = 1000) ?(max_oracle_calls = max_int) ~(oracle : Func.t
    is skipped via the seen-set. *)
 let minimize_pair ?(max_steps = 1000) ~(oracle : Func.t -> Func.t -> bool)
     ((src0, tgt0) : Func.t * Func.t) : (Func.t * Func.t) * stats =
-  let pair_key (s, t) = Printer.func_to_string s ^ "\x00" ^ Printer.func_to_string t in
-  let seen = Hashtbl.create 512 in
+  let seen = Seen_pair.create 512 in
   let oracle_calls = ref 0 and candidates = ref 0 and accepted = ref 0 in
-  Hashtbl.replace seen (pair_key (src0, tgt0)) ();
+  Seen_pair.replace seen (src0, tgt0) ();
   let dedup_edits es =
     let tbl = Hashtbl.create 256 in
     List.filter (fun e ->
@@ -630,10 +657,10 @@ let minimize_pair ?(max_steps = 1000) ~(oracle : Func.t -> Func.t -> bool)
     | _ ->
       let src' = Option.value s' ~default:src in
       let tgt' = Option.value t' ~default:tgt in
-      let k = pair_key (src', tgt') in
-      if Hashtbl.mem seen k then None
+      let k = (src', tgt') in
+      if Seen_pair.mem seen k then None
       else begin
-        Hashtbl.replace seen k ();
+        Seen_pair.replace seen k ();
         incr candidates;
         if Validate.check_func src' <> [] || Validate.check_func tgt' <> [] then None
         else begin
