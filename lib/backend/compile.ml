@@ -9,6 +9,10 @@ type compiled = {
   arg_locs : Mir.arg_loc list; (* where each argument vreg landed *)
   asm : string;
   obj_size : int; (* bytes *)
+  bug_inert : bool;
+      (* the injected bug, if any, left the MIR of its stage as it was
+         ([Mir_inject.changed] is false across [b_apply]); true without
+         a bug *)
 }
 
 (* Arguments get the first virtual registers, one per lane. *)
@@ -19,26 +23,31 @@ let arg_vregs (fn : Func.t) =
 
 (* Compile with an optional injected backend bug ([Mir_inject]), applied
    either to the virtual-register form (pre-RA) or the allocated form
-   (post-RA) depending on the bug's declared stage. *)
+   (post-RA) depending on the bug's declared stage.  The function just
+   before and just after [b_apply] is compared there, so one compile
+   tells whether the bug perturbed this function at all. *)
 let compile_func ?bug (fn : Func.t) : compiled =
   let nargs = arg_vregs fn in
-  let pre_ra = Ub_obs.Obs.with_span "backend.isel" (fun () -> Isel.lower_func fn) in
-  let pre_ra =
+  let inject stage (m : Mir.func) =
     match bug with
-    | Some (b : Mir_inject.bug) when b.Mir_inject.b_stage = Mir_inject.Pre_ra ->
-      b.Mir_inject.b_apply pre_ra
-    | _ -> pre_ra
+    | Some (b : Mir_inject.bug) when b.Mir_inject.b_stage = stage ->
+      let m' = b.Mir_inject.b_apply m in
+      (m', not (Mir_inject.changed m m'))
+    | _ -> (m, true)
   in
+  let pre_ra = Ub_obs.Obs.with_span "backend.isel" (fun () -> Isel.lower_func fn) in
+  let pre_ra, inert_pre = inject Mir_inject.Pre_ra pre_ra in
   let mir, arg_locs =
     Ub_obs.Obs.with_span "backend.regalloc" (fun () -> Regalloc.run pre_ra ~nargs)
   in
-  let mir =
-    match bug with
-    | Some (b : Mir_inject.bug) when b.Mir_inject.b_stage = Mir_inject.Post_ra ->
-      b.Mir_inject.b_apply mir
-    | _ -> mir
-  in
-  { pre_ra; mir; arg_locs; asm = Emit.func_str mir; obj_size = Emit.func_size mir }
+  let mir, inert_post = inject Mir_inject.Post_ra mir in
+  { pre_ra;
+    mir;
+    arg_locs;
+    asm = Emit.func_str mir;
+    obj_size = Emit.func_size mir;
+    bug_inert = inert_pre && inert_post;
+  }
 
 let compile_module (m : Func.module_) : (string * compiled) list =
   List.map (fun (f : Func.t) -> (f.Func.name, compile_func f)) m.Func.funcs

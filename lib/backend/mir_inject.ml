@@ -3,8 +3,8 @@
    isel-level bugs) or after (spill bugs).  Each is the seeded ground
    truth for the hunting farm's recall benchmark, mirroring the IR-level
    catalog in [Ub_opt.Inject] — the IR entry declares the bug by name,
-   the hunt lane compiles each generated program twice (clean and with
-   [b_apply]) and asks [Tv] whether the buggy compile still refines.
+   the hunt lane compiles each generated program once with the bug and
+   asks [Tv] whether that compile still refines.
 
    A bug that does not change the MIR of a given function is simply a
    no-op there; the backend generator is shaped so each bug's trigger
@@ -209,8 +209,9 @@ let find_exn name =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Mir_inject.find_exn: unknown bug %s" name)
 
-(* Structural change detection: the hunt only checks pairs the bug
-   actually perturbed. *)
+(* Structural change detection, applied by [Compile.compile_func] to
+   the MIR just before and just after [b_apply]: the hunt only checks
+   functions the bug actually perturbed. *)
 let changed (a : Mir.func) (b : Mir.func) =
   let shape (f : Mir.func) =
     List.map (fun (bl : Mir.block) -> (bl.Mir.mlabel, bl.Mir.insts)) f.Mir.blocks

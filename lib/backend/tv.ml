@@ -29,11 +29,13 @@ type verdict =
   | Refined
   | Not_refined of { nr_args : Value.t list; nr_phase : string; nr_detail : string }
   | Unsupported of string
+  | Inert (* the injected bug left this function's MIR unchanged *)
 
 let verdict_to_string = function
   | Refined -> "refined"
   | Not_refined { nr_detail; _ } -> "NOT refined: " ^ nr_detail
   | Unsupported r -> "unsupported: " ^ r
+  | Inert -> "inert: the injected bug does not change this function"
 
 (* Strip the provenance suffix from a fingerprint entry
    ("addr=bbbbbbbb[*|@hex]" -> "addr=bbbbbbbb"). *)
@@ -55,6 +57,8 @@ let ret_width (fn : Func.t) : int option =
     fn.Func.blocks
 
 exception Drop of string
+
+exception Bug_inert
 
 (* Static pre-scan for constructs the MIR semantics does not model. *)
 let prescan (fn : Func.t) =
@@ -102,13 +106,16 @@ let check_func ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000)
   let result =
     try
       prescan fn;
-      (* lower once, and resolve both sides once for every input and phase *)
+      (* lower once, and resolve both sides once for every input and
+         phase; a bug that did not change the MIR answers [Inert] from
+         this one compile, without enumerating *)
       let src, tgt =
         Ub_obs.Obs.with_span "tv.compile" @@ fun () ->
         let compiled =
           try Compile.compile_func ?bug fn
           with Isel.Unsupported r -> raise (Drop ("isel: " ^ r))
         in
+        if bug <> None && compiled.Compile.bug_inert then raise Bug_inert;
         ( Interp.prepare ~mode fn,
           Mir_sem.prepare ~form:(Mir_sem.Physical compiled.Compile.arg_locs)
             compiled.Compile.mir )
@@ -168,18 +175,23 @@ let check_func ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000)
           tuples
       in
       match violation with Some v -> v | None -> Refined
-    with Drop reason -> Unsupported reason
+    with
+    | Drop reason -> Unsupported reason
+    | Bug_inert -> Inert
   in
+  (* [tv.inert] is an event, so a trace records it too *)
   (match result with
   | Refined -> Ub_obs.Obs.count "tv.refined"
   | Not_refined _ -> Ub_obs.Obs.count "tv.violations"
-  | Unsupported _ -> Ub_obs.Obs.count "tv.unsupported");
+  | Unsupported _ -> Ub_obs.Obs.count "tv.unsupported"
+  | Inert -> Ub_obs.Obs.event "tv.inert");
   result
 
 (* Shrink a violating function with the generic IR reducer: a candidate
    is accepted while TV (with the same injected bug, if any) still
    reports a violation.  The reduced function *is* the witness — the
-   "target" is always its own compilation. *)
+   "target" is always its own compilation.  A candidate the bug does not
+   change ([Inert]) is rejected from its one compile. *)
 let shrink ?mode ?(fuel = 250) ?(max_inputs = 400) ?(max_runs = 100)
     ?(max_steps = 600) ?(max_checks = 2_000) ?bug (fn : Func.t) :
     Func.t * Ub_shrink.Reduce.stats =
@@ -195,8 +207,9 @@ let shrink ?mode ?(fuel = 250) ?(max_inputs = 400) ?(max_runs = 100)
      candidates have been checked the reducer stops at the current
      (still-violating) function. *)
   let oracle fn' =
+    Ub_obs.Obs.with_span "shrink.oracle" @@ fun () ->
     match check_func ?mode ~fuel ~max_inputs ~max_runs ?bug fn' with
     | Not_refined _ -> true
-    | Refined | Unsupported _ -> false
+    | Refined | Unsupported _ | Inert -> false
   in
   Ub_shrink.Reduce.minimize ~max_steps ~max_oracle_calls:max_checks ~oracle fn

@@ -27,9 +27,9 @@ module Json = Ub_obs.Json
 
 (* A lane is one (pipeline configuration, semantics mode) pair every
    generated program is pushed through.  A *backend* lane instead names
-   a lib/backend/mir_inject bug: the program is compiled twice (clean
-   and buggy) and the lowering TV decides whether the buggy compile
-   still refines — no IR passes run. *)
+   a lib/backend/mir_inject bug: the program is compiled once, with the
+   bug, and the lowering TV decides whether the buggy compile still
+   refines — no IR passes run. *)
 type lane = {
   lane_name : string;
   lane_cfg : Ub_opt.Pass.config;
@@ -228,12 +228,14 @@ let shrink_finding (cfg : config) (lane : lane) ~(program : int) ~(src : Func.t)
       | v -> v);
   }
 
-(* Backend lanes: compile the program clean and with the lane's bug;
-   if the bug perturbed the MIR, ask the lowering TV whether the buggy
-   compile still refines.  A program isel cannot lower at all is
-   skipped (the backend generator does not produce such programs). *)
+(* Backend lanes: ask the lowering TV whether the program compiled with
+   the lane's bug still refines.  TV lowers the program once; if the bug
+   did not perturb the MIR there ([Tv.Inert]) the program is skipped.
+   A program isel cannot lower is unknown, like any other program TV
+   classifies unsupported (the backend generator does not produce
+   such programs). *)
 type backend_outcome =
-  | B_skip (* bug was a no-op on this MIR, or isel refused the program *)
+  | B_skip (* bug was a no-op on this MIR *)
   | B_refined
   | B_unknown (* TV classified the function unsupported *)
   | B_finding of finding
@@ -248,7 +250,7 @@ let shrink_backend_finding (cfg : config) (lane : lane)
   let verdict =
     match Ub_backend.Tv.check_func ~bug red with
     | Ub_backend.Tv.Not_refined _ -> "counterexample"
-    | Ub_backend.Tv.Refined | Ub_backend.Tv.Unsupported _ -> "unreduced"
+    | Ub_backend.Tv.Refined | Ub_backend.Tv.Unsupported _ | Ub_backend.Tv.Inert -> "unreduced"
   in
   { fp = Fingerprint.backend ~src:red ~bug:bug.Ub_backend.Mir_inject.b_name;
     f_lane = lane.lane_name;
@@ -266,31 +268,24 @@ let shrink_backend_finding (cfg : config) (lane : lane)
 let check_backend_lane (cfg : config) (lane : lane) ~(bname : string) ~(program : int)
     (fn : Func.t) : backend_outcome =
   let bug = Ub_backend.Mir_inject.find_exn bname in
-  let compiled =
-    try
-      let clean = Ub_backend.Compile.compile_func fn in
-      let buggy = Ub_backend.Compile.compile_func ~bug fn in
-      Some
-        (Ub_backend.Mir_inject.changed clean.Ub_backend.Compile.mir
-           buggy.Ub_backend.Compile.mir)
-    with Ub_backend.Isel.Unsupported _ -> None
+  (* tighter budgets than the CLI's: an injected bug can make the
+     machine loop diverge, and the pre-drop cost of a diverging tuple
+     is max_runs * 20 * fuel MIR steps *)
+  let v =
+    Obs.with_span "hunt.check" (fun () ->
+        Ub_backend.Tv.check_func ~fuel:1_000 ~max_runs:500 ~bug fn)
   in
-  match compiled with
-  | None | Some false -> B_skip
-  | Some true -> (
+  let checked outcome =
     Obs.count "hunt.changed";
-    (* tighter budgets than the CLI's: an injected bug can make the
-       machine loop diverge, and the pre-drop cost of a diverging tuple
-       is max_runs * 20 * fuel MIR steps *)
-    let v =
-      Obs.with_span "hunt.check" (fun () ->
-          Ub_backend.Tv.check_func ~fuel:1_000 ~max_runs:500 ~bug fn)
-    in
     Obs.count "hunt.check_done";
-    match v with
-    | Ub_backend.Tv.Refined -> B_refined
-    | Ub_backend.Tv.Unsupported _ -> B_unknown
-    | Ub_backend.Tv.Not_refined _ -> B_finding (shrink_backend_finding cfg lane ~bug ~program fn))
+    outcome
+  in
+  match v with
+  | Ub_backend.Tv.Inert -> B_skip
+  | Ub_backend.Tv.Refined -> checked B_refined
+  | Ub_backend.Tv.Unsupported _ -> checked B_unknown
+  | Ub_backend.Tv.Not_refined _ ->
+    checked (B_finding (shrink_backend_finding cfg lane ~bug ~program fn))
 
 let process_program (cfg : config) (idx : int) : unit_result =
   Obs.count "hunt.program";

@@ -356,7 +356,8 @@ let report () : Json.t =
                  ("tv_mir_runs", counter_value "tv.mir_runs");
                  ("tv_refined", counter_value "tv.refined");
                  ("tv_violations", counter_value "tv.violations");
-                 ("tv_unsupported", counter_value "tv.unsupported") ]) );
+                 ("tv_unsupported", counter_value "tv.unsupported");
+                 ("tv_inert", counter_value "tv.inert") ]) );
     ]
 
 let write_report (path : string) : unit = Json.to_file path (report ())

@@ -30,7 +30,7 @@ type entry = {
   backend : string option; (* a lib/backend/mir_inject bug name: the bug
                               lives in the lowering, not in an IR rewrite;
                               [apply] is the identity and the hunt compiles
-                              each program twice instead *)
+                              each program with the bug instead *)
   apply : Func.t -> Func.t;
 }
 
@@ -603,8 +603,8 @@ let all : entry list =
     };
     (* The backend family: miscompilations injected into the MIR rather
        than the IR (lib/backend/mir_inject), hunted by compiling each
-       generated program twice and asking the lowering TV (lib/backend/tv)
-       whether the buggy compile still refines.  Mode-independent — TV
+       generated program with the bug and asking the lowering TV
+       (lib/backend/tv) whether that compile still refines.  Mode-independent — TV
        always interprets the source under the proposed semantics. *)
     { name = "drop-parallel-move-copy";
       section = "2402.05256";

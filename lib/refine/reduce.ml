@@ -126,6 +126,7 @@ let minimize_cex ?cache ?inputs ?max_steps ?(preserve : Mode.t list = [])
     in
     let profile = List.map (fun m -> (m, class_under m ~src ~tgt)) preserve in
     let oracle s t =
+      Ub_obs.Obs.with_span "shrink.oracle" @@ fun () ->
       not_refined ?cache ?inputs mode ~src:s ~tgt:t
       && List.for_all (fun (m, cls) -> class_under m ~src:s ~tgt:t = cls) profile
     in

@@ -548,6 +548,74 @@ let mir_undef_tests =
           (behaviours [ Mir.Spill_load (0, Mir.Vreg 0); Mir.Ret (Some (Mir.Vreg 0)) ]));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The inert-bug screen: one compile with the bug tells whether the    *)
+(* bug changed the MIR, exactly when a clean and a buggy compile of    *)
+(* the same function differ.                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Generated backend-hunt programs and every shrink candidate of each:
+   the functions the hunt and the TV shrink oracle compile. *)
+let backend_programs n =
+  List.concat_map
+    (fun i ->
+      let rng = Ub_support.Prng.create ~seed:(4242 + i) in
+      let fn =
+        Ub_fuzz.Gen.hunt_func rng ~name:(Printf.sprintf "b%d" i)
+          { Ub_fuzz.Gen.default_hunt with Ub_fuzz.Gen.h_backend = true }
+      in
+      fn :: Ub_shrink.Reduce.shrink_candidates fn)
+    (List.init n Fun.id)
+
+let inert_tests =
+  [ Alcotest.test_case "bug_inert holds exactly when the clean and buggy MIR are equal" `Quick
+      (fun () ->
+        let pairs = ref 0 and inert = ref 0 in
+        List.iter
+          (fun fn ->
+            match Compile.compile_func fn with
+            | exception Isel.Unsupported _ -> ()
+            | clean ->
+              Alcotest.(check bool) "no bug, inert" true clean.Compile.bug_inert;
+              List.iter
+                (fun (bug : Mir_inject.bug) ->
+                  let buggy = Compile.compile_func ~bug fn in
+                  incr pairs;
+                  if buggy.Compile.bug_inert then incr inert;
+                  if buggy.Compile.bug_inert = Mir_inject.changed clean.Compile.mir buggy.Compile.mir
+                  then
+                    Alcotest.failf "%s: bug_inert is %b against the clean/buggy compare on\n%s"
+                      bug.Mir_inject.b_name buggy.Compile.bug_inert (Printer.func_to_string fn))
+                Mir_inject.all)
+          (backend_programs 8);
+        (* both answers occur, so the law is not vacuous *)
+        Alcotest.(check bool) "some pairs are inert" true (!inert > 0);
+        Alcotest.(check bool) "some pairs are changed" true (!inert < !pairs));
+    Alcotest.test_case "TV answers Inert from the screen, and its counters partition the checks"
+      `Quick (fun () ->
+        let names = [ "tv.checked"; "tv.refined"; "tv.violations"; "tv.unsupported"; "tv.inert" ] in
+        let before = List.map Ub_obs.Obs.counter_value names in
+        let fns = Ub_support.Util.take 30 (backend_programs 2) in
+        List.iter
+          (fun (bug : Mir_inject.bug) ->
+            List.iter
+              (fun fn ->
+                let v = Tv.check_func ~fuel:250 ~max_inputs:400 ~max_runs:100 ~bug fn in
+                let inert = (Compile.compile_func ~bug fn).Compile.bug_inert in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: Inert iff bug_inert" bug.Mir_inject.b_name)
+                  inert (v = Tv.Inert))
+              fns)
+          Mir_inject.all;
+        match List.map2 (fun n b -> Ub_obs.Obs.counter_value n - b) names before with
+        | [ checked; refined; violations; unsupported; inert ] ->
+          Alcotest.(check int) "checked" (List.length fns * List.length Mir_inject.all) checked;
+          Alcotest.(check int) "checked = refined + violations + unsupported + inert" checked
+            (refined + violations + unsupported + inert);
+          Alcotest.(check bool) "some inert" true (inert > 0)
+        | _ -> assert false);
+  ]
+
 (* property: compiling the whole corpus succeeds, with no vregs left and
    positive sizes *)
 let corpus_compiles =
@@ -568,6 +636,7 @@ let () =
       ("regalloc", regalloc_tests);
       ("parallel-move", parallel_move_tests);
       ("tv", tv_tests @ [ shrink_deterministic ]);
+      ("inert-screen", inert_tests);
       ("mir-flags", mir_flag_tests);
       ("mir-undef", mir_undef_tests);
       ("cost", cost_tests);
