@@ -119,21 +119,40 @@ let successors = function
   | Ret _ | Ret_void | Unreachable -> []
 
 (* Map a function over the operands of an instruction (for substitution,
-   renaming, RAUW).  Structure and types are preserved. *)
+   renaming, RAUW).  Structure and types are preserved.  [f] is applied
+   to the operands left to right, in [operands] order, so a counter
+   inside [f] numbers them as [operands] does.  (OCaml evaluates
+   constructor arguments right to left, hence the [let]s.) *)
 let map_operands f = function
-  | Binop (op, at, ty, a, b) -> Binop (op, at, ty, f a, f b)
-  | Icmp (p, ty, a, b) -> Icmp (p, ty, f a, f b)
-  | Select (c, ty, a, b) -> Select (f c, ty, f a, f b)
+  | Binop (op, at, ty, a, b) ->
+    let a = f a in
+    Binop (op, at, ty, a, f b)
+  | Icmp (p, ty, a, b) ->
+    let a = f a in
+    Icmp (p, ty, a, f b)
+  | Select (c, ty, a, b) ->
+    let c = f c in
+    let a = f a in
+    Select (c, ty, a, f b)
   | Conv (op, from, x, to_) -> Conv (op, from, f x, to_)
   | Bitcast (from, x, to_) -> Bitcast (from, f x, to_)
   | Freeze (ty, x) -> Freeze (ty, f x)
   | Phi (ty, incoming) -> Phi (ty, List.map (fun (v, l) -> (f v, l)) incoming)
-  | Gep g -> Gep { g with base = f g.base; indices = List.map (fun (t, v) -> (t, f v)) g.indices }
+  | Gep g ->
+    let base = f g.base in
+    Gep { g with base; indices = List.map (fun (t, v) -> (t, f v)) g.indices }
   | Load (ty, p) -> Load (ty, f p)
-  | Store (ty, v, p) -> Store (ty, f v, f p)
+  | Store (ty, v, p) ->
+    let v = f v in
+    Store (ty, v, f p)
   | Call (r, name, args) -> Call (r, name, List.map (fun (t, v) -> (t, f v)) args)
-  | Extractelement (ty, v, i) -> Extractelement (ty, f v, f i)
-  | Insertelement (ty, v, e, i) -> Insertelement (ty, f v, f e, f i)
+  | Extractelement (ty, v, i) ->
+    let v = f v in
+    Extractelement (ty, v, f i)
+  | Insertelement (ty, v, e, i) ->
+    let v = f v in
+    let e = f e in
+    Insertelement (ty, v, e, f i)
 
 let map_term_operands f = function
   | Ret (ty, x) -> Ret (ty, f x)
