@@ -100,67 +100,81 @@ let rec write_all fd b off len =
     write_all fd b (off + n) (len - n)
   end
 
-let stat_ino path = try (Unix.stat path).Unix.st_ino with Unix.Unix_error _ -> -1
-
 let open_writer jpath = Unix.openfile jpath [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
 
-(* Fold journal records from [from] into the index and note the file
-   size in [t.size]; returns the offset of the first truncated or
-   unreadable byte (= file size when clean). *)
-let replay_into (t : t) ~(from : int) : int =
-  match Unix.openfile t.jpath [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> from
-  | fd ->
-    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-    let size = (Unix.fstat fd).Unix.st_size in
-    t.size <- size;
-    if size <= from then from
-    else begin
-      ignore (Unix.lseek fd from Unix.SEEK_SET);
-      let len = size - from in
-      let buf = Bytes.create len in
-      let rec read_all off =
-        if off >= len then len
-        else
-          match Unix.read fd buf off (len - off) with
-          | 0 -> off
-          | n -> read_all (off + n)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_all off
-      in
-      let got = read_all 0 in
-      let pos = ref 0 in
-      let ok = ref true in
-      while !ok && !pos + 8 <= got do
-        let kl = get_u32 buf !pos and vl = get_u32 buf (!pos + 4) in
-        if kl < 0 || vl < 0 || !pos + 8 + kl + vl > got then ok := false
-        else begin
-          let k = Bytes.sub_string buf (!pos + 8) kl in
-          let v = Bytes.sub_string buf (!pos + 8 + kl) vl in
-          (match Hashtbl.find_opt t.index k with
-          | Some old -> t.live <- t.live - record_bytes k old
-          | None -> ());
-          Hashtbl.replace t.index k v;
-          t.live <- t.live + record_bytes k v;
-          pos := !pos + 8 + kl + vl
-        end
-      done;
-      from + !pos
-    end
+let fd_ino fd = (Unix.fstat fd).Unix.st_ino
+
+(* Fold the records of the journal open on [fd] from [from] into the
+   index and note the file size in [t.size]; returns the offset of the
+   first truncated or unreadable byte (= file size when clean). *)
+let replay_into (t : t) (fd : Unix.file_descr) ~(from : int) : int =
+  let size = (Unix.fstat fd).Unix.st_size in
+  t.size <- size;
+  if size <= from then from
+  else begin
+    ignore (Unix.lseek fd from Unix.SEEK_SET);
+    let len = size - from in
+    let buf = Bytes.create len in
+    let rec read_all off =
+      if off >= len then len
+      else
+        match Unix.read fd buf off (len - off) with
+        | 0 -> off
+        | n -> read_all (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_all off
+    in
+    let got = read_all 0 in
+    let pos = ref 0 in
+    let ok = ref true in
+    while !ok && !pos + 8 <= got do
+      let kl = get_u32 buf !pos and vl = get_u32 buf (!pos + 4) in
+      if kl < 0 || vl < 0 || !pos + 8 + kl + vl > got then ok := false
+      else begin
+        let k = Bytes.sub_string buf (!pos + 8) kl in
+        let v = Bytes.sub_string buf (!pos + 8 + kl) vl in
+        (match Hashtbl.find_opt t.index k with
+        | Some old -> t.live <- t.live - record_bytes k old
+        | None -> ());
+        Hashtbl.replace t.index k v;
+        t.live <- t.live + record_bytes k v;
+        pos := !pos + 8 + kl + vl
+      end
+    done;
+    from + !pos
+  end
 
 (* Re-read anything other processes appended since we last looked; a
-   changed inode means someone compacted, so start over from scratch. *)
-let refresh (t : t) : unit =
-  let ino = stat_ino t.jpath in
-  if ino <> t.ino then begin
-    Hashtbl.reset t.index;
-    t.live <- 0;
-    t.replayed <- replay_into t ~from:0;
-    t.ino <- ino;
-    (* the O_APPEND writer still points at the old (renamed-over) file *)
-    Unix.close t.wfd;
-    t.wfd <- open_writer t.jpath
-  end
-  else t.replayed <- replay_into t ~from:t.replayed
+   changed inode means someone compacted, so start over from scratch.
+   [t.ino] is the inode [t.wfd] appends to, and the index must be
+   replayed from that same file.  Every inode is taken from an open
+   descriptor, never from a stat of the path: a compaction may rename
+   a new file over the journal between an open and a stat, and an
+   inode taken from the path would then name a file the descriptor
+   does not point at, so the writer would go on appending to the
+   unlinked old journal and its records would be lost. *)
+let rec refresh (t : t) : unit =
+  match Unix.openfile t.jpath [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+    let stale =
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      let ino = fd_ino fd in
+      if ino <> t.ino then begin
+        (* the O_APPEND writer still points at the old (renamed-over) file *)
+        Unix.close t.wfd;
+        t.wfd <- open_writer t.jpath;
+        t.ino <- fd_ino t.wfd;
+        Hashtbl.reset t.index;
+        t.live <- 0;
+        t.replayed <- 0
+      end;
+      if ino = t.ino then begin
+        t.replayed <- replay_into t fd ~from:t.replayed;
+        false
+      end
+      else true (* compacted again since [fd] was opened *)
+    in
+    if stale then refresh t
 
 let open_journal dir =
   mkdir_p dir;
@@ -171,9 +185,9 @@ let open_journal dir =
   in
   let t =
     { jpath; wfd; lockfd; index = Hashtbl.create 1024; replayed = 0; size = 0;
-      ino = stat_ino jpath; live = 0; hits = 0; misses = 0; stores = 0 }
+      ino = fd_ino wfd; live = 0; hits = 0; misses = 0; stores = 0 }
   in
-  t.replayed <- replay_into t ~from:0;
+  refresh t;
   t
 
 (* Compact: under the lock, fold in every record on disk (including a
@@ -202,7 +216,7 @@ let compact (t : t) : unit =
   Sys.rename tmp t.jpath;
   Unix.close t.wfd;
   t.wfd <- open_writer t.jpath;
-  t.ino <- stat_ino t.jpath;
+  t.ino <- fd_ino t.wfd;
   t.replayed <- !bytes;
   t.size <- !bytes;
   t.live <- !bytes

@@ -309,6 +309,41 @@ let journal_tests =
             done;
             Cache.close c;
             Cache.close fresh));
+    Alcotest.test_case "a handle's inode is the file its writer appends to" `Quick (fun () ->
+        (* A compaction renames a new file over the journal.  If it lands
+           between [open_journal]'s open of the writer and the moment it
+           takes [ino], the handle must still record the writer's file,
+           or [refresh] never reopens the writer and its appends go to
+           the unlinked old journal. *)
+        with_tmp_journal (fun dir ->
+            let seed = Cache.open_journal dir in
+            Cache.store seed (Cache.key ~parts:[ "seed" ]) "x";
+            Cache.close seed;
+            flush stdout;
+            flush stderr;
+            let compactor =
+              match Unix.fork () with
+              | 0 ->
+                let c = Cache.open_journal dir in
+                while true do
+                  Cache.store c (Cache.key ~parts:[ "churn" ]) "x";
+                  Cache.compact c
+                done;
+                Unix._exit 0
+              | pid -> pid
+            in
+            let mismatches = ref 0 in
+            Fun.protect
+              ~finally:(fun () ->
+                Unix.kill compactor Sys.sigkill;
+                waitpid_retry compactor)
+              (fun () ->
+                for _ = 1 to 20_000 do
+                  let c = Cache.open_journal dir in
+                  if c.Cache.ino <> (Unix.fstat c.Cache.wfd).Unix.st_ino then incr mismatches;
+                  Cache.close c
+                done);
+            Alcotest.(check int) "handles whose inode is not their writer's" 0 !mismatches));
     Alcotest.test_case "a torn tail is tolerated, intact prefix survives" `Quick (fun () ->
         with_tmp_journal (fun dir ->
             let c = Cache.open_journal dir in
