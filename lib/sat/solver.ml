@@ -1,20 +1,20 @@
-(* A CDCL SAT solver: two-watched-literal propagation over growable
-   watch vectors, first-UIP clause learning, VSIDS branching through an
-   indexed binary max-heap, phase saving, Luby restarts, learned-clause
-   database reduction on a geometric schedule.
+(* A CDCL SAT solver: two-watched-literal propagation, first-UIP clause
+   learning, VSIDS branching through an indexed binary max-heap, phase
+   saving, Luby restarts, learned-clause database reduction on a
+   geometric schedule.  Clauses live in one flat int arena outside the
+   OCaml heap, and every clause reference is an int offset into it.
 
    This is the decision-procedure substrate for the refinement checker
    (the paper uses Z3 via Alive; the container is sealed, so we carry our
    own solver — see DESIGN.md section 9).  Literal encoding: variable
    [v >= 0] maps to literals [2v] (positive) and [2v+1] (negated).
 
-   An instance is built, solved once, and dropped.  After an [Unsat]
+   An instance is built, solved once, and dropped; [with_solver] scopes
+   it and hands its arena on to the next instance.  After an [Unsat]
    answer (or a [false] from [add_clause]) it must not be solved again:
    nothing records the refutation, so a second search could miss it.
    A call that exhausts its conflict budget, or answers [Sat], leaves
    the instance at level 0, ready for another call. *)
-
-open Ub_support
 
 type lit = int
 
@@ -27,32 +27,66 @@ let lnot (l : lit) = l lxor 1
 
 type result = Sat of bool array | Unsat
 
+(* ------------------------------------------------------------------ *)
+(* The clause arena                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A clause at offset [c] is a header of [hdr] words followed by its
+   literals, watched ones at positions 0 and 1:
+
+     c+0  size (number of literals)
+     c+1  flags: [f_learned], [f_deleted]; during [compact], the
+          clause's new offset shifted left by 2 above them
+     c+2  index of a learned clause's activity in [cla_act], else -1
+     c+3  literal 0, ...
+
+   The arena is an int Bigarray, not an [int array]: a custom block the
+   GC never scans, whose size does not count towards the major heap
+   that the GC's space overhead multiplies.  That is what lets one
+   arena per process be kept and reused (see [take_arena]). *)
+type arena = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let hdr = 3
+let f_learned = 1
+let f_deleted = 2
+
+let new_arena words : arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout words
+
+(* The arena of a released instance (so any later use fails its bounds
+   check), and the empty spare. *)
+let no_arena = new_arena 0
+
+(* The arena the last released instance handed back, for the next
+   [create].  Every query builds a fresh instance, so a fresh arena per
+   query would be allocated and freed thousands of times a second. *)
+let spare = ref no_arena
+
+(* Nothing may allocate between reading [spare] and clearing it, so no
+   signal handler or thread switch can hand the same arena out twice. *)
+let take_arena () : arena =
+  let a = !spare in
+  spare := no_arena;
+  if Bigarray.Array1.dim a > 0 then a else new_arena 4096
+
 (* Truth values in the trail: 0 unassigned, 1 true, 2 false (of the
    positive literal). *)
 
-type clause = {
-  lits : lit array; (* watched literals at positions 0 and 1 *)
-  mutable activity : float;
-  learned : bool;
-  mutable deleted : bool; (* tombstone set by DB reduction *)
-}
-
-let dummy_clause = { lits = [||]; activity = 0.0; learned = false; deleted = true }
-
-(* The watch vector of every literal nothing watches yet.  A solver is
-   sized by every node of its circuit context, so most literals are
-   never watched; they share this one empty vector, and [watch] gives a
-   literal its own at the first push.  It must stay empty. *)
-let unwatched : clause Vec.t = Vec.create dummy_clause
-
 type t = {
   nvars : int;
-  mutable clauses : clause list; (* original clauses, for debugging *)
-  watches : clause Vec.t array; (* watch vectors indexed by literal, [unwatched] until used *)
+  mutable arena : arena;
+  mutable arena_top : int; (* words in use; the next clause goes here *)
+  mutable arena_dead : int; (* words of deleted clauses not yet compacted away *)
+  mutable cla_act : float array; (* learned-clause activities, by header index *)
+  mutable n_act : int; (* activity slots in use *)
+  watches : int array array;
+      (* clauses to visit when a literal becomes true, by literal; [||]
+         until the literal is first watched, since a solver is sized by
+         every node of its circuit context and most are never watched *)
+  watch_len : int array; (* live prefix of each watch vector *)
   assign : int array; (* per var: 0 / 1 (true) / 2 (false) *)
   phase : bool array; (* saved polarity per var (last assigned value) *)
   level : int array; (* decision level per var *)
-  reason : clause option array; (* antecedent clause per var *)
+  reason : int array; (* antecedent clause per var, -1 for none *)
   trail : int array; (* assigned literals in order *)
   mutable trail_len : int;
   trail_lim : int array; (* trail length at each decision level *)
@@ -64,26 +98,35 @@ type t = {
   heap_pos : int array; (* var -> index in heap, -1 when absent *)
   mutable heap_len : int;
   mutable cla_inc : float; (* learned-clause activity increment *)
-  learnts : clause Vec.t; (* the learned-clause database *)
+  mutable learnts : int array; (* the learned-clause database, in insertion order *)
+  mutable n_learnts : int;
   mutable max_learnts : float; (* reduction threshold (geometric) *)
   seen : bool array; (* scratch for conflict analysis *)
+  learnt_buf : int array; (* [analyze]'s learned clause *)
+  mutable learnt_len : int;
   mutable conflicts : int;
   mutable propagations : int;
   mutable decisions : int;
   mutable num_clauses : int; (* problem clauses accepted by add_clause *)
   mutable learned_peak : int; (* peak size of the learned DB *)
   mutable db_reductions : int;
+  mutable arena_compactions : int;
   mutable restarts : int;
 }
 
 let create nvars =
   { nvars;
-    clauses = [];
-    watches = Array.make (2 * nvars) unwatched;
+    arena = take_arena ();
+    arena_top = 0;
+    arena_dead = 0;
+    cla_act = [||];
+    n_act = 0;
+    watches = Array.make (2 * nvars) [||];
+    watch_len = Array.make (2 * nvars) 0;
     assign = Array.make nvars 0;
     phase = Array.make nvars false;
     level = Array.make nvars 0;
-    reason = Array.make nvars None;
+    reason = Array.make nvars (-1);
     trail = Array.make (max 1 nvars) 0;
     trail_len = 0;
     trail_lim = Array.make (max 1 nvars) 0;
@@ -95,17 +138,77 @@ let create nvars =
     heap_pos = Array.make (max 1 nvars) (-1);
     heap_len = 0;
     cla_inc = 1.0;
-    learnts = Vec.create ~capacity:64 dummy_clause;
+    learnts = [||];
+    n_learnts = 0;
     max_learnts = 0.0;
     seen = Array.make nvars false;
+    learnt_buf = Array.make (max 1 nvars) 0;
+    learnt_len = 0;
     conflicts = 0;
     propagations = 0;
     decisions = 0;
     num_clauses = 0;
     learned_peak = 0;
     db_reductions = 0;
+    arena_compactions = 0;
     restarts = 0;
   }
+
+(* Hand the arena on to the next instance; [s] must not be used again
+   (its clause references now fail their bounds checks).  The larger
+   arena is kept when two instances were live at once. *)
+let release (s : t) =
+  let a = s.arena in
+  s.arena <- no_arena;
+  s.arena_top <- 0;
+  if Bigarray.Array1.dim a > Bigarray.Array1.dim !spare then spare := a
+
+(* [f] on a fresh instance whose arena is handed back when [f] returns
+   or raises. *)
+let with_solver nvars (f : t -> 'a) : 'a =
+  let s = create nvars in
+  Fun.protect ~finally:(fun () -> release s) (fun () -> f s)
+
+let clause_size (s : t) c = s.arena.{c}
+let clause_lit (s : t) c i = s.arena.{c + hdr + i}
+let clause_act (s : t) c = s.arena.{c + 2}
+let is_learned (s : t) c = s.arena.{c + 1} land f_learned <> 0
+let is_deleted (s : t) c = s.arena.{c + 1} land f_deleted <> 0
+
+(* Store the first [n] literals of [lits] as a new clause; returns its
+   reference.  The arena doubles when full. *)
+let new_clause (s : t) (lits : int array) n ~learned : int =
+  let need = hdr + n in
+  let dim = Bigarray.Array1.dim s.arena in
+  if s.arena_top + need > dim then begin
+    let a = new_arena (max (2 * dim) (s.arena_top + need)) in
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub s.arena 0 s.arena_top)
+      (Bigarray.Array1.sub a 0 s.arena_top);
+    s.arena <- a
+  end;
+  let a = s.arena and c = s.arena_top in
+  a.{c} <- n;
+  if learned then begin
+    if s.n_act = Array.length s.cla_act then begin
+      let act = Array.make (max 64 (2 * s.n_act)) 0.0 in
+      Array.blit s.cla_act 0 act 0 s.n_act;
+      s.cla_act <- act
+    end;
+    s.cla_act.(s.n_act) <- 0.0;
+    a.{c + 1} <- f_learned;
+    a.{c + 2} <- s.n_act;
+    s.n_act <- s.n_act + 1
+  end
+  else begin
+    a.{c + 1} <- 0;
+    a.{c + 2} <- -1
+  end;
+  for i = 0 to n - 1 do
+    a.{c + hdr + i} <- lits.(i)
+  done;
+  s.arena_top <- c + need;
+  c
 
 let value_lit (s : t) (l : lit) =
   (* 0 unassigned, 1 true, 2 false *)
@@ -180,10 +283,14 @@ let bump_var (s : t) v =
 
 let decay_var_activity (s : t) = s.var_inc <- s.var_inc /. 0.95
 
-let bump_clause (s : t) (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) s.learnts;
+let bump_clause (s : t) c =
+  let i = s.arena.{c + 2} in
+  s.cla_act.(i) <- s.cla_act.(i) +. s.cla_inc;
+  if s.cla_act.(i) > 1e20 then begin
+    for k = 0 to s.n_learnts - 1 do
+      let j = s.arena.{s.learnts.(k) + 2} in
+      s.cla_act.(j) <- s.cla_act.(j) *. 1e-20
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -193,7 +300,7 @@ let decay_clause_activity (s : t) = s.cla_inc <- s.cla_inc /. 0.999
 (* Assignment                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let enqueue (s : t) (l : lit) (reason : clause option) =
+let enqueue (s : t) (l : lit) (reason : int) =
   let v = var_of l in
   s.assign.(v) <- (if is_neg l then 2 else 1);
   s.phase.(v) <- not (is_neg l);
@@ -202,12 +309,19 @@ let enqueue (s : t) (l : lit) (reason : clause option) =
   s.trail.(s.trail_len) <- l;
   s.trail_len <- s.trail_len + 1
 
-let watch (s : t) (c : clause) (l : lit) =
+let watch (s : t) c (l : lit) =
   (* watching literal l of c: insertion is keyed by (lnot l), the
      literal whose becoming true falsifies l and requires a visit *)
   let k = lnot l in
-  if s.watches.(k) == unwatched then s.watches.(k) <- Vec.create dummy_clause;
-  Vec.push s.watches.(k) c
+  let ws = s.watches.(k) and n = s.watch_len.(k) in
+  if n = Array.length ws then begin
+    let grown = Array.make (max 4 (2 * n)) 0 in
+    Array.blit ws 0 grown 0 n;
+    grown.(n) <- c;
+    s.watches.(k) <- grown
+  end
+  else ws.(n) <- c;
+  s.watch_len.(k) <- n + 1
 
 (* Add a clause; returns false if the instance is already unsat at level
    0.  The clause is normalised in place: an insertion sort (clauses are
@@ -215,8 +329,7 @@ let watch (s : t) (c : clause) (l : lit) =
    of [lits].  Sorted as ints, a duplicate is adjacent to its copy and a
    complementary pair [2v], [2v+1] is adjacent too; the scan also drops
    literals false at level 0.  The kept literals stay in ascending
-   order.  The solver takes ownership of [lits]: a stored clause may be
-   [lits] itself, and propagation reorders it.
+   order, and are copied into the arena.
 
    [false] means the clause is falsified at level 0, so the instance is
    unsatisfiable.  The clause is then dropped, not stored or enqueued:
@@ -259,115 +372,120 @@ let add_clause (s : t) (lits : lit array) : bool =
       | 2 -> false
       | _ ->
         s.num_clauses <- s.num_clauses + 1;
-        enqueue s l None;
+        enqueue s l (-1);
         true)
     | m ->
       s.num_clauses <- s.num_clauses + 1;
-      let lits = if m = n then lits else Array.sub lits 0 m in
-      let c = { lits; activity = 0.0; learned = false; deleted = false } in
-      s.clauses <- c :: s.clauses;
+      let c = new_clause s lits m ~learned:false in
       watch s c lits.(0);
       watch s c lits.(1);
       true
   end
 
-(* Propagate until fixpoint; returns the conflicting clause if any.
+(* Propagate until fixpoint; returns the conflicting clause, or -1.
    Watch vectors are compacted in place: a clause keeps its slot unless
-   it found a new watch (it moved lists) or was deleted by DB reduction.
-   On conflict the unvisited tail is preserved verbatim, so watch lists
-   survive conflicts exactly. *)
-let propagate (s : t) : clause option =
-  let conflict = ref None in
-  while !conflict = None && s.qhead < s.trail_len do
+   it found a new watch (it moved lists).  On conflict the unvisited
+   tail is preserved verbatim, so watch lists survive conflicts
+   exactly.  Nothing here grows the arena, so [a] stays valid. *)
+let propagate (s : t) : int =
+  let a = s.arena in
+  let conflict = ref (-1) in
+  while !conflict < 0 && s.qhead < s.trail_len do
     let l = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
-    (* literal l became true; visit clauses watching (lnot l) *)
+    (* literal l became true; visit clauses watching (lnot l).  [watch]
+       below pushes onto other literals' vectors only (the new watch is
+       not false, and lnot l is), so [ws] is not reallocated under us. *)
     let ws = s.watches.(l) in
-    let n = Vec.length ws in
+    let n = s.watch_len.(l) in
     let j = ref 0 in
     let i = ref 0 in
     let falsified = lnot l in
     while !i < n do
-      let c = Vec.get ws !i in
+      let c = ws.(!i) in
       incr i;
-      if not c.deleted then begin
-        let lits = c.lits in
-        (* ensure the falsified literal is at position 1 *)
-        if lits.(0) = falsified then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- falsified
-        end;
-        if value_lit s lits.(0) = 1 then begin
-          (* clause already satisfied; keep watching *)
-          Vec.set ws !j c;
-          incr j
+      let lits = c + hdr in
+      (* ensure the falsified literal is at position 1 *)
+      if a.{lits} = falsified then begin
+        a.{lits} <- a.{lits + 1};
+        a.{lits + 1} <- falsified
+      end;
+      let first = a.{lits} in
+      if value_lit s first = 1 then begin
+        (* clause already satisfied; keep watching *)
+        ws.(!j) <- c;
+        incr j
+      end
+      else begin
+        (* look for a new watch *)
+        let len = a.{c} in
+        let k = ref 2 in
+        while !k < len && value_lit s a.{lits + !k} = 2 do
+          incr k
+        done;
+        if !k < len then begin
+          let w = a.{lits + !k} in
+          a.{lits + !k} <- a.{lits + 1};
+          a.{lits + 1} <- w;
+          watch s c w
         end
         else begin
-          (* look for a new watch *)
-          let len = Array.length lits in
-          let found = ref false in
-          let k = ref 2 in
-          while (not !found) && !k < len do
-            if value_lit s lits.(!k) <> 2 then begin
-              let w = lits.(!k) in
-              lits.(!k) <- lits.(1);
-              lits.(1) <- w;
-              watch s c w;
-              found := true
-            end;
-            incr k
-          done;
-          if not !found then begin
-            (* unit or conflict: stays on this watch list *)
-            Vec.set ws !j c;
-            incr j;
-            match value_lit s lits.(0) with
-            | 2 ->
-              conflict := Some c;
-              (* keep the unvisited tail on this list untouched *)
-              while !i < n do
-                Vec.set ws !j (Vec.get ws !i);
-                incr j;
-                incr i
-              done
-            | 0 -> enqueue s lits.(0) (Some c)
-            | _ -> ()
+          (* unit or conflict: stays on this watch list *)
+          ws.(!j) <- c;
+          incr j;
+          match value_lit s first with
+          | 2 ->
+            conflict := c;
+            (* keep the unvisited tail on this list untouched *)
+            while !i < n do
+              ws.(!j) <- ws.(!i);
+              incr j;
+              incr i
+            done
+          | 0 -> enqueue s first c
+          | _ -> ()
+        end
+      end
+    done;
+    s.watch_len.(l) <- !j
+  done;
+  !conflict
+
+(* First-UIP conflict analysis.  Leaves the learned clause in
+   [learnt_buf.(0 .. learnt_len-1)], asserting literal first, and
+   returns the backtrack level.  The literal order is the one a list
+   built by consing would give: the asserting literal, then the others
+   latest-found first. *)
+let analyze (s : t) (confl : int) : int =
+  let a = s.arena in
+  let buf = s.learnt_buf in
+  let n = ref 1 (* slot 0 waits for the asserting literal *) in
+  let counter = ref 0 in
+  let p = ref (-1) in
+  (* -1 marks "use all literals of confl" on first iteration *)
+  let confl = ref confl in
+  let idx = ref (s.trail_len - 1) in
+  let continue_ = ref true in
+  while !continue_ do
+    let c = !confl in
+    assert (c >= 0);
+    if a.{c + 1} land f_learned <> 0 then bump_clause s c;
+    for k = c + hdr to c + hdr + a.{c} - 1 do
+      let q = a.{k} in
+      if q <> !p then begin
+        let v = var_of q in
+        if (not s.seen.(v)) && s.level.(v) > 0 then begin
+          s.seen.(v) <- true;
+          bump_var s v;
+          if s.level.(v) >= s.decision_level then incr counter
+          else begin
+            buf.(!n) <- q;
+            incr n
           end
         end
       end
     done;
-    Vec.shrink ws !j
-  done;
-  !conflict
-
-(* First-UIP conflict analysis.  Returns (learned clause, backtrack
-   level); learned.(0) is the asserting literal. *)
-let analyze (s : t) (confl : clause) : lit array * int =
-  let learned = ref [] in
-  let counter = ref 0 in
-  let p = ref (-1) in
-  (* -1 marks "use all literals of confl" on first iteration *)
-  let confl = ref (Some confl) in
-  let idx = ref (s.trail_len - 1) in
-  let continue_ = ref true in
-  while !continue_ do
-    (match !confl with
-    | None -> assert false
-    | Some c ->
-      if c.learned then bump_clause s c;
-      Array.iter
-        (fun q ->
-          if q <> !p then begin
-            let v = var_of q in
-            if (not s.seen.(v)) && s.level.(v) > 0 then begin
-              s.seen.(v) <- true;
-              bump_var s v;
-              if s.level.(v) >= s.decision_level then incr counter
-              else learned := q :: !learned
-            end
-          end)
-        c.lits);
     (* find next literal on trail that is marked *)
     while not s.seen.(var_of s.trail.(!idx)) do
       decr idx
@@ -379,7 +497,7 @@ let analyze (s : t) (confl : clause) : lit array * int =
     decr idx;
     if !counter = 0 then begin
       (* q is the first UIP *)
-      learned := lnot q :: !learned;
+      buf.(0) <- lnot q;
       continue_ := false
     end
     else begin
@@ -387,42 +505,52 @@ let analyze (s : t) (confl : clause) : lit array * int =
       confl := s.reason.(v)
     end
   done;
-  let arr = Array.of_list !learned in
-  (* move asserting literal (lnot of UIP) to front: it is the head *)
-  let n = Array.length arr in
-  (* asserting literal is the last added: find it — it is the only one at
-     current decision level *)
+  let n = !n in
+  (* latest-found first *)
+  let lo = ref 1 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let tmp = buf.(!lo) in
+    buf.(!lo) <- buf.(!hi);
+    buf.(!hi) <- tmp;
+    incr lo;
+    decr hi
+  done;
+  (* asserting literal to the front: the only one at the current
+     decision level *)
   let ai = ref 0 in
   for i = 0 to n - 1 do
-    if s.level.(var_of arr.(i)) = s.decision_level then ai := i
+    if s.level.(var_of buf.(i)) = s.decision_level then ai := i
   done;
-  let tmp = arr.(0) in
-  arr.(0) <- arr.(!ai);
-  arr.(!ai) <- tmp;
+  let tmp = buf.(0) in
+  buf.(0) <- buf.(!ai);
+  buf.(!ai) <- tmp;
   (* backtrack level: max level among the rest *)
   let blevel = ref 0 in
   let bi = ref 1 in
   for i = 1 to n - 1 do
-    if s.level.(var_of arr.(i)) > !blevel then begin
-      blevel := s.level.(var_of arr.(i));
+    if s.level.(var_of buf.(i)) > !blevel then begin
+      blevel := s.level.(var_of buf.(i));
       bi := i
     end
   done;
   if n > 1 then begin
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!bi);
-    arr.(!bi) <- tmp
+    let tmp = buf.(1) in
+    buf.(1) <- buf.(!bi);
+    buf.(!bi) <- tmp
   end;
   (* clear seen flags *)
-  Array.iter (fun l -> s.seen.(var_of l) <- false) arr;
-  (arr, !blevel)
+  for i = 0 to n - 1 do
+    s.seen.(var_of buf.(i)) <- false
+  done;
+  s.learnt_len <- n;
+  !blevel
 
 let backtrack (s : t) (level : int) =
   if s.decision_level > level then begin
     for i = s.trail_len - 1 downto s.trail_lim.(level) do
       let v = var_of s.trail.(i) in
       s.assign.(v) <- 0;
-      s.reason.(v) <- None;
+      s.reason.(v) <- -1;
       heap_insert s v
     done;
     s.trail_len <- s.trail_lim.(level);
@@ -432,39 +560,109 @@ let backtrack (s : t) (level : int) =
 
 (* A learned clause is locked while it is the antecedent of an
    assignment on the trail; locked clauses are never reduced away. *)
-let locked (s : t) (c : clause) =
-  Array.length c.lits > 0
-  &&
-  match s.reason.(var_of c.lits.(0)) with Some r -> r == c | None -> false
+let locked (s : t) c = s.reason.(var_of s.arena.{c + hdr}) = c
+
+(* Slide the live clauses down over the deleted ones, in arena order.
+   A first pass stores each live clause's new offset in its flags word,
+   so the watches, reasons and [learnts] can be rewritten through it
+   before the second pass moves the clauses and renumbers the
+   activities densely, also in arena order.  Learned clauses are
+   appended, so arena order is [learnts] order, and both passes only
+   ever move a clause or an activity down. *)
+let compact (s : t) =
+  s.arena_compactions <- s.arena_compactions + 1;
+  let a = s.arena in
+  let c = ref 0 and dst = ref 0 in
+  while !c < s.arena_top do
+    let size = a.{!c} and flags = a.{!c + 1} in
+    if flags land f_deleted = 0 then begin
+      a.{!c + 1} <- (!dst lsl 2) lor flags;
+      dst := !dst + hdr + size
+    end;
+    c := !c + hdr + size
+  done;
+  let forward c = a.{c + 1} lsr 2 in
+  Array.iteri
+    (fun k ws ->
+      for i = 0 to s.watch_len.(k) - 1 do
+        ws.(i) <- forward ws.(i)
+      done)
+    s.watches;
+  Array.iteri (fun v r -> if r >= 0 then s.reason.(v) <- forward r) s.reason;
+  for i = 0 to s.n_learnts - 1 do
+    s.learnts.(i) <- forward s.learnts.(i)
+  done;
+  let c = ref 0 and n_act = ref 0 in
+  while !c < s.arena_top do
+    let size = a.{!c} and flags = a.{!c + 1} in
+    if flags land f_deleted = 0 then begin
+      let d = flags lsr 2 in
+      for i = 0 to hdr + size - 1 do
+        a.{d + i} <- a.{!c + i}
+      done;
+      a.{d + 1} <- flags land (f_learned lor f_deleted);
+      if flags land f_learned <> 0 then begin
+        s.cla_act.(!n_act) <- s.cla_act.(a.{d + 2});
+        a.{d + 2} <- !n_act;
+        incr n_act
+      end
+    end;
+    c := !c + hdr + size
+  done;
+  s.arena_top <- !dst;
+  s.arena_dead <- 0;
+  s.n_act <- !n_act
 
 (* Learned-DB reduction: drop the low-activity half (sparing locked and
-   binary clauses), then compact every watch vector.  Called on a
+   binary clauses), then filter every watch vector.  Called on a
    geometric schedule: [max_learnts] grows 1.2x per reduction, so the
-   DB stays bounded while long refutations keep their useful lemmas. *)
+   DB stays bounded while long refutations keep their useful lemmas.
+   Once a fifth of the arena is dead, it is compacted. *)
 let reduce_db (s : t) =
   s.db_reductions <- s.db_reductions + 1;
-  let n = Vec.length s.learnts in
-  let arr = Array.init n (fun i -> Vec.get s.learnts i) in
-  Array.sort (fun (a : clause) b -> compare a.activity b.activity) arr;
+  let a = s.arena in
+  let n = s.n_learnts in
+  let arr = Array.sub s.learnts 0 n in
+  Array.sort (fun c d -> Float.compare s.cla_act.(a.{c + 2}) s.cla_act.(a.{d + 2})) arr;
   let to_drop = ref (n / 2) in
   Array.iter
     (fun c ->
-      if !to_drop > 0 && (not (locked s c)) && Array.length c.lits > 2 then begin
-        c.deleted <- true;
+      if !to_drop > 0 && (not (locked s c)) && a.{c} > 2 then begin
+        a.{c + 1} <- a.{c + 1} lor f_deleted;
+        s.arena_dead <- s.arena_dead + hdr + a.{c};
         decr to_drop
       end)
     arr;
-  Vec.filter_in_place (fun c -> not c.deleted) s.learnts;
-  Array.iter (fun ws -> Vec.filter_in_place (fun c -> not c.deleted) ws) s.watches;
-  s.max_learnts <- s.max_learnts *. 1.2
+  let live c = a.{c + 1} land f_deleted = 0 in
+  let filter (v : int array) len =
+    let j = ref 0 in
+    for i = 0 to len - 1 do
+      if live v.(i) then begin
+        v.(!j) <- v.(i);
+        incr j
+      end
+    done;
+    !j
+  in
+  s.n_learnts <- filter s.learnts n;
+  Array.iteri (fun k ws -> s.watch_len.(k) <- filter ws s.watch_len.(k)) s.watches;
+  s.max_learnts <- s.max_learnts *. 1.2;
+  if 5 * s.arena_dead >= s.arena_top then compact s
 
-let learn (s : t) (lits : lit array) : clause =
-  let c = { lits; activity = 0.0; learned = true; deleted = false } in
-  Vec.push s.learnts c;
-  if Vec.length s.learnts > s.learned_peak then s.learned_peak <- Vec.length s.learnts;
+(* Store [analyze]'s clause as a learned clause. *)
+let learn (s : t) : int =
+  let c = new_clause s s.learnt_buf s.learnt_len ~learned:true in
+  if s.n_learnts = Array.length s.learnts then begin
+    let grown = Array.make (max 64 (2 * s.n_learnts)) 0 in
+    Array.blit s.learnts 0 grown 0 s.n_learnts;
+    s.learnts <- grown
+  end;
+  s.learnts.(s.n_learnts) <- c;
+  s.n_learnts <- s.n_learnts + 1;
+  if s.n_learnts > s.learned_peak then s.learned_peak <- s.n_learnts;
   bump_clause s c;
-  watch s c lits.(0);
-  watch s c lits.(1);
+  watch s c s.learnt_buf.(0);
+  watch s c s.learnt_buf.(1);
   c
 
 (* Phase-saved branching: pick the highest-activity unassigned variable
@@ -504,15 +702,15 @@ let solve ?(max_conflicts = max_int) (s : t) : result =
   let result = ref None in
   (try
      (* top-level propagation of units added by add_clause *)
-     (match propagate s with Some _ -> result := Some Unsat | None -> ());
+     if propagate s >= 0 then result := Some Unsat;
      while !result = None do
        incr restart_num;
        let budget = 100 * luby !restart_num in
        let local_conflicts = ref 0 in
        (try
           while !result = None do
-            match propagate s with
-            | Some confl ->
+            let confl = propagate s in
+            if confl >= 0 then begin
               s.conflicts <- s.conflicts + 1;
               incr local_conflicts;
               if s.conflicts - conflicts0 > max_conflicts then raise Budget_exceeded;
@@ -520,23 +718,24 @@ let solve ?(max_conflicts = max_int) (s : t) : result =
                 result := Some Unsat;
                 raise Exit
               end;
-              let learned, blevel = analyze s confl in
+              let blevel = analyze s confl in
               backtrack s blevel;
               decay_var_activity s;
               decay_clause_activity s;
-              if Array.length learned = 1 then enqueue s learned.(0) None
+              if s.learnt_len = 1 then enqueue s s.learnt_buf.(0) (-1)
               else begin
-                let c = learn s learned in
-                enqueue s learned.(0) (Some c)
+                let c = learn s in
+                enqueue s s.learnt_buf.(0) c
               end;
-              if float_of_int (Vec.length s.learnts) >= s.max_learnts then reduce_db s;
+              if float_of_int s.n_learnts >= s.max_learnts then reduce_db s;
               if !local_conflicts >= budget then begin
                 (* restart *)
                 s.restarts <- s.restarts + 1;
                 backtrack s 0;
                 raise Exit
               end
-            | None -> (
+            end
+            else
               match pick_branch_var s with
               | None ->
                 (* full assignment: SAT *)
@@ -546,7 +745,7 @@ let solve ?(max_conflicts = max_int) (s : t) : result =
                 s.decisions <- s.decisions + 1;
                 s.trail_lim.(s.decision_level) <- s.trail_len;
                 s.decision_level <- s.decision_level + 1;
-                enqueue s (lit_of ~negated:(not s.phase.(v)) v) None)
+                enqueue s (lit_of ~negated:(not s.phase.(v)) v) (-1)
           done
         with Exit -> ())
      done
@@ -558,7 +757,7 @@ let solve ?(max_conflicts = max_int) (s : t) : result =
 
 (* One-shot convenience: clauses as lists of literals. *)
 let solve_clauses ?max_conflicts ~nvars (clauses : lit list list) : result =
-  let s = create nvars in
+  with_solver nvars @@ fun s ->
   let ok = List.for_all (fun c -> add_clause s (Array.of_list c)) clauses in
   if not ok then Unsat else solve ?max_conflicts s
 
@@ -579,6 +778,7 @@ type statistics = {
   st_clauses : int; (* problem clauses accepted by add_clause *)
   st_learned_peak : int; (* peak size of the learned-clause DB *)
   st_db_reductions : int;
+  st_arena_compactions : int;
   st_restarts : int;
 }
 
@@ -589,5 +789,6 @@ let statistics s =
     st_clauses = s.num_clauses;
     st_learned_peak = s.learned_peak;
     st_db_reductions = s.db_reductions;
+    st_arena_compactions = s.arena_compactions;
     st_restarts = s.restarts;
   }

@@ -419,6 +419,8 @@ module Cnf = struct
     Obs.count ~by:st.Ub_sat.Solver.st_decisions "solver.decisions";
     Obs.count ~by:st.Ub_sat.Solver.st_propagations "solver.propagations";
     Obs.count ~by:st.Ub_sat.Solver.st_restarts "solver.restarts";
+    Obs.count ~by:st.Ub_sat.Solver.st_db_reductions "solver.db_reductions";
+    Obs.count ~by:st.Ub_sat.Solver.st_arena_compactions "solver.arena_compactions";
     Obs.observe "smt.cnf_clauses" (float_of_int st.Ub_sat.Solver.st_clauses);
     Obs.observe "smt.cnf_vars" (float_of_int b.next_var);
     Obs.observe "smt.circuit_nodes" (float_of_int ctx.next_id)
@@ -441,21 +443,23 @@ module Cnf = struct
         }
 
   (* Satisfiability of [root = true].  [max_conflicts] bounds solver
-     effort; raises [Too_hard] when exceeded.  The span [smt.tseitin]
-     covers setting up the solver and the builder and every clause add;
-     [sat.search] covers the search. *)
+     effort; raises [Too_hard] when exceeded.  The solver's arena goes
+     back to the spare however the query ends.  The span [smt.tseitin]
+     covers setting up the builder and every clause add; [sat.search]
+     covers the search. *)
   let solve ?(max_conflicts = 2_000_000) ?stats (ctx : ctx) (root : t) : solve_result =
     Ub_obs.Obs.with_span "smt.solve" @@ fun () ->
+    (* Var 0 is the constant true; every input and every And/Or/Xor/Ite
+       node gets at most one var, on demand.  The solver is sized for
+       1 + inputs + node ids, a bound that also counts the ids of
+       constants, inputs and Not nodes, and the search decides every
+       var it is sized for, encoded or not. *)
+    let nvars = 1 + ctx.next_input + ctx.next_id in
+    Ub_sat.Solver.with_solver nvars @@ fun solver ->
     let b =
       Ub_obs.Obs.with_span "smt.tseitin" @@ fun () ->
-      (* Var 0 is the constant true; every input and every And/Or/Xor/Ite
-         node gets at most one var, on demand.  The solver is sized for
-         1 + inputs + node ids, a bound that also counts the ids of
-         constants, inputs and Not nodes, and the search decides every
-         var it is sized for, encoded or not. *)
-      let nvars = 1 + ctx.next_input + ctx.next_id in
       let b =
-        { solver = Ub_sat.Solver.create nvars; node_var = Array.make ctx.next_id 0;
+        { solver; node_var = Array.make ctx.next_id 0;
           input_var = Array.make ctx.next_input 0; next_var = 1; ok = true }
       in
       add b [| Ub_sat.Solver.pos 0 |];

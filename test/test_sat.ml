@@ -89,7 +89,109 @@ let brute nvars clauses =
 (* The clauses watching literal [l]'s falsification, i.e. visited when
    [lnot l] becomes true. *)
 let watchers (s : Solver.t) (l : Solver.lit) =
-  Ub_support.Vec.to_list s.Solver.watches.(Solver.lnot l)
+  let k = Solver.lnot l in
+  Array.to_list (Array.sub s.Solver.watches.(k) 0 s.Solver.watch_len.(k))
+
+(* Every clause in the arena, live or deleted, in arena order. *)
+let arena_clauses (s : Solver.t) =
+  let rec go c acc =
+    if c >= s.Solver.arena_top then List.rev acc
+    else go (c + Solver.hdr + Solver.clause_size s c) (c :: acc)
+  in
+  go 0 []
+
+let clause_lits (s : Solver.t) c = Array.init (Solver.clause_size s c) (Solver.clause_lit s c)
+
+(* pigeon i in hole j: var (holes * i + j) *)
+let pigeonhole ~pigeons ~holes =
+  let v i j = Solver.pos ((holes * i) + j) and nv i j = Solver.neg ((holes * i) + j) in
+  let rows = List.init pigeons (fun i -> List.init holes (v i)) in
+  let pairs =
+    List.concat
+      (List.init holes (fun j ->
+           List.concat
+             (List.init pigeons (fun i ->
+                  List.init (pigeons - i - 1) (fun d -> [ nv i j; nv (i + d + 1) j ])))))
+  in
+  (pigeons * holes, rows @ pairs)
+
+(* The solver's structural invariants, as left by a search; [None] when
+   they all hold, else the first one broken.
+   - each live clause is watched exactly twice, on the lists of its two
+     watched literals, and a deleted one not at all;
+   - every watch and every reason points at the start of a live clause;
+   - a reason's literal 0 is the literal its variable is assigned, and
+     an unassigned variable has no reason;
+   - the learned clauses carry the activity indices 0, 1, ... in arena
+     order, [learnts] lists the live ones in that order, and
+     [arena_dead] counts the deleted words. *)
+let invariant_violation (s : Solver.t) : string option =
+  let clauses = arena_clauses s in
+  let starts = Hashtbl.create 64 in
+  List.iter (fun c -> Hashtbl.replace starts c ()) clauses;
+  let live c = Hashtbl.mem starts c && not (Solver.is_deleted s c) in
+  let watched_on = Hashtbl.create 64 in
+  let bad = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !bad = None then bad := Some m) fmt in
+  Array.iteri
+    (fun k ws ->
+      for i = 0 to s.Solver.watch_len.(k) - 1 do
+        let c = ws.(i) in
+        if not (live c) then fail "watch %d on list %d is not a live clause" c k;
+        Hashtbl.add watched_on c k
+      done)
+    s.Solver.watches;
+  let dead = ref 0 and next_act = ref 0 in
+  List.iter
+    (fun c ->
+      let on = List.sort compare (Hashtbl.find_all watched_on c) in
+      if Solver.is_deleted s c then begin
+        dead := !dead + Solver.hdr + Solver.clause_size s c;
+        if on <> [] then fail "deleted clause %d is watched" c
+      end
+      else begin
+        let w =
+          List.sort compare
+            [ Solver.lnot (Solver.clause_lit s c 0); Solver.lnot (Solver.clause_lit s c 1) ]
+        in
+        if on <> w then
+          fail "clause %d is watched %d times, not on its two literals" c (List.length on)
+      end;
+      let act = Solver.clause_act s c in
+      if Solver.is_learned s c then begin
+        if act <> !next_act then
+          fail "learned clause %d has activity index %d, not %d" c act !next_act;
+        incr next_act
+      end
+      else if act <> -1 then fail "problem clause %d has activity index %d" c act)
+    clauses;
+  if !next_act <> s.Solver.n_act then
+    fail "%d activity slots for %d learned clauses" s.Solver.n_act !next_act;
+  if !dead <> s.Solver.arena_dead then fail "arena_dead %d, counted %d" s.Solver.arena_dead !dead;
+  let learned_live = List.filter (fun c -> Solver.is_learned s c && live c) clauses in
+  if Array.to_list (Array.sub s.Solver.learnts 0 s.Solver.n_learnts) <> learned_live then
+    fail "learnts is not the live learned clauses in arena order";
+  Array.iteri
+    (fun v r ->
+      if r >= 0 then begin
+        if not (live r) then fail "reason %d of var %d is not a live clause" r v
+        else begin
+          let l = Solver.clause_lit s r 0 in
+          if Solver.var_of l <> v || Solver.value_lit s l <> 1 then
+            fail "reason %d of var %d does not assert literal 0" r v
+        end
+      end
+      else if r <> -1 then fail "var %d has reason %d" v r)
+    s.Solver.reason;
+  !bad
+
+(* Solve [clauses] on a scoped instance; the verdict, the counters, and
+   the invariants after the search. *)
+let solve_checked ~nvars clauses =
+  Solver.with_solver nvars @@ fun s ->
+  let ok = List.for_all (fun c -> Solver.add_clause s (Array.of_list c)) clauses in
+  let r = if ok then Solver.solve s else Solver.Unsat in
+  (r, Solver.statistics s, invariant_violation s)
 
 let unit_tests =
   [ Alcotest.test_case "trivially sat" `Quick (fun () ->
@@ -140,14 +242,12 @@ let unit_tests =
         Alcotest.(check int) "four clauses watch ~x0" 4 (List.length before);
         s.Solver.trail_lim.(0) <- s.Solver.trail_len;
         s.Solver.decision_level <- 1;
-        Solver.enqueue s (Solver.pos 0) None;
-        (match Solver.propagate s with
-        | None -> Alcotest.fail "expected a conflict"
-        | Some _ -> ());
+        Solver.enqueue s (Solver.pos 0) (-1);
+        if Solver.propagate s < 0 then Alcotest.fail "expected a conflict";
         let after = watchers s (Solver.neg 0) in
         Alcotest.(check int) "watch list intact after conflict" 4 (List.length after);
         List.iter2
-          (fun a b -> Alcotest.(check bool) "same clause in the same slot" true (a == b))
+          (fun a b -> Alcotest.(check int) "same clause in the same slot" a b)
           before after);
     Alcotest.test_case "phase saving reproduces the model on re-solve" `Quick (fun () ->
         let s = Solver.create 6 in
@@ -219,6 +319,27 @@ let unit_tests =
           Alcotest.(check bool) "x2 follows" true m.(2);
           Alcotest.(check bool) "x1 follows" false m.(1)
         | Solver.Unsat -> Alcotest.fail "should be sat");
+    Alcotest.test_case "two live instances never share an arena" `Quick (fun () ->
+        let nvars, php = pigeonhole ~pigeons:4 ~holes:3 in
+        let add s = List.iter (fun c -> ignore (Solver.add_clause s (Array.of_list c))) in
+        (* warm a spare, then take it and a second arena at once *)
+        ignore (Solver.solve_clauses ~nvars php);
+        Solver.with_solver nvars (fun outer ->
+            add outer php;
+            Solver.with_solver 3 (fun inner ->
+                Alcotest.(check bool) "distinct arenas" true
+                  (outer.Solver.arena != inner.Solver.arena);
+                add inner
+                  [ [ Solver.pos 0; Solver.pos 1 ];
+                    [ Solver.neg 0 ];
+                    [ Solver.neg 1; Solver.pos 2 ];
+                  ];
+                match Solver.solve inner with
+                | Solver.Sat m -> Alcotest.(check bool) "inner model" true m.(2)
+                | Solver.Unsat -> Alcotest.fail "inner is sat");
+            match Solver.solve outer with
+            | Solver.Unsat -> ()
+            | Solver.Sat _ -> Alcotest.fail "pigeonhole 4->3 is unsat"));
   ]
 
 let random_cnf =
@@ -263,10 +384,10 @@ let props =
            let sorted = List.sort_uniq compare clause in
            let taut = List.exists (fun l -> List.mem (Solver.lnot l) sorted) sorted in
            let kept = List.filter (fun l -> Solver.value_lit s l <> 2) sorted in
-           let stored0 = List.length s.Solver.clauses and trail0 = s.Solver.trail_len in
+           let stored0 = List.length (arena_clauses s) and trail0 = s.Solver.trail_len in
            let was_true = match kept with [ l ] -> Solver.value_lit s l = 1 | _ -> false in
            let ok = Solver.add_clause s (Array.of_list clause) in
-           let stored = List.length s.Solver.clauses - stored0
+           let stored = List.length (arena_clauses s) - stored0
            and enqueued = s.Solver.trail_len - trail0 in
            if taut then ok && stored = 0 && enqueued = 0
            else
@@ -277,7 +398,7 @@ let props =
                && if was_true then enqueued = 0 else enqueued = 1 && s.Solver.trail.(trail0) = l
              | _ ->
                ok && stored = 1 && enqueued = 0
-               && (List.hd s.Solver.clauses).Solver.lits = Array.of_list kept));
+               && clause_lits s (List.nth (arena_clauses s) stored0) = Array.of_list kept));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"agrees with brute force" ~count:800 random_cnf
          (fun (nvars, clauses) ->
@@ -305,23 +426,58 @@ let props =
          ~name:"every live clause is watched exactly twice after solving" ~count:200
          random_cnf_large
          (fun (nvars, clauses) ->
-           let s = Solver.create nvars in
-           let ok = List.for_all (fun c -> Solver.add_clause s (Array.of_list c)) clauses in
-           if ok then ignore (Solver.solve s);
-           let count_watches c =
-             let n = ref 0 in
-             Array.iter
-               (Ub_support.Vec.iter (fun c' -> if c' == c then incr n))
-               s.Solver.watches;
-             !n
-           in
-           let check_clause (c : Solver.clause) =
-             if c.Solver.deleted then count_watches c = 0
-             else Array.length c.Solver.lits < 2 || count_watches c = 2
-           in
-           List.for_all check_clause s.Solver.clauses
-           && List.for_all check_clause (Ub_support.Vec.to_list s.Solver.learnts)
-           && Ub_support.Vec.length Solver.unwatched = 0));
+           let _, _, bad = solve_checked ~nvars clauses in
+           match bad with None -> true | Some m -> QCheck2.Test.fail_report m));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"a reused arena does not change the search" ~count:200
+         (QCheck2.Gen.pair random_cnf_large random_cnf)
+         (fun ((nvars_a, a), (nvars_b, b)) ->
+           (* B right after A reuses A's arena, leftovers and all; B after
+              a trivial instance starts from a fresh one *)
+           ignore (solve_checked ~nvars:nvars_a a);
+           let after_a = solve_checked ~nvars:nvars_b b in
+           Solver.spare := Solver.no_arena;
+           ignore (solve_checked ~nvars:1 [ [ Solver.pos 0 ] ]);
+           let after_trivial = solve_checked ~nvars:nvars_b b in
+           after_a = after_trivial));
   ]
 
-let () = Alcotest.run "sat" [ ("unit", unit_tests); ("properties", props) ]
+(* Instances long enough to reduce the learned DB and compact the arena
+   several times.  Reduction starts at 2,000 learned clauses, far more
+   than the random CNFs above ever learn. *)
+let reduction_tests =
+  let case name ~nvars clauses ~sat =
+    Alcotest.test_case name `Quick (fun () ->
+        let r, st, bad = solve_checked ~nvars clauses in
+        (match (r, sat) with
+        | Solver.Sat m, true ->
+          Alcotest.(check bool) "model satisfies" true (Solver.model_satisfies m clauses)
+        | Solver.Unsat, false -> ()
+        | _ -> Alcotest.fail "wrong verdict");
+        Alcotest.(check bool) "reduced more than once" true (st.Solver.st_db_reductions > 1);
+        Alcotest.(check bool) "compacted more than once" true (st.Solver.st_arena_compactions > 1);
+        Alcotest.(check (option string)) "invariants" None bad)
+  in
+  let nvars, php = pigeonhole ~pigeons:8 ~holes:7 in
+  (* random 3-clauses, each satisfied by a hidden assignment *)
+  let planted ~nvars ~nclauses seed =
+    let st = Random.State.make [| seed |] in
+    let hidden = Array.init nvars (fun _ -> Random.State.bool st) in
+    let rec clause () =
+      let c =
+        List.init 3 (fun _ ->
+            Solver.lit_of ~negated:(Random.State.bool st) (Random.State.int st nvars))
+      in
+      if Solver.model_satisfies hidden [ c ] then c else clause ()
+    in
+    List.init nclauses (fun _ -> clause ())
+  in
+  [ case "pigeonhole 8->7 reduces and compacts" ~nvars php ~sat:false;
+    case "planted 3-SAT (300 vars) reduces and compacts" ~nvars:300
+      (planted ~nvars:300 ~nclauses:1260 1) ~sat:true;
+  ]
+
+let () =
+  Alcotest.run "sat"
+    [ ("unit", unit_tests); ("properties", props); ("reduction", reduction_tests) ]

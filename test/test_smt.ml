@@ -78,6 +78,35 @@ let unit_tests =
         match Circuit.Cnf.solve ctx !root with
         | Circuit.Cnf.Unsat_r -> ()
         | Circuit.Cnf.Sat_model _ -> Alcotest.fail "pigeonhole is unsat");
+    Alcotest.test_case "every query hands its solver arena back" `Quick (fun () ->
+        let module Solver = Ub_sat.Solver in
+        (* the spare is emptied first, so a spare afterwards is the one
+           this query handed back *)
+        let handed_back what query =
+          Solver.spare := Solver.no_arena;
+          query ();
+          Alcotest.(check bool) what true (Bigarray.Array1.dim !Solver.spare > 0)
+        in
+        let ctx = Circuit.create_ctx () in
+        let a = Circuit.fresh ctx and b = Circuit.fresh ctx and c = Circuit.fresh ctx in
+        (* an odd cycle of xors: unsat, but only after a decision and a
+           conflict *)
+        let hard =
+          Circuit.band ctx (Circuit.bxor ctx a b)
+            (Circuit.band ctx (Circuit.bxor ctx b c) (Circuit.bxor ctx a c))
+        in
+        handed_back "Too_hard" (fun () ->
+            match Circuit.Cnf.solve ~max_conflicts:0 ctx hard with
+            | exception Circuit.Cnf.Too_hard -> ()
+            | _ -> Alcotest.fail "a zero-conflict budget must raise Too_hard");
+        handed_back "level-0 Unsat from add_clause" (fun () ->
+            match Circuit.Cnf.solve ctx Circuit.bfalse with
+            | Circuit.Cnf.Unsat_r -> ()
+            | Circuit.Cnf.Sat_model _ -> Alcotest.fail "false is unsat");
+        handed_back "Sat" (fun () ->
+            match Circuit.Cnf.solve ctx (Circuit.bxor ctx a b) with
+            | Circuit.Cnf.Sat_model _ -> ()
+            | Circuit.Cnf.Unsat_r -> Alcotest.fail "a xor b is sat"));
     Alcotest.test_case "hash-consing shrinks the Tseitin CNF by >= 30%" `Quick (fun () ->
         (* A checker-style query that mentions the same product twice,
            built once with structural sharing and once without.  The
