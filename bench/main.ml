@@ -236,41 +236,29 @@ let lnt () =
   let corpus = Array.of_list (Ub_fuzz.Gen.random_corpus ~seed:2017 ~size:120) in
   let total = Array.length corpus in
   let c = cache () in
-  let hits0 = match c with Some c -> Ub_exec.Cache.hits c | None -> 0 in
-  let misses0 = match c with Some c -> Ub_exec.Cache.misses c | None -> 0 in
+  let counter get = match c with Some cc -> get cc | None -> 0 in
+  let hits0 = counter Ub_exec.Cache.hits and misses0 = counter Ub_exec.Cache.misses in
   let key_of fn =
     Ub_exec.Cache.key ~parts:[ Printer.func_to_string fn; "lnt-legacy-vs-prototype-v1" ]
   in
-  let cached =
-    Array.map
-      (fun fn ->
-        match c with
-        | None -> None
-        | Some cc -> Option.bind (Ub_exec.Cache.find cc (key_of fn)) lnt_decode)
-      corpus
+  let results, pool =
+    Ub_exec.Pool.map_cached ~jobs:!jobs ?timeout_s:!timeout_s
+      ~find:(fun fn ->
+        Option.bind c (fun cc -> Option.bind (Ub_exec.Cache.find cc (key_of fn)) lnt_decode))
+      ~store:(fun fn o ->
+        Option.iter (fun cc -> Ub_exec.Cache.store cc (key_of fn) (lnt_encode o)) c)
+      lnt_diff corpus
   in
-  let fresh_idx =
-    Array.to_list (Array.mapi (fun i v -> (i, v)) cached)
-    |> List.filter_map (fun (i, v) -> if v = None then Some i else None)
-    |> Array.of_list
-  in
-  let fresh, pool =
-    Ub_exec.Pool.map_stats ~jobs:!jobs ?timeout_s:!timeout_s
-      (fun i -> lnt_diff corpus.(i))
-      fresh_idx
-  in
-  let outcomes = Array.make total `Unchanged in
-  Array.iteri (fun i v -> match v with Some o -> outcomes.(i) <- o | None -> ()) cached;
   let crashed = ref 0 in
-  Array.iteri
-    (fun j r ->
-      let i = fresh_idx.(j) in
-      match r with
-      | Ub_exec.Pool.Done o ->
-        outcomes.(i) <- o;
-        (match c with Some cc -> Ub_exec.Cache.store cc (key_of corpus.(i)) (lnt_encode o) | None -> ())
-      | Ub_exec.Pool.Crashed _ | Ub_exec.Pool.Timed_out -> incr crashed)
-    fresh;
+  let outcomes =
+    Array.map
+      (function
+        | Ub_exec.Pool.Done o -> o
+        | Ub_exec.Pool.Crashed _ | Ub_exec.Pool.Timed_out ->
+          incr crashed;
+          `Unchanged)
+      results
+  in
   let ir_changed =
     Array.fold_left (fun n o -> if o <> `Unchanged then n + 1 else n) 0 outcomes
   in
@@ -287,8 +275,8 @@ let lnt () =
   print_pool_stats pool;
   note_dropped ~experiment:"lnt" pool;
   print_cache_stats
-    ~hits:(match c with Some c -> Ub_exec.Cache.hits c - hits0 | None -> 0)
-    ~misses:(match c with Some c -> Ub_exec.Cache.misses c - misses0 | None -> 0)
+    ~hits:(counter Ub_exec.Cache.hits - hits0)
+    ~misses:(counter Ub_exec.Cache.misses - misses0)
 
 (* ------------------------------------------------------------------ *)
 (* T-OPTFUZZ: Section 6 validation                                     *)
@@ -310,8 +298,8 @@ let optfuzz () =
     in
     let pairs = Array.of_list (List.rev !pairs) in
     let report =
-      Ub_refine.Sweep.check_pairs ~jobs:!jobs ?timeout_s:!timeout_s ?cache:(cache ()) mode
-        pairs
+      Ub_refine.Sweep.check ~jobs:!jobs ?timeout_s:!timeout_s ?cache:(cache ())
+        (Array.map (fun (src, tgt) -> { Ub_refine.Sweep.mode; src; tgt; inputs = None }) pairs)
     in
     let unsound = ref 0 and unknown = ref 0 in
     Array.iter

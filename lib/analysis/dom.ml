@@ -92,12 +92,3 @@ let frontiers t : (Instr.label, Instr.label list) Hashtbl.t =
           preds)
     t.cfg.rpo;
   df
-
-(* Definition-dominates-use query for instruction scheduling decisions:
-   does the definition point of [v] dominate the start of block [l]? *)
-let def_dominates_block t (fn : Func.t) v l =
-  if List.mem_assoc v fn.args then true
-  else
-    match Func.defining_block fn v with
-    | Some db -> strictly_dominates t db.label l || db.label = l
-    | None -> false

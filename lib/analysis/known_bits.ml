@@ -25,8 +25,6 @@ let top ~width =
 let of_const bv =
   { known_zero = Bitvec.lognot bv; known_one = bv; up_to_poison = true }
 
-let width_of_fact f = Bitvec.width f.known_zero
-
 (* Analysis over a function: a fixpoint is unnecessary for our loop-free
    uses; we do a single pass in block layout order and give [top] to
    anything not yet seen (phis, loop-carried values). *)

@@ -68,8 +68,6 @@ let compute (fn : Func.t) : t =
   in
   { loops; dom }
 
-let loop_of t label = List.find_opt (fun lp -> List.mem label lp.blocks) t.loops
-
 (* Is operand [op] invariant in [lp] — defined outside the loop (or a
    constant / argument)? *)
 let operand_invariant (fn : Func.t) (lp : loop) (op : Instr.operand) =

@@ -6,8 +6,6 @@
    Simulated running time of a compiled function =
      sum over blocks of (IR-profile execution count x block cost). *)
 
-open Ub_support
-
 let inst_cost (p : Target.profile) (prev : Mir.inst option) (i : Mir.inst) : float =
   match i with
   | Mir.Mov (_, _, _) -> p.Target.lat_alu
@@ -60,8 +58,3 @@ let simulate (p : Target.profile) (mf : Mir.func) (profile : (string * int) list
       in
       acc +. (count *. block_cost p b))
     0.0 mf.Mir.blocks
-
-(* Static cost of a function, used by inlining-style heuristics and as a
-   code-quality proxy in tests. *)
-let static_cost (p : Target.profile) (mf : Mir.func) : float =
-  Util.sum_float (List.map (block_cost p) mf.Mir.blocks)

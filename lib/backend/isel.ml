@@ -76,11 +76,6 @@ let operand_regs env emit (op : operand) : Mir.reg array =
     in
     regs_of_const c
 
-let operand_val env emit (op : operand) : Mir.operand =
-  match op with
-  | Const (Constant.Int bv) -> Mir.Imm (Bitvec.to_uint64 bv)
-  | _ -> Mir.Reg (operand_regs env emit op).(0)
-
 let binkind_of = function
   | Add -> Some Mir.BAdd
   | Sub -> Some Mir.BSub

@@ -417,6 +417,29 @@ let map_stats ?(jobs = 1) ?timeout_s (f : 'a -> 'b) (xs : 'a array) :
 
 let map ?jobs ?timeout_s f xs = fst (map_stats ?jobs ?timeout_s f xs)
 
+(* [map_stats] behind a cache the caller owns: [find] is asked in the
+   parent first, only the misses reach the workers, and [store] sees
+   each [Done] result in the parent, in input order.  A hit comes back
+   as [Done]; the stats count only the tasks that ran. *)
+let map_cached ?jobs ?timeout_s ~(find : 'a -> 'b option) ~(store : 'a -> 'b -> unit)
+    (f : 'a -> 'b) (xs : 'a array) : 'b result array * stats =
+  let cached = Array.map find xs in
+  let misses =
+    Array.of_list
+      (List.filter (fun i -> Option.is_none cached.(i)) (List.init (Array.length xs) Fun.id))
+  in
+  let fresh, stats = map_stats ?jobs ?timeout_s (fun i -> f xs.(i)) misses in
+  let results =
+    Array.map (function Some v -> Done v | None -> Crashed "task lost by the pool") cached
+  in
+  Array.iteri
+    (fun j r ->
+      let i = misses.(j) in
+      results.(i) <- r;
+      match r with Done v -> store xs.(i) v | Crashed _ | Timed_out -> ())
+    fresh;
+  (results, stats)
+
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "exec: %d worker(s), %d task(s), wall %.3fs, busy %.3fs, utilization %.1f%%, %d crashed, %d timed out, %d respawn(s)"

@@ -4,7 +4,7 @@
    enabling one injected-bug catalog entry at a time (lib/opt/inject.ml)
    must rediscover that entry within a fixed seed/program budget.
 
-   Two execution paths share all accounting:
+   Two execution paths share all accounting ([tally]):
    - in-process: programs run through the fork pool (lib/exec/pool);
      a crashed or timed-out program is recorded as *dropped*, never
      silently lost;
@@ -176,12 +176,12 @@ let bugs_per_cpu_hour (r : report) : float =
 (* Per-program work                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type unit_result = {
-  u_changed : int;
-  u_checks : int;
-  u_unknown : int;
-  u_findings : finding list;
-}
+(* The checked outcome of one (program, lane) pair the lane changed.
+   Both drivers count outcomes through [tally]. *)
+type outcome = Refined | Inconclusive | Found of finding
+
+(* One program's outcomes, in lane order. *)
+type unit_result = outcome list
 
 let generate (cfg : config) (idx : int) : Func.t =
   let rng = Prng.create ~seed:(cfg.seed + idx) in
@@ -228,18 +228,6 @@ let shrink_finding (cfg : config) (lane : lane) ~(program : int) ~(src : Func.t)
       | v -> v);
   }
 
-(* Backend lanes: ask the lowering TV whether the program compiled with
-   the lane's bug still refines.  TV lowers the program once; if the bug
-   did not perturb the MIR there ([Tv.Inert]) the program is skipped.
-   A program isel cannot lower is unknown, like any other program TV
-   classifies unsupported (the backend generator does not produce
-   such programs). *)
-type backend_outcome =
-  | B_skip (* bug was a no-op on this MIR *)
-  | B_refined
-  | B_unknown (* TV classified the function unsupported *)
-  | B_finding of finding
-
 let shrink_backend_finding (cfg : config) (lane : lane)
     ~(bug : Ub_backend.Mir_inject.bug) ~(program : int) (fn : Func.t) : finding =
   Obs.count "hunt.finding";
@@ -265,8 +253,14 @@ let shrink_backend_finding (cfg : config) (lane : lane)
     f_verdict = verdict;
   }
 
+(* Backend lanes: ask the lowering TV whether the program compiled with
+   the lane's bug still refines.  TV lowers the program once; if the bug
+   did not perturb the MIR there ([Tv.Inert]) the program is skipped
+   ([None]).  A program isel cannot lower is inconclusive, like any
+   other program TV classifies unsupported (the backend generator does
+   not produce such programs). *)
 let check_backend_lane (cfg : config) (lane : lane) ~(bname : string) ~(program : int)
-    (fn : Func.t) : backend_outcome =
+    (fn : Func.t) : outcome option =
   let bug = Ub_backend.Mir_inject.find_exn bname in
   (* tighter budgets than the CLI's: an injected bug can make the
      machine loop diverge, and the pre-drop cost of a diverging tuple
@@ -278,66 +272,40 @@ let check_backend_lane (cfg : config) (lane : lane) ~(bname : string) ~(program 
   let checked outcome =
     Obs.count "hunt.changed";
     Obs.count "hunt.check_done";
-    outcome
+    Some outcome
   in
   match v with
-  | Ub_backend.Tv.Inert -> B_skip
-  | Ub_backend.Tv.Refined -> checked B_refined
-  | Ub_backend.Tv.Unsupported _ -> checked B_unknown
+  | Ub_backend.Tv.Inert -> None
+  | Ub_backend.Tv.Refined -> checked Refined
+  | Ub_backend.Tv.Unsupported _ -> checked Inconclusive
   | Ub_backend.Tv.Not_refined _ ->
-    checked (B_finding (shrink_backend_finding cfg lane ~bug ~program fn))
+    checked (Found (shrink_backend_finding cfg lane ~bug ~program fn))
 
 let process_program (cfg : config) (idx : int) : unit_result =
   Obs.count "hunt.program";
   let fn = Obs.with_span "hunt.generate" (fun () -> generate cfg idx) in
-  List.fold_left
-    (fun acc lane ->
+  List.filter_map
+    (fun lane ->
       match lane.lane_backend with
-      | Some bname -> (
-        match check_backend_lane cfg lane ~bname ~program:idx fn with
-        | B_skip -> acc
-        | B_refined -> { acc with u_changed = acc.u_changed + 1; u_checks = acc.u_checks + 1 }
-        | B_unknown ->
-          { acc with
-            u_changed = acc.u_changed + 1;
-            u_checks = acc.u_checks + 1;
-            u_unknown = acc.u_unknown + 1;
-          }
-        | B_finding f ->
-          { acc with
-            u_changed = acc.u_changed + 1;
-            u_checks = acc.u_checks + 1;
-            u_findings = acc.u_findings @ [ f ];
-          })
+      | Some bname -> check_backend_lane cfg lane ~bname ~program:idx fn
       | None ->
-      let fn' = optimize lane fn in
-      if Func.equal fn' fn then acc
-      else begin
-        Obs.count "hunt.changed";
-        let v =
-          Obs.with_span "hunt.check" @@ fun () ->
-          Ub_refine.Checker.check ~max_universal_bits:cfg.max_universal_bits
-            ~max_conflicts:cfg.max_conflicts lane.lane_mode ~src:fn ~tgt:fn'
-        in
-        Obs.count "hunt.check_done";
-        match v with
-        | Ub_refine.Checker.Counterexample _ ->
-          let f = shrink_finding cfg lane ~program:idx ~src:fn ~tgt:fn' in
-          { acc with
-            u_changed = acc.u_changed + 1;
-            u_checks = acc.u_checks + 1;
-            u_findings = acc.u_findings @ [ f ];
-          }
-        | Ub_refine.Checker.Unknown _ ->
-          { acc with
-            u_changed = acc.u_changed + 1;
-            u_checks = acc.u_checks + 1;
-            u_unknown = acc.u_unknown + 1;
-          }
-        | Ub_refine.Checker.Refines ->
-          { acc with u_changed = acc.u_changed + 1; u_checks = acc.u_checks + 1 }
-      end)
-    { u_changed = 0; u_checks = 0; u_unknown = 0; u_findings = [] }
+        let fn' = optimize lane fn in
+        if Func.equal fn' fn then None
+        else begin
+          Obs.count "hunt.changed";
+          let v =
+            Obs.with_span "hunt.check" @@ fun () ->
+            Ub_refine.Checker.check ~max_universal_bits:cfg.max_universal_bits
+              ~max_conflicts:cfg.max_conflicts lane.lane_mode ~src:fn ~tgt:fn'
+          in
+          Obs.count "hunt.check_done";
+          Some
+            (match v with
+            | Ub_refine.Checker.Counterexample _ ->
+              Found (shrink_finding cfg lane ~program:idx ~src:fn ~tgt:fn')
+            | Ub_refine.Checker.Unknown _ -> Inconclusive
+            | Ub_refine.Checker.Refines -> Refined)
+        end)
     cfg.lanes
 
 (* ------------------------------------------------------------------ *)
@@ -375,20 +343,30 @@ let drop (acc : accum) reason =
     | Some n -> (reason, n + 1) :: List.remove_assoc reason acc.dropped
     | None -> (reason, 1) :: acc.dropped)
 
+(* Count one answered check of a changed pair; a finding's fingerprint
+   joins the seen-set the first time it shows up. *)
+let tally (acc : accum) (o : outcome) =
+  acc.checks <- acc.checks + 1;
+  match o with
+  | Refined -> ()
+  | Inconclusive -> acc.unknown <- acc.unknown + 1
+  | Found f ->
+    acc.findings <- acc.findings + 1;
+    if not (Hashtbl.mem acc.seen f.fp) then begin
+      Hashtbl.replace acc.seen f.fp ();
+      Obs.count "hunt.unique";
+      acc.uniques <- f :: acc.uniques
+    end
+
+(* A changed pair checked where it was changed: nothing can drop it in
+   between. *)
+let tally_changed (acc : accum) (o : outcome) =
+  acc.changed <- acc.changed + 1;
+  tally acc o
+
 let absorb_unit (acc : accum) (u : unit_result) =
   acc.completed <- acc.completed + 1;
-  acc.changed <- acc.changed + u.u_changed;
-  acc.checks <- acc.checks + u.u_checks;
-  acc.unknown <- acc.unknown + u.u_unknown;
-  acc.findings <- acc.findings + List.length u.u_findings;
-  List.iter
-    (fun f ->
-      if not (Hashtbl.mem acc.seen f.fp) then begin
-        Hashtbl.replace acc.seen f.fp ();
-        Obs.count "hunt.unique";
-        acc.uniques <- f :: acc.uniques
-      end)
-    u.u_findings
+  List.iter (tally_changed acc) u
 
 let finish (cfg : config) (acc : accum) ~wall_s : report =
   { r_programs = cfg.programs;
@@ -476,24 +454,8 @@ let run_daemon (cfg : config) (r : remote) : report =
               | Some bname ->
                 (* backend checks cannot be shipped to the daemon (it
                    checks IR pairs); they stay local *)
-                (match check_backend_lane cfg lane ~bname ~program:p fn with
-                | B_skip -> ()
-                | B_refined ->
-                  acc.changed <- acc.changed + 1;
-                  acc.checks <- acc.checks + 1
-                | B_unknown ->
-                  acc.changed <- acc.changed + 1;
-                  acc.checks <- acc.checks + 1;
-                  acc.unknown <- acc.unknown + 1
-                | B_finding f ->
-                  acc.changed <- acc.changed + 1;
-                  acc.checks <- acc.checks + 1;
-                  acc.findings <- acc.findings + 1;
-                  if not (Hashtbl.mem acc.seen f.fp) then begin
-                    Hashtbl.replace acc.seen f.fp ();
-                    Obs.count "hunt.unique";
-                    acc.uniques <- f :: acc.uniques
-                  end);
+                Option.iter (tally_changed acc)
+                  (check_backend_lane cfg lane ~bname ~program:p fn);
                 None
               | None ->
                 let fn' = optimize lane fn in
@@ -527,26 +489,15 @@ let run_daemon (cfg : config) (r : remote) : report =
           List.iteri
             (fun i (p, lane, src, tgt) ->
               match replies.(i) with
-              | Ub_serve.Wire.Verdict { verdict = "counterexample"; wall_s; _ } ->
-                acc.checks <- acc.checks + 1;
+              | Ub_serve.Wire.Verdict
+                  { verdict = ("counterexample" | "refines" | "unknown") as v; wall_s; _ } ->
                 acc.cpu_s <- acc.cpu_s +. wall_s;
                 Obs.count "hunt.check_done";
-                let f = shrink_finding cfg lane ~program:p ~src ~tgt in
-                acc.findings <- acc.findings + 1;
-                if not (Hashtbl.mem acc.seen f.fp) then begin
-                  Hashtbl.replace acc.seen f.fp ();
-                  Obs.count "hunt.unique";
-                  acc.uniques <- f :: acc.uniques
-                end
-              | Ub_serve.Wire.Verdict { verdict = "refines"; wall_s; _ } ->
-                acc.checks <- acc.checks + 1;
-                acc.cpu_s <- acc.cpu_s +. wall_s;
-                Obs.count "hunt.check_done"
-              | Ub_serve.Wire.Verdict { verdict = "unknown"; wall_s; _ } ->
-                acc.checks <- acc.checks + 1;
-                acc.unknown <- acc.unknown + 1;
-                acc.cpu_s <- acc.cpu_s +. wall_s;
-                Obs.count "hunt.check_done"
+                tally acc
+                  (match v with
+                  | "refines" -> Refined
+                  | "unknown" -> Inconclusive
+                  | _ -> Found (shrink_finding cfg lane ~program:p ~src ~tgt))
               | Ub_serve.Wire.Verdict { verdict = "timeout"; _ } ->
                 drop acc "daemon_deadline"
               | Ub_serve.Wire.Verdict { verdict = "crashed"; _ } ->

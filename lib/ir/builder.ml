@@ -33,11 +33,6 @@ let start_block b label =
   b.blocks <- blk :: b.blocks;
   b.current <- Some blk
 
-let switch_to b label =
-  match List.find_opt (fun (l, _, _) -> l = label) b.blocks with
-  | Some blk -> b.current <- Some blk
-  | None -> invalid_arg (Printf.sprintf "Builder: no block %%%s" label)
-
 let current_label b =
   match b.current with
   | Some (l, _, _) -> l

@@ -33,9 +33,6 @@ type attrs = { nsw : bool; nuw : bool; exact : bool }
 
 let no_attrs = { nsw = false; nuw = false; exact = false }
 let nsw_only = { no_attrs with nsw = true }
-let nuw_only = { no_attrs with nuw = true }
-let nsw_nuw = { no_attrs with nsw = true; nuw = true }
-let exact_only = { no_attrs with exact = true }
 
 type icmp_pred = Eq | Ne | Ugt | Uge | Ult | Ule | Sgt | Sge | Slt | Sle
 
@@ -212,10 +209,6 @@ let speculatable = function
   | Load _ | Store _ | Call _ -> false
   | _ -> true
 
-(* [freeze] instructions must not be duplicated (Section 5.5, Pitfall 1):
-   each dynamic execution makes an independent choice. *)
-let duplicatable = function Freeze _ -> false | ins -> not (has_side_effects ins)
-
 (* ------------------------------------------------------------------ *)
 (* Printing helpers                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -289,31 +282,6 @@ let attrs_ok op { nsw; nuw; exact } =
   | Add | Sub | Mul | Shl -> not exact
   | UDiv | SDiv | LShr | AShr -> (not nsw) && not nuw
   | URem | SRem | And | Or | Xor -> (not nsw) && (not nuw) && not exact
-
-(* Inverse / swap of icmp predicates, used by InstCombine. *)
-let pred_negate = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Ugt -> Ule
-  | Uge -> Ult
-  | Ult -> Uge
-  | Ule -> Ugt
-  | Sgt -> Sle
-  | Sge -> Slt
-  | Slt -> Sge
-  | Sle -> Sgt
-
-let pred_swap = function
-  | Eq -> Eq
-  | Ne -> Ne
-  | Ugt -> Ult
-  | Uge -> Ule
-  | Ult -> Ugt
-  | Ule -> Uge
-  | Sgt -> Slt
-  | Sge -> Sle
-  | Slt -> Sgt
-  | Sle -> Sge
 
 let is_div = function UDiv | SDiv | URem | SRem -> true | _ -> false
 

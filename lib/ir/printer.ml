@@ -10,8 +10,6 @@ let pp_operand ppf = function
   | Var v -> pp_var ppf v
   | Const c -> Constant.pp ppf c
 
-let pp_typed_operand ty ppf op = Fmt.pf ppf "%a %a" Types.pp ty pp_operand op
-
 let pp_attrs op ppf { nsw; nuw; exact } =
   ignore op;
   if nuw then Fmt.pf ppf "nuw ";

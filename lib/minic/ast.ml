@@ -74,5 +74,3 @@ let base_bits = function
   | I32 -> 32
   | I64 -> 64
   | Array _ | Struct _ -> invalid_arg "base_bits: aggregate"
-
-let is_base = function I8 | I16 | I32 | I64 -> true | Array _ | Struct _ -> false

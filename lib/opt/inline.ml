@@ -187,5 +187,3 @@ let run_module (cfg : Pass.config) (m : Func.module_) : Func.module_ =
       m.Func.funcs
   in
   { Func.funcs }
-
-let mpass : Pass.module_pass = { Pass.mp_name = "inline"; mp_run = run_module }

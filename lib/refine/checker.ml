@@ -29,7 +29,7 @@ open Ub_sem
 open Ub_smt
 module Obs = Ub_obs.Obs
 
-type verdict =
+type verdict = Enum_check.verdict =
   | Refines
   | Counterexample of { args : Value.t list; witness : string }
   | Unknown of string
@@ -92,12 +92,9 @@ let sat_verdict ?(max_universal_bits = default_max_universal_bits)
             let w = Encode.int_width ty in
             ( v,
               ty,
-              { Encode.v = Bvterm.fresh ~name:("arg_" ^ v) ctx ~width:w;
-                p = Circuit.fresh ~name:(lazy ("poison_" ^ v)) ctx;
-                u =
-                  (if mode.Mode.undef_enabled then
-                     Circuit.fresh ~name:(lazy ("undef_" ^ v)) ctx
-                   else Circuit.bfalse);
+              { Encode.v = Bvterm.fresh ctx ~width:w;
+                p = Circuit.fresh ctx;
+                u = (if mode.Mode.undef_enabled then Circuit.fresh ctx else Circuit.bfalse);
               } ))
           src.args
       in
@@ -218,13 +215,8 @@ let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module
   match inputs with
   | Some _ ->
     (* explicit inputs: enumeration only *)
-    (match
-       Enum_check.check ~mode ?fuel ?max_inputs ?max_runs ?module_src ?module_tgt ?inputs
-         ~src ~tgt ()
-     with
-    | Enum_check.Refines -> Refines
-    | Enum_check.Counterexample { args; witness } -> Counterexample { args; witness }
-    | Enum_check.Unknown r -> Unknown r)
+    Enum_check.check ~mode ?fuel ?max_inputs ?max_runs ?module_src ?module_tgt ?inputs ~src
+      ~tgt ()
   | None -> (
     match sat_verdict ?max_universal_bits ?max_conflicts mode ~src ~tgt with
     | Ok v -> v
@@ -234,7 +226,6 @@ let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module
         Enum_check.check ~mode ?fuel ?max_inputs ?max_runs ?module_src ?module_tgt ~src ~tgt
           ()
       with
-      | Enum_check.Refines -> Refines
-      | Enum_check.Counterexample { args; witness } -> Counterexample { args; witness }
-      | Enum_check.Unknown enum_reason ->
+      | (Refines | Counterexample _) as v -> v
+      | Unknown enum_reason ->
         Unknown (Printf.sprintf "SAT: %s; enumeration: %s" sat_reason enum_reason)))

@@ -531,36 +531,11 @@ type cell = {
   agrees : bool option; (* None when expected = Either or verdict unknown *)
 }
 
-let run_entry ?(modes = Ub_sem.Mode.all) (e : entry) : (entry * cell list) =
-  let src = f e.src and tgt = f e.tgt in
-  let cells =
-    List.map
-      (fun (mode : Ub_sem.Mode.t) ->
-        let verdict = Checker.check ?inputs:e.inputs mode ~src ~tgt in
-        let expected = List.assoc_opt mode.Ub_sem.Mode.name e.expect in
-        let agrees =
-          match (verdict, expected) with
-          | _, (None | Some Either) -> None
-          | Checker.Refines, Some Sound -> Some true
-          | Checker.Counterexample _, Some Unsound -> Some true
-          | Checker.Refines, Some Unsound | Checker.Counterexample _, Some Sound ->
-            Some false
-          | Checker.Unknown _, _ -> None
-        in
-        { mode_name = mode.Ub_sem.Mode.name; verdict; expected; agrees })
-      modes
-  in
-  (e, cells)
-
-let run_all ?modes () = List.map (run_entry ?modes) all_entries
-
-(* ------------------ parallel / cached execution -------------------- *)
-
-(* The same matrix, but the (entry x mode) cells go through the
-   [Ub_exec.Pool] worker pool, with verdicts optionally memoized in a
-   persistent [Ub_exec.Cache].  Cell order in the output is identical to
-   [run_all] regardless of [jobs], scheduling, or cache state; a worker
-   crash or per-task timeout degrades only the affected cell to
+(* The (entry x mode) cells go through [Sweep], so they run on the
+   worker pool with verdicts optionally memoized in a persistent
+   [Ub_exec.Cache].  Cell order in the output is entry-major, then
+   [Ub_sem.Mode.all], regardless of [jobs], scheduling, or cache state; a
+   worker crash or per-task timeout degrades only the affected cell to
    [Checker.Unknown]. *)
 
 type exec_report = {
@@ -582,76 +557,23 @@ let cell_of_verdict (e : entry) (mode : Ub_sem.Mode.t) (verdict : Checker.verdic
   in
   { mode_name = mode.Ub_sem.Mode.name; verdict; expected; agrees }
 
-let run_all_exec ?(modes = Ub_sem.Mode.all) ?(jobs = 1) ?timeout_s
-    ?(cache : Ub_exec.Cache.t option) () : exec_report =
-  let hits0 = match cache with Some c -> Ub_exec.Cache.hits c | None -> 0 in
-  let misses0 = match cache with Some c -> Ub_exec.Cache.misses c | None -> 0 in
-  (* one task per (entry, mode) cell, entry-major like [run_all] *)
+let run_all_exec ?jobs ?timeout_s ?(cache : Ub_exec.Cache.t option) () : exec_report =
+  let modes = Ub_sem.Mode.all in
   let tasks =
     List.concat_map
       (fun (e : entry) ->
         let src = f e.src and tgt = f e.tgt in
-        List.map (fun mode -> (e, src, tgt, mode)) modes)
+        List.map (fun mode -> { Sweep.mode; src; tgt; inputs = e.inputs }) modes)
       all_entries
     |> Array.of_list
   in
-  (* consult the cache in the parent so cached cells never hit the pool *)
-  let cached =
-    Array.map
-      (fun (e, src, tgt, mode) ->
-        match cache with
-        | None -> None
-        | Some c ->
-          let k = Verdict_cache.key ?inputs:e.inputs ~mode ~kind:Verdict_cache.combined_kind ~src ~tgt () in
-          Verdict_cache.find c k)
-      tasks
-  in
-  let fresh_idx =
-    Array.to_list (Array.mapi (fun i c -> (i, c)) cached)
-    |> List.filter_map (fun (i, c) -> if c = None then Some i else None)
-    |> Array.of_list
-  in
-  let fresh_results, pool_stats =
-    Ub_exec.Pool.map_stats ~jobs ?timeout_s
-      (fun i ->
-        let e, src, tgt, mode = tasks.(i) in
-        Checker.check ?inputs:e.inputs mode ~src ~tgt)
-      fresh_idx
-  in
-  let verdicts = Array.make (Array.length tasks) (Checker.Unknown "pending") in
-  Array.iteri (fun i c -> match c with Some v -> verdicts.(i) <- v | None -> ()) cached;
-  Array.iteri
-    (fun j r ->
-      let i = fresh_idx.(j) in
-      let v =
-        match r with
-        | Ub_exec.Pool.Done v -> v
-        | Ub_exec.Pool.Crashed msg -> Checker.Unknown ("worker crashed: " ^ msg)
-        | Ub_exec.Pool.Timed_out -> Checker.Unknown "task timed out"
-      in
-      verdicts.(i) <- v;
-      match cache with
-      | Some c ->
-        let e, src, tgt, mode = tasks.(i) in
-        let k = Verdict_cache.key ?inputs:e.inputs ~mode ~kind:Verdict_cache.combined_kind ~src ~tgt () in
-        Verdict_cache.store c k v
-      | None -> ())
-    fresh_results;
-  (* reassemble in entry-major order *)
+  let r = Sweep.check ?jobs ?timeout_s ?cache tasks in
   let n_modes = List.length modes in
   let results =
     List.mapi
       (fun ei (e : entry) ->
-        let cells =
-          List.mapi
-            (fun mi mode -> cell_of_verdict e mode verdicts.((ei * n_modes) + mi))
-            modes
-        in
-        (e, cells))
+        let cell mi mode = cell_of_verdict e mode r.verdicts.((ei * n_modes) + mi) in
+        (e, List.mapi cell modes))
       all_entries
   in
-  { results;
-    pool = pool_stats;
-    cache_hits = (match cache with Some c -> Ub_exec.Cache.hits c - hits0 | None -> 0);
-    cache_misses = (match cache with Some c -> Ub_exec.Cache.misses c - misses0 | None -> 0);
-  }
+  { results; pool = r.pool; cache_hits = r.cache_hits; cache_misses = r.cache_misses }

@@ -1,16 +1,12 @@
-(* Counterexample minimization for the refinement checkers: the glue
+(* Counterexample minimization for the refinement checker: the glue
    between the generic [Ub_shrink.Reduce] engine and this library's
-   oracles.  Two predicates are provided:
+   oracle, [not_refined]: the combined checker reports a concrete
+   counterexample for (src, tgt) under a mode — the opt-fuzz and matrix
+   "UNSOUND" cells.
 
-   - [not_refined]: the combined checker reports a concrete
-     counterexample for (src, tgt) under a mode — the opt-fuzz and
-     matrix "UNSOUND" cells;
-   - [sat_enum_disagree]: the SAT path and the enumeration path return
-     contradictory definite verdicts — the differential-testing oracle.
-
-   Both are exception-safe (a raising checker counts as "predicate does
-   not hold", so reduction never escapes the failure class it started
-   from) and both route every query through the PR 1 verdict cache when
+   The oracle is exception-safe (a raising checker counts as "predicate
+   does not hold", so reduction never escapes the failure class it
+   started from) and routes every query through the verdict cache when
    one is supplied, making large reductions replayable: a re-run of the
    same reduction is pure cache hits.  [minimize_corpus] fans a batch
    of reductions out over the [Ub_exec.Pool] workers. *)
@@ -59,38 +55,6 @@ let not_refined ?cache ?inputs ?(max_universal_bits = reduce_universal_bits)
   | Checker.Counterexample _ -> true
   | Checker.Refines | Checker.Unknown _ -> false
 
-(* The two stand-alone verdicts, separately cached under their own kind
-   tags so they never alias the combined checker's entries. *)
-let sat_enum_disagree ?cache (mode : Mode.t) ~src ~tgt : bool =
-  let get kind f =
-    try
-      match cache with
-      | None -> f ()
-      | Some c -> (
-        let k = Verdict_cache.key ~mode ~kind ~src ~tgt () in
-        match Verdict_cache.find c k with
-        | Some v -> v
-        | None ->
-          let v = f () in
-          Verdict_cache.store c k v;
-          v)
-    with _ -> Checker.Unknown "checker raised"
-  in
-  let sat = get Verdict_cache.sat_kind (fun () -> Checker.check_sat mode ~src ~tgt) in
-  let enum =
-    get Verdict_cache.enum_kind (fun () ->
-        match Enum_check.check ~mode ~src ~tgt () with
-        | Enum_check.Refines -> Checker.Refines
-        | Enum_check.Counterexample { args; witness } ->
-          Checker.Counterexample { args; witness }
-        | Enum_check.Unknown r -> Checker.Unknown r)
-  in
-  match (sat, enum) with
-  | Checker.Refines, Checker.Counterexample _
-  | Checker.Counterexample _, Checker.Refines ->
-    true
-  | _ -> false
-
 type reduction = {
   red_src : Func.t;
   red_tgt : Func.t;
@@ -138,24 +102,6 @@ let minimize_cex ?cache ?inputs ?max_steps ?(preserve : Mode.t list = [])
         red_tgt;
         stats;
         verdict = check_cached ?cache ?inputs mode ~src:red_src ~tgt:red_tgt;
-      }
-  end
-
-(* Same engine under the differential oracle. *)
-let minimize_disagreement ?cache ?max_steps (mode : Mode.t) ~(src : Func.t)
-    ~(tgt : Func.t) : reduction option =
-  if not (sat_enum_disagree ?cache mode ~src ~tgt) then None
-  else begin
-    let (red_src, red_tgt), stats =
-      Ub_shrink.Reduce.minimize_pair ?max_steps
-        ~oracle:(fun s t -> sat_enum_disagree ?cache mode ~src:s ~tgt:t)
-        (src, tgt)
-    in
-    Some
-      { red_src;
-        red_tgt;
-        stats;
-        verdict = check_cached ?cache mode ~src:red_src ~tgt:red_tgt;
       }
   end
 

@@ -23,12 +23,11 @@ let magic = "UBVC1\n"
 (* The checker-kind component of the key.  Bump when a checker's verdict
    semantics change incompatibly.  v2: the SAT budget joined the key, so
    every v1 entry (ambiguous about its budget) must be invalidated.  v3
-   (combined and SAT only): the [ub=] field bounds the choice bits the
+   (combined only): the [ub=] field bounds the choice bits the
    refinement body reads, no longer the source's raw choice bits, so a
    v2 entry means a different budget.  Enumeration ignores the budget
    and keeps its tag. *)
 let combined_kind = "combined-v3"
-let sat_kind = "sat-v3"
 let enum_kind = "enum-v2"
 
 let key ?(inputs : Value.t list list option)

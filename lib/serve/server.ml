@@ -184,12 +184,7 @@ let close_after_flush st c : unit =
    worker otherwise, in both cases inside the [Pool.run_task] envelope,
    which maps the request deadline onto ITIMER_REAL. *)
 let check ((mode, enum, src, tgt) : query) : Ub_refine.Checker.verdict =
-  if enum then
-    match Ub_refine.Enum_check.check ~mode ~src ~tgt () with
-    | Ub_refine.Enum_check.Refines -> Ub_refine.Checker.Refines
-    | Ub_refine.Enum_check.Counterexample { args; witness } ->
-      Ub_refine.Checker.Counterexample { args; witness }
-    | Ub_refine.Enum_check.Unknown r -> Ub_refine.Checker.Unknown r
+  if enum then Ub_refine.Enum_check.check ~mode ~src ~tgt ()
   else Ub_refine.Checker.check mode ~src ~tgt
 
 let query (t : task) : query = (t.t_mode, t.t_enum, t.t_src, t.t_tgt)

@@ -343,7 +343,6 @@ let recv_frame (fd : Unix.file_descr) : string option =
     | Some b -> Some (Bytes.to_string b))
 
 let send_request fd (r : request) = send_frame fd (Json.to_string (request_to_json r))
-let send_reply fd (r : reply) = send_frame fd (Json.to_string (reply_to_json r))
 
 let recv_reply fd : reply option =
   match recv_frame fd with

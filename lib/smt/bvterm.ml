@@ -12,27 +12,9 @@ let const ctx (bv : Bitvec.t) : t =
   ignore ctx;
   Array.init (Bitvec.width bv) (fun i -> Circuit.of_bool (Bitvec.get_bit bv i))
 
-(* Debug names are formatted lazily: one closure per bit instead of one
-   [sprintf] per bit — nothing reads the names on the hot path. *)
-let fresh ?(name = "v") ctx ~width : t =
-  Array.init width (fun i -> Circuit.fresh ~name:(lazy (Printf.sprintf "%s[%d]" name i)) ctx)
+let fresh ctx ~width : t = Array.init width (fun _ -> Circuit.fresh ctx)
 
 let zero _ctx ~width = Array.make width Circuit.bfalse
-
-(* Extract the concrete value of a symbolic bitvector under a model. *)
-let value_in_model (model : int -> bool) (input_index : Circuit.t -> int option) (t : t) :
-    Bitvec.t =
-  let bv = ref (Bitvec.zero (width t)) in
-  Array.iteri
-    (fun i bit ->
-      let b =
-        match input_index bit with
-        | Some idx -> model idx
-        | None -> Circuit.eval model bit
-      in
-      if b then bv := Bitvec.set_bit !bv i true)
-    t;
-  !bv
 
 (* ------------------------------------------------------------------ *)
 (* Bitwise                                                             *)

@@ -38,13 +38,12 @@ type hkey =
 type ctx = {
   mutable next_id : int;
   mutable next_input : int;
-  mutable inputs : (int * string Lazy.t) list; (* input index -> debug name *)
   sharing : bool; (* hash-consing toggle (off only for measurement) *)
   table : (hkey, t) Hashtbl.t;
 }
 
 let create_ctx ?(sharing = true) () =
-  { next_id = 2; next_input = 0; inputs = []; sharing; table = Hashtbl.create 64 }
+  { next_id = 2; next_input = 0; sharing; table = Hashtbl.create 64 }
 
 let mk ctx node =
   let id = ctx.next_id in
@@ -67,16 +66,10 @@ let btrue = { id = 0; node = True }
 let bfalse = { id = 1; node = False }
 let of_bool b = if b then btrue else bfalse
 
-(* Debug names are lazy: [Bvterm.fresh] allocates one input per bit and
-   the names are only ever rendered when a human asks. *)
-let fresh ?(name = lazy "b") ctx =
+let fresh ctx =
   let idx = ctx.next_input in
   ctx.next_input <- ctx.next_input + 1;
-  ctx.inputs <- (idx, name) :: ctx.inputs;
   mk ctx (Input idx)
-
-let input_name ctx idx =
-  match List.assoc_opt idx ctx.inputs with Some n -> Lazy.force n | None -> "?"
 
 let is_true b = b.node = True
 let is_false b = b.node = False
@@ -163,7 +156,6 @@ and bite ctx c a b =
     | _ -> hmk ctx (KIte (c.id, a.id, b.id)) (Ite (c, a, b))
 
 let beq ctx a b = bnot ctx (bxor ctx a b)
-let bimplies ctx a b = bor ctx (bnot ctx a) b
 
 let big_and ctx = List.fold_left (band ctx) btrue
 let big_or ctx = List.fold_left (bor ctx) bfalse

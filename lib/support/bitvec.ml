@@ -123,10 +123,6 @@ let shl a n = check_shift a n; make ~width:a.width (Int64.shift_left a.v n)
 let lshr a n = check_shift a n; { a with v = Int64.shift_right_logical a.v n }
 let ashr a n = check_shift a n; make ~width:a.width (Int64.shift_right (sext64 a) n)
 
-let shl_bv a b = shl a (to_uint_exn b)
-let lshr_bv a b = lshr a (to_uint_exn b)
-let ashr_bv a b = ashr a (to_uint_exn b)
-
 let shift_in_range a b =
   (* true iff the shift amount in [b] is < width of [a] *)
   Int64.unsigned_compare b.v (Int64.of_int a.width) < 0
@@ -359,7 +355,6 @@ let count_trailing_zeros t =
 (* Printing / parsing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let to_string_unsigned t = Printf.sprintf "%Lu" t.v
 let to_string_signed t = Printf.sprintf "%Ld" (sext64 t)
 
 let to_string t =
@@ -367,7 +362,6 @@ let to_string t =
   to_string_signed t
 
 let pp ppf t = Fmt.pf ppf "%s" (to_string t)
-let pp_typed ppf t = Fmt.pf ppf "i%d %s" t.width (to_string t)
 
 let of_string ~width s =
   check_width width;

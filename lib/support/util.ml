@@ -35,9 +35,6 @@ let rec cartesian = function
     let tails = cartesian rest in
     List.concat_map (fun x -> List.map (fun t -> x :: t) tails) xs
 
-let list_equal eq a b =
-  try List.for_all2 eq a b with Invalid_argument _ -> false
-
 let rec transpose = function
   | [] | [] :: _ -> []
   | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
@@ -53,16 +50,6 @@ let string_contains ~needle haystack =
     in
     go 0
   end
-
-let with_timer f =
-  let t0 = Ub_obs.Obs.Clock.now_s () in
-  let r = f () in
-  (r, Ub_obs.Obs.Clock.elapsed_s ~since:t0)
-
-(* Format a signed percentage with one decimal, LLVM-nightly style. *)
-let pp_pct ppf p = Fmt.pf ppf "%+.2f%%" p
-
-let pp_list pp_elt ppf xs = Fmt.(list ~sep:(any ", ") pp_elt) ppf xs
 
 (* [mkdir -p]: create [dir] and every missing parent. *)
 let rec mkdir_p dir =

@@ -1,7 +1,6 @@
-(* Property-test round-trip laws over the fuzzed corpus: printer/parser
-   round-trip and validator invariance under every shrink pass, plus the
-   behaviour of the Prop combinator layer itself (shrinking on failure,
-   corpus persistence). *)
+(* Round-trip laws over the fuzzed corpus, checked by plain loops over
+   fixed seeds: printer/parser round-trip and validator invariance under
+   every shrink pass. *)
 
 open Ub_ir
 open Ub_fuzz
@@ -147,77 +146,4 @@ let law_tests =
         Alcotest.(check bool) "same" true (run () = run ()));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* The Prop layer itself                                               *)
-(* ------------------------------------------------------------------ *)
-
-let prop_tests =
-  [ Alcotest.test_case "passing property passes" `Quick (fun () ->
-        match
-          Prop.run ~count:200 ~seed:3 ~name:"int-in-range" (Prop.int_range 0 10)
-            (fun n -> n >= 0 && n <= 10)
-        with
-        | Prop.Passed n -> Alcotest.(check int) "ran all cases" 200 n
-        | Prop.Failed (_, f) -> Alcotest.failf "unexpected failure: %s" f.Prop.error);
-    Alcotest.test_case "failing int property shrinks to the boundary" `Quick (fun () ->
-        match
-          Prop.run ~count:200 ~seed:3 ~name:"lt-50" (Prop.int_range 0 1000) (fun n ->
-              n < 50)
-        with
-        | Prop.Passed _ -> Alcotest.fail "property should fail"
-        | Prop.Failed (n, _) -> Alcotest.(check int) "minimal failing value" 50 n);
-    Alcotest.test_case "failing func property persists a parsable corpus file" `Quick
-      (fun () ->
-        let dir =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "ub-prop-corpus-%d" (Unix.getpid ()))
-        in
-        let prop fn = Func.num_insns fn < 5 in
-        (match
-           Prop.run ~count:50 ~seed:11 ~corpus_dir:dir ~name:"tiny-func"
-             (Prop.func ()) prop
-         with
-        | Prop.Passed _ -> Alcotest.fail "random functions should exceed 5 insns"
-        | Prop.Failed (minimized, f) ->
-          Alcotest.(check bool) "minimized still fails" true (not (prop minimized));
-          (* a local minimum: a few more instructions than the bound at most *)
-          Alcotest.(check bool) "minimized is small" true (Func.num_insns minimized <= 12);
-          let path =
-            match f.Prop.corpus_file with
-            | Some p -> p
-            | None -> Alcotest.fail "no corpus file written"
-          in
-          Alcotest.(check bool) "corpus file exists" true (Sys.file_exists path);
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let text = really_input_string ic n in
-          close_in ic;
-          (* the ';' header is comment-skipped by the lexer, so the file
-             replays directly *)
-          let replayed = Parser.parse_func_string text in
-          Alcotest.(check bool) "replayed counterexample still fails" true
-            (not (prop replayed));
-          Sys.remove path);
-        (try Unix.rmdir dir with _ -> ()));
-    Alcotest.test_case "prop runs are deterministic in the seed" `Quick (fun () ->
-        let run () =
-          match
-            Prop.run ~count:30 ~seed:42 ~name:"det" (Prop.func ()) (fun fn ->
-                Func.num_insns fn < 5)
-          with
-          | Prop.Failed (fn, _) -> Printer.func_to_string fn
-          | Prop.Passed _ -> "passed"
-        in
-        Alcotest.(check string) "same outcome" (run ()) (run ()));
-    Alcotest.test_case "pair and list combinators shrink" `Quick (fun () ->
-        match
-          Prop.run ~count:100 ~seed:5 ~name:"short-lists"
-            (Prop.list_of ~max_len:6 (Prop.int_range 0 100))
-            (fun xs -> List.length xs < 3)
-        with
-        | Prop.Passed _ -> Alcotest.fail "should find a long list"
-        | Prop.Failed (xs, _) -> Alcotest.(check int) "shrunk to the boundary" 3 (List.length xs));
-  ]
-
-let () = Alcotest.run "prop" [ ("laws", law_tests); ("prop", prop_tests) ]
+let () = Alcotest.run "prop" [ ("laws", law_tests) ]

@@ -291,15 +291,15 @@ let cache_tests =
     Alcotest.test_case "kind tags carry the v3 bump" `Quick (fun () ->
         (* stale entries must be unreachable: the kind strings are part
            of the hashed key, so the bump is the invalidation.  The SAT
-           budget now bounds the support, so the budget-keyed kinds are
-           v3; enumeration ignores the budget and stays v2 *)
+           budget now bounds the support, so the budget-keyed combined
+           kind is v3; enumeration ignores the budget and stays v2 *)
         let ends_in suffix tag =
           Alcotest.(check bool)
             (Printf.sprintf "%s ends in %s" tag suffix)
             true
             (String.ends_with ~suffix tag)
         in
-        List.iter (ends_in "-v3") [ Verdict_cache.combined_kind; Verdict_cache.sat_kind ];
+        ends_in "-v3" Verdict_cache.combined_kind;
         ends_in "-v2" Verdict_cache.enum_kind);
     Alcotest.test_case "a combined-v2 entry is not served to a v3 lookup" `Quick (fun () ->
         with_tmp_cache (fun c ->
