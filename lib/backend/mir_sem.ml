@@ -86,7 +86,7 @@ let outcome_to_string = function
   | Ub m -> "UB: " ^ m
   | Timeout -> "timeout"
 
-type run_result = { outcome : outcome; mem_fp : string; steps : int }
+type run_result = { outcome : outcome; mem : Memory.image; steps : int }
 
 (* A block's instructions, and for each [Jmp]/[Jcc] among them the index
    of the target block (-1 when no block has that label: the jump raises
@@ -528,7 +528,7 @@ let exec ?(fuel = 50_000) ?(oracle = Oracle.zeros) ?mem ?phase (p : prepared)
     | Ub_exn m -> Ub m
     | Out_of_fuel -> Timeout
   in
-  { outcome; mem_fp = Memory.fingerprint mem; steps = fuel - st.fuel }
+  { outcome; mem = Memory.snapshot mem; steps = fuel - st.fuel }
 
 let run ?fuel ?oracle ?mem ?phase ~(form : form) (f : Mir.func) (args : Value.t list) :
     run_result =
@@ -536,9 +536,9 @@ let run ?fuel ?oracle ?mem ?phase ~(form : form) (f : Mir.func) (args : Value.t 
 
 (* All behaviours of a prepared function on [args] by exhaustive oracle
    exploration, mirroring [Interp.Behaviors.enumerate].  Outcome plus
-   final-memory fingerprint; MIR has no observable events (external
+   final memory; MIR has no observable events (external
    calls are unsupported, intrinsics are silent on both sides). *)
-type behavior = { b_outcome : outcome; b_mem : string }
+type behavior = { b_outcome : outcome; b_mem : Memory.image }
 
 let enumerate ?(fuel = 50_000) ?(max_runs = 200_000) ?max_width_bits ?phase (p : prepared) args :
     behavior list =
@@ -548,4 +548,4 @@ let enumerate ?(fuel = 50_000) ?(max_runs = 200_000) ?max_width_bits ?phase (p :
     (Oracle.explore ?max_width_bits ~max_runs (fun oracle ->
          incr runs;
          let r = exec ~fuel ~oracle ?phase p args in
-         { b_outcome = r.outcome; b_mem = r.mem_fp }))
+         { b_outcome = r.outcome; b_mem = r.mem }))

@@ -11,8 +11,9 @@
      poison/undef return covers any machine word — poison lowers to a
      pinned undef register, and the machine may hold anything);
    - final memories compare byte-wise with poison/undef covering, but
-     with provenance stripped: MIR stores are provenance-free and loads
-     pin bytes, so the lowering legitimately erases provenance.
+     with provenance ignored ([Memory.image_covers ~prov:false]): MIR
+     stores are provenance-free and loads pin bytes, so the lowering
+     legitimately erases provenance.
 
    Anything the MIR semantics cannot model — calls beyond the
    malloc/alloca/free intrinsic table, vector returns, non-enumerable
@@ -36,18 +37,6 @@ let verdict_to_string = function
   | Not_refined { nr_detail; _ } -> "NOT refined: " ^ nr_detail
   | Unsupported r -> "unsupported: " ^ r
   | Inert -> "inert: the injected bug does not change this function"
-
-(* Strip the provenance suffix from a fingerprint entry
-   ("addr=bbbbbbbb[*|@hex]" -> "addr=bbbbbbbb"). *)
-let strip_prov entry =
-  match String.index_opt entry '=' with
-  | Some i when String.length entry >= i + 9 -> String.sub entry 0 (i + 9)
-  | _ -> entry
-
-let mem_covers_noprov src tgt =
-  let split s = if s = "" then [] else String.split_on_char ';' s in
-  let es = List.map strip_prov (split src) and et = List.map strip_prov (split tgt) in
-  List.length es = List.length et && List.for_all2 Enum_check.mem_entry_covers es et
 
 (* The IR return width, for truncating the machine result register. *)
 let ret_width (fn : Func.t) : int option =
@@ -88,7 +77,7 @@ let covers ~ret_w (s : Interp.Behaviors.behavior) (t : Mir_sem.behavior) =
   | Interp.Ub _ -> true
   | outcome_s ->
     s.Interp.Behaviors.b_events = []
-    && mem_covers_noprov s.Interp.Behaviors.b_mem t.Mir_sem.b_mem
+    && Memory.image_covers ~prov:false ~src:s.Interp.Behaviors.b_mem ~tgt:t.Mir_sem.b_mem
     &&
     (match (outcome_s, t.Mir_sem.b_outcome) with
     | Interp.Returned None, Mir_sem.Returned None -> true
@@ -168,7 +157,8 @@ let check_func ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000)
                              (Enum_check.phase_to_string phase)
                              (String.concat ", " (List.map Value.to_string args))
                              (Mir_sem.outcome_to_string bt.Mir_sem.b_outcome)
-                             bt.Mir_sem.b_mem (List.length src_behs);
+                             (Memory.image_to_string bt.Mir_sem.b_mem)
+                             (List.length src_behs);
                        })
                 | None -> None)
               phases)

@@ -204,7 +204,9 @@ let shrink_finding (cfg : config) (lane : lane) ~(program : int) ~(src : Func.t)
       ( r.Ub_refine.Reduce.red_src,
         r.Ub_refine.Reduce.red_tgt,
         Some r.Ub_refine.Reduce.stats,
-        Ub_refine.Checker.verdict_to_string r.Ub_refine.Reduce.verdict )
+        (match r.Ub_refine.Reduce.verdict with
+        | Ub_refine.Checker.Counterexample _ -> "counterexample"
+        | v -> Ub_refine.Checker.verdict_to_string v) )
     | None ->
       (* the reducer could not reproduce the failure under its own
          budget: keep the unshrunk witness rather than lose the bug *)
@@ -221,11 +223,7 @@ let shrink_finding (cfg : config) (lane : lane) ~(program : int) ~(src : Func.t)
     final_insns = Func.num_insns red_src;
     oracle_calls =
       (match stats with Some s -> s.Ub_shrink.Reduce.oracle_calls | None -> 0);
-    f_verdict =
-      (match verdict with
-      | v when String.length v >= 14 && String.sub v 0 14 = "COUNTEREXAMPLE" ->
-        "counterexample"
-      | v -> v);
+    f_verdict = verdict;
   }
 
 let shrink_backend_finding (cfg : config) (lane : lane)

@@ -14,68 +14,34 @@ type verdict =
   | Counterexample of { args : Value.t list; witness : string }
   | Unknown of string
 
-(* Does source behaviour [s] cover target behaviour [t]?  UB covers
-   everything; a returned value covers by Value.covers; event traces must
-   match pointwise with argument covering; memories compare byte-wise
-   with poison covering anything and undef covering any defined bit.
-
-   Memory fingerprints are ';'-separated "addr=bits[prov]" entries
-   (Memory.fingerprint): 8 bit-chars, then an optional provenance suffix
-   — nothing for integer bytes, "*" for wildcard pointer bytes,
-   "@<base>" for bytes carrying an allocation's provenance.  A source
-   wildcard byte covers any target provenance (it may hold any pointer);
-   otherwise provenance must match exactly. *)
-let mem_entry_covers (src : string) (tgt : string) =
-  match (String.index_opt src '=', String.index_opt tgt '=') with
-  | Some is_, Some it ->
-    String.sub src 0 is_ = String.sub tgt 0 it
-    && String.length src >= is_ + 9
-    && String.length tgt >= it + 9
-    && begin
-      let bits_ok = ref true in
-      for i = 1 to 8 do
-        let cs = src.[is_ + i] and ct = tgt.[it + i] in
-        if cs <> ct then
-          match (cs, ct) with
-          | 'p', _ -> ()
-          | 'u', ('0' | '1' | 'u') -> ()
-          | _ -> bits_ok := false
-      done;
-      let prov_s = String.sub src (is_ + 9) (String.length src - is_ - 9) in
-      let prov_t = String.sub tgt (it + 9) (String.length tgt - it - 9) in
-      !bits_ok && (prov_s = "*" || prov_s = prov_t)
-    end
-  | _ -> src = tgt
-
-let mem_covers (src : string) (tgt : string) =
-  let split s = if s = "" then [] else String.split_on_char ';' s in
-  let es = split src and et = split tgt in
-  List.length es = List.length et && List.for_all2 mem_entry_covers es et
-
 let event_covers (Interp.Call_event (ns, args_s)) (Interp.Call_event (nt, args_t)) =
   ns = nt
   && List.length args_s = List.length args_t
   && List.for_all2 (fun s t -> Value.covers ~src:s ~tgt:t) args_s args_t
 
+(* Does source behaviour [s] cover target behaviour [t]?  Source UB
+   covers everything.  Otherwise all three must hold:
+   - the event traces have equal length and are covered pointwise (same
+     callee, every argument covered by Value.covers); a covered prefix
+     is not enough;
+   - the final memories are covered byte by byte with provenance
+     observed (Memory.image_covers ~prov:true);
+   - the outcomes agree: a returned value covers by Value.covers, and a
+     timeout covers only a timeout.  Programs in the experiments
+     terminate well within fuel. *)
 let behavior_covers (s : Interp.Behaviors.behavior) (t : Interp.Behaviors.behavior) =
   match s.Interp.Behaviors.b_outcome with
   | Interp.Ub _ -> true
   | outcome_s -> (
-    (* events must be covered pointwise, memory bitwise *)
     List.length s.b_events = List.length t.b_events
     && List.for_all2 event_covers s.b_events t.b_events
-    && mem_covers s.b_mem t.b_mem
+    && Memory.image_covers ~prov:true ~src:s.b_mem ~tgt:t.b_mem
     &&
     match (outcome_s, t.b_outcome) with
     | Interp.Returned None, Interp.Returned None -> true
     | Interp.Returned (Some vs), Interp.Returned (Some vt) -> Value.covers ~src:vs ~tgt:vt
     | Interp.Timeout, Interp.Timeout -> true (* both diverge within fuel *)
     | _, _ -> false)
-
-(* A source behaviour that times out is treated as possibly-anything for
-   prefix reasons?  No: we are conservative — if the source can time out
-   we only accept a target timeout with a covered event prefix.  Programs
-   in the experiments terminate well within fuel. *)
 
 (* All argument tuples for a function over small integer types, or
    [None] when an argument type is not enumerable or there would be more

@@ -25,7 +25,7 @@ type outcome =
 type run_result = {
   outcome : outcome;
   events : event list; (* chronological *)
-  mem_fp : string; (* fingerprint of final memory *)
+  mem : Memory.image; (* final memory *)
   steps : int; (* fuel left (negative after a timeout) *)
 }
 
@@ -392,7 +392,7 @@ let exec ?(oracle = Oracle.zeros) ?(fuel = 200_000) ?(externals = fun _ _ -> Non
   let mem = match mem with Some m -> m | None -> Memory.create ?phase () in
   let st = { oracle; mem; fuel; events = []; profile = None; externals } in
   let outcome = outcome_of st p args in
-  { outcome; events = List.rev st.events; mem_fp = Memory.fingerprint mem; steps = st.fuel }
+  { outcome; events = List.rev st.events; mem = Memory.snapshot mem; steps = st.fuel }
 
 let run ?mode ?oracle ?fuel ?module_ ?externals ?mem ?phase (fn : Func.t) (args : Value.t list) :
     run_result =
@@ -416,20 +416,20 @@ let profile ?mode ?(oracle = Oracle.zeros) ?(fuel = 2_000_000) ~module_ (fn : Fu
 
 module Behaviors = struct
   (* One abstract behaviour of a run: the outcome together with the
-     observable trace.  Memory is included via fingerprint so that
+     observable trace.  The final memory is included so that
      store-visible transformations can be compared too. *)
   type behavior = {
     b_outcome : outcome;
     b_events : event list;
-    b_mem : string;
+    b_mem : Memory.image;
   }
 
   let behavior_of_run (r : run_result) =
-    { b_outcome = r.outcome; b_events = r.events; b_mem = r.mem_fp }
+    { b_outcome = r.outcome; b_events = r.events; b_mem = r.mem }
 
   let to_string (b : behavior) =
     Printf.sprintf "%s | events:%d | mem:%s" (outcome_to_string b.b_outcome)
-      (List.length b.b_events) b.b_mem
+      (List.length b.b_events) (Memory.image_to_string b.b_mem)
 
   (* All behaviours of a prepared function on [args], by exhaustive
      exploration of oracle decisions.  [max_runs] bounds the exploration;

@@ -14,7 +14,7 @@
      stores wildcard bytes ([Prov_wild]); integer-typed stores write
      provenance-free bytes ([Prov_none]).  Provenance does not gate
      loads — validity stays address-based — but it is part of the
-     observable final memory (see [fingerprint]), so rewrites that erase
+     observable final memory (see [image_covers]), so rewrites that erase
      or forge provenance are distinguishable.
 
    - Memory runs in one of two *phases*.  The [Infinite] phase (the
@@ -50,14 +50,6 @@ type t = {
 
 let create ?(phase = Infinite) () =
   { bytes = Hashtbl.create 64; allocs = []; next_base = 0x1000L; phase; used = 0 }
-
-let copy t =
-  { bytes = Hashtbl.copy t.bytes;
-    allocs = List.map (fun a -> { a with live = a.live }) t.allocs;
-    next_base = t.next_base;
-    phase = t.phase;
-    used = t.used;
-  }
 
 let addr_space = 0x1_0000_0000L (* 2^32 *)
 
@@ -175,40 +167,69 @@ let store_bits t ?(prov = Prov_none) addr (bits : Value.bit array) : bool =
     true
   end
 
-(* A deterministic fingerprint of the live memory contents, used to
-   compare final memories across executions.  Only bytes of *live*
-   allocations are folded in — freed memory is dead and must not make
-   two observably-equivalent executions compare unequal.  Each entry is
-   "<addr>=<8 bit chars>" plus a provenance suffix: nothing for
+(* The observable final memory: every byte of every *live* allocation,
+   with its address, in ascending address order.  Freed memory is dead
+   and left out, so two observably-equivalent executions compare equal.
+   Bases grow with every allocation and [allocs] is newest first, so
+   prepending each allocation's bytes in turn yields ascending order.
+   Byte records are shared, not copied: a store replaces a byte's
+   record and never mutates it. *)
+type image = (int64 * byte) list
+
+let snapshot t : image =
+  List.fold_left
+    (fun acc al ->
+      if not al.live then acc
+      else
+        let rec from i acc =
+          if i < 0 then acc
+          else
+            let addr = Int64.add al.base (Int64.of_int i) in
+            (* [alloc] writes every byte of an allocation *)
+            from (i - 1) ((addr, Hashtbl.find t.bytes addr) :: acc)
+        in
+        from (al.size - 1) acc)
+    [] t.allocs
+
+(* A poison bit covers any bit; an undef bit covers 0, 1 and undef. *)
+let bit_covers ~(src : Value.bit) ~(tgt : Value.bit) =
+  match (src, tgt) with
+  | Value.Bpoison, _ | Value.Bundef, (Value.B0 | Value.B1 | Value.Bundef) -> true
+  | _ -> src = tgt
+
+(* Does source memory [src] cover target memory [tgt]?  The address sets
+   must be equal and every byte's bits covered.  With [~prov:true]
+   provenance is observed too: a wildcard source byte covers any
+   provenance (it may hold any pointer), and any other provenance must
+   match exactly.  The IR-to-IR check observes it; translation
+   validation does not, since the lowering legitimately erases it. *)
+let rec image_covers ~prov ~(src : image) ~(tgt : image) =
+  match (src, tgt) with
+  | [], [] -> true
+  | (a, s) :: src, (b, t) :: tgt ->
+    Int64.equal a b
+    && Array.for_all2 (fun s t -> bit_covers ~src:s ~tgt:t) s.bits t.bits
+    && ((not prov) || s.prov = Prov_wild || s.prov = t.prov)
+    && image_covers ~prov ~src ~tgt
+  | _ -> false
+
+(* For printing only: ';'-separated "<addr>=<8 bit chars>" entries, bits
+   LSB first as 0/1/p/u, then a provenance suffix: nothing for
    [Prov_none], "*" for [Prov_wild], "@<base>" for [Prov_alloc]. *)
-let fingerprint t : string =
+let image_to_string (img : image) : string =
   let bit_char = function
-    | Value.B0 -> "0"
-    | Value.B1 -> "1"
-    | Value.Bpoison -> "p"
-    | Value.Bundef -> "u"
+    | Value.B0 -> '0'
+    | Value.B1 -> '1'
+    | Value.Bpoison -> 'p'
+    | Value.Bundef -> 'u'
   in
-  let entries =
-    List.concat_map
-      (fun al ->
-        if not al.live then []
-        else
-          List.init al.size (fun i ->
-              let addr = Int64.add al.base (Int64.of_int i) in
-              match Hashtbl.find_opt t.bytes addr with
-              | None -> (addr, "uuuuuuuu")
-              | Some byte ->
-                let s =
-                  String.concat "" (List.map bit_char (Array.to_list byte.bits))
-                in
-                let s =
-                  match byte.prov with
-                  | Prov_none -> s
-                  | Prov_wild -> s ^ "*"
-                  | Prov_alloc b -> Printf.sprintf "%s@%Lx" s b
-                in
-                (addr, s)))
-      t.allocs
-  in
-  let entries = List.sort compare entries in
-  String.concat ";" (List.map (fun (a, s) -> Printf.sprintf "%Lx=%s" a s) entries)
+  String.concat ";"
+    (List.map
+       (fun (addr, byte) ->
+         Printf.sprintf "%Lx=%s%s" addr
+           (String.init (Array.length byte.bits) (fun i -> bit_char byte.bits.(i)))
+           (match byte.prov with
+           | Prov_none -> ""
+           | Prov_wild -> "*"
+           | Prov_alloc b -> Printf.sprintf "@%Lx" b))
+       img)

@@ -1,6 +1,7 @@
 (* The memory model: the three memory.ml bugfix regressions (overflow in
-   valid_range, freed bytes in the fingerprint, invalid free crashing
-   instead of UB), the integer/pointer casts, the two-phase
+   valid_range, freed bytes in the final memory, invalid free crashing
+   instead of UB), the final-memory covering relation, the
+   integer/pointer casts, the two-phase
    infinite/finite semantics, and a byte-level edge-case suite — each
    edge case checked differentially (the SAT path must never contradict
    the enumeration path on memory programs; it answers Unknown and the
@@ -58,18 +59,21 @@ let valid_range_no_wrap () =
   Alcotest.(check bool) "negative length is out of bounds" false
     (Memory.valid_range mem (Bitvec.of_int64 ~width:64 0x1000L) (-1))
 
-(* Bugfix 2: the fingerprint folded over every byte in the table,
+let image = Alcotest.testable (Fmt.of_to_string Memory.image_to_string) ( = )
+
+(* Bugfix 2: the final memory folded in every byte in the table,
    including freed allocations, so two executions that diverge only in
-   dead bytes compared unequal.  (Pre-fix: the fingerprints differ.) *)
-let fingerprint_ignores_freed () =
+   dead bytes compared unequal.  (Pre-fix: the snapshots differ.) *)
+let snapshot_ignores_freed () =
   let with_byte v =
     let mem = Memory.create () in
     let p = Option.get (Memory.alloc mem ~size:1) in
     assert (Memory.store_bits mem p (Value.ty_down (Types.Int 8) (Value.of_int ~width:8 v)));
     ignore (Memory.free mem p);
-    Memory.fingerprint mem
+    Memory.snapshot mem
   in
-  Alcotest.(check string) "freed bytes do not show" (with_byte 1) (with_byte 2);
+  Alcotest.check image "freed bytes do not show" (with_byte 1) (with_byte 2);
+  Alcotest.check image "nothing live" [] (with_byte 1);
   (* the same divergence through the interpreter: free, then nothing
      live differs, so the pair refines in both directions *)
   let prog v =
@@ -238,10 +242,144 @@ e:
   differential "malloc refines itself" "refines" ~src ~tgt:src
 
 (* ------------------------------------------------------------------ *)
+(* Final-memory covering                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A byte from its bits written LSB first as 0/1/p/u. *)
+let byte ?(prov = Memory.Prov_none) bits =
+  let bit = function
+    | '0' -> Value.B0
+    | '1' -> Value.B1
+    | 'p' -> Value.Bpoison
+    | _ -> Value.Bundef
+  in
+  { Memory.bits = Array.init 8 (fun i -> bit bits.[i]); prov }
+
+let one ?prov bits : Memory.image = [ (0x1000L, byte ?prov bits) ]
+
+(* One case per rule of [Memory.image_covers]. *)
+let image_covers_table () =
+  let w = Memory.Prov_wild and a = Memory.Prov_alloc 0x1000L and b = Memory.Prov_alloc 0x2000L in
+  let z = "00000000" and p = "pppppppp" in
+  let two x y = [ (0x1000L, byte x); (0x1001L, byte y) ] in
+  List.iter
+    (fun (name, prov, src, tgt, want) ->
+      Alcotest.(check bool) name want (Memory.image_covers ~prov ~src ~tgt))
+    [ ("equal bytes cover", true, one "01pu01pu", one "01pu01pu", true);
+      ("poison covers 0, 1, undef, poison", true, one p, one "01up01up", true);
+      ("undef covers 0, 1, undef", true, one "uuuuuuuu", one "01u01u01", true);
+      ("undef does not cover poison", true, one "uuuuuuuu", one "uuuuuuup", false);
+      ("0 does not cover 1", true, one z, one "10000000", false);
+      ("1 does not cover undef", true, one "11111111", one "1111111u", false);
+      ("0 does not cover poison", true, one z, one "p0000000", false);
+      ("wildcard covers no provenance", true, one ~prov:w z, one z, true);
+      ("wildcard covers an allocation", true, one ~prov:w z, one ~prov:a z, true);
+      ("wildcard covers wildcard", true, one ~prov:w z, one ~prov:w z, true);
+      ("same allocation covers", true, one ~prov:a z, one ~prov:a z, true);
+      ("other allocation does not cover", true, one ~prov:a z, one ~prov:b z, false);
+      ("allocation does not cover none", true, one ~prov:a z, one z, false);
+      ("none does not cover an allocation", true, one z, one ~prov:a z, false);
+      ("none does not cover wildcard", true, one z, one ~prov:w z, false);
+      ("~prov:false ignores provenance", false, one z, one ~prov:a z, true);
+      ("~prov:false ignores other allocations", false, one ~prov:a "uuuuuuuu", one ~prov:b z, true);
+      ("~prov:false still compares bits", false, one ~prov:a z, one ~prov:a "01000000", false);
+      ("empty covers empty", true, [], [], true);
+      ("different addresses never cover", true, one p, [ (0x1001L, byte z) ], false);
+      ("a longer target is not covered", false, one p, two z z, false);
+      ("a shorter target is not covered", false, two p p, one z, false);
+      ("empty does not cover a byte", false, [], one "uuuuuuuu", false);
+    ]
+
+(* The textual relation final memories were compared by before they
+   became typed images, over "addr=bits[prov]" entries as
+   [Memory.image_to_string] prints them: the reference the typed
+   relation must agree with. *)
+let ref_entry_covers (src : string) (tgt : string) =
+  match (String.index_opt src '=', String.index_opt tgt '=') with
+  | Some is_, Some it ->
+    String.sub src 0 is_ = String.sub tgt 0 it
+    && String.length src >= is_ + 9
+    && String.length tgt >= it + 9
+    && begin
+      let bits_ok = ref true in
+      for i = 1 to 8 do
+        let cs = src.[is_ + i] and ct = tgt.[it + i] in
+        if cs <> ct then
+          match (cs, ct) with
+          | 'p', _ -> ()
+          | 'u', ('0' | '1' | 'u') -> ()
+          | _ -> bits_ok := false
+      done;
+      let prov_s = String.sub src (is_ + 9) (String.length src - is_ - 9) in
+      let prov_t = String.sub tgt (it + 9) (String.length tgt - it - 9) in
+      !bits_ok && (prov_s = "*" || prov_s = prov_t)
+    end
+  | _ -> src = tgt
+
+let ref_mem_covers ~prov (src : string) (tgt : string) =
+  let split s = if s = "" then [] else String.split_on_char ';' s in
+  let strip_prov entry =
+    match String.index_opt entry '=' with
+    | Some i when String.length entry >= i + 9 -> String.sub entry 0 (i + 9)
+    | _ -> entry
+  in
+  let es = split src and et = split tgt in
+  let es, et = if prov then (es, et) else (List.map strip_prov es, List.map strip_prov et) in
+  List.length es = List.length et && List.for_all2 ref_entry_covers es et
+
+(* Random (prov, src, tgt) triples: bytes over a small address pool with
+   every bit value and provenance kind.  Most targets perturb the
+   source's bytes a little, so both verdicts are common; the rest move
+   the source's bytes to other addresses or have bytes of their own. *)
+let gen_covers_case =
+  let open QCheck2.Gen in
+  let bit = oneofl Value.[ B0; B1; Bpoison; Bundef ] in
+  let prov =
+    oneof
+      [ pure Memory.Prov_none; pure Memory.Prov_wild;
+        map (fun b -> Memory.Prov_alloc b) (oneofl [ 0x1000L; 0x1010L; 0x20000L ]);
+      ]
+  in
+  let byte = map2 (fun bits prov -> { Memory.bits; prov }) (array_repeat 8 bit) prov in
+  let near (b : Memory.byte) =
+    map2
+      (fun bits prov -> { Memory.bits; prov })
+      (flatten_a (Array.map (fun x -> frequency [ (7, pure x); (1, bit) ]) b.bits))
+      (frequency [ (7, pure b.prov); (1, prov) ])
+  in
+  let pool = [ 0x1000L; 0x1001L; 0x1002L; 0x1010L; 0x1011L ] in
+  let image =
+    int_bound 31 >>= fun mask ->
+    flatten_l
+      (List.filteri (fun i _ -> mask land (1 lsl i) <> 0) pool
+      |> List.map (fun a -> map (fun b -> (a, b)) byte))
+  in
+  bool >>= fun prov ->
+  image >>= fun src ->
+  map
+    (fun tgt -> (prov, src, tgt))
+    (frequency
+       [ (3, flatten_l (List.map (fun (a, b) -> map (fun b -> (a, b)) (near b)) src));
+         (1, pure (List.map (fun (a, b) -> (Int64.add a 0x100L, b)) src));
+         (1, image);
+       ])
+
+let image_covers_matches_text =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"image_covers agrees with the textual relation" ~count:2000
+       ~print:(fun (prov, src, tgt) ->
+         Printf.sprintf "prov:%b src:%s tgt:%s" prov (Memory.image_to_string src)
+           (Memory.image_to_string tgt))
+       gen_covers_case
+       (fun (prov, src, tgt) ->
+         Memory.image_covers ~prov ~src ~tgt
+         = ref_mem_covers ~prov (Memory.image_to_string src) (Memory.image_to_string tgt)))
+
+(* ------------------------------------------------------------------ *)
 (* Provenance                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let provenance_in_fingerprint () =
+let provenance_observable () =
   (* storing a pointer as a ptrtoint'd integer leaves identical bits
      but erases the bytes' provenance: observable in the final memory *)
   let src = {|define i8 @f() {
@@ -421,8 +559,7 @@ let () =
   Alcotest.run "mem"
     [ ( "regressions",
         [ Alcotest.test_case "valid_range does not wrap" `Quick valid_range_no_wrap;
-          Alcotest.test_case "fingerprint ignores freed allocations" `Quick
-            fingerprint_ignores_freed;
+          Alcotest.test_case "snapshot ignores freed allocations" `Quick snapshot_ignores_freed;
           Alcotest.test_case "invalid free is UB, not a crash" `Quick invalid_free_is_ub;
         ] );
       ( "casts",
@@ -435,8 +572,12 @@ let () =
           Alcotest.test_case "finite-phase interpretation" `Quick finite_phase_interp;
           Alcotest.test_case "malloc=>alloca is refuted" `Quick malloc_to_alloca_refuted;
         ] );
+      ( "covers",
+        [ Alcotest.test_case "one case per rule" `Quick image_covers_table;
+          image_covers_matches_text;
+        ] );
       ( "provenance",
-        [ Alcotest.test_case "provenance is observable" `Quick provenance_in_fingerprint ]
+        [ Alcotest.test_case "provenance is observable" `Quick provenance_observable ]
       );
       ( "edge-cases",
         [ Alcotest.test_case "zero/negative-size alloc" `Quick zero_size_alloc;

@@ -430,7 +430,9 @@ let ground_truth_digests () =
       n ^ "(" ^ String.concat "," (List.map Value.to_string vs) ^ ")"
     in
     String.concat " | "
-      [ Interp.outcome_to_string b.b_outcome; String.concat ";" (List.map ev b.b_events); b.b_mem ]
+      [ Interp.outcome_to_string b.b_outcome; String.concat ";" (List.map ev b.b_events);
+        Memory.image_to_string b.b_mem;
+      ]
   in
   let ir_sets fn =
     String.concat ""
@@ -444,7 +446,7 @@ let ground_truth_digests () =
          Mode.all)
   in
   let show_mir (b : Ub_backend.Mir_sem.behavior) =
-    Ub_backend.Mir_sem.outcome_to_string b.b_outcome ^ " | " ^ b.b_mem
+    Ub_backend.Mir_sem.outcome_to_string b.b_outcome ^ " | " ^ Memory.image_to_string b.b_mem
   in
   let mir_sets fn =
     match Ub_backend.Compile.compile_func fn with
