@@ -7,19 +7,19 @@
    Design notes:
 
    - The register file holds 64-bit machine words.  A register is either
-     [Concrete] or [Vundef] — machine garbage, which is what an
-     [Undef_def] (the pinned undef register of Section 6) produces, and
-     what every register and spill slot starts as.  *Any* read of a
-     [Vundef] register resolves it through the oracle and pins the
-     result, modelling the fact that a real machine register holds one
-     stable (if unknown) value.  This makes freeze-lowering faithful: a
+     concrete or machine garbage, which is what an [Undef_def] (the
+     pinned undef register of Section 6) produces, and what every
+     register and spill slot starts as.  *Any* read of a garbage
+     register resolves it through the oracle and pins the result,
+     modelling the fact that a real machine register holds one stable
+     (if unknown) value.  This makes freeze-lowering faithful: a
      [Copy] out of an undef register reads it, so the copy observes one
      fixed value ever after.
 
    - Width semantics follow x86-64: 32-bit writes zero the upper half,
      8/16-bit writes merge into the low bits, shift counts are masked to
      the operand size, and division by zero (or quotient overflow) is a
-     machine trap, reported as [Ub].  Partial writes into a [Vundef]
+     machine trap, reported as [Ub].  Partial writes into a garbage
      register take the undisturbed high bits to be zero rather than
      consuming an oracle choice — one fixed garbage value is a subset of
      machine behaviour, and keeping the choice out of the oracle keeps
@@ -27,7 +27,7 @@
      is sound for refinement checking (it can only miss violations,
      never invent them).
 
-   - Flags are a four-bit record or [Fundef].  Add/sub/cmp compute the
+   - Flags are four bits, each known or undefined.  Add/sub/cmp compute the
      full ZF/SF/CF/OF set; logic ops and [Test] clear CF/OF; multiply,
      shifts, division and calls leave the flags undefined, so code that
      consumes stale flags (an injected backend bug) exhibits genuinely
@@ -60,16 +60,6 @@ exception Unsupported of string
 exception Ub_exn of string
 exception Out_of_fuel
 
-type value = Concrete of int64 | Vundef
-
-type flagset = { zf : bool; sf : bool; cf : bool; of_ : bool }
-
-(* [Fundef] holds the pinned ZF, SF, CF and OF bits, in that order:
-   [None] until a condition first reads the bit. *)
-type flags = Flags of flagset | Fundef of bool option array
-
-let fundef () = Fundef (Array.make 4 None)
-
 (* How to address the register file and where the arguments live. *)
 type form =
   | Virtual (* vreg-indexed; argument i is vreg i (lane-expanded) *)
@@ -88,18 +78,46 @@ let outcome_to_string = function
 
 type run_result = { outcome : outcome; mem : Memory.image; steps : int }
 
+(* A register or spill-slot file: one 64-bit word per entry, each either
+   concrete or machine garbage ([undef] holds '\001').  Words are read
+   and written in place, so a write allocates nothing. *)
+type file = { words : Bytes.t; undef : Bytes.t }
+
+let file_of_size n = { words = Bytes.make (8 * n) '\000'; undef = Bytes.make n '\001' }
+let file_size f = Bytes.length f.undef
+
+(* Every entry garbage again, with a canonically zero word. *)
+let reset f =
+  Bytes.fill f.words 0 (Bytes.length f.words) '\000';
+  Bytes.fill f.undef 0 (Bytes.length f.undef) '\001'
+
+let[@inline] is_undef f i = Bytes.get f.undef i <> '\000'
+let[@inline] get f i = Bytes.get_int64_ne f.words (8 * i)
+
+let[@inline] set f i v =
+  Bytes.set_int64_ne f.words (8 * i) v;
+  Bytes.set f.undef i '\000'
+
+let set_undef f i =
+  Bytes.set_int64_ne f.words (8 * i) 0L;
+  Bytes.set f.undef i '\001'
+
 (* A block's instructions, and for each [Jmp]/[Jcc] among them the index
    of the target block (-1 when no block has that label: the jump raises
    [Unsupported] only when taken). *)
 type code = { insts : Mir.inst array; targets : int array }
 
 (* A function resolved once for runs in one form: blocks are array
-   indices and every jump names its target block. *)
+   indices and every jump names its target block.  It also owns the
+   register and slot files its runs use, reset at the start of each run,
+   so a prepared function runs one run at a time. *)
 type prepared = {
   func : Mir.func;
   form : form;
   reg_index : Mir.reg -> int;
   code : code array; (* in block order; the entry block first *)
+  mutable regs : file; (* grown for a virtual-form run with more arguments *)
+  slots : file;
 }
 
 let prepare ~(form : form) (f : Mir.func) : prepared =
@@ -125,12 +143,24 @@ let prepare ~(form : form) (f : Mir.func) : prepared =
       | Mir.Preg p -> p
       | Mir.Vreg _ -> raise (Unsupported "virtual register in physical form"))
   in
-  { func = f; form; reg_index; code = Array.of_list (List.map code f.Mir.blocks) }
+  let nregs = match form with Virtual -> f.Mir.nvregs | Physical _ -> Target.num_regs in
+  { func = f; form; reg_index; code = Array.of_list (List.map code f.Mir.blocks);
+    regs = file_of_size (max nregs 1); slots = file_of_size (max f.Mir.nslots 1) }
+
+(* The flags register: bits 0-3 hold ZF, SF, CF and OF, and bit 4+i
+   says that bit i is known.  Add/sub/cmp and logic ops write all four
+   (known); an undefined flag bit is unknown until a condition first
+   reads it, which pins it. *)
+let flags_undef = 0
+
+let[@inline] flags_known ~zf ~sf ~cf ~of_ =
+  0xF0 lor Bool.to_int zf lor (Bool.to_int sf lsl 1) lor (Bool.to_int cf lsl 2)
+  lor (Bool.to_int of_ lsl 3)
 
 type state = {
-  regs : value array;
-  slots : value array;
-  mutable flags : flags;
+  regs : file;
+  slots : file;
+  mutable flags : int;
   mem : Memory.t;
   oracle : Oracle.t;
   mutable fuel : int;
@@ -139,52 +169,53 @@ type state = {
 }
 
 let wbits = function Mir.W8 -> 8 | Mir.W16 -> 16 | Mir.W32 -> 32 | Mir.W64 -> 64
-let wmask w = Bitvec.mask_of_width (wbits w)
 
-(* Resolve a register to one stable concrete 64-bit value. *)
-let resolve st i =
-  match st.regs.(i) with
-  | Concrete v -> v
-  | Vundef ->
-    let v = Bitvec.to_uint64 (st.oracle.Oracle.choose ~width:64) in
-    st.regs.(i) <- Concrete v;
-    v
+let[@inline] wmask = function
+  | Mir.W8 -> 0xFFL
+  | Mir.W16 -> 0xFFFFL
+  | Mir.W32 -> 0xFFFF_FFFFL
+  | Mir.W64 -> -1L
 
-let resolve_slot st s =
-  match st.slots.(s) with
-  | Concrete v -> v
-  | Vundef ->
-    let v = Bitvec.to_uint64 (st.oracle.Oracle.choose ~width:64) in
-    st.slots.(s) <- Concrete v;
-    v
+let[@inline] sign_bit = function
+  | Mir.W8 -> 0x80L
+  | Mir.W16 -> 0x8000L
+  | Mir.W32 -> 0x8000_0000L
+  | Mir.W64 -> Int64.min_int
 
-let read_reg st r w = Int64.logand (resolve st (st.reg_index r)) (wmask w)
-let read_reg64 st r = resolve st (st.reg_index r)
+(* Pin a garbage entry to one oracle-chosen 64-bit value. *)
+let pin f (oracle : Oracle.t) i = set f i (Bitvec.to_uint64 (oracle.Oracle.choose ~width:64))
 
-let write_reg st r w v =
+(* Resolve entry [i] of [f] to one stable concrete 64-bit value. *)
+let[@inline] resolve f oracle i =
+  if is_undef f i then pin f oracle i;
+  get f i
+
+let[@inline] read_reg64 st r = resolve st.regs st.oracle (st.reg_index r)
+let[@inline] read_reg st r w = Int64.logand (read_reg64 st r) (wmask w)
+
+let[@inline] write_reg st r w v =
   let i = st.reg_index r in
   let v = Int64.logand v (wmask w) in
   match w with
-  | Mir.W64 | Mir.W32 -> st.regs.(i) <- Concrete v (* 32-bit writes zero the upper half *)
+  | Mir.W64 | Mir.W32 -> set st.regs i v (* 32-bit writes zero the upper half *)
   | Mir.W8 | Mir.W16 ->
     (* partial write: merge into the low bits; an undisturbed-garbage
-       high part is canonically zero (see module comment) *)
-    let old = match st.regs.(i) with Concrete o -> o | Vundef -> 0L in
-    st.regs.(i) <- Concrete (Int64.logor (Int64.logand old (Int64.lognot (wmask w))) v)
+       high part is canonically zero (see module comment), and a
+       garbage entry's word is kept zero *)
+    set st.regs i (Int64.logor (Int64.logand (get st.regs i) (Int64.lognot (wmask w))) v)
 
-let operand st w = function
+let[@inline] operand st w = function
   | Mir.Imm v -> Int64.logand v (wmask w)
   | Mir.Reg r -> read_reg st r w
 
 (* Sign-extend the low [wbits w] bits of [v] to 64 bits. *)
-let sext64 w v =
+let[@inline] sext64 w v =
   let sh = 64 - wbits w in
   Int64.shift_right (Int64.shift_left v sh) sh
 
-let sign_bit w = Int64.shift_left 1L (wbits w - 1)
-let is_neg w v = not (Int64.equal (Int64.logand v (sign_bit w)) 0L)
+let[@inline] is_neg w v = not (Int64.equal (Int64.logand v (sign_bit w)) 0L)
 
-let flags_addsub w ~a ~b ~res ~is_sub =
+let[@inline] flags_addsub w ~a ~b ~res ~is_sub =
   let res = Int64.logand res (wmask w) in
   let zf = Int64.equal res 0L in
   let sf = is_neg w res in
@@ -196,31 +227,27 @@ let flags_addsub w ~a ~b ~res ~is_sub =
     let x = if is_sub then Int64.logand (Int64.logxor a b) (Int64.logxor a res)
             else Int64.logand (Int64.lognot (Int64.logxor a b)) (Int64.logxor a res)
     in
-    not (Int64.equal (Int64.logand x (sign_bit w)) 0L)
+    is_neg w x
   in
-  Flags { zf; sf; cf; of_ }
+  flags_known ~zf ~sf ~cf ~of_
 
-let flags_logic w res =
+let[@inline] flags_logic w res =
   let res = Int64.logand res (wmask w) in
-  Flags { zf = Int64.equal res 0L; sf = is_neg w res; cf = false; of_ = false }
+  flags_known ~zf:(Int64.equal res 0L) ~sf:(is_neg w res) ~cf:false ~of_:false
 
-(* Read flag bit [i] ([get] when the flags are defined), resolving an
-   undefined bit through the oracle and pinning it. *)
-let flag st i get =
-  match st.flags with
-  | Flags f -> get f
-  | Fundef pins -> (
-    match pins.(i) with
-    | Some b -> b
-    | None ->
-      let b = st.oracle.Oracle.choose_bool () in
-      pins.(i) <- Some b;
-      b)
+(* Read flag bit [i], resolving an unknown bit through the oracle and
+   pinning it until the next flag write. *)
+let flag st i =
+  if st.flags land (0x10 lsl i) = 0 then begin
+    let b = st.oracle.Oracle.choose_bool () in
+    st.flags <- st.flags lor (0x10 lsl i) lor (Bool.to_int b lsl i)
+  end;
+  st.flags land (1 lsl i) <> 0
 
-let zf st = flag st 0 (fun f -> f.zf)
-let sf st = flag st 1 (fun f -> f.sf)
-let cf st = flag st 2 (fun f -> f.cf)
-let of_ st = flag st 3 (fun f -> f.of_)
+let zf st = flag st 0
+let sf st = flag st 1
+let cf st = flag st 2
+let of_ st = flag st 3
 
 (* SF <> OF, reading SF first. *)
 let sf_ne_of st =
@@ -355,7 +382,7 @@ let rec step st (c : code) pc : Bitvec.t option =
         write_reg st d w res;
         step st c (pc + 1)
       | Mir.BImul ->
-        st.flags <- fundef ();
+        st.flags <- flags_undef;
         write_reg st d w (Int64.mul a b);
         step st c (pc + 1)
       | Mir.BAnd | Mir.BOr | Mir.BXor ->
@@ -379,7 +406,7 @@ let rec step st (c : code) pc : Bitvec.t option =
             | Mir.BShr -> Int64.shift_right_logical a count
             | _ -> Int64.shift_right (sext64 w a) count
           in
-          st.flags <- fundef ();
+          st.flags <- flags_undef;
           write_reg st d w res;
           step st c (pc + 1)
         end)
@@ -406,7 +433,7 @@ let rec step st (c : code) pc : Bitvec.t option =
         end
         else (Int64.unsigned_div a b, Int64.unsigned_rem a b)
       in
-      st.flags <- fundef ();
+      st.flags <- flags_undef;
       write_reg st dst_quot w q;
       write_reg st dst_rem w r;
       step st c (pc + 1)
@@ -455,11 +482,11 @@ let rec step st (c : code) pc : Bitvec.t option =
       write_reg st d w (read_reg st s w);
       step st c (pc + 1)
     | Mir.Undef_def r ->
-      st.regs.(st.reg_index r) <- Vundef;
+      set_undef st.regs (st.reg_index r);
       step st c (pc + 1)
     | Mir.Call (callee, args, res) ->
       exec_call st callee args res;
-      st.flags <- fundef ();
+      st.flags <- flags_undef;
       step st c (pc + 1)
     | Mir.Push _ | Mir.Pop _ -> raise (Unsupported "push/pop")
     | Mir.Jmp l -> jump st c pc l
@@ -467,10 +494,10 @@ let rec step st (c : code) pc : Bitvec.t option =
     | Mir.Ret None -> None
     | Mir.Ret (Some r) -> Some (Bitvec.of_int64 ~width:64 (read_reg64 st r))
     | Mir.Spill_store (s, r) ->
-      st.slots.(s) <- Concrete (read_reg64 st r);
+      set st.slots s (read_reg64 st r);
       step st c (pc + 1)
     | Mir.Spill_load (s, r) ->
-      st.regs.(st.reg_index r) <- Concrete (resolve_slot st s);
+      set st.regs (st.reg_index r) (resolve st.slots st.oracle s);
       step st c (pc + 1))
   end
 
@@ -479,48 +506,39 @@ and jump st (c : code) pc l =
   if t < 0 then raise (Unsupported (Printf.sprintf "jump to unknown label %s" l))
   else step st st.code.(t) 0
 
-(* Seed an argument register/slot from an IR value: concretes are
-   zero-extended to the machine word, poison/undef become machine
+(* Seed argument register/slot [i] of [f] from an IR value: concretes
+   are zero-extended to the machine word, poison/undef become machine
    garbage (which any read pins). *)
-let value_of_ir (v : Value.t) : value =
+let seed f i (v : Value.t) =
   match v with
-  | Value.Scalar (Value.Conc bv) -> Concrete (Bitvec.to_uint64 bv)
-  | Value.Scalar (Value.Poison | Value.Undef) -> Vundef
+  | Value.Scalar (Value.Conc bv) -> set f i (Bitvec.to_uint64 bv)
+  | Value.Scalar (Value.Poison | Value.Undef) -> set_undef f i
   | Value.Vector _ -> raise (Unsupported "vector argument")
 
 (* One run of a prepared function. *)
 let exec ?(fuel = 50_000) ?(oracle = Oracle.zeros) ?mem ?phase (p : prepared)
     (args : Value.t list) : run_result =
-  let f = p.func in
   let mem = match mem with Some m -> m | None -> Memory.create ?phase () in
-  let nregs =
-    match p.form with
-    | Virtual -> max f.Mir.nvregs (List.length args)
-    | Physical _ -> Target.num_regs
-  in
+  (match p.form with
+  | Virtual when List.length args > file_size p.regs -> p.regs <- file_of_size (List.length args)
+  | Virtual | Physical _ -> reset p.regs);
+  reset p.slots;
   let st =
-    { regs = Array.make (max nregs 1) Vundef;
-      slots = Array.make (max f.Mir.nslots 1) Vundef;
-      flags = fundef ();
-      mem;
-      oracle;
-      fuel;
-      reg_index = p.reg_index;
-      code = p.code;
-    }
+    { regs = p.regs; slots = p.slots; flags = flags_undef; mem; oracle; fuel;
+      reg_index = p.reg_index; code = p.code }
   in
   (match p.form with
-  | Virtual -> List.iteri (fun i v -> st.regs.(i) <- value_of_ir v) args
+  | Virtual -> List.iteri (fun i v -> seed st.regs i v) args
   | Physical locs ->
     if List.length locs <> List.length args then
       raise (Unsupported "argument count does not match recorded locations");
     List.iter2
       (fun loc v ->
         match loc with
-        | Mir.Loc_reg p -> st.regs.(p) <- value_of_ir v
+        | Mir.Loc_reg p -> seed st.regs p v
         | Mir.Loc_slot s ->
-          if s >= Array.length st.slots then raise (Unsupported "argument slot out of range")
-          else st.slots.(s) <- value_of_ir v)
+          if s >= file_size st.slots then raise (Unsupported "argument slot out of range")
+          else seed st.slots s v)
       locs args);
   if Array.length p.code = 0 then raise (Unsupported "function with no blocks");
   let outcome =

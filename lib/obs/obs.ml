@@ -352,6 +352,7 @@ let report () : Json.t =
                  ("hunt_unique", counter_value "hunt.unique");
                  ("hunt_dropped", counter_value "hunt.dropped");
                  ("interp_runs", counter_value "interp.runs");
+                 ("enum_tgt_skipped", counter_value "refine.enum_tgt_skipped");
                  ("tv_checked", counter_value "tv.checked");
                  ("tv_mir_runs", counter_value "tv.mir_runs");
                  ("tv_refined", counter_value "tv.refined");

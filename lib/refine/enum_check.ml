@@ -43,6 +43,16 @@ let behavior_covers (s : Interp.Behaviors.behavior) (t : Interp.Behaviors.behavi
     | Interp.Timeout, Interp.Timeout -> true (* both diverge within fuel *)
     | _, _ -> false)
 
+(* A source UB behaviour covers every target behaviour, so on a (tuple,
+   phase) whose source set holds one the target need not be enumerated:
+   no verdict can come from it.  The target is not run there, so a
+   target that would exhaust [max_runs] only on such tuples no longer
+   makes the check [Unknown].  [Tv] keeps enumerating the machine side
+   on those tuples, because its target-side drops (timeout, unsupported
+   construct, exhausted enumeration) are verdicts of their own. *)
+let source_ub (b : Interp.Behaviors.behavior) =
+  match b.b_outcome with Interp.Ub _ -> true | Interp.Returned _ | Interp.Timeout -> false
+
 (* All argument tuples for a function over small integer types, or
    [None] when an argument type is not enumerable or there would be more
    than [max_inputs] tuples.  Poison and (mode-dependent) undef are
@@ -132,38 +142,36 @@ let check ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000) ?(max_ru
       let phases = phases_for ~src ~tgt in
       let src_p = Interp.prepare ~mode ?module_:module_src src in
       let tgt_p = Interp.prepare ~mode ?module_:module_tgt tgt in
+      (* the counterexample on one (tuple, phase), if any *)
+      let uncovered args phase =
+        let behs_src = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase src_p args in
+        if List.exists source_ub behs_src then begin
+          Ub_obs.Obs.count "refine.enum_tgt_skipped";
+          None
+        end
+        else
+          let behs_tgt = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase tgt_p args in
+          List.find_opt
+            (fun bt -> not (List.exists (fun bs -> behavior_covers bs bt) behs_src))
+            behs_tgt
+          |> Option.map (fun bt ->
+                 Counterexample
+                   { args;
+                     witness =
+                       Printf.sprintf
+                         "target behaviour not covered in %s phase: %s (source has %d \
+                          behaviour(s): %s)"
+                         (phase_to_string phase)
+                         (Interp.Behaviors.to_string bt)
+                         (List.length behs_src)
+                         (String.concat " | "
+                            (List.map Interp.Behaviors.to_string
+                               (Ub_support.Util.take 4 behs_src)));
+                   })
+      in
       try
-        let bad =
-          List.find_map
-            (fun args ->
-              List.find_map
-                (fun phase ->
-                  let behs_src = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase src_p args in
-                  let behs_tgt = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase tgt_p args in
-                  match
-                    List.find_opt
-                      (fun bt -> not (List.exists (fun bs -> behavior_covers bs bt) behs_src))
-                      behs_tgt
-                  with
-                  | Some bt ->
-                    Some
-                      (Counterexample
-                         { args;
-                           witness =
-                             Printf.sprintf
-                               "target behaviour not covered in %s phase: %s (source has %d \
-                                behaviour(s): %s)"
-                               (phase_to_string phase)
-                               (Interp.Behaviors.to_string bt)
-                               (List.length behs_src)
-                               (String.concat " | "
-                                  (List.map Interp.Behaviors.to_string
-                                     (Ub_support.Util.take 4 behs_src)));
-                         })
-                  | None -> None)
-                phases)
-            tuples
-        in
-        match bad with Some cex -> cex | None -> Refines
+        match List.find_map (fun args -> List.find_map (uncovered args) phases) tuples with
+        | Some cex -> cex
+        | None -> Refines
       with Oracle.Exhausted -> Unknown "behaviour space too large")
   end

@@ -16,7 +16,7 @@ open Instr
 
 type 'a res = ('a, string) result
 
-let ub fmt = Printf.ksprintf (fun s -> Error s) fmt
+let ub msg = Error msg
 
 (* Normalize a value that entered the program as a constant: in modes
    without undef, [undef] means poison. *)
@@ -52,6 +52,12 @@ let lanewise2 (ty : Types.t) f (a : Value.t) (b : Value.t) : Value.t res =
       | Error e -> Error e
   in
   go 0
+
+(* The scalar fast path: a scalar result of a scalar-typed instruction,
+   without the lane arrays of the vector path. *)
+let scalar_res : Value.scalar res -> Value.t res = function
+  | Ok s -> Ok (Value.Scalar s)
+  | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Binary operations                                                   *)
@@ -149,11 +155,17 @@ let eval_binop_scalar (mode : Mode.t) (oracle : Oracle.t) op (attrs : attrs) ~wi
 
 let eval_binop mode oracle op attrs ty a b : Value.t res =
   let width = Types.scalar_bitwidth (Types.element ty) in
-  lanewise2 ty (eval_binop_scalar mode oracle op attrs ~width) a b
+  match (a, b) with
+  | Value.Scalar x, Value.Scalar y when not (Types.is_vector ty) ->
+    scalar_res (eval_binop_scalar mode oracle op attrs ~width x y)
+  | _ -> lanewise2 ty (eval_binop_scalar mode oracle op attrs ~width) a b
 
 (* ------------------------------------------------------------------ *)
 (* icmp                                                                *)
 (* ------------------------------------------------------------------ *)
+
+let conc_true = Value.Conc (Bitvec.one 1)
+let conc_false = Value.Conc (Bitvec.zero 1)
 
 let eval_icmp_scalar (oracle : Oracle.t) pred ~width a b : Value.scalar res =
   let a = materialize oracle ~width a in
@@ -175,11 +187,14 @@ let eval_icmp_scalar (oracle : Oracle.t) pred ~width a b : Value.scalar res =
       | Slt -> Bitvec.slt x y
       | Sle -> Bitvec.sle x y
     in
-    Ok (Value.Conc (Bitvec.of_int ~width:1 (if r then 1 else 0)))
+    Ok (if r then conc_true else conc_false)
 
 let eval_icmp (_mode : Mode.t) oracle pred ty a b : Value.t res =
   let width = Types.scalar_bitwidth (Types.element ty) in
-  lanewise2 (Types.bool_shape ty) (eval_icmp_scalar oracle pred ~width) a b
+  match (a, b) with
+  | Value.Scalar x, Value.Scalar y when not (Types.is_vector ty) ->
+    scalar_res (eval_icmp_scalar oracle pred ~width x y)
+  | _ -> lanewise2 (Types.bool_shape ty) (eval_icmp_scalar oracle pred ~width) a b
 
 (* ------------------------------------------------------------------ *)
 (* select (the Section 3.4 battleground)                               *)
@@ -209,7 +224,7 @@ let eval_select_scalar (mode : Mode.t) (oracle : Oracle.t) c a b : Value.scalar 
     | Value.Undef, _, _ -> Ok (pick (Bitvec.is_one (oracle.choose ~width:1)))
     | Value.Conc bv, _, _ -> Ok (pick (Bitvec.is_one bv)))
 
-let eval_select (mode : Mode.t) oracle c ty a b : Value.t res =
+let eval_select_lanes (mode : Mode.t) oracle c ty a b : Value.t res =
   let la = Value.lanes a and lb = Value.lanes b and lc = Value.lanes c in
   let n = Array.length la in
   let lc = if Array.length lc = n then lc else Array.make n lc.(0) in
@@ -224,6 +239,12 @@ let eval_select (mode : Mode.t) oracle c ty a b : Value.t res =
       | Error e -> Error e
   in
   go 0
+
+let eval_select (mode : Mode.t) oracle c ty a b : Value.t res =
+  match (c, a, b) with
+  | Value.Scalar c, Value.Scalar x, Value.Scalar y when not (Types.is_vector ty) ->
+    scalar_res (eval_select_scalar mode oracle c x y)
+  | _ -> eval_select_lanes mode oracle c ty a b
 
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)
@@ -250,8 +271,11 @@ let eval_conv_scalar (oracle : Oracle.t) op ~from_w ~to_w s : Value.scalar =
 let eval_conv (_mode : Mode.t) oracle op ~from ~to_ v : Value.t res =
   let from_w = Types.scalar_bitwidth (Types.element from) in
   let to_w = Types.scalar_bitwidth (Types.element to_) in
-  let lanes = Value.lanes v in
-  Ok (Value.of_lanes to_ (Array.map (eval_conv_scalar oracle op ~from_w ~to_w) lanes))
+  match v with
+  | Value.Scalar s when not (Types.is_vector to_) ->
+    Ok (Value.Scalar (eval_conv_scalar oracle op ~from_w ~to_w s))
+  | _ ->
+    Ok (Value.of_lanes to_ (Array.map (eval_conv_scalar oracle op ~from_w ~to_w) (Value.lanes v)))
 
 let eval_bitcast (mode : Mode.t) ~from ~to_ v : Value.t res =
   Ok (Value.bitcast ~mode ~from ~to_ v)
@@ -260,13 +284,16 @@ let eval_bitcast (mode : Mode.t) ~from ~to_ v : Value.t res =
 (* freeze (Section 4 / Figure 5)                                       *)
 (* ------------------------------------------------------------------ *)
 
+let freeze_scalar (oracle : Oracle.t) ~width = function
+  | Value.Poison | Value.Undef -> Value.Conc (oracle.choose ~width)
+  | s -> s
+
 let eval_freeze (_mode : Mode.t) (oracle : Oracle.t) ty v : Value.t res =
   let width = Types.scalar_bitwidth (Types.element ty) in
-  let fr = function
-    | Value.Poison | Value.Undef -> Value.Conc (oracle.choose ~width)
-    | s -> s
-  in
-  Ok (Value.of_lanes ty (Array.map fr (Value.lanes v)))
+  match v with
+  | Value.Scalar s when not (Types.is_vector ty) ->
+    Ok (Value.Scalar (freeze_scalar oracle ~width s))
+  | _ -> Ok (Value.of_lanes ty (Array.map (freeze_scalar oracle ~width) (Value.lanes v)))
 
 (* ------------------------------------------------------------------ *)
 (* getelementptr                                                       *)

@@ -225,6 +225,8 @@ let read (p : prepared) (frame : Value.t array) = function
     if v == unbound then invalid_arg (Printf.sprintf "Interp: unbound register %%%s" p.names.(i))
     else v
 
+let set (frame : Value.t array) dst v = if dst >= 0 then frame.(dst) <- v
+
 let res_exn = function Ok v -> v | Error m -> raise (Ub_exn m)
 
 let null_ptr = Value.Scalar (Value.Conc (Bitvec.zero Types.pointer_bits))
@@ -269,113 +271,129 @@ and run_body (st : state) (p : prepared) (arg_vals : Value.t list) : Value.t opt
     invalid_arg (Printf.sprintf "Interp: @%s called with wrong arity" p.fn.name);
   let frame = Array.make (Array.length p.names) unbound in
   List.iteri (fun i v -> frame.(p.arg_slots.(i)) <- Eval.normalize p.mode v) arg_vals;
-  let rd = read p frame in
-  let bind d v = if d >= 0 then frame.(d) <- v in
-  let mode = p.mode and oracle = st.oracle in
-  let rec enter (b : block) (from : block option) (incoming : rop option array) =
-    (match st.profile with
-    | None -> ()
-    | Some counts ->
-      let key = (p.fn.name, b.label) in
-      Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)));
-    (* phis evaluate simultaneously from the edge values *)
-    let nphis = Array.length b.phi_slots in
-    if nphis > 0 then begin
-      let from =
-        match from with Some f -> f | None -> invalid_arg "Interp: phi in entry block"
-      in
-      let values =
-        Array.mapi
-          (fun k op ->
-            match op with
-            | Some op -> rd op
-            | None ->
-              invalid_arg
-                (Printf.sprintf "Interp: phi %%%s missing edge from %%%s"
-                   p.names.(b.phi_slots.(k)) from.label))
-          incoming
-      in
-      Array.iteri (fun k v -> frame.(b.phi_slots.(k)) <- v) values
-    end;
-    spend st nphis;
-    (* straight-line instructions *)
-    for i = 0 to Array.length b.body - 1 do
-      spend st 1;
-      match b.body.(i) with
-        | Call_to { dst; ret_ty; name; callee; args } ->
-          Option.iter (bind dst)
-            (exec_call st ret_ty name callee (Array.to_list (Array.map rd args)))
-        | Op { dst; ins; ops } -> (
-          match ins with
-          | Binop (op, attrs, ty, _, _) ->
-            bind dst (res_exn (Eval.eval_binop mode oracle op attrs ty (rd ops.(0)) (rd ops.(1))))
-          | Icmp (pred, ty, _, _) ->
-            bind dst (res_exn (Eval.eval_icmp mode oracle pred ty (rd ops.(0)) (rd ops.(1))))
-          | Select (_, ty, _, _) ->
-            bind dst
-              (res_exn (Eval.eval_select mode oracle (rd ops.(0)) ty (rd ops.(1)) (rd ops.(2))))
-          | Conv (op, from, _, to_) ->
-            bind dst (res_exn (Eval.eval_conv mode oracle op ~from ~to_ (rd ops.(0))))
-          | Bitcast (from, _, to_) ->
-            bind dst (res_exn (Eval.eval_bitcast mode ~from ~to_ (rd ops.(0))))
-          | Freeze (ty, _) -> bind dst (res_exn (Eval.eval_freeze mode oracle ty (rd ops.(0))))
-          | Gep { inbounds; pointee; indices; _ } ->
-            let idx_vals = List.mapi (fun k (t, _) -> (t, rd ops.(k + 1))) indices in
-            bind dst (res_exn (Eval.eval_gep oracle ~inbounds ~pointee (rd ops.(0)) idx_vals))
-          | Load (ty, _) -> (
-            match Value.as_scalar (rd ops.(0)) with
-            | Value.Poison -> raise (Ub_exn "load from poison pointer")
-            | Value.Undef -> raise (Ub_exn "load from undef pointer")
-            | Value.Conc addr -> (
-              match Memory.load_bits st.mem addr ~nbytes:(Types.store_size ty) with
-              | None -> raise (Ub_exn "load from invalid address")
-              | Some bits ->
-                let w = Types.bitwidth ty in
-                bind dst (Value.ty_up ~mode ty (Array.sub bits 0 w))))
-          | Store (ty, _, _) -> (
-            match Value.as_scalar (rd ops.(1)) with
-            | Value.Poison -> raise (Ub_exn "store to poison pointer")
-            | Value.Undef -> raise (Ub_exn "store to undef pointer")
-            | Value.Conc addr ->
-              let sv = rd ops.(0) in
-              let bits = Value.ty_down ty sv in
-              (* pointer-typed stores tag their bytes with the stored
-                 pointer's provenance; everything else is provenance-free *)
-              let prov =
-                match ty with
-                | Types.Ptr _ -> (
-                  match Value.as_scalar sv with
-                  | Value.Conc a -> Memory.prov_of_addr st.mem a
-                  | Value.Poison | Value.Undef -> Memory.Prov_none)
-                | _ -> Memory.Prov_none
-              in
-              if not (Memory.store_bits st.mem ~prov addr bits) then
-                raise (Ub_exn "store to invalid address"))
-          | Extractelement (vty, _, _) ->
-            bind dst (res_exn (Eval.eval_extractelement oracle vty (rd ops.(0)) (rd ops.(1))))
-          | Insertelement (vty, _, _, _) ->
-            bind dst
-              (res_exn
-                 (Eval.eval_insertelement oracle vty (rd ops.(0)) (rd ops.(1)) (rd ops.(2))))
-          | Phi _ | Call _ -> assert false (* resolved apart *))
-    done;
-    (* terminator *)
-    spend st 1;
-    match b.term with
-    | Return x -> Some (rd x)
-    | Return_void -> None
-    | Jump e -> follow b e
-    | Branch (c, t, e) ->
-      let cond = res_exn (Eval.resolve_branch mode oracle (rd c)) in
-      follow b (if cond then t else e)
-    | Trap -> raise (Ub_exn "reached unreachable")
-  and follow b = function
-    | Edge { dest; incoming } -> enter p.blocks.(dest) (Some b) incoming
-    | No_block msg -> invalid_arg msg
-  in
   match p.blocks with
   | [||] -> invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" p.fn.name)
-  | blocks -> enter blocks.(0) None [||]
+  | blocks -> enter st p frame blocks.(0) None [||]
+
+(* Run block [b] of [p] in [frame], entered from [from] with the edge
+   operands [incoming] of its phis.  These run functions take the
+   frame as an argument, so a run builds no closures. *)
+and enter st p frame (b : block) (from : block option) (incoming : rop option array) =
+  (match st.profile with
+  | None -> ()
+  | Some counts ->
+    let key = (p.fn.name, b.label) in
+    Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)));
+  (* phis evaluate simultaneously from the edge values *)
+  let nphis = Array.length b.phi_slots in
+  if nphis > 0 then begin
+    let from =
+      match from with Some f -> f | None -> invalid_arg "Interp: phi in entry block"
+    in
+    let values =
+      Array.mapi
+        (fun k op ->
+          match op with
+          | Some op -> read p frame op
+          | None ->
+            invalid_arg
+              (Printf.sprintf "Interp: phi %%%s missing edge from %%%s"
+                 p.names.(b.phi_slots.(k)) from.label))
+        incoming
+    in
+    Array.iteri (fun k v -> frame.(b.phi_slots.(k)) <- v) values
+  end;
+  spend st nphis;
+  (* straight-line instructions *)
+  for i = 0 to Array.length b.body - 1 do
+    spend st 1;
+    exec_insn st p frame b.body.(i)
+  done;
+  (* terminator *)
+  spend st 1;
+  match b.term with
+  | Return x -> Some (read p frame x)
+  | Return_void -> None
+  | Jump e -> follow st p frame b e
+  | Branch (c, t, e) ->
+    let cond = res_exn (Eval.resolve_branch p.mode st.oracle (read p frame c)) in
+    follow st p frame b (if cond then t else e)
+  | Trap -> raise (Ub_exn "reached unreachable")
+
+and follow st p frame b = function
+  | Edge { dest; incoming } -> enter st p frame p.blocks.(dest) (Some b) incoming
+  | No_block msg -> invalid_arg msg
+
+and exec_insn st p frame = function
+  | Call_to { dst; ret_ty; name; callee; args } ->
+    Option.iter (set frame dst)
+      (exec_call st ret_ty name callee (Array.to_list (Array.map (read p frame) args)))
+  | Op { dst; ins; ops } -> (
+    let mode = p.mode and oracle = st.oracle in
+    (* [read p frame ops.(k)] is operand [k]; no closure per instruction *)
+    match ins with
+    | Binop (op, attrs, ty, _, _) ->
+      set frame dst
+        (res_exn
+           (Eval.eval_binop mode oracle op attrs ty (read p frame ops.(0)) (read p frame ops.(1))))
+    | Icmp (pred, ty, _, _) ->
+      set frame dst
+        (res_exn (Eval.eval_icmp mode oracle pred ty (read p frame ops.(0)) (read p frame ops.(1))))
+    | Select (_, ty, _, _) ->
+      set frame dst
+        (res_exn
+           (Eval.eval_select mode oracle (read p frame ops.(0)) ty (read p frame ops.(1))
+              (read p frame ops.(2))))
+    | Conv (op, from, _, to_) ->
+      set frame dst (res_exn (Eval.eval_conv mode oracle op ~from ~to_ (read p frame ops.(0))))
+    | Bitcast (from, _, to_) ->
+      set frame dst (res_exn (Eval.eval_bitcast mode ~from ~to_ (read p frame ops.(0))))
+    | Freeze (ty, _) ->
+      set frame dst (res_exn (Eval.eval_freeze mode oracle ty (read p frame ops.(0))))
+    | Gep { inbounds; pointee; indices; _ } ->
+      let idx_vals = List.mapi (fun k (t, _) -> (t, read p frame ops.(k + 1))) indices in
+      set frame dst
+        (res_exn (Eval.eval_gep oracle ~inbounds ~pointee (read p frame ops.(0)) idx_vals))
+    | Load (ty, _) -> (
+      match Value.as_scalar (read p frame ops.(0)) with
+      | Value.Poison -> raise (Ub_exn "load from poison pointer")
+      | Value.Undef -> raise (Ub_exn "load from undef pointer")
+      | Value.Conc addr -> (
+        match Memory.load_bits st.mem addr ~nbytes:(Types.store_size ty) with
+        | None -> raise (Ub_exn "load from invalid address")
+        | Some bits ->
+          let w = Types.bitwidth ty in
+          let bits = if w = Array.length bits then bits else Array.sub bits 0 w in
+          set frame dst (Value.ty_up ~mode ty bits)))
+    | Store (ty, _, _) -> (
+      match Value.as_scalar (read p frame ops.(1)) with
+      | Value.Poison -> raise (Ub_exn "store to poison pointer")
+      | Value.Undef -> raise (Ub_exn "store to undef pointer")
+      | Value.Conc addr ->
+        let sv = read p frame ops.(0) in
+        let bits = Value.ty_down ty sv in
+        (* pointer-typed stores tag their bytes with the stored
+           pointer's provenance; everything else is provenance-free *)
+        let prov =
+          match ty with
+          | Types.Ptr _ -> (
+            match Value.as_scalar sv with
+            | Value.Conc a -> Memory.prov_of_addr st.mem a
+            | Value.Poison | Value.Undef -> Memory.Prov_none)
+          | _ -> Memory.Prov_none
+        in
+        if not (Memory.store_bits st.mem ~prov addr bits) then
+          raise (Ub_exn "store to invalid address"))
+    | Extractelement (vty, _, _) ->
+      set frame dst
+        (res_exn
+           (Eval.eval_extractelement oracle vty (read p frame ops.(0)) (read p frame ops.(1))))
+    | Insertelement (vty, _, _, _) ->
+      set frame dst
+        (res_exn
+           (Eval.eval_insertelement oracle vty (read p frame ops.(0)) (read p frame ops.(1))
+              (read p frame ops.(2))))
+    | Phi _ | Call _ -> assert false (* resolved apart *))
 
 let outcome_of st p args =
   try Returned (run_body st p args) with

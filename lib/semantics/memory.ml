@@ -1,8 +1,10 @@
 (* The memory of Section 4.2: a partial map from 32-bit addresses to
-   bitwise-defined bytes (<8 x i1> with per-bit poison/undef).  On top of
-   the raw map we keep an allocation table so loads and stores can be
-   checked for validity — accessing outside any live allocation is
-   immediate UB, as is access through a poison address.
+   bitwise-defined bytes (<8 x i1> with per-bit poison/undef).  The map
+   is kept as its allocations, each holding its own bytes, so loads and
+   stores are checked for validity where they find their bytes —
+   accessing outside any live allocation is immediate UB, as is access
+   through a poison address.  A memory nothing was allocated in is one
+   small record.
 
    Two extensions beyond the paper, following the two-phase low-level
    memory model of Beck et al. (arXiv 2404.16143):
@@ -38,18 +40,29 @@ type byte = { bits : Value.bit array; (* length 8, LSB first *) prov : provenanc
 
 type phase = Infinite | Finite of int (* capacity in bytes *)
 
-type allocation = { base : int64; size : int; mutable live : bool }
+(* [bytes.(i)] is the byte at [base + i].  Bases only grow, so
+   allocations never overlap; a freed one keeps its bytes, which no
+   access reaches. *)
+type allocation = { base : int64; size : int; mutable live : bool; bytes : byte array }
 
 type t = {
-  bytes : (int64, byte) Hashtbl.t;
-  mutable allocs : allocation list;
+  mutable allocs : allocation list; (* newest first *)
   mutable next_base : int64;
   phase : phase;
   mutable used : int; (* sum of allocation sizes charged so far *)
 }
 
-let create ?(phase = Infinite) () =
-  { bytes = Hashtbl.create 64; allocs = []; next_base = 0x1000L; phase; used = 0 }
+let create ?(phase = Infinite) () = { allocs = []; next_base = 0x1000L; phase; used = 0 }
+
+(* Byte records are shared, never mutated: a store replaces them.  A
+   fresh allocation holds [uninit], and a store of eight concrete bits
+   without provenance writes the shared record of their value. *)
+let uninit = { bits = Array.make 8 Value.Bundef; prov = Prov_none }
+
+let concrete_bytes =
+  Array.init 256 (fun v ->
+      { bits = Array.init 8 (fun j -> if v land (1 lsl j) <> 0 then Value.B1 else Value.B0);
+        prov = Prov_none })
 
 let addr_space = 0x1_0000_0000L (* 2^32 *)
 
@@ -68,12 +81,7 @@ let alloc t ~size =
     (* round next base up for alignment-friendly addresses *)
     t.next_base <- Int64.logand (Int64.add nb 15L) (Int64.lognot 15L);
     t.used <- t.used + size;
-    t.allocs <- { base; size; live = true } :: t.allocs;
-    for i = 0 to size - 1 do
-      Hashtbl.replace t.bytes
-        (Int64.add base (Int64.of_int i))
-        { bits = Array.make 8 Value.Bundef; prov = Prov_none }
-    done;
+    t.allocs <- { base; size; live = true; bytes = Array.make size uninit } :: t.allocs;
     Some (Bitvec.of_int64 ~width:Types.pointer_bits base)
 
 type free_result =
@@ -109,40 +117,61 @@ let prov_of_addr t addr : provenance =
   | Some al -> Prov_alloc al.base
   | None -> Prov_wild
 
-(* Is the byte range [addr, addr+len) inside a single live allocation?
+(* The live allocation holding the byte range [a, a+len), if any.
    Computed on offsets so that addresses near 2^64 cannot wrap past the
    end of an allocation and pass the bounds check spuriously. *)
-let valid_range t addr len =
-  if len < 0 then false
-  else
-    let a = Bitvec.to_uint64 addr in
-    List.exists
-      (fun al ->
-        al.live
-        && Int64.unsigned_compare a al.base >= 0
-        &&
-        let off = Int64.sub a al.base in
-        let size = Int64.of_int al.size in
-        Int64.unsigned_compare off size <= 0
-        && Int64.unsigned_compare (Int64.of_int len) (Int64.sub size off) <= 0)
-      t.allocs
+let rec holding a len = function
+  | [] -> None
+  | al :: rest ->
+    let off = Int64.sub a al.base in
+    let size = Int64.of_int al.size in
+    if
+      al.live
+      && Int64.unsigned_compare a al.base >= 0
+      && Int64.unsigned_compare off size <= 0
+      && Int64.unsigned_compare (Int64.of_int len) (Int64.sub size off) <= 0
+    then Some al
+    else holding a len rest
+
+(* Is the byte range [addr, addr+len) inside a single live allocation?
+   (A negative [len] reads as a huge unsigned one: never.) *)
+let valid_range t addr len = holding (Bitvec.to_uint64 addr) len t.allocs <> None
 
 (* Load [nbytes] bytes starting at [addr]; [None] if the access is
    invalid.  Result is a flat bit array, LSB of the first byte first
    (little-endian).  Provenance is not checked on load: validity is
    address-based. *)
 let load_bits t addr ~nbytes : Value.bit array option =
-  if not (valid_range t addr nbytes) then None
-  else begin
-    let a = Bitvec.to_uint64 addr in
+  let a = Bitvec.to_uint64 addr in
+  match holding a nbytes t.allocs with
+  | None -> None
+  | Some al ->
+    let off = Int64.to_int (Int64.sub a al.base) in
     let out = Array.make (nbytes * 8) Value.Bundef in
     for i = 0 to nbytes - 1 do
-      match Hashtbl.find_opt t.bytes (Int64.add a (Int64.of_int i)) with
-      | Some byte -> Array.blit byte.bits 0 out (i * 8) 8
-      | None -> () (* inside an allocation => always present *)
+      Array.blit al.bytes.(off + i).bits 0 out (i * 8) 8
     done;
     Some out
-  end
+
+(* Byte [i] of a flat bit array, padded with Bundef past its end and
+   tagged [prov]: the shared record when its eight bits are concrete and
+   it carries no provenance. *)
+let byte_at (bits : Value.bit array) i ~prov =
+  let nbits = Array.length bits in
+  let v = ref 0 and concrete = ref (match prov with Prov_none -> true | _ -> false) in
+  for j = 0 to 7 do
+    let k = (i * 8) + j in
+    if k >= nbits then concrete := false
+    else
+      match bits.(k) with
+      | Value.B0 -> ()
+      | Value.B1 -> v := !v lor (1 lsl j)
+      | Value.Bpoison | Value.Bundef -> concrete := false
+  done;
+  if !concrete then concrete_bytes.(!v)
+  else
+    let bit j = if (i * 8) + j < nbits then bits.((i * 8) + j) else Value.Bundef in
+    { bits = Array.init 8 bit; prov }
 
 (* Store a flat bit array (length divisible by 8 after padding).  Bits
    beyond the value's width within the last byte are left untouched only
@@ -151,29 +180,23 @@ let load_bits t addr ~nbytes : Value.bit array option =
    provenance the written bytes carry (pointer-typed stores tag their
    bytes; everything else writes [Prov_none]). *)
 let store_bits t ?(prov = Prov_none) addr (bits : Value.bit array) : bool =
-  let nbits = Array.length bits in
-  let nbytes = (nbits + 7) / 8 in
-  if not (valid_range t addr nbytes) then false
-  else begin
-    let a = Bitvec.to_uint64 addr in
+  let nbytes = (Array.length bits + 7) / 8 in
+  let a = Bitvec.to_uint64 addr in
+  match holding a nbytes t.allocs with
+  | None -> false
+  | Some al ->
+    let off = Int64.to_int (Int64.sub a al.base) in
     for i = 0 to nbytes - 1 do
-      let byte = Array.make 8 Value.Bundef in
-      for j = 0 to 7 do
-        let k = (i * 8) + j in
-        if k < nbits then byte.(j) <- bits.(k)
-      done;
-      Hashtbl.replace t.bytes (Int64.add a (Int64.of_int i)) { bits = byte; prov }
+      al.bytes.(off + i) <- byte_at bits i ~prov
     done;
     true
-  end
 
 (* The observable final memory: every byte of every *live* allocation,
    with its address, in ascending address order.  Freed memory is dead
    and left out, so two observably-equivalent executions compare equal.
    Bases grow with every allocation and [allocs] is newest first, so
    prepending each allocation's bytes in turn yields ascending order.
-   Byte records are shared, not copied: a store replaces a byte's
-   record and never mutates it. *)
+   Byte records are shared, not copied. *)
 type image = (int64 * byte) list
 
 let snapshot t : image =
@@ -183,10 +206,7 @@ let snapshot t : image =
       else
         let rec from i acc =
           if i < 0 then acc
-          else
-            let addr = Int64.add al.base (Int64.of_int i) in
-            (* [alloc] writes every byte of an allocation *)
-            from (i - 1) ((addr, Hashtbl.find t.bytes addr) :: acc)
+          else from (i - 1) ((Int64.add al.base (Int64.of_int i), al.bytes.(i)) :: acc)
         in
         from (al.size - 1) acc)
     [] t.allocs

@@ -77,25 +77,24 @@ module Explorer = struct
   (* Begin a run: replay decisions already in [prefix] in order. *)
   let start st = st.cursor <- List.rev st.prefix
 
-  let decide st ~domain ~(value_of : int -> 'a) : 'a =
+  (* The index taken at the next decision point, of [domain] values. *)
+  let decide st ~domain : int =
     match st.cursor with
     | d :: rest ->
       st.cursor <- rest;
-      value_of d.taken
+      d.taken
     | [] ->
-      let d = { domain; taken = 0 } in
-      st.prefix <- d :: st.prefix;
-      value_of 0
+      st.prefix <- { domain; taken = 0 } :: st.prefix;
+      0
 
+  (* One oracle serves every run of an exploration: it reads only [st]. *)
   let oracle st : t =
     { choose =
         (fun ~width ->
-          if width <= st.max_width_bits then
-            decide st ~domain:(1 lsl width) ~value_of:(fun i -> Bitvec.of_int ~width i)
-          else
-            decide st ~domain:2 ~value_of:(fun i ->
-                if i = 0 then Bitvec.zero width else Bitvec.all_ones width));
-      choose_bool = (fun () -> decide st ~domain:2 ~value_of:(fun i -> i = 1));
+          if width <= st.max_width_bits then Bitvec.of_int ~width (decide st ~domain:(1 lsl width))
+          else if decide st ~domain:2 = 0 then Bitvec.zero width
+          else Bitvec.all_ones width);
+      choose_bool = (fun () -> decide st ~domain:2 = 1);
     }
 
   (* Move to the next unexplored choice sequence; false when done. *)
@@ -118,11 +117,13 @@ end
 
 (* Run [f] once per choice sequence, collecting results, up to
    [max_runs] runs (raises [Exhausted] beyond that — callers treat it as
-   "unknown").  [f] receives a fresh oracle each run. *)
+   "unknown").  [f] receives the exploration's oracle, which replays
+   the run's choice sequence. *)
 exception Exhausted
 
 let explore ?(max_runs = 100_000) ?max_width_bits (f : t -> 'a) : 'a list =
   let st = Explorer.create ?max_width_bits () in
+  let oracle = Explorer.oracle st in
   let results = ref [] in
   let runs = ref 0 in
   let continue_ = ref true in
@@ -130,7 +131,7 @@ let explore ?(max_runs = 100_000) ?max_width_bits (f : t -> 'a) : 'a list =
     incr runs;
     if !runs > max_runs then raise Exhausted;
     Explorer.start st;
-    results := f (Explorer.oracle st) :: !results;
+    results := f oracle :: !results;
     continue_ := Explorer.advance st
   done;
   List.rev !results

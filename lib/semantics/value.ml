@@ -125,7 +125,12 @@ let scalar_to_bits ~width (s : scalar) : bit array =
   | Undef -> Array.make width Bundef
   | Conc bv ->
     if Bitvec.width bv <> width then invalid_arg "Value.scalar_to_bits: width mismatch";
-    Array.init width (fun i -> if Bitvec.get_bit bv i then B1 else B0)
+    let v = Bitvec.to_uint64 bv in
+    let bits = Array.make width B0 in
+    for i = 0 to width - 1 do
+      if Int64.logand (Int64.shift_right_logical v i) 1L <> 0L then bits.(i) <- B1
+    done;
+    bits
 
 (* ty-down: value -> low-level bit representation (LSB first). *)
 let ty_down (ty : Types.t) (v : t) : bit array =
@@ -143,13 +148,17 @@ let ty_down (ty : Types.t) (v : t) : bit array =
    below then collapses Undef to Poison in modes without undef / with
    poison-on-uninitialized-load. *)
 let bits_to_scalar (bits : bit array) : scalar =
-  if Array.exists (( = ) Bpoison) bits then Poison
-  else if Array.exists (( = ) Bundef) bits then Undef
-  else begin
-    let bv = ref (Bitvec.zero (Array.length bits)) in
-    Array.iteri (fun i b -> if b = B1 then bv := Bitvec.set_bit !bv i true) bits;
-    Conc !bv
-  end
+  let poison = ref false and undef = ref false and v = ref 0L in
+  for i = 0 to Array.length bits - 1 do
+    match bits.(i) with
+    | B0 -> ()
+    | B1 -> v := Int64.logor !v (Int64.shift_left 1L i)
+    | Bpoison -> poison := true
+    | Bundef -> undef := true
+  done;
+  if !poison then Poison
+  else if !undef then Undef
+  else Conc (Bitvec.of_int64 ~width:(Array.length bits) !v)
 
 let normalize_loaded ~(mode : Mode.t) (s : scalar) : scalar =
   match s with

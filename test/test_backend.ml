@@ -548,6 +548,69 @@ let mir_undef_tests =
           (behaviours [ Mir.Spill_load (0, Mir.Vreg 0); Mir.Ret (Some (Mir.Vreg 0)) ]));
   ]
 
+(* x86-64 width rules of the register file: 8/16-bit writes merge into
+   the low bits, 32-bit writes zero the upper half, sign bits and masks
+   follow the operand width, and a partial write into a garbage
+   register takes its high bits as zero without an oracle choice. *)
+let mir_width_tests =
+  let r0 = Mir.Vreg 0 and r1 = Mir.Vreg 1 in
+  (* the outcomes of a two-register function returning r0, and its runs *)
+  let outcomes insts =
+    let f =
+      { Mir.mname = "w";
+        blocks = [ { Mir.mlabel = "entry"; insts = insts @ [ Mir.Ret (Some r0) ] } ];
+        nvregs = 2;
+        nslots = 0;
+      }
+    in
+    Ub_obs.Obs.reset ();
+    let bs = Mir_sem.enumerate (Mir_sem.prepare ~form:Mir_sem.Virtual f) [] in
+    ( List.map (fun (b : Mir_sem.behavior) -> Mir_sem.outcome_to_string b.Mir_sem.b_outcome) bs,
+      Ub_obs.Obs.counter_value "tv.mir_runs" )
+  in
+  let full = Mir.Mov (Mir.W64, r0, Mir.Imm 0x1122334455667788L) in
+  let case name insts want =
+    Alcotest.test_case name `Quick (fun () ->
+        Alcotest.(check (pair (list string) int)) name ([ want ], 1) (outcomes insts))
+  in
+  [ case "8-bit writes merge" [ full; Mir.Mov (Mir.W8, r0, Mir.Imm 0x1ABL) ]
+      "ret 0x11223344556677ab";
+    case "16-bit writes merge" [ full; Mir.Mov (Mir.W16, r0, Mir.Imm 0x1ABCDL) ]
+      "ret 0x112233445566abcd";
+    case "32-bit writes zero the upper half" [ full; Mir.Mov (Mir.W32, r0, Mir.Imm 0x1DEADBEEFL) ]
+      "ret 0xdeadbeef";
+    case "a partial write into garbage is zero above"
+      [ Mir.Undef_def r0; Mir.Mov (Mir.W16, r0, Mir.Imm 0x8001L) ]
+      "ret 0x8001";
+    case "garbage again after an undef definition"
+      [ full; Mir.Undef_def r0; Mir.Mov (Mir.W8, r0, Mir.Imm 7L) ] "ret 0x7";
+    case "movsx from 16 bits"
+      [ Mir.Mov (Mir.W64, r1, Mir.Imm 0x8000L);
+        Mir.Movsx { dst = r0; src = r1; from_w = Mir.W16; to_w = Mir.W64 } ]
+      "ret 0xffffffffffff8000";
+    case "movsx from 8 bits into 32"
+      [ Mir.Mov (Mir.W64, r1, Mir.Imm 0x80L);
+        Mir.Movsx { dst = r0; src = r1; from_w = Mir.W8; to_w = Mir.W32 } ]
+      "ret 0xffffff80";
+    case "16-bit sign flag"
+      [ Mir.Mov (Mir.W64, r1, Mir.Imm 0x18000L); Mir.Cmp (Mir.W16, r1, Mir.Imm 0L);
+        Mir.Setcc (Mir.CSlt, r0) ]
+      "ret 0x1";
+    (* 0x7fff + 1 sets SF and OF, so SF <> OF is false *)
+    case "16-bit overflow flag"
+      [ Mir.Mov (Mir.W64, r0, Mir.Imm 0x7FFFL); Mir.Bin (Mir.BAdd, Mir.W16, r0, Mir.Imm 1L);
+        Mir.Setcc (Mir.CSlt, r0) ]
+      "ret 0x8000";
+    case "16-bit carry flag"
+      [ Mir.Mov (Mir.W64, r1, Mir.Imm 0xFFFFL); Mir.Bin (Mir.BAdd, Mir.W16, r1, Mir.Imm 1L);
+        Mir.Mov (Mir.W64, r0, Mir.Imm 0L); Mir.Setcc (Mir.CUlt, r0) ]
+      "ret 0x1";
+    case "signed 16-bit INT_MIN / -1 traps"
+      [ Mir.Mov (Mir.W64, r0, Mir.Imm 0x8000L); Mir.Mov (Mir.W64, r1, Mir.Imm 0xFFFFL);
+        Mir.Div { signed = true; width = Mir.W16; dst_quot = r0; dst_rem = r1; lhs = r0; rhs = r1 } ]
+      "UB: division overflow trap";
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* The inert-bug screen: one compile with the bug tells whether the    *)
 (* bug changed the MIR, exactly when a clean and a buggy compile of    *)
@@ -639,6 +702,7 @@ let () =
       ("inert-screen", inert_tests);
       ("mir-flags", mir_flag_tests);
       ("mir-undef", mir_undef_tests);
+      ("mir-widths", mir_width_tests);
       ("cost", cost_tests);
       ("emit", emit_tests);
       ("properties", [ corpus_compiles ]);

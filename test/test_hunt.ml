@@ -254,6 +254,31 @@ let daemon_deadline_is_dropped () =
         (List.mem_assoc "daemon_deadline" r.Hunt.r_dropped_detail))
 
 (* ------------------------------------------------------------------ *)
+(* Enumeration work                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* How much enumerating a fixed small campaign does: IR runs
+   ([interp.runs]), machine runs ([tv.mir_runs]) and the target
+   enumerations the source-UB short-circuit skips.  The counts are the
+   same on every machine, so a change to what enumeration does, or how
+   often, shows up here.  The IR entry checks its memory lanes by
+   enumeration; the backend entry runs translation validation and its
+   shrinker. *)
+let enumeration_work () =
+  Ub_obs.Obs.reset ();
+  Fun.protect ~finally:Ub_obs.Obs.reset @@ fun () ->
+  List.iter
+    (fun name ->
+      let cfg = Hunt.entry_config ~seed ~programs:60 (Inject.find_exn name) in
+      ignore (Hunt.run_local { cfg with Hunt.jobs = 1; timeout_s = None; stop_after = None }))
+    [ "malloc-to-alloca"; "cmov-stale-flags" ];
+  let c = Ub_obs.Obs.counter_value in
+  (* before the short-circuit: 32,737 IR runs, the same MIR runs *)
+  Alcotest.(check int) "interp.runs" 29_026 (c "interp.runs");
+  Alcotest.(check int) "tv.mir_runs" 46_434 (c "tv.mir_runs");
+  Alcotest.(check int) "refine.enum_tgt_skipped" 1_863 (c "refine.enum_tgt_skipped")
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "hunt"
@@ -267,6 +292,7 @@ let () =
           QCheck_alcotest.to_alcotest skeleton_deterministic;
           QCheck_alcotest.to_alcotest skeleton_rename_invariant;
         ] );
+      ("enumeration", [ Alcotest.test_case "work of a fixed campaign" `Quick enumeration_work ]);
       ( "accounting",
         [ Alcotest.test_case "worker crashes are dropped" `Quick crashes_are_dropped;
           Alcotest.test_case "pool timeouts are dropped" `Quick timeouts_are_dropped;

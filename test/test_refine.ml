@@ -601,9 +601,146 @@ let input_space_tests =
           (space ~max_inputs:1 (i8s 0) = Some [ [] ]));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The source-UB short-circuit of Enum_check.check                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The enumeration loop as it was before the short-circuit: every
+   (tuple, phase) enumerates both sides.  [None] when the input space is
+   not enumerable or a side exhausts [max_runs]; otherwise the arguments
+   of the first uncovered tuple, if any. *)
+let full_loop ~mode ?(fuel = 5_000) ?(max_runs = 50_000) ~src ~tgt () =
+  match Enum_check.input_space ~mode ~max_inputs:5_000 src with
+  | None -> None
+  | Some tuples -> (
+    let phases = Enum_check.phases_for ~src ~tgt in
+    let sp = Interp.prepare ~mode src and tp = Interp.prepare ~mode tgt in
+    try
+      Some
+        (List.find_map
+           (fun args ->
+             List.find_map
+               (fun phase ->
+                 let bs = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase sp args in
+                 let bt = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase tp args in
+                 if
+                   List.exists
+                     (fun t -> not (List.exists (fun s -> Enum_check.behavior_covers s t) bs))
+                     bt
+                 then Some args
+                 else None)
+               phases)
+           tuples)
+    with Oracle.Exhausted -> None)
+
+(* UB on x = 0 and on poison (a branch on poison). *)
+let ub_at_zero =
+  {|define i2 @f(i2 %x) {
+e:
+  %c = icmp eq i2 %x, 0
+  br i1 %c, label %z, label %ok
+z:
+  unreachable
+ok:
+  ret i2 %x
+}|}
+
+(* On x = 0 it freezes poison three times: 64 runs. *)
+let wide_at_zero =
+  {|define i2 @f(i2 %x) {
+e:
+  %c = icmp eq i2 %x, 0
+  br i1 %c, label %z, label %ok
+z:
+  %a = freeze i2 poison
+  %b = freeze i2 poison
+  %d = freeze i2 poison
+  %s = add i2 %a, %b
+  %t = add i2 %s, %d
+  ret i2 %t
+ok:
+  ret i2 %x
+}|}
+
+let skipped () = Ub_obs.Obs.counter_value "refine.enum_tgt_skipped"
+
+let short_circuit_tests =
+  [ Alcotest.test_case "a target too wide only where the source is UB is decided" `Quick
+      (fun () ->
+        let src = f ub_at_zero and tgt = f wide_at_zero in
+        Alcotest.(check bool)
+          "the full loop exhausts 32 runs" true
+          (full_loop ~mode:Mode.proposed ~max_runs:32 ~src ~tgt () = None);
+        let before = skipped () in
+        (match Enum_check.check ~mode:Mode.proposed ~max_runs:32 ~src ~tgt () with
+        | Enum_check.Refines -> ()
+        | v -> Alcotest.failf "expected refines, got %s" (Checker.verdict_to_string v));
+        (* x = 0 and x = poison, in the one (infinite) phase *)
+        Alcotest.(check int) "target enumerations skipped" 2 (skipped () - before);
+        (* swapped, the UB is the target's, and x = 0 refutes *)
+        match Enum_check.check ~mode:Mode.proposed ~src:tgt ~tgt:src () with
+        | Enum_check.Counterexample { args = [ x ]; _ } ->
+          Alcotest.(check string) "at x = 0" "0" (Value.to_string x)
+        | v -> Alcotest.failf "expected a counterexample, got %s" (Checker.verdict_to_string v));
+    Alcotest.test_case "a source timeout does not skip the target" `Quick (fun () ->
+        let spins = f {|define i2 @f(i2 %x) {
+e:
+  br label %l
+l:
+  br label %l
+}|} in
+        match Enum_check.check ~mode:Mode.proposed ~fuel:100 ~src:spins ~tgt:(f id2) () with
+        | Enum_check.Counterexample _ -> ()
+        | v -> Alcotest.failf "expected a counterexample, got %s" (Checker.verdict_to_string v));
+    Alcotest.test_case "skips are reported next to interp_runs" `Quick (fun () ->
+        Ub_obs.Obs.reset ();
+        Fun.protect ~finally:Ub_obs.Obs.reset @@ fun () ->
+        ignore (Enum_check.check ~mode:Mode.proposed ~src:(f ub_at_zero) ~tgt:(f id2) ());
+        let derived = Option.get (Ub_obs.Json.member "derived" (Ub_obs.Obs.report ())) in
+        let field k = Option.bind (Ub_obs.Json.member k derived) Ub_obs.Json.to_int in
+        Alcotest.(check (option int)) "enum_tgt_skipped" (Some 2) (field "enum_tgt_skipped");
+        (* five tuples of source, three of target *)
+        Alcotest.(check (option int)) "interp_runs" (Some 8) (field "interp_runs"));
+    Alcotest.test_case "the short-circuit keeps the full loop's verdict" `Quick (fun () ->
+        (* 200 generated pairs: a hunt-shaped source, and its fuzz-pipeline
+           output with a random mutation; pairs the full loop cannot
+           decide within 2,000 runs are left out *)
+        let refines = ref 0 and cexs = ref 0 and undecided = ref 0 in
+        let before = skipped () in
+        for seed = 1 to 200 do
+          let rng = Ub_support.Prng.create ~seed in
+          let d = Ub_fuzz.Gen.default_hunt in
+          let shape =
+            Ub_support.Prng.choose_list rng
+              [ d; { d with h_cfg = true }; { d with h_mem = true }; { d with h_undef = true };
+                { d with h_cfg = true; h_undef = true; h_mem = true } ]
+          in
+          let src = Ub_fuzz.Gen.hunt_func rng ~name:"f" shape in
+          let cfg = Ub_support.Prng.choose_list rng [ Ub_opt.Pass.legacy; Ub_opt.Pass.prototype ] in
+          let tgt = mutate rng (Ub_opt.Pass.run_pipeline cfg Ub_opt.Pipeline.fuzz_passes src) in
+          let mode = Ub_support.Prng.choose_list rng Mode.all in
+          let same_args a b = List.length a = List.length b && List.for_all2 Value.equal a b in
+          match full_loop ~mode ~max_runs:2_000 ~src ~tgt () with
+          | None -> incr undecided
+          | Some reference -> (
+            match (reference, Enum_check.check ~mode ~max_runs:2_000 ~src ~tgt ()) with
+            | None, Enum_check.Refines -> incr refines
+            | Some a, Enum_check.Counterexample { args; _ } when same_args a args -> incr cexs
+            | _, v ->
+              Alcotest.failf "seed %d: the full loop and the check differ (%s)" seed
+                (Checker.verdict_to_string v))
+        done;
+        (* these pairs give 156 refinements, 20 counterexamples, 24
+           undecided pairs and 3,565 skips *)
+        Alcotest.(check bool) "both verdicts occur" true (!refines >= 50 && !cexs >= 10);
+        Alcotest.(check bool) "most pairs are decided" true (!undecided <= 50);
+        Alcotest.(check bool) "target enumerations were skipped" true
+          (skipped () - before >= 1_000));
+  ]
+
 let () =
   Alcotest.run "refine"
     [ ("known-pairs", known_pairs); ("cross-validation", [ checkers_agree ]);
       ("verdict-cache", cache_tests); ("expansion", expansion_tests);
       ("budget", budget_tests); ("input-space", input_space_tests);
-      ("regression", regression_tests) ]
+      ("regression", regression_tests); ("short-circuit", short_circuit_tests) ]

@@ -469,6 +469,83 @@ let ground_truth =
       Alcotest.(check string) "IR behaviour sets" "d4aa555ce63cbb8f5676b2ba25681f42" ir;
       Alcotest.(check string) "MIR behaviour sets" "08b2ccfd0a97a80980a961eee03a82e5" mir)
 
+(* [Eval]'s scalar fast paths against the lane-wise definition: on
+   scalar operands each instruction equals lane 0 of the same
+   instruction on the one-lane vector <1 x iW>, under every mode, with
+   the oracle replaying the same choices. *)
+let scalar_fast_paths =
+  let binops = Instr.[| Add; Sub; Mul; UDiv; SDiv; URem; SRem; Shl; LShr; AShr; And; Or; Xor |] in
+  let preds = Instr.[| Eq; Ne; Ugt; Uge; Ult; Ule; Sgt; Sge; Slt; Sle |] in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"scalar fast paths agree with the one-lane vector" ~count:2_000
+       ~print:string_of_int
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Prng.create ~seed in
+         let pick a = a.(Prng.int rng (Array.length a)) in
+         let operand w =
+           match Prng.int rng 4 with
+           | 0 -> Value.Poison
+           | 1 -> Value.Undef
+           | _ -> Value.Conc (Prng.bitvec rng ~width:w)
+         in
+         let w = 1 + Prng.int rng 8 in
+         let it = Types.Int w and vec ty = Types.Vec (1, ty) in
+         let a = operand w and b = operand w and c = operand 1 in
+         let raw = List.init 4 (fun _ -> Prng.next_int64 rng) in
+         let agree (s : Value.t Eval.res) (v : Value.t Eval.res) =
+           match (s, v) with
+           | Ok (Value.Scalar x), Ok (Value.Vector [| y |]) -> Value.scalar_equal x y
+           | Error m, Error n -> String.equal m n
+           | _ -> false
+         in
+         (* each case: (scalar result, vector result) for one oracle *)
+         let case =
+           match Prng.int rng 5 with
+           | 0 ->
+             let op = pick binops in
+             let attrs =
+               { Instr.nsw = Prng.bool rng; nuw = Prng.bool rng; exact = Prng.bool rng }
+             in
+             fun mode o ->
+               ( Eval.eval_binop mode (o ()) op attrs it (Value.Scalar a) (Value.Scalar b),
+                 Eval.eval_binop mode (o ()) op attrs (vec it) (Value.Vector [| a |])
+                   (Value.Vector [| b |]) )
+           | 1 ->
+             let pred = pick preds in
+             fun mode o ->
+               ( Eval.eval_icmp mode (o ()) pred it (Value.Scalar a) (Value.Scalar b),
+                 Eval.eval_icmp mode (o ()) pred (vec it) (Value.Vector [| a |])
+                   (Value.Vector [| b |]) )
+           | 2 ->
+             fun mode o ->
+               ( Eval.eval_select mode (o ()) (Value.Scalar c) it (Value.Scalar a)
+                   (Value.Scalar b),
+                 Eval.eval_select mode (o ()) (Value.Vector [| c |]) (vec it)
+                   (Value.Vector [| a |]) (Value.Vector [| b |]) )
+           | 3 ->
+             let op, w' =
+               match Prng.int rng 3 with
+               | 0 -> (Instr.Zext, w + Prng.int rng (9 - w))
+               | 1 -> (Instr.Sext, w + Prng.int rng (9 - w))
+               | _ -> (Instr.Trunc, 1 + Prng.int rng w)
+             in
+             let to_ = Types.Int w' in
+             fun mode o ->
+               ( Eval.eval_conv mode (o ()) op ~from:it ~to_ (Value.Scalar a),
+                 Eval.eval_conv mode (o ()) op ~from:(vec it) ~to_:(vec to_)
+                   (Value.Vector [| a |]) )
+           | _ ->
+             fun mode o ->
+               ( Eval.eval_freeze mode (o ()) it (Value.Scalar a),
+                 Eval.eval_freeze mode (o ()) (vec it) (Value.Vector [| a |]) )
+         in
+         List.for_all
+           (fun mode ->
+             let s, v = case mode (fun () -> Oracle.replay raw) in
+             agree s v)
+           Mode.all))
+
 (* interpreter determinism given an oracle *)
 let determinism =
   QCheck_alcotest.to_alcotest
@@ -489,5 +566,5 @@ let () =
       ("memory", memory_tests);
       ("ty-up-down", ty_updown_tests);
       ("prepared", prepared_tests @ [ ground_truth ]);
-      ("properties", [ determinism ]);
+      ("properties", [ determinism; scalar_fast_paths ]);
     ]
