@@ -625,11 +625,11 @@ let hunt_cmd =
   in
   let jobs =
     Arg.(value & opt int 1
-           & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Pool workers (1 = in-process).")
+           & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Pool workers (1 = in-process); local campaigns only.")
   in
   let timeout =
     Arg.(value & opt (some float) None
-           & info [ "timeout" ] ~docv:"S" ~doc:"Per-program pool timeout in seconds.")
+           & info [ "timeout" ] ~docv:"S" ~doc:"Per-program pool timeout in seconds; local campaigns only.")
   in
   let stop_after =
     Arg.(value & opt (some int) None
@@ -668,6 +668,12 @@ let hunt_cmd =
     if jobs < 1 then raise (Usage "hunt: --jobs must be >= 1");
     if batch < 1 then raise (Usage "hunt: --batch must be >= 1");
     check_deadline "hunt" deadline;
+    (* the daemon path checks in the daemon's workers, under its own
+       deadline: refuse what it would ignore *)
+    if socket <> None && jobs > 1 then
+      raise (Usage "hunt: --jobs applies to local campaigns only, not with --socket");
+    if socket <> None && timeout <> None then
+      raise (Usage "hunt: --timeout applies to local campaigns only (use --deadline with --socket)");
     let remote =
       Option.map
         (fun s ->

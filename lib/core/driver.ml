@@ -27,7 +27,7 @@ let clang_config = function
 
 type metrics = {
   compile_time_s : float;
-  peak_heap_words : float; (* max heap words observed during compilation *)
+  alloc_words : float; (* words the compilation allocated *)
   ir_insns : int; (* after optimization *)
   freeze_count : int;
   obj_bytes : int;
@@ -47,30 +47,32 @@ let total_insns (m : Func.module_) =
 let total_freeze (m : Func.module_) =
   Util.sum_int (List.map Func.num_freeze m.Func.funcs)
 
+(* Words allocated so far (promoted words count in both heaps).  On
+   OCaml 5, [Gc.quick_stat] lags until the next minor collection. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
 (* Compile a Mini-C source string.  The timed region spans parsing,
    lowering, optimization and code generation (what §7.2 calls
-   compilation time). *)
+   compilation time).  [alloc_words] depends on the compile alone, not
+   on the heap the rest of the binary left behind. *)
 let compile ?(pipeline = Prototype) (src : string) : compiled_program =
   Gc.compact ();
-  let stat0 = Gc.quick_stat () in
-  let heap0 = float_of_int stat0.Gc.heap_words in
+  let w0 = allocated_words () in
   let t0 = Ub_obs.Obs.Clock.now_s () in
   let source_ir = Ub_minic.Lower.compile ~cfg:(clang_config pipeline) src in
   let opt_ir = Ub_opt.Pipeline.run_o2 (pass_config pipeline) source_ir in
   let compiled = Ub_backend.Compile.compile_module opt_ir in
   let dt = Ub_obs.Obs.Clock.elapsed_s ~since:t0 in
-  let stat1 = Gc.quick_stat () in
-  let peak =
-    float_of_int stat1.Gc.heap_words +. stat1.Gc.minor_words -. stat0.Gc.minor_words
-  in
-  ignore heap0;
+  let alloc_words = allocated_words () -. w0 in
   { pipeline;
     source_ir;
     opt_ir;
     compiled;
     metrics =
       { compile_time_s = dt;
-        peak_heap_words = peak;
+        alloc_words;
         ir_insns = total_insns opt_ir;
         freeze_count = total_freeze opt_ir;
         obj_bytes =
@@ -129,7 +131,6 @@ type comparison = {
   runtime_delta_m1_pct : float; (* positive = prototype faster (paper convention) *)
   runtime_delta_m2_pct : float;
   compile_time_delta_pct : float;
-  mem_delta_pct : float;
   size_delta_pct : float;
   freeze_count : int;
   freeze_fraction_pct : float;
@@ -149,8 +150,6 @@ let compare_pipelines ~name ~entry ~args (src : string) : comparison =
     runtime_delta_m2_pct = delta sim_b.cycles_m2 sim_p.cycles_m2;
     compile_time_delta_pct =
       Util.percent_change ~base:base.metrics.compile_time_s ~now:proto.metrics.compile_time_s;
-    mem_delta_pct =
-      Util.percent_change ~base:base.metrics.peak_heap_words ~now:proto.metrics.peak_heap_words;
     size_delta_pct =
       Util.percent_change
         ~base:(float_of_int base.metrics.obj_bytes)

@@ -4,13 +4,14 @@
    enabling one injected-bug catalog entry at a time (lib/opt/inject.ml)
    must rediscover that entry within a fixed seed/program budget.
 
-   Two execution paths share all accounting ([tally]):
-   - in-process: programs run through the fork pool (lib/exec/pool);
-     a crashed or timed-out program is recorded as *dropped*, never
-     silently lost;
-   - daemon: optimization stays local, refinement checks are pipelined
-     to a `ubc serve` daemon in batches; a deadline-exceeding, crashed,
-     rejected or erroring submit is likewise *dropped*.
+   One loop ([campaign]) runs every campaign; every program goes
+   through [program_work] and every verdict through [outcome].  The two
+   drivers differ only in where a chunk's IR pairs are checked:
+   - [run_local]: in place, programs running through the fork pool
+     (lib/exec/pool); a crashed or timed-out program is *dropped*;
+   - [run_daemon]: pipelined to a `ubc serve` daemon; a
+     deadline-exceeding, crashed, rejected or erroring check is
+     *dropped*.
 
    The report's invariant, enforced by test_hunt: every unit of work is
    either completed or dropped. *)
@@ -20,6 +21,7 @@ open Ub_ir
 open Ub_sem
 module Obs = Ub_obs.Obs
 module Json = Ub_obs.Json
+module Wire = Ub_serve.Wire
 
 (* ------------------------------------------------------------------ *)
 (* Lanes                                                               *)
@@ -76,19 +78,11 @@ type config = {
   programs : int; (* program budget *)
   gen : Ub_fuzz.Gen.hunt_params;
   lanes : lane list;
-  jobs : int;
-  timeout_s : float option; (* in-process: per-program pool timeout *)
+  jobs : int; (* local campaigns: pool workers *)
+  timeout_s : float option; (* local campaigns: per-program pool timeout *)
   stop_after : int option; (* stop early after this many raw findings *)
-  max_universal_bits : int;
-  max_conflicts : int;
-  max_shrink_steps : int;
 }
 
-(* Check budgets default to the reducer's own (reduce_universal_bits /
-   reduce_conflicts) so that any counterexample the campaign finds is
-   one the shrinker can reproduce.  The universal budget bounds the
-   choice bits a check's refinement body reads, not the source's raw
-   choice bits, so choices the body never reads cost nothing. *)
 let default_config ~seed ~programs ~lanes =
   { seed;
     programs;
@@ -97,9 +91,6 @@ let default_config ~seed ~programs ~lanes =
     jobs = 1;
     timeout_s = None;
     stop_after = None;
-    max_universal_bits = Ub_refine.Reduce.reduce_universal_bits;
-    max_conflicts = Ub_refine.Reduce.reduce_conflicts;
-    max_shrink_steps = 600;
   }
 
 (* The per-entry isolation campaign the recall gate and `bench hunt`
@@ -159,7 +150,7 @@ type report = {
   r_unknown : int; (* ... of which inconclusive *)
   r_findings : int; (* raw counterexamples, before dedup *)
   r_unique : int; (* distinct fingerprints *)
-  r_dropped : int; (* work lost to crash/timeout/deadline/overload *)
+  r_dropped : int; (* lost work: programs on the pool, checks on the daemon *)
   r_dropped_detail : (string * int) list; (* reason -> count *)
   r_cpu_s : float;
   r_wall_s : float;
@@ -180,8 +171,13 @@ let bugs_per_cpu_hour (r : report) : float =
    Both drivers count outcomes through [tally]. *)
 type outcome = Refined | Inconclusive | Found of finding
 
-(* One program's outcomes, in lane order. *)
-type unit_result = outcome list
+(* What a lane that changed a program leaves: a backend lane's decided
+   outcome, or an IR lane's pair, still to be checked. *)
+type pending = { program : int; lane : lane; src : Func.t; tgt : Func.t }
+type step = Decided of outcome | Pending of pending
+
+(* Shrinks are budgeted by oracle calls, not a clock. *)
+let shrink_steps = 600
 
 let generate (cfg : config) (idx : int) : Func.t =
   let rng = Prng.create ~seed:(cfg.seed + idx) in
@@ -191,12 +187,12 @@ let optimize (lane : lane) (fn : Func.t) : Func.t =
   Obs.with_span "hunt.optimize" @@ fun () ->
   Ub_opt.Pass.run_pipeline lane.lane_cfg lane.lane_passes fn
 
-let shrink_finding (cfg : config) (lane : lane) ~(program : int) ~(src : Func.t)
-    ~(tgt : Func.t) : finding =
+let shrink_finding (p : pending) : finding =
   Obs.count "hunt.finding";
   let red =
     Obs.with_span "hunt.shrink" @@ fun () ->
-    Ub_refine.Reduce.minimize_cex ~max_steps:cfg.max_shrink_steps lane.lane_mode ~src ~tgt
+    Ub_refine.Reduce.minimize_cex ~max_steps:shrink_steps p.lane.lane_mode ~src:p.src
+      ~tgt:p.tgt
   in
   let red_src, red_tgt, stats, verdict =
     match red with
@@ -210,28 +206,35 @@ let shrink_finding (cfg : config) (lane : lane) ~(program : int) ~(src : Func.t)
     | None ->
       (* the reducer could not reproduce the failure under its own
          budget: keep the unshrunk witness rather than lose the bug *)
-      (src, tgt, None, "unreduced")
+      (p.src, p.tgt, None, "unreduced")
   in
   { fp = Fingerprint.pair ~src:red_src ~tgt:red_tgt;
-    f_lane = lane.lane_name;
-    f_mode = lane.lane_mode.Mode.name;
+    f_lane = p.lane.lane_name;
+    f_mode = p.lane.lane_mode.Mode.name;
     f_backend = None;
-    f_program = program;
+    f_program = p.program;
     red_src;
     red_tgt;
-    orig_insns = Func.num_insns src;
+    orig_insns = Func.num_insns p.src;
     final_insns = Func.num_insns red_src;
     oracle_calls =
       (match stats with Some s -> s.Ub_shrink.Reduce.oracle_calls | None -> 0);
     f_verdict = verdict;
   }
 
-let shrink_backend_finding (cfg : config) (lane : lane)
-    ~(bug : Ub_backend.Mir_inject.bug) ~(program : int) (fn : Func.t) : finding =
+(* The one verdict-to-outcome mapping: a local verdict and a daemon
+   reply both arrive here as [Reduce.verdict_class]'s three classes. *)
+let outcome (p : pending) = function
+  | `Counterexample -> Found (shrink_finding p)
+  | `Unknown -> Inconclusive
+  | `Refines -> Refined
+
+let shrink_backend_finding (lane : lane) ~(bug : Ub_backend.Mir_inject.bug)
+    ~(program : int) (fn : Func.t) : finding =
   Obs.count "hunt.finding";
   let red, stats =
     Obs.with_span "hunt.shrink" @@ fun () ->
-    Ub_backend.Tv.shrink ~max_steps:cfg.max_shrink_steps ~bug fn
+    Ub_backend.Tv.shrink ~max_steps:shrink_steps ~bug fn
   in
   let verdict =
     match Ub_backend.Tv.check_func ~bug red with
@@ -257,8 +260,8 @@ let shrink_backend_finding (cfg : config) (lane : lane)
    ([None]).  A program isel cannot lower is inconclusive, like any
    other program TV classifies unsupported (the backend generator does
    not produce such programs). *)
-let check_backend_lane (cfg : config) (lane : lane) ~(bname : string) ~(program : int)
-    (fn : Func.t) : outcome option =
+let check_backend_lane (lane : lane) ~(bname : string) ~(program : int) (fn : Func.t) :
+    outcome option =
   let bug = Ub_backend.Mir_inject.find_exn bname in
   (* tighter budgets than the CLI's: an injected bug can make the
      machine loop diverge, and the pre-drop cost of a diverging tuple
@@ -277,37 +280,46 @@ let check_backend_lane (cfg : config) (lane : lane) ~(bname : string) ~(program 
   | Ub_backend.Tv.Refined -> checked Refined
   | Ub_backend.Tv.Unsupported _ -> checked Inconclusive
   | Ub_backend.Tv.Not_refined _ ->
-    checked (Found (shrink_backend_finding cfg lane ~bug ~program fn))
+    checked (Found (shrink_backend_finding lane ~bug ~program fn))
 
-let process_program (cfg : config) (idx : int) : unit_result =
+(* Generate program [idx] and push it through every lane, in lane
+   order. *)
+let program_work (cfg : config) (idx : int) : step list =
   Obs.count "hunt.program";
   let fn = Obs.with_span "hunt.generate" (fun () -> generate cfg idx) in
   List.filter_map
     (fun lane ->
       match lane.lane_backend with
-      | Some bname -> check_backend_lane cfg lane ~bname ~program:idx fn
+      | Some bname ->
+        Option.map (fun o -> Decided o) (check_backend_lane lane ~bname ~program:idx fn)
       | None ->
-        let fn' = optimize lane fn in
-        if Func.equal fn' fn then None
+        let tgt = optimize lane fn in
+        if Func.equal tgt fn then None
         else begin
           Obs.count "hunt.changed";
-          let v =
-            Obs.with_span "hunt.check" @@ fun () ->
-            Ub_refine.Checker.check ~max_universal_bits:cfg.max_universal_bits
-              ~max_conflicts:cfg.max_conflicts lane.lane_mode ~src:fn ~tgt:fn'
-          in
-          Obs.count "hunt.check_done";
-          Some
-            (match v with
-            | Ub_refine.Checker.Counterexample _ ->
-              Found (shrink_finding cfg lane ~program:idx ~src:fn ~tgt:fn')
-            | Ub_refine.Checker.Unknown _ -> Inconclusive
-            | Ub_refine.Checker.Refines -> Refined)
+          Some (Pending { program = idx; lane; src = fn; tgt })
         end)
     cfg.lanes
 
+(* A local check runs at the reducer's budget, so every counterexample
+   it finds is one the shrinker can reproduce. *)
+let check_local (p : pending) : outcome =
+  let v =
+    Obs.with_span "hunt.check" @@ fun () ->
+    Ub_refine.Checker.check ~max_universal_bits:Ub_refine.Reduce.reduce_universal_bits
+      ~max_conflicts:Ub_refine.Reduce.reduce_conflicts p.lane.lane_mode ~src:p.src
+      ~tgt:p.tgt
+  in
+  Obs.count "hunt.check_done";
+  outcome p (Ub_refine.Reduce.verdict_class v)
+
+(* One program, checked where it was generated: every step comes back
+   decided. *)
+let process_program (cfg : config) (idx : int) : step list =
+  List.map (function Pending p -> Decided (check_local p) | d -> d) (program_work cfg idx)
+
 (* ------------------------------------------------------------------ *)
-(* Campaign driver: in-process pool                                    *)
+(* The campaign loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type accum = {
@@ -356,15 +368,19 @@ let tally (acc : accum) (o : outcome) =
       acc.uniques <- f :: acc.uniques
     end
 
-(* A changed pair checked where it was changed: nothing can drop it in
-   between. *)
-let tally_changed (acc : accum) (o : outcome) =
-  acc.changed <- acc.changed + 1;
-  tally acc o
-
-let absorb_unit (acc : accum) (u : unit_result) =
+(* Record one completed program; every step is a changed pair, checked
+   or not.  Returns the pairs still to be checked. *)
+let absorb (acc : accum) (steps : step list) : pending list =
   acc.completed <- acc.completed + 1;
-  List.iter (tally_changed acc) u
+  List.filter_map
+    (fun s ->
+      acc.changed <- acc.changed + 1;
+      match s with
+      | Decided o ->
+        tally acc o;
+        None
+      | Pending p -> Some p)
+    steps
 
 let finish (cfg : config) (acc : accum) ~wall_s : report =
   { r_programs = cfg.programs;
@@ -381,11 +397,11 @@ let finish (cfg : config) (acc : accum) ~wall_s : report =
     r_uniques = List.rev acc.uniques;
   }
 
-(* Programs are processed in fixed-size chunks so early stopping
-   ([stop_after]) is deterministic regardless of [jobs]. *)
-let chunk_size = 32
-
-let run_local (cfg : config) : report =
+(* Programs go in fixed-size chunks, so early stopping ([stop_after])
+   falls on the same program whatever checks a chunk, and at any
+   [jobs].  [check_chunk] runs and records one chunk's programs. *)
+let campaign (cfg : config) ~(chunk : int) (check_chunk : accum -> int array -> unit) :
+    report =
   Obs.with_span "hunt.campaign" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let acc = new_accum () in
@@ -394,26 +410,33 @@ let run_local (cfg : config) : report =
   in
   let idx = ref 0 in
   while !idx < cfg.programs && not (stop ()) do
-    let n = min chunk_size (cfg.programs - !idx) in
-    let tasks = Array.init n (fun i -> !idx + i) in
-    idx := !idx + n;
-    let results, stats =
-      Ub_exec.Pool.map_stats ~jobs:cfg.jobs ?timeout_s:cfg.timeout_s
-        (process_program cfg) tasks
-    in
-    acc.cpu_s <- acc.cpu_s +. stats.Ub_exec.Pool.busy_s;
-    Array.iter
-      (function
-        | Ub_exec.Pool.Done u -> absorb_unit acc u
-        | Ub_exec.Pool.Crashed _ -> drop acc "pool_crash"
-        | Ub_exec.Pool.Timed_out -> drop acc "pool_timeout")
-      results
+    let n = min chunk (cfg.programs - !idx) in
+    check_chunk acc (Array.init n (fun i -> !idx + i));
+    idx := !idx + n
   done;
   finish cfg acc ~wall_s:(Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign driver: serve daemon                                       *)
+(* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
+
+let chunk_size = 32
+
+(* A crashed or timed-out program is dropped whole: here [r_dropped]
+   counts programs. *)
+let run_local (cfg : config) : report =
+  campaign cfg ~chunk:chunk_size @@ fun acc programs ->
+  let results, stats =
+    Ub_exec.Pool.map_stats ~jobs:cfg.jobs ?timeout_s:cfg.timeout_s (process_program cfg)
+      programs
+  in
+  acc.cpu_s <- acc.cpu_s +. stats.Ub_exec.Pool.busy_s;
+  Array.iter
+    (function
+      | Ub_exec.Pool.Done steps -> ignore (absorb acc steps)
+      | Ub_exec.Pool.Crashed _ -> drop acc "pool_crash"
+      | Ub_exec.Pool.Timed_out -> drop acc "pool_timeout")
+    results
 
 (* The remote checking backend: one daemon socket. *)
 type remote = {
@@ -424,91 +447,53 @@ type remote = {
 
 let default_remote ~socket = { socket; deadline_s = None; batch = 32 }
 
-(* Generation and optimization stay local (they are cheap); refinement
-   checks are pipelined to the daemon, [batch] per lane per chunk, and
-   counterexamples are shrunk locally. *)
+(* Everything but the IR checks stays in-process ([cfg.jobs] and
+   [timeout_s] do not apply).  Each chunk of [batch] programs sends one
+   pipelined batch per lane (a batch carries one mode).  The wire
+   carries no budget: the daemon checks at its own default budget, and
+   [r_cpu_s] is its check time.  Here [r_dropped] counts checks. *)
 let run_daemon (cfg : config) (r : remote) : report =
-  Obs.with_span "hunt.campaign" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  let acc = new_accum () in
   Ub_serve.Client.with_conn ~client:"ubc-hunt" ~socket_path:r.socket @@ fun conn ->
-  let stop () =
-    match cfg.stop_after with Some n -> acc.findings >= n | None -> false
+  campaign cfg ~chunk:r.batch @@ fun acc programs ->
+  let pending =
+    List.concat_map (fun idx -> absorb acc (program_work cfg idx)) (Array.to_list programs)
   in
-  let idx = ref 0 in
-  while !idx < cfg.programs && not (stop ()) do
-    let n = min r.batch (cfg.programs - !idx) in
-    let programs = List.init n (fun i -> !idx + i) in
-    idx := !idx + n;
-    (* (program, lane, src, tgt) for every lane that changed something *)
-    let work =
-      List.concat_map
-        (fun p ->
-          Obs.count "hunt.program";
-          let fn = Obs.with_span "hunt.generate" (fun () -> generate cfg p) in
-          List.filter_map
-            (fun lane ->
-              match lane.lane_backend with
-              | Some bname ->
-                (* backend checks cannot be shipped to the daemon (it
-                   checks IR pairs); they stay local *)
-                Option.iter (tally_changed acc)
-                  (check_backend_lane cfg lane ~bname ~program:p fn);
-                None
-              | None ->
-                let fn' = optimize lane fn in
-                if Func.equal fn' fn then None
-                else begin
-                  Obs.count "hunt.changed";
-                  acc.changed <- acc.changed + 1;
-                  Some (p, lane, fn, fn')
-                end)
-            cfg.lanes)
-        programs
-    in
-    acc.completed <- acc.completed + n;
-    (* one pipelined batch per lane (a batch carries a single mode) *)
-    List.iter
-      (fun lane ->
-        let mine = List.filter (fun (_, l, _, _) -> l == lane) work in
-        if mine <> [] then begin
-          let pairs =
-            Array.of_list
-              (List.map
-                 (fun (_, _, s, t) ->
-                   (Printer.func_to_string s, Printer.func_to_string t))
-                 mine)
-          in
-          let replies =
-            Obs.with_span "hunt.check" @@ fun () ->
-            Ub_serve.Client.check_batch conn ?deadline_s:r.deadline_s
-              ~mode:lane.lane_mode.Mode.name pairs
-          in
-          List.iteri
-            (fun i (p, lane, src, tgt) ->
-              match replies.(i) with
-              | Ub_serve.Wire.Verdict
-                  { verdict = ("counterexample" | "refines" | "unknown") as v; wall_s; _ } ->
-                acc.cpu_s <- acc.cpu_s +. wall_s;
-                Obs.count "hunt.check_done";
-                tally acc
-                  (match v with
-                  | "refines" -> Refined
-                  | "unknown" -> Inconclusive
-                  | _ -> Found (shrink_finding cfg lane ~program:p ~src ~tgt))
-              | Ub_serve.Wire.Verdict { verdict = "timeout"; _ } ->
-                drop acc "daemon_deadline"
-              | Ub_serve.Wire.Verdict { verdict = "crashed"; _ } ->
-                drop acc "daemon_crash"
-              | Ub_serve.Wire.Verdict _ -> drop acc "daemon_other"
-              | Ub_serve.Wire.Overloaded _ -> drop acc "daemon_overload"
-              | Ub_serve.Wire.Error_r _ -> drop acc "daemon_error"
-              | _ -> drop acc "daemon_protocol")
-            mine
-        end)
-      cfg.lanes
-  done;
-  finish cfg acc ~wall_s:(Unix.gettimeofday () -. t0)
+  List.iter
+    (fun lane ->
+      let mine = List.filter (fun p -> p.lane == lane) pending in
+      if mine <> [] then begin
+        let pairs =
+          Array.of_list
+            (List.map
+               (fun p -> (Printer.func_to_string p.src, Printer.func_to_string p.tgt))
+               mine)
+        in
+        let replies =
+          Obs.with_span "hunt.check" @@ fun () ->
+          Ub_serve.Client.check_batch conn ?deadline_s:r.deadline_s
+            ~mode:lane.lane_mode.Mode.name pairs
+        in
+        List.iteri
+          (fun i p ->
+            let answered cls wall_s =
+              acc.cpu_s <- acc.cpu_s +. wall_s;
+              Obs.count "hunt.check_done";
+              tally acc (outcome p cls)
+            in
+            match replies.(i) with
+            | Wire.Verdict { verdict = "refines"; wall_s; _ } -> answered `Refines wall_s
+            | Wire.Verdict { verdict = "counterexample"; wall_s; _ } ->
+              answered `Counterexample wall_s
+            | Wire.Verdict { verdict = "unknown"; wall_s; _ } -> answered `Unknown wall_s
+            | Wire.Verdict { verdict = "timeout"; _ } -> drop acc "daemon_deadline"
+            | Wire.Verdict { verdict = "crashed"; _ } -> drop acc "daemon_crash"
+            | Wire.Verdict _ -> drop acc "daemon_other"
+            | Wire.Overloaded _ -> drop acc "daemon_overload"
+            | Wire.Error_r _ -> drop acc "daemon_error"
+            | _ -> drop acc "daemon_protocol")
+          mine
+      end)
+    cfg.lanes
 
 let run ?remote (cfg : config) : report =
   match remote with None -> run_local cfg | Some r -> run_daemon cfg r

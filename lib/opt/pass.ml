@@ -111,10 +111,6 @@ let rewrite_to_fixpoint ?(max_iters = 8) (rule : Func.t -> Instr.named -> rewrit
 (* Pass manager                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let src_log = Logs.Src.create "ub.opt" ~doc:"optimizer pass manager"
-
-module Log = (val Logs.src_log src_log)
-
 let run_pass (cfg : config) (p : t) (fn : Func.t) : Func.t =
   Ub_obs.Obs.with_span ("opt.pass." ^ p.name) @@ fun () ->
   let fn' = p.run cfg fn in

@@ -253,6 +253,29 @@ let daemon_deadline_is_dropped () =
       Alcotest.(check bool) "drops are attributed to the deadline" true
         (List.mem_assoc "daemon_deadline" r.Hunt.r_dropped_detail))
 
+(* The two drivers run one campaign loop over the same per-program
+   work, so a campaign checked locally and through the daemon finds the
+   same things.  They could differ: a local check runs at the reducer's
+   budget (Reduce.reduce_universal_bits / reduce_conflicts) and the
+   daemon at its own, larger default (the wire carries no budget), so a
+   pair that is Unknown under the smaller budget may be decided by the
+   daemon.  shl-nsw's pairs are decided under both. *)
+let drivers_agree () =
+  let cfg = Hunt.entry_config ~seed ~programs:32 (Inject.find_exn "shl-nsw") in
+  let local = Hunt.run_local cfg in
+  let daemon =
+    with_server (fun socket -> Hunt.run ~remote:(Hunt.default_remote ~socket) cfg)
+  in
+  let fps (r : Hunt.report) = List.map (fun (f : Hunt.finding) -> f.Hunt.fp) r.Hunt.r_uniques in
+  Alcotest.(check bool) "the campaign changed programs" true (local.Hunt.r_changed > 0);
+  Alcotest.(check bool) "the campaign found the bug" true (local.Hunt.r_unique > 0);
+  Alcotest.(check int) "changed" local.Hunt.r_changed daemon.Hunt.r_changed;
+  Alcotest.(check int) "checks" local.Hunt.r_checks daemon.Hunt.r_checks;
+  Alcotest.(check int) "findings" local.Hunt.r_findings daemon.Hunt.r_findings;
+  Alcotest.(check int) "unique" local.Hunt.r_unique daemon.Hunt.r_unique;
+  Alcotest.(check (list string)) "fingerprints" (fps local) (fps daemon);
+  Alcotest.(check int) "nothing dropped" 0 daemon.Hunt.r_dropped
+
 (* ------------------------------------------------------------------ *)
 (* Enumeration work                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -299,4 +322,6 @@ let () =
           Alcotest.test_case "daemon deadline misses are dropped" `Quick
             daemon_deadline_is_dropped;
         ] );
+      ( "drivers",
+        [ Alcotest.test_case "local and daemon campaigns agree" `Quick drivers_agree ] );
     ]
