@@ -11,15 +11,14 @@
      client connections, per-request latency stamped at send and reply.
 
    The corpus is seeded and deliberately repetitive (200 queries drawn
-   from a smaller unique set) because real translation-validation
-   traffic is repetitive -- that is what the daemon's coalescing and
-   verdict cache are for.  Verdicts from both runs are compared against
+   from a smaller unique set), so it also measures the daemon's verdict
+   journal, which answers every repeat of a checked query.  Verdicts from both runs are compared against
    an in-process ground truth; any disagreement fails the run.
 
    Results go to BENCH_serve.json: throughput for both runs, the
    speedup, exact p50/p95/p99 latency percentiles (computed from the
    200 samples, not histogram buckets), per-reply serving-class counts
-   (coalesced / journal hit / cold -- stamped from the reply flags, so
+   (journal hit / cold -- stamped from the reply flags, so
    the overload burst cannot pollute them), a warm re-pass over the
    unique pairs, and the daemon's closing stats report.
 
@@ -229,7 +228,7 @@ let stop_daemon (socket_path : string) (pid : int) : unit =
 (* How each reply was served, stamped from the reply's own flags --
    counting at the reply (not from the daemon's cumulative counters)
    keeps the burst and probe traffic below out of these numbers. *)
-type reply_classes = { mutable rc_coalesced : int; mutable rc_journal : int; mutable rc_cold : int }
+type reply_classes = { mutable rc_journal : int; mutable rc_cold : int }
 
 (* Pipeline the corpus over [n_conns] connections and stamp per-request
    latency as replies arrive (select across the connections, so a slow
@@ -257,7 +256,7 @@ let run_daemon_load (socket_path : string) (unique : pair array) (picks : int ar
            }))
     picks;
   let outstanding = ref (Array.length picks) in
-  let classes = { rc_coalesced = 0; rc_journal = 0; rc_cold = 0 } in
+  let classes = { rc_journal = 0; rc_cold = 0 } in
   let fd_of i = (conns.(i) : Client.t).Client.fd in
   while !outstanding > 0 do
     let fds = List.init n_conns fd_of in
@@ -273,8 +272,7 @@ let run_daemon_load (socket_path : string) (unique : pair array) (picks : int ar
             | Some qi when qi >= 0 && qi < Array.length picks ->
               recv_t.(qi) <- Ub_obs.Obs.Clock.now_s ();
               verdicts.(qi) <- v.Wire.verdict;
-              if v.Wire.coalesced then classes.rc_coalesced <- classes.rc_coalesced + 1
-              else if v.Wire.cached then classes.rc_journal <- classes.rc_journal + 1
+              if v.Wire.cached then classes.rc_journal <- classes.rc_journal + 1
               else classes.rc_cold <- classes.rc_cold + 1;
               decr outstanding
             | _ -> failwith "serve bench: reply without a usable id")
@@ -300,16 +298,16 @@ let run_warm_pass (socket_path : string) (unique : pair array) : int * int =
           match
             Client.check cl ~mode:"proposed" ~src:p.p_src_text ~tgt:p.p_tgt_text ()
           with
-          | Wire.Verdict v when v.Wire.cached || v.Wire.coalesced -> incr hits
+          | Wire.Verdict v when v.Wire.cached -> incr hits
           | _ -> ())
         unique;
       (!hits, Array.length unique))
 
 (* A deliberate overload: pipeline more requests than the queue admits
    on one connection and count the rejections.  Every request is a
-   *distinct* pair (the function renamed per index) so neither the
-   verdict cache nor coalescing can answer it -- each one is real work
-   and the queue genuinely fills. *)
+   *distinct* pair (the function renamed per index) so the verdict
+   cache cannot answer it -- each one is real work and the queue
+   genuinely fills. *)
 let run_overload_burst (socket_path : string) (unique : pair array) : int * int =
   let p = unique.(0) in
   let cl = Client.connect ~socket_path () in
@@ -362,7 +360,7 @@ let ncores () : int =
 (* [scale_queries] renamed copies of the unique pairs.  Renaming changes
    the verdict-cache key but not the verdict, so the base pair's ground
    truth carries over.  Every query is DISTINCT on purpose: repeated
-   queries are answered by coalescing and the journal, front-side work
+   queries are answered by the journal, front-side work
    that cannot scale with workers and is already measured by the daemon
    experiment above. *)
 let build_scale_corpus (unique : pair array) (truth : Ub_refine.Checker.verdict array) :
@@ -608,12 +606,12 @@ let run ~(jobs : int) ~(out : string) : bool =
   Printf.printf
     "daemon: %.2fs wall, %.1f queries/s (%.1fx baseline)\n\
      latency: p50 %.2fms  p95 %.2fms  p99 %.2fms\n\
-     replies: %d coalesced, %d journal hit(s), %d cold (of %d)\n\
+     replies: %d journal hit(s), %d cold (of %d)\n\
      journal during load: %d hit(s) / %d miss(es) (%.0f%% hit rate)\n\
      warm pass: %d/%d hits (%d of %d pairs are cacheable; unknowns never cache)\n\
      rejected in burst: %d/%d  deadline timeout observed: %b\n%!"
     serve_wall serve_qps speedup (1000.0 *. p50) (1000.0 *. p95) (1000.0 *. p99)
-    classes.rc_coalesced classes.rc_journal classes.rc_cold n_queries
+    classes.rc_journal classes.rc_cold n_queries
     stats_load.Wire.cache_hits stats_load.Wire.cache_misses (100.0 *. load_hit_rate)
     warm_hits warm_total warm_expected warm_total rejected (rejected + burst_answered)
     timed_out;
@@ -622,7 +620,7 @@ let run ~(jobs : int) ~(out : string) : bool =
   let int = Json.int in
   let j =
     Json.Obj
-      ([ ("schema", Json.Str "ubc-serve-bench-v2");
+      ([ ("schema", Json.Str "ubc-serve-bench-v3");
          ("queries", int n_queries);
          ("unique_pairs", int (Array.length unique));
          ("jobs", int jobs);
@@ -635,7 +633,6 @@ let run ~(jobs : int) ~(out : string) : bool =
              [ ("wall_s", num serve_wall); ("qps", num serve_qps);
                ("p50_ms", num (1000.0 *. p50)); ("p95_ms", num (1000.0 *. p95));
                ("p99_ms", num (1000.0 *. p99));
-               ("coalesced", int stats.Wire.coalesced_total);
                ("rejected", int stats.Wire.rejected);
                ("timeouts", int stats.Wire.timeouts);
                (* per-reply serving classes for the timed run only --
@@ -643,8 +640,7 @@ let run ~(jobs : int) ~(out : string) : bool =
                   so burst/probe traffic cannot skew them *)
                ( "replies",
                  Json.Obj
-                   [ ("coalesced", int classes.rc_coalesced);
-                     ("journal_hits", int classes.rc_journal);
+                   [ ("journal_hits", int classes.rc_journal);
                      ("cold", int classes.rc_cold) ] );
                ("cache_hits", int stats_load.Wire.cache_hits);
                ("cache_misses", int stats_load.Wire.cache_misses);

@@ -85,6 +85,32 @@ let load_module ~pipeline path : Func.module_ =
       (read_file path)
   else Parser.parse_module (read_file path)
 
+(* The (source, target) pair of check, reduce and submit: two files of
+   one function each, or one file holding both (source first), e.g. a
+   witness written by 'ubc hunt --corpus'. *)
+let load_pair cmd (files : string list) : Func.t * Func.t =
+  let funcs path =
+    match Parser.parse_module (read_file path) with
+    | m -> m.Func.funcs
+    | exception e ->
+      raise (Usage (Printf.sprintf "%s: cannot parse %s: %s" cmd path (Printexc.to_string e)))
+  in
+  let first path =
+    match funcs path with
+    | f :: _ -> f
+    | [] -> raise (Usage (Printf.sprintf "%s: %s holds no function" cmd path))
+  in
+  match files with
+  | [ src; tgt ] -> (first src, first tgt)
+  | [ pair ] -> (
+    match funcs pair with
+    | src :: tgt :: _ -> (src, tgt)
+    | _ ->
+      raise
+        (Usage
+           (cmd ^ ": FILE must contain two functions (source, then target) when TGT is omitted")))
+  | _ -> raise (Usage (cmd ^ ": expected SRC.ll TGT.ll, or one two-function FILE.ll"))
+
 let mode_conv =
   let parse s =
     match Ub_sem.Mode.find s with
@@ -315,22 +341,10 @@ let check_cmd =
                      functions (source first, target second), e.g. a witness \
                      written by 'ubc hunt --corpus'.")
   in
-  let run trace mode src tgt =
+  let run trace mode file tgt =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
-    let src, tgt =
-      match tgt with
-      | Some t ->
-        let one p = List.hd (Parser.parse_module (read_file p)).Func.funcs in
-        (one src, one t)
-      | None -> (
-        match (Parser.parse_module (read_file src)).Func.funcs with
-        | src :: tgt :: _ -> (src, tgt)
-        | _ ->
-          raise
-            (Usage
-               "check: FILE must contain two functions (source, then target) when TGT is omitted"))
-    in
+    let src, tgt = load_pair "check" (file :: Option.to_list tgt) in
     match Ub_refine.Checker.check mode ~src ~tgt with
     | Ub_refine.Checker.Refines ->
       print_endline "refines";
@@ -358,19 +372,7 @@ let reduce_cmd =
   let run trace mode file tgt out =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
-    let src, tgt =
-      match tgt with
-      | Some t ->
-        let one p = List.hd (Parser.parse_module (read_file p)).Func.funcs in
-        (one file, one t)
-      | None -> (
-        match (Parser.parse_module (read_file file)).Func.funcs with
-        | src :: tgt :: _ -> (src, tgt)
-        | _ ->
-          raise
-            (Usage
-               "reduce: FILE must contain two functions (source, then target) when TGT is omitted"))
-    in
+    let src, tgt = load_pair "reduce" (file :: Option.to_list tgt) in
     match Ub_refine.Reduce.minimize_cex mode ~src ~tgt with
     | None ->
       Printf.printf "nothing to reduce: pair is not a counterexample under %s (%s)\n"
@@ -429,7 +431,7 @@ let serve_cmd =
   let batch =
     Arg.(value & opt int 32
            & info [ "batch" ] ~docv:"N"
-               ~doc:"Max unique tasks per in-process batch (--jobs 1).")
+               ~doc:"Max tasks per in-process batch (--jobs 1).")
   in
   let deadline =
     Arg.(value & opt (some float) None
@@ -477,10 +479,7 @@ let serve_cmd =
 let describe_reply (r : Ub_serve.Wire.reply) : string =
   match r with
   | Ub_serve.Wire.Verdict v -> (
-    let flags =
-      (if v.Ub_serve.Wire.cached then " [cached]" else "")
-      ^ if v.Ub_serve.Wire.coalesced then " [coalesced]" else ""
-    in
+    let flags = if v.Ub_serve.Wire.cached then " [cached]" else "" in
     match v.Ub_serve.Wire.verdict with
     | "refines" -> "refines" ^ flags
     | "counterexample" ->
@@ -515,7 +514,7 @@ let submit_cmd =
   let count =
     Arg.(value & opt int 1
            & info [ "count" ] ~docv:"N"
-               ~doc:"Send the query $(docv) times, pipelined (coalescing/overload \
+               ~doc:"Send the query $(docv) times, pipelined (journal/overload \
                      exercise).")
   in
   let enum =
@@ -546,35 +545,16 @@ let submit_cmd =
     end
     else begin
       if count < 1 then raise (Usage "submit: --count must be >= 1");
-      let func_text path =
-        match (Parser.parse_module (read_file path)).Func.funcs with
-        | f :: _ -> Printer.func_to_string f
-        | [] -> raise (Usage (Printf.sprintf "submit: %s holds no function" path))
-        | exception e ->
-          raise (Usage (Printf.sprintf "submit: cannot parse %s: %s" path (Printexc.to_string e)))
-      in
+      let src, tgt = load_pair "submit" files in
       let request i =
-        match files with
-        | [ src; tgt ] ->
-          let cr =
-            { Ub_serve.Wire.id = Some i;
-              mode = mode.Ub_sem.Mode.name;
-              src = func_text src;
-              tgt = func_text tgt;
-              deadline_s = deadline;
-              enum_only = enum;
-            }
-          in
-          if enum then Ub_serve.Wire.Enum_check cr else Ub_serve.Wire.Check cr
-        | [ pair ] ->
-          if enum then raise (Usage "submit: --enum needs SRC and TGT files");
-          Ub_serve.Wire.Check_pair
-            { id = Some i;
-              mode = mode.Ub_sem.Mode.name;
-              module_text = read_file pair;
-              deadline_s = deadline;
-            }
-        | _ -> raise (Usage "submit: expected SRC.ll TGT.ll, or one two-function FILE.ll")
+        Ub_serve.Wire.Check
+          { Ub_serve.Wire.id = Some i;
+            mode = mode.Ub_sem.Mode.name;
+            src = Printer.func_to_string src;
+            tgt = Printer.func_to_string tgt;
+            deadline_s = deadline;
+            enum_only = enum;
+          }
       in
       with_client (fun cl ->
           (* pipeline the whole burst, then read every reply *)

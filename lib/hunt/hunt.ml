@@ -450,13 +450,23 @@ let default_remote ~socket = { socket; deadline_s = None; batch = 32 }
 (* Everything but the IR checks stays in-process ([cfg.jobs] and
    [timeout_s] do not apply).  Each chunk of [batch] programs sends one
    pipelined batch per lane (a batch carries one mode).  The wire
-   carries no budget: the daemon checks at its own default budget, and
-   [r_cpu_s] is its check time.  Here [r_dropped] counts checks. *)
+   carries no budget: the daemon checks at its own default budget.
+   [r_cpu_s] is the daemon's check time (each reply's [wall_s]) plus the
+   in-process work, timed as a local campaign times its pool tasks.
+   Here [r_dropped] counts checks. *)
 let run_daemon (cfg : config) (r : remote) : report =
   Ub_serve.Client.with_conn ~client:"ubc-hunt" ~socket_path:r.socket @@ fun conn ->
   campaign cfg ~chunk:r.batch @@ fun acc programs ->
+  let timed f x =
+    let t0 = Obs.Clock.now_s () in
+    let y = f x in
+    acc.cpu_s <- acc.cpu_s +. Obs.Clock.elapsed_s ~since:t0;
+    y
+  in
   let pending =
-    List.concat_map (fun idx -> absorb acc (program_work cfg idx)) (Array.to_list programs)
+    List.concat_map
+      (fun idx -> absorb acc (timed (program_work cfg) idx))
+      (Array.to_list programs)
   in
   List.iter
     (fun lane ->
@@ -478,7 +488,7 @@ let run_daemon (cfg : config) (r : remote) : report =
             let answered cls wall_s =
               acc.cpu_s <- acc.cpu_s +. wall_s;
               Obs.count "hunt.check_done";
-              tally acc (outcome p cls)
+              tally acc (timed (outcome p) cls)
             in
             match replies.(i) with
             | Wire.Verdict { verdict = "refines"; wall_s; _ } -> answered `Refines wall_s

@@ -199,8 +199,8 @@ let check_sat ?max_universal_bits ?max_conflicts ?stats (mode : Mode.t) ~(src : 
    hands off (outside the encodable fragment, over a budget, or a
    signature mismatch).  The hand-off reason is counted even when
    enumeration then decides, since the verdict no longer shows it. *)
-let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module_src
-    ?module_tgt ?inputs (mode : Mode.t) ~(src : Func.t) ~(tgt : Func.t) : verdict =
+let check ?max_universal_bits ?max_conflicts ?inputs (mode : Mode.t) ~(src : Func.t)
+    ~(tgt : Func.t) : verdict =
   Obs.with_span "refine.check" @@ fun () ->
   let counted (v : verdict) : verdict =
     Obs.count
@@ -215,17 +215,13 @@ let check ?max_universal_bits ?max_conflicts ?fuel ?max_inputs ?max_runs ?module
   match inputs with
   | Some _ ->
     (* explicit inputs: enumeration only *)
-    Enum_check.check ~mode ?fuel ?max_inputs ?max_runs ?module_src ?module_tgt ?inputs ~src
-      ~tgt ()
+    Enum_check.check ~mode ?inputs ~src ~tgt ()
   | None -> (
     match sat_verdict ?max_universal_bits ?max_conflicts mode ~src ~tgt with
     | Ok v -> v
     | Error (why, sat_reason) -> (
       Obs.count (hand_off_counter why);
-      match
-        Enum_check.check ~mode ?fuel ?max_inputs ?max_runs ?module_src ?module_tgt ~src ~tgt
-          ()
-      with
+      match Enum_check.check ~mode ~src ~tgt () with
       | (Refines | Counterexample _) as v -> v
       | Unknown enum_reason ->
         Unknown (Printf.sprintf "SAT: %s; enumeration: %s" sat_reason enum_reason)))

@@ -126,22 +126,22 @@ let phase_to_string = function
   | Memory.Infinite -> "infinite"
   | Memory.Finite n -> Printf.sprintf "finite(%d)" n
 
-let check ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000) ?(max_runs = 50_000)
-    ?module_src ?module_tgt ?inputs ~(src : Func.t) ~(tgt : Func.t) () : verdict =
+let check ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_runs = 50_000) ?inputs ~(src : Func.t)
+    ~(tgt : Func.t) () : verdict =
   Ub_obs.Obs.with_span "refine.enum_check" @@ fun () ->
   if List.map snd src.args <> List.map snd tgt.args then Unknown "argument types differ"
   else begin
     let tuples =
       match inputs with
       | Some ts -> Some ts
-      | None -> input_space ~mode ~max_inputs src
+      | None -> input_space ~mode ~max_inputs:5_000 src
     in
     match tuples with
     | None -> Unknown "input space too large or not enumerable"
     | Some tuples -> (
       let phases = phases_for ~src ~tgt in
-      let src_p = Interp.prepare ~mode ?module_:module_src src in
-      let tgt_p = Interp.prepare ~mode ?module_:module_tgt tgt in
+      let src_p = Interp.prepare ~mode src in
+      let tgt_p = Interp.prepare ~mode tgt in
       (* the counterexample on one (tuple, phase), if any *)
       let uncovered args phase =
         let behs_src = Interp.Behaviors.enumerate ~fuel ~max_runs ~phase src_p args in

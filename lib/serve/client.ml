@@ -45,26 +45,20 @@ let rpc (t : t) (req : Wire.request) : Wire.reply =
 
 let check (t : t) ?id ?deadline_s ?(enum_only = false) ~(mode : string) ~(src : string)
     ~(tgt : string) () : Wire.reply =
-  let cr = { Wire.id; mode; src; tgt; deadline_s; enum_only } in
-  rpc t (if enum_only then Wire.Enum_check cr else Wire.Check cr)
-
-let check_pair (t : t) ?id ?deadline_s ~(mode : string) ~(module_text : string) () :
-    Wire.reply =
-  rpc t (Wire.Check_pair { id; mode; module_text; deadline_s })
+  rpc t (Wire.Check { Wire.id; mode; src; tgt; deadline_s; enum_only })
 
 (* Pipelined batch: send every Check frame up front, then collect
    exactly one reply per request.  Replies are matched to requests by
-   the echoed id — the server may answer out of request order when
-   coalesced batches complete together.  A reply without an id (or with
-   one we did not send) fills the first unanswered slot, so a protocol
-   hiccup degrades accounting but never hangs the client. *)
+   the echoed id — a server with persistent workers may answer out of
+   request order.  A reply without an id (or with one we did not send)
+   fills the first unanswered slot, so a protocol hiccup degrades
+   accounting but never hangs the client. *)
 let check_batch (t : t) ?deadline_s ?(enum_only = false) ~(mode : string)
     (pairs : (string * string) array) : Wire.reply array =
   let n = Array.length pairs in
   Array.iteri
     (fun i (src, tgt) ->
-      let cr = { Wire.id = Some i; mode; src; tgt; deadline_s; enum_only } in
-      send t (if enum_only then Wire.Enum_check cr else Wire.Check cr))
+      send t (Wire.Check { Wire.id = Some i; mode; src; tgt; deadline_s; enum_only }))
     pairs;
   let replies = Array.make n None in
   let next_unfilled = ref 0 in

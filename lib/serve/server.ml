@@ -7,7 +7,7 @@
    [Wire].  The shape is a single-threaded event loop:
 
      accept/read ----> request queue ----> checks ----> replies
-       (select)     (bounded, coalescing)   (in-process batch, or
+       (select)       (bounded, FIFO)      (in-process batch, or
                                              [jobs] persistent workers)
 
    - *Admission control*: the queue is bounded ([queue_limit]); a
@@ -16,11 +16,10 @@
      the rejection in microseconds and can back off; the server's
      memory stays flat no matter how hard it is hammered.
 
-   - *Coalescing*: queued requests with the same verdict-cache key (and
-     deadline class) collapse into one task; the single verdict fans
-     back out to every waiter.  Translation-validation traffic is
-     highly repetitive (fuzzers mutate around the same seeds), so this
-     converts duplicate solver work into queue bookkeeping.
+   - *Repeats*: every request is one task.  With a journal ([cache]),
+     each task looks up its verdict just before it would run, so a
+     repeat of a query already checked is answered from the journal,
+     even one queued behind it in the same batch.
 
    - *Deadlines*: a request's [deadline_s] rides the pool's per-task
      timeout machinery ([Pool.run_task]'s ITIMER_REAL envelope), so a
@@ -34,12 +33,11 @@
      run synchronously in the loop: while a batch runs, new connections
      wait in the kernel backlog and new bytes sit in socket buffers.
      [batch_max] bounds how long the loop stays away from [select],
-     which both caps reply latency under load and gives coalescing a
-     window to fill.  With [jobs > 1] the daemon spawns [jobs]
-     persistent [Pool] workers at startup that live as long as it does.
-     Tasks stream to them over pipes, at most [Pool.worker_slots] in
-     flight per worker, and the result pipes sit in the same [select]
-     as the clients.  A worker that dies answers [crashed] for the task
+     which caps reply latency under load.  With [jobs > 1] the daemon
+     spawns [jobs] persistent [Pool] workers at startup that live as
+     long as it does.  Tasks stream to them over pipes, at most
+     [Pool.worker_slots] in flight per worker, and the result pipes sit
+     in the same [select] as the clients.  A worker that dies answers [crashed] for the task
      it was on and is respawned; the tasks queued behind it still run.
      The journal stays in the front: workers never open it.
 
@@ -60,10 +58,9 @@ type config = {
   socket_path : string;
   jobs : int; (* persistent worker processes; 1 = check in-process *)
   queue_limit : int; (* admission-control bound *)
-  batch_max : int; (* max unique tasks drained per in-process batch *)
+  batch_max : int; (* max tasks drained per in-process batch *)
   default_deadline_s : float option; (* applied when a request names none *)
   cache : Ub_exec.Cache.t option;
-  server_name : string;
   verbose : bool;
 }
 
@@ -74,9 +71,11 @@ let default_config ~socket_path =
     batch_max = 32;
     default_deadline_s = None;
     cache = None;
-    server_name = "ubc-serve/1";
     verbose = false;
   }
+
+(* The server's self-description in hello_ok and stats. *)
+let server_name = Printf.sprintf "ubc-serve/%d" Wire.version
 
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)
@@ -92,46 +91,30 @@ type conn = {
   mutable closing : bool; (* close once [outq] drains; no more reads *)
 }
 
-type waiter = {
-  w_conn : conn;
-  w_id : int option;
-  enqueued_at : float;
-  w_coalesced : bool;
-}
-
-type task = {
-  t_key : string; (* coalescing key: [t_cache_key] plus the deadline class *)
-  t_cache_key : string; (* verdict-cache key, built once per request *)
-  t_src : Func.t;
-  t_tgt : Func.t;
-  t_mode : Ub_sem.Mode.t;
-  t_enum : bool;
-  t_deadline : float option;
-  mutable waiters : waiter list; (* reverse arrival order *)
-}
-
 (* What a worker runs: mode, enumeration only?, source, target. *)
 type query = Ub_sem.Mode.t * bool * Func.t * Func.t
+
+(* One request, queued until it is answered. *)
+type task = {
+  t_conn : conn;
+  t_id : int option;
+  t_enqueued_at : float;
+  t_cache_key : string; (* verdict-cache key, built once per request *)
+  t_query : query;
+  t_deadline : float option;
+}
 
 type state = {
   cfg : config;
   started_at : float;
   lfd : Unix.file_descr; (* the listening socket *)
-  queue : (string, task) Hashtbl.t; (* key -> task, for coalescing *)
-  mutable order : string list; (* FIFO of keys, reverse order *)
-  mutable queued : int; (* distinct tasks in queue *)
-  running : (string, task) Hashtbl.t; (* key -> task in flight at a worker *)
+  queue : task Queue.t; (* waiting tasks, in arrival order *)
   mutable pool : (query, Ub_refine.Checker.verdict) Ub_exec.Pool.workers option;
       (* [None] when [jobs = 1] *)
   mutable conns : conn list;
   mutable draining : bool;
   mutable shutdown_conns : conn list; (* protocol shutdown requesters awaiting Bye *)
 }
-
-let queue_depth st =
-  (* waiters, not unique tasks: admission control must bound client
-     demand, and ten coalesced copies of one query are ten clients *)
-  Hashtbl.fold (fun _ t n -> n + List.length t.waiters) st.queue 0
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -187,8 +170,6 @@ let check ((mode, enum, src, tgt) : query) : Ub_refine.Checker.verdict =
   if enum then Ub_refine.Enum_check.check ~mode ~src ~tgt ()
   else Ub_refine.Checker.check mode ~src ~tgt
 
-let query (t : task) : query = (t.t_mode, t.t_enum, t.t_src, t.t_tgt)
-
 let verdict_fields : Ub_refine.Checker.verdict -> string * string * string list = function
   | Ub_refine.Checker.Refines -> ("refines", "", [])
   | Ub_refine.Checker.Counterexample { args; witness } ->
@@ -206,41 +187,16 @@ let reply_verdict st (t : task) ~(cached : bool)
     | Ub_exec.Pool.Crashed m -> ("crashed", m, [])
   in
   Obs.count ("serve.verdict." ^ verdict);
-  let now = Obs.Clock.now_s () in
-  List.iter
-    (fun w ->
-      send st w.w_conn
-        (Wire.Verdict
-           { r_id = w.w_id;
-             verdict;
-             detail;
-             args;
-             cached;
-             coalesced = w.w_coalesced;
-             wall_s = now -. w.enqueued_at;
-           }))
-    (List.rev t.waiters)
-
-(* Take up to [n] unique tasks off the queue, in arrival order. *)
-let pop_tasks (st : state) (n : int) : task list =
-  let rec split n = function
-    | [] -> ([], [])
-    | ks when n = 0 -> ([], ks)
-    | k :: tl ->
-      let taken, left = split (n - 1) tl in
-      (k :: taken, left)
-  in
-  let taken, rest = split n (List.rev st.order) in
-  st.order <- List.rev rest;
-  List.filter_map
-    (fun k ->
-      match Hashtbl.find_opt st.queue k with
-      | Some t ->
-        Hashtbl.remove st.queue k;
-        st.queued <- st.queued - 1;
-        Some t
-      | None -> None)
-    taken
+  send st t.t_conn
+    (Wire.Verdict
+       { r_id = t.t_id;
+         verdict;
+         detail;
+         args;
+         cached;
+         coalesced = false;
+         wall_s = Obs.Clock.now_s () -. t.t_enqueued_at;
+       })
 
 (* Answer [t] from the journal when it holds the verdict. *)
 let journal_hit (st : state) (t : task) : bool =
@@ -253,7 +209,7 @@ let journal_hit (st : state) (t : task) : bool =
       true
     | None -> false)
 
-(* A checked task: journal its verdict, then answer every waiter. *)
+(* A checked task: journal its verdict, then answer it. *)
 let complete (st : state) (t : task) (r : Ub_refine.Checker.verdict Ub_exec.Pool.result) :
     unit =
   (match (r, st.cfg.cache) with
@@ -261,35 +217,32 @@ let complete (st : state) (t : task) (r : Ub_refine.Checker.verdict Ub_exec.Pool
   | _ -> ());
   reply_verdict st t ~cached:false r
 
-(* [jobs = 1]: drain up to [batch_max] unique tasks.  Journal hits answer
-   immediately, the rest run one by one in this process. *)
+(* [jobs = 1]: drain up to [batch_max] tasks, one by one in this
+   process.  Each looks in the journal just before it would run, so a
+   repeat of a query checked earlier in the batch is a hit. *)
 let run_batch (st : state) : unit =
   Obs.with_span "serve.batch" @@ fun () ->
-  List.filter (fun t -> not (journal_hit st t)) (pop_tasks st st.cfg.batch_max)
-  |> List.iter (fun t ->
-         complete st t
-           (Obs.with_span "pool.task" (fun () ->
-                Ub_exec.Pool.run_task ?timeout_s:t.t_deadline check (query t))))
+  for _ = 1 to min st.cfg.batch_max (Queue.length st.queue) do
+    let t = Queue.pop st.queue in
+    if not (journal_hit st t) then
+      complete st t
+        (Obs.with_span "pool.task" (fun () ->
+             Ub_exec.Pool.run_task ?timeout_s:t.t_deadline check t.t_query))
+  done
 
 (* [jobs > 1]: hand queued tasks to the pool while a worker has a free
    slot. *)
 let dispatch (st : state) pool : unit =
-  while st.queued > 0 && Ub_exec.Pool.has_slot pool do
-    List.iter
-      (fun t ->
-        if not (journal_hit st t) then begin
-          Hashtbl.replace st.running t.t_key t;
-          Ub_exec.Pool.submit pool ?timeout_s:t.t_deadline (query t) (fun r ->
-              Hashtbl.remove st.running t.t_key;
-              complete st t r)
-        end)
-      (pop_tasks st 1)
+  while (not (Queue.is_empty st.queue)) && Ub_exec.Pool.has_slot pool do
+    let t = Queue.pop st.queue in
+    if not (journal_hit st t) then
+      Ub_exec.Pool.submit pool ?timeout_s:t.t_deadline t.t_query (complete st t)
   done
 
 (* Run what is queued: an in-process batch, or hand-off to workers. *)
 let pump (st : state) : unit =
   match st.pool with
-  | None -> if st.queued > 0 then run_batch st
+  | None -> if not (Queue.is_empty st.queue) then run_batch st
   | Some pool -> dispatch st pool
 
 let worker_fds (st : state) : Unix.file_descr list =
@@ -309,59 +262,29 @@ let stop_workers (st : state) : unit =
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let enqueue_check (st : state) (c : conn) ~(id : int option) ~(mode : Ub_sem.Mode.t)
-    ~(src : Func.t) ~(tgt : Func.t) ~(deadline_s : float option) ~(enum : bool) : unit =
-  let depth = queue_depth st in
+let enqueue_check (st : state) (c : conn) ~(id : int option) ~(deadline_s : float option)
+    ((mode, enum, src, tgt) as query : query) : unit =
+  let depth = Queue.length st.queue in
   Obs.observe "serve.queue_depth" (float_of_int depth);
   if depth >= st.cfg.queue_limit then begin
     Obs.count "serve.rejected";
     send st c (Wire.Overloaded { r_id = id; queue_depth = depth; queue_limit = st.cfg.queue_limit })
   end
-  else begin
-    let deadline =
-      match deadline_s with Some _ as d -> d | None -> st.cfg.default_deadline_s
-    in
-    let t0 = Obs.Clock.now_s () in
-    let cache_key =
-      Ub_refine.Verdict_cache.key ~mode
-        ~kind:
-          (if enum then Ub_refine.Verdict_cache.enum_kind
-           else Ub_refine.Verdict_cache.combined_kind)
-        ~src ~tgt ()
-    in
-    (* the coalescing key is the verdict-cache key plus the deadline
-       class: two requests for the same query under different budgets
-       must not share a timeout verdict *)
-    let key =
-      Printf.sprintf "%s/%s" cache_key
-        (match deadline with None -> "-" | Some s -> Printf.sprintf "%.3f" s)
-    in
-    let w = { w_conn = c; w_id = id; enqueued_at = t0; w_coalesced = false } in
-    let same =
-      match Hashtbl.find_opt st.queue key with
-      | Some _ as t -> t
-      | None -> Hashtbl.find_opt st.running key
-    in
-    match same with
-    | Some t ->
-      Obs.count "serve.coalesced";
-      t.waiters <- { w with w_coalesced = true } :: t.waiters
-    | None ->
-      let t =
-        { t_key = key;
-          t_cache_key = cache_key;
-          t_src = src;
-          t_tgt = tgt;
-          t_mode = mode;
-          t_enum = enum;
-          t_deadline = deadline;
-          waiters = [ w ];
-        }
-      in
-      Hashtbl.replace st.queue key t;
-      st.order <- key :: st.order;
-      st.queued <- st.queued + 1
-  end
+  else
+    Queue.add
+      { t_conn = c;
+        t_id = id;
+        t_enqueued_at = Obs.Clock.now_s ();
+        t_cache_key =
+          Ub_refine.Verdict_cache.key ~mode
+            ~kind:
+              (if enum then Ub_refine.Verdict_cache.enum_kind
+               else Ub_refine.Verdict_cache.combined_kind)
+            ~src ~tgt ();
+        t_query = query;
+        t_deadline = (match deadline_s with None -> st.cfg.default_deadline_s | d -> d);
+      }
+      st.queue
 
 let stats_reply (st : state) : Wire.reply =
   let verdicts =
@@ -372,7 +295,7 @@ let stats_reply (st : state) : Wire.reply =
       [ "refines"; "counterexample"; "unknown"; "timeout"; "crashed" ]
   in
   Wire.Stats_r
-    { queue_depth = queue_depth st;
+    { queue_depth = Queue.length st.queue;
       queue_limit = st.cfg.queue_limit;
       uptime_s = Obs.Clock.now_s () -. st.started_at;
       served =
@@ -381,14 +304,13 @@ let stats_reply (st : state) : Wire.reply =
         + Obs.counter_value "serve.verdict.unknown"
         + Obs.counter_value "serve.verdict.timeout"
         + Obs.counter_value "serve.verdict.crashed";
-      coalesced_total = Obs.counter_value "serve.coalesced";
       rejected = Obs.counter_value "serve.rejected";
       timeouts = Obs.counter_value "serve.timeouts";
       cache_hit_rate =
         (match st.cfg.cache with Some c -> Ub_exec.Cache.hit_rate c | None -> 0.0);
       cache_hits = (match st.cfg.cache with Some c -> Ub_exec.Cache.hits c | None -> 0);
       cache_misses = (match st.cfg.cache with Some c -> Ub_exec.Cache.misses c | None -> 0);
-      server = st.cfg.server_name;
+      server = server_name;
       verdicts;
       report = Obs.report ();
     }
@@ -415,7 +337,7 @@ let handle_request (st : state) (c : conn) (req : Wire.request) : unit =
       send st c
         (Wire.Hello_ok
            { v = Wire.version;
-             server = st.cfg.server_name;
+             server = server_name;
              jobs = st.cfg.jobs;
              queue_limit = st.cfg.queue_limit;
            })
@@ -426,7 +348,7 @@ let handle_request (st : state) (c : conn) (req : Wire.request) : unit =
   | Wire.Shutdown ->
     st.draining <- true;
     st.shutdown_conns <- c :: st.shutdown_conns
-  | Wire.Check cr | Wire.Enum_check cr -> (
+  | Wire.Check cr -> (
     match (Ub_sem.Mode.find cr.Wire.mode, parse_one_func cr.Wire.src, parse_one_func cr.Wire.tgt) with
     | None, _, _ ->
       send st c (Wire.Error_r { r_id = cr.Wire.id; message = "unknown mode " ^ cr.Wire.mode })
@@ -435,21 +357,8 @@ let handle_request (st : state) (c : conn) (req : Wire.request) : unit =
     | _, _, Error e ->
       send st c (Wire.Error_r { r_id = cr.Wire.id; message = "bad tgt: " ^ e })
     | Some mode, Ok src, Ok tgt ->
-      enqueue_check st c ~id:cr.Wire.id ~mode ~src ~tgt ~deadline_s:cr.Wire.deadline_s
-        ~enum:cr.Wire.enum_only)
-  | Wire.Check_pair { id; mode; module_text; deadline_s } -> (
-    match Ub_sem.Mode.find mode with
-    | None -> send st c (Wire.Error_r { r_id = id; message = "unknown mode " ^ mode })
-    | Some m -> (
-      match Parser.parse_module module_text with
-      | exception e ->
-        send st c (Wire.Error_r { r_id = id; message = "bad module: " ^ Printexc.to_string e })
-      | { Func.funcs = src :: tgt :: _; _ } ->
-        enqueue_check st c ~id ~mode:m ~src ~tgt ~deadline_s ~enum:false
-      | _ ->
-        send st c
-          (Wire.Error_r
-             { r_id = id; message = "module must hold two functions (source, then target)" })))
+      enqueue_check st c ~id:cr.Wire.id ~deadline_s:cr.Wire.deadline_s
+        (mode, cr.Wire.enum_only, src, tgt))
 
 (* A complete frame arrived: JSON-parse it, decode it, dispatch it.
    Malformed *payloads* answer [Error] and leave the connection up (the
@@ -530,10 +439,7 @@ let run (cfg : config) : unit =
     { cfg;
       started_at = Obs.Clock.now_s ();
       lfd;
-      queue = Hashtbl.create 64;
-      order = [];
-      queued = 0;
-      running = Hashtbl.create 16;
+      queue = Queue.create ();
       pool = None;
       conns = [];
       draining = false;
@@ -616,7 +522,7 @@ let run (cfg : config) : unit =
       (* drain: no more intake; finish everything queued and in flight,
          stop the workers, ack pending shutdown requests, flush every
          reply queue, and leave *)
-      while st.queued > 0 || inflight st > 0 do
+      while (not (Queue.is_empty st.queue)) || inflight st > 0 do
         pump st;
         if inflight st > 0 then
           match Unix.select (worker_fds st) [] [] 0.5 with

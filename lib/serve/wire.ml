@@ -19,11 +19,14 @@
    the protocol can grow without a version bump, and unknown "op"s are
    [Error]s, not crashes.  Requests may carry a numeric "id" that the
    server echoes in the matching reply, so clients can pipeline
-   requests and match replies out of order (coalesced batches complete
-   together, so replies to one connection are not necessarily in
-   request order). *)
+   requests and match replies out of order (with persistent workers,
+   replies to one connection are not necessarily in request order).
 
-let version = 1
+   Version 2 dropped version 1's [enum_check] and [check_pair] ops: a
+   version-1 client that sends them would get errors, so the handshake
+   refuses it up front. *)
+
+let version = 2
 let max_frame_bytes = 8 * 1024 * 1024
 
 (* A deadline is a number of seconds in (0, max_deadline_s].  The timer
@@ -36,25 +39,20 @@ let valid_deadline s = s > 0.0 && s <= max_deadline_s
 (* Protocol types                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The three checking flavours map onto the checker entry points:
-   [`Combined] is [Checker.check] (SAT with enumeration fallback),
-   [`Enum] is enumeration only. *)
+(* One check: [Checker.check] (SAT with enumeration fallback), or
+   enumeration only when [enum_only]. *)
 type check_req = {
   id : int option;
   mode : string; (* semantics mode name; validated server-side *)
   src : string; (* source function, IR text *)
   tgt : string; (* target function, IR text *)
   deadline_s : float option; (* per-request wall-clock budget *)
-  enum_only : bool;
+  enum_only : bool; (* optional on the wire; absent means false *)
 }
 
 type request =
   | Hello of { v : int; client : string }
-  | Check of check_req (* src and tgt as two IR texts *)
-  | Check_pair of { id : int option; mode : string; module_text : string; deadline_s : float option }
-    (* one module holding both functions, source first -- the witness
-       format `bench --corpus` writes and `ubc reduce` accepts *)
-  | Enum_check of check_req
+  | Check of check_req
   | Stats
   | Shutdown
 
@@ -64,7 +62,7 @@ type verdict_reply = {
   detail : string; (* witness / reason; "" when refines *)
   args : string list; (* counterexample argument values, printed *)
   cached : bool; (* served straight from the verdict cache *)
-  coalesced : bool; (* rode on another in-flight identical query *)
+  coalesced : bool; (* always false; kept so existing readers still decode *)
   wall_s : float; (* server-side queue+check wall clock *)
 }
 
@@ -73,7 +71,6 @@ type stats_reply = {
   queue_limit : int;
   uptime_s : float;
   served : int;
-  coalesced_total : int;
   rejected : int;
   timeouts : int;
   cache_hit_rate : float;
@@ -104,24 +101,17 @@ let opt_id_field id rest =
 let opt_deadline_field d rest =
   match d with None -> rest | Some s -> ("deadline_s", Json.Num s) :: rest
 
-let check_fields ~op (c : check_req) : (string * Json.t) list =
-  ("op", Json.Str op)
-  :: opt_id_field c.id
-       (opt_deadline_field c.deadline_s
-          [ ("mode", Json.Str c.mode); ("src", Json.Str c.src); ("tgt", Json.Str c.tgt) ])
-
 let request_to_json : request -> Json.t = function
   | Hello { v; client } ->
     Json.Obj
       [ ("op", Json.Str "hello"); ("v", Json.int v); ("client", Json.Str client) ]
-  | Check c -> Json.Obj (check_fields ~op:"check" c)
-  | Enum_check c -> Json.Obj (check_fields ~op:"enum_check" c)
-  | Check_pair { id; mode; module_text; deadline_s } ->
+  | Check c ->
     Json.Obj
-      (("op", Json.Str "check_pair")
-      :: opt_id_field id
-           (opt_deadline_field deadline_s
-              [ ("mode", Json.Str mode); ("module", Json.Str module_text) ]))
+      (("op", Json.Str "check")
+      :: opt_id_field c.id
+           (opt_deadline_field c.deadline_s
+              ([ ("mode", Json.Str c.mode); ("src", Json.Str c.src); ("tgt", Json.Str c.tgt) ]
+              @ if c.enum_only then [ ("enum_only", Json.Bool true) ] else [])))
   | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
   | Shutdown -> Json.Obj [ ("op", Json.Str "shutdown") ]
 
@@ -152,7 +142,6 @@ let reply_to_json : reply -> Json.t = function
         ("queue_limit", Json.int s.queue_limit);
         ("uptime_s", Json.Num s.uptime_s);
         ("served", Json.int s.served);
-        ("coalesced", Json.int s.coalesced_total);
         ("rejected", Json.int s.rejected);
         ("timeouts", Json.int s.timeouts);
         ("cache_hit_rate", Json.Num s.cache_hit_rate);
@@ -187,7 +176,12 @@ let decode_check (j : Json.t) : (check_req, string) result =
   let* src = required "src" (Json.str_field j "src") in
   let* tgt = required "tgt" (Json.str_field j "tgt") in
   let* deadline_s = decode_deadline j in
-  Ok { id = Json.int_field j "id"; mode; src; tgt; deadline_s; enum_only = false }
+  let* enum_only =
+    match Json.member "enum_only" j with
+    | None -> Ok false
+    | Some v -> Option.to_result ~none:"enum_only must be a boolean" (Json.to_bool v)
+  in
+  Ok { id = Json.int_field j "id"; mode; src; tgt; deadline_s; enum_only }
 
 let request_of_json (j : Json.t) : (request, string) result =
   match Json.str_field j "op" with
@@ -198,14 +192,6 @@ let request_of_json (j : Json.t) : (request, string) result =
   | Some "check" ->
     let* c = decode_check j in
     Ok (Check c)
-  | Some "enum_check" ->
-    let* c = decode_check j in
-    Ok (Enum_check { c with enum_only = true })
-  | Some "check_pair" ->
-    let* mode = required "mode" (Json.str_field j "mode") in
-    let* module_text = required "module" (Json.str_field j "module") in
-    let* deadline_s = decode_deadline j in
-    Ok (Check_pair { id = Json.int_field j "id"; mode; module_text; deadline_s })
   | Some "stats" -> Ok Stats
   | Some "shutdown" -> Ok Shutdown
   | Some op -> Error ("unknown op " ^ op)
@@ -259,7 +245,6 @@ let reply_of_json (j : Json.t) : (reply, string) result =
            queue_limit;
            uptime_s = Option.value ~default:0.0 (Json.num_field j "uptime_s");
            served = Option.value ~default:0 (Json.int_field j "served");
-           coalesced_total = Option.value ~default:0 (Json.int_field j "coalesced");
            rejected = Option.value ~default:0 (Json.int_field j "rejected");
            timeouts = Option.value ~default:0 (Json.int_field j "timeouts");
            cache_hit_rate = Option.value ~default:0.0 (Json.num_field j "cache_hit_rate");

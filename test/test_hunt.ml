@@ -259,22 +259,36 @@ let daemon_deadline_is_dropped () =
    budget (Reduce.reduce_universal_bits / reduce_conflicts) and the
    daemon at its own, larger default (the wire carries no budget), so a
    pair that is Unknown under the smaller budget may be decided by the
-   daemon.  shl-nsw's pairs are decided under both. *)
+   daemon.  shl-nsw's pairs are decided under both.  A backend entry
+   (const-prop-bad-arm) sends the daemon nothing: generation, TV and
+   shrinking all run in the client, and its CPU time must count them as
+   the local campaign's pool tasks do. *)
 let drivers_agree () =
-  let cfg = Hunt.entry_config ~seed ~programs:32 (Inject.find_exn "shl-nsw") in
-  let local = Hunt.run_local cfg in
-  let daemon =
-    with_server (fun socket -> Hunt.run ~remote:(Hunt.default_remote ~socket) cfg)
-  in
-  let fps (r : Hunt.report) = List.map (fun (f : Hunt.finding) -> f.Hunt.fp) r.Hunt.r_uniques in
-  Alcotest.(check bool) "the campaign changed programs" true (local.Hunt.r_changed > 0);
-  Alcotest.(check bool) "the campaign found the bug" true (local.Hunt.r_unique > 0);
-  Alcotest.(check int) "changed" local.Hunt.r_changed daemon.Hunt.r_changed;
-  Alcotest.(check int) "checks" local.Hunt.r_checks daemon.Hunt.r_checks;
-  Alcotest.(check int) "findings" local.Hunt.r_findings daemon.Hunt.r_findings;
-  Alcotest.(check int) "unique" local.Hunt.r_unique daemon.Hunt.r_unique;
-  Alcotest.(check (list string)) "fingerprints" (fps local) (fps daemon);
-  Alcotest.(check int) "nothing dropped" 0 daemon.Hunt.r_dropped
+  List.iter
+    (fun (name, programs) ->
+      let cfg = Hunt.entry_config ~seed ~programs (Inject.find_exn name) in
+      let local = Hunt.run_local cfg in
+      let daemon =
+        with_server (fun socket -> Hunt.run ~remote:(Hunt.default_remote ~socket) cfg)
+      in
+      let fps (r : Hunt.report) =
+        List.map (fun (f : Hunt.finding) -> f.Hunt.fp) r.Hunt.r_uniques
+      in
+      let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
+      Alcotest.(check bool) (name ^ ": the campaign changed programs") true
+        (local.Hunt.r_changed > 0);
+      Alcotest.(check bool) (name ^ ": the campaign found the bug") true
+        (local.Hunt.r_unique > 0);
+      check_int "changed" local.Hunt.r_changed daemon.Hunt.r_changed;
+      check_int "checks" local.Hunt.r_checks daemon.Hunt.r_checks;
+      check_int "findings" local.Hunt.r_findings daemon.Hunt.r_findings;
+      check_int "unique" local.Hunt.r_unique daemon.Hunt.r_unique;
+      Alcotest.(check (list string)) (name ^ ": fingerprints") (fps local) (fps daemon);
+      check_int "nothing dropped" 0 daemon.Hunt.r_dropped;
+      if daemon.Hunt.r_cpu_s < 0.5 *. local.Hunt.r_cpu_s then
+        Alcotest.failf "%s: daemon cpu_s %.3f < half of local cpu_s %.3f" name
+          daemon.Hunt.r_cpu_s local.Hunt.r_cpu_s)
+    [ ("shl-nsw", 32); ("const-prop-bad-arm", 16) ]
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration work                                                    *)

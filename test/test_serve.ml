@@ -92,10 +92,7 @@ let wire_tests =
         req_roundtrip (Wire.Hello { v = Wire.version; client = "test" });
         req_roundtrip (Wire.Check a_check);
         req_roundtrip (Wire.Check { a_check with Wire.id = None; deadline_s = None });
-        req_roundtrip (Wire.Enum_check { a_check with Wire.enum_only = true });
-        req_roundtrip
-          (Wire.Check_pair
-             { id = Some 1; mode = "strict"; module_text = "m"; deadline_s = None });
+        req_roundtrip (Wire.Check { a_check with Wire.enum_only = true });
         req_roundtrip Wire.Stats;
         req_roundtrip Wire.Shutdown);
     Alcotest.test_case "every reply variant roundtrips" `Quick (fun () ->
@@ -121,7 +118,6 @@ let wire_tests =
                queue_limit = 64;
                uptime_s = 3.5;
                served = 10;
-               coalesced_total = 4;
                rejected = 1;
                timeouts = 2;
                cache_hit_rate = 0.5;
@@ -137,6 +133,14 @@ let wire_tests =
         (match Wire.request_of_json (Json.Obj [ ("op", Json.Str "frobnicate") ]) with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "unknown request op accepted");
+        (match
+           Wire.request_of_json
+             (Json.Obj
+                [ ("op", Json.Str "check"); ("mode", Json.Str "proposed");
+                  ("src", Json.Str "s"); ("tgt", Json.Str "t"); ("enum_only", Json.Str "yes") ])
+         with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "non-boolean enum_only accepted");
         match Wire.reply_of_json (Json.Obj [ ("op", Json.Str "nonsense") ]) with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "unknown reply op accepted");
@@ -485,32 +489,60 @@ let server_tests =
                 expect_verdict "still serving" "refines"
                   (Client.check cl ~mode:"proposed" ~src:src_id ~tgt:src_id ()))));
     deadline_miss_test ~jobs:2 "a deadline miss leaves the connection serving (jobs = 2)";
-    Alcotest.test_case "coalescing fans one verdict out to every waiter" `Quick (fun () ->
+    Alcotest.test_case
+      "identical queries in one write are checked once when the daemon has a journal" `Quick
+      (fun () ->
+        with_server
+          ~tune:(fun c ->
+            { c with
+              Server.jobs = 1;
+              cache =
+                Some
+                  (Ub_exec.Cache.open_journal
+                     (Filename.concat (Filename.dirname c.Server.socket_path) "journal"));
+            })
+          (fun socket_path _ ->
+            let fd = raw_connect socket_path in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            (* six identical queries in ONE write: the server reads them
+               in one pass and queues six tasks; the first is checked,
+               the other five find its verdict in the journal *)
+            write_all fd
+              (String.concat "" (List.init 6 (fun i -> check_frame i ~src:src_id ~tgt:src_id)));
+            let cached = ref 0 in
+            for _ = 1 to 6 do
+              match recv_within fd "a repeated query" with
+              | Some (Wire.Verdict v) ->
+                Alcotest.(check string) "verdict" "refines" v.Wire.verdict;
+                Alcotest.(check bool) "never coalesced" false v.Wire.coalesced;
+                if v.Wire.cached then incr cached
+              | _ -> Alcotest.fail "expected a verdict"
+            done;
+            Alcotest.(check int) "cached replies" 5 !cached;
+            Client.with_conn ~socket_path (fun cl ->
+                match Json.member "counters" (Client.stats cl).Wire.report with
+                | Some counters ->
+                  Alcotest.(check (option (float 0.0))) "pool.task_done" (Some 1.0)
+                    (Json.num_field counters "pool.task_done")
+                | None -> Alcotest.fail "stats report has no counters")));
+    Alcotest.test_case "a version-1 check_pair answers error and the connection keeps serving"
+      `Quick (fun () ->
         with_server (fun socket_path _ ->
             let fd = raw_connect socket_path in
             Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-            (* deliver 6 identical queries in ONE write so the server
-               reads them in one pass and coalesces them into one task *)
-            let frame i =
-              Wire.frame_of_payload
-                (Json.to_string
-                   (Wire.request_to_json
-                      (Wire.Check
-                         { Wire.id = Some i; mode = "proposed"; src = src_id; tgt = src_id;
-                           deadline_s = None; enum_only = false })))
-            in
-            let burst = String.concat "" (List.init 6 frame) in
-            let b = Bytes.of_string burst in
-            ignore (Unix.write fd b 0 (Bytes.length b));
-            let coalesced = ref 0 in
-            for _ = 1 to 6 do
-              match Wire.recv_reply fd with
-              | Some (Wire.Verdict v) ->
-                Alcotest.(check string) "verdict" "refines" v.Wire.verdict;
-                if v.Wire.coalesced then incr coalesced
-              | _ -> Alcotest.fail "lost a coalesced reply"
-            done;
-            Alcotest.(check bool) "some replies were coalesced" true (!coalesced > 0)));
+            Wire.send_frame fd
+              (Json.to_string
+                 (Json.Obj
+                    [ ("op", Json.Str "check_pair"); ("id", Json.int 1);
+                      ("mode", Json.Str "proposed");
+                      ("module", Json.Str (src_id ^ "\n" ^ src_id)) ]));
+            (match recv_within fd "the check_pair reply" with
+            | Some (Wire.Error_r _) -> ()
+            | _ -> Alcotest.fail "check_pair must answer error");
+            write_all fd (check_frame 2 ~src:src_id ~tgt:src_id);
+            match recv_within fd "the next check" with
+            | Some r -> expect_verdict "still serving" "refines" r
+            | None -> Alcotest.fail "the daemon closed the connection"));
   ]
 
 (* Forty distinct pairs over four shapes, refining and not. *)
