@@ -25,11 +25,12 @@
    With [jobs > 1], a second experiment measures worker scaling: a
    fresh 3,000-query corpus (renamed variants of the unique pairs, so
    every variant is distinct cache work) pipelined into a jobs-1 daemon
-   and then into a jobs-[jobs] one.  Verdicts from both runs must match
-   the in-process ground truth.  The >=1.5x scaling gate is core-aware:
-   workers are processes, so on a machine with fewer cores than jobs the
-   QPS cannot scale and the gate is recorded but not enforced
-   (gate_enforced=false in the JSON). *)
+   and into a jobs-[jobs] one, [scale_rounds] times each in alternation,
+   and the speedup compares the two sides' median throughputs.  Verdicts
+   from every run must match the in-process ground truth.  The >=1.5x
+   scaling gate is core-aware: workers are processes, so on a machine
+   with fewer cores than jobs the QPS cannot scale and the gate is
+   recorded but not enforced (gate_enforced=false in the JSON). *)
 
 open Ub_ir
 open Ub_sem
@@ -78,10 +79,12 @@ let build_corpus () : pair array * int array * Ub_refine.Checker.verdict array =
   let picks = Array.init n_queries (fun _ -> Ub_support.Prng.int prng (Array.length unique)) in
   (Array.map fst unique, picks, Array.map snd unique)
 
-let verdict_name = function
-  | Ub_refine.Checker.Refines -> "refines"
-  | Ub_refine.Checker.Counterexample _ -> "counterexample"
-  | Ub_refine.Checker.Unknown _ -> "unknown"
+(* A reply agrees with the ground truth when it is a verdict of the
+   same kind. *)
+let agrees (truth : Ub_refine.Checker.verdict) (r : Ub_refine.Verdict_cache.outcome) : bool =
+  Ub_refine.Verdict_cache.kind r = Ub_refine.Verdict_cache.kind (Ub_exec.Pool.Done truth)
+
+let no_reply : Ub_refine.Verdict_cache.outcome = Ub_exec.Pool.Crashed "no reply"
 
 (* ------------------------------------------------------------------ *)
 (* Spawn baseline                                                      *)
@@ -234,11 +237,11 @@ type reply_classes = { mutable rc_journal : int; mutable rc_cold : int }
    latency as replies arrive (select across the connections, so a slow
    connection cannot skew the others' timestamps). *)
 let run_daemon_load (socket_path : string) (unique : pair array) (picks : int array) :
-    float * float array * string array * reply_classes =
+    float * float array * Ub_refine.Verdict_cache.outcome array * reply_classes =
   let conns = Array.init n_conns (fun _ -> Client.connect ~socket_path ()) in
   let send_t = Array.make (Array.length picks) 0.0 in
   let recv_t = Array.make (Array.length picks) 0.0 in
-  let verdicts = Array.make (Array.length picks) "" in
+  let verdicts = Array.make (Array.length picks) no_reply in
   let t0 = Ub_obs.Obs.Clock.now_s () in
   Array.iteri
     (fun qi u ->
@@ -271,7 +274,7 @@ let run_daemon_load (socket_path : string) (unique : pair array) (picks : int ar
             match v.Wire.r_id with
             | Some qi when qi >= 0 && qi < Array.length picks ->
               recv_t.(qi) <- Ub_obs.Obs.Clock.now_s ();
-              verdicts.(qi) <- v.Wire.verdict;
+              verdicts.(qi) <- v.Wire.result;
               if v.Wire.cached then classes.rc_journal <- classes.rc_journal + 1
               else classes.rc_cold <- classes.rc_cold + 1;
               decr outstanding
@@ -341,6 +344,10 @@ let run_overload_burst (socket_path : string) (unique : pair array) : int * int 
 let scale_queries = 3_000
 let scale_required = 1.5
 
+(* Runs per side: one run on a shared machine can land on a burst of
+   outside load and decide the gate alone. *)
+let scale_rounds = 3
+
 (* Workers are processes: the scaling gate only means something when the
    machine can actually run them in parallel.  Counted from
    /proc/cpuinfo (portable enough for the linux runners this targets);
@@ -364,7 +371,7 @@ let ncores () : int =
    that cannot scale with workers and is already measured by the daemon
    experiment above. *)
 let build_scale_corpus (unique : pair array) (truth : Ub_refine.Checker.verdict array) :
-    (string * string) array * string array =
+    (string * string) array * Ub_refine.Checker.verdict array =
   let n = Array.length unique in
   let texts =
     Array.init scale_queries (fun i ->
@@ -373,16 +380,16 @@ let build_scale_corpus (unique : pair array) (truth : Ub_refine.Checker.verdict 
         ( Printer.func_to_string { p.p_src with Func.name },
           Printer.func_to_string { p.p_tgt with Func.name } ))
   in
-  (texts, Array.init scale_queries (fun i -> verdict_name truth.(i mod n)))
+  (texts, Array.init scale_queries (fun i -> truth.(i mod n)))
 
 (* Pipeline the corpus over one connection, keeping half the daemon's
    advertised queue in flight so admission control never rejects. *)
 let run_scale_load (socket_path : string) (texts : (string * string) array) :
-    float * string array =
+    float * Ub_refine.Verdict_cache.outcome array =
   Client.with_conn ~client:"ubc-bench" ~socket_path @@ fun cl ->
   let window = max 1 (cl.Client.queue_limit / 2) in
   let n = Array.length texts in
-  let verdicts = Array.make n "" in
+  let verdicts = Array.make n no_reply in
   let sent = ref 0 in
   let send_next () =
     let src, tgt = texts.(!sent) in
@@ -398,8 +405,8 @@ let run_scale_load (socket_path : string) (texts : (string * string) array) :
   done;
   for _ = 1 to n do
     (match Client.recv cl with
-    | Some (Wire.Verdict { r_id = Some qi; verdict; _ }) when qi >= 0 && qi < n ->
-      verdicts.(qi) <- verdict
+    | Some (Wire.Verdict { r_id = Some qi; result; _ }) when qi >= 0 && qi < n ->
+      verdicts.(qi) <- result
     | Some (Wire.Overloaded _) -> failwith "serve bench: rejected during the scaling run"
     | Some _ -> failwith "serve bench: unexpected reply in the scaling run"
     | None -> failwith "serve bench: daemon closed the connection");
@@ -411,7 +418,7 @@ let run_scale_load (socket_path : string) (texts : (string * string) array) :
    runs pay the same cache costs.  Returns wall, verdicts and the
    daemon's closing stats. *)
 let run_scale_once ~(jobs : int) ~(dir : string) (texts : (string * string) array) :
-    float * string array * Wire.stats_reply =
+    float * Ub_refine.Verdict_cache.outcome array * Wire.stats_reply =
   Unix.mkdir dir 0o755;
   let socket_path, pid = start_daemon ~jobs ~dir in
   let wall, verdicts = run_scale_load socket_path texts in
@@ -419,10 +426,13 @@ let run_scale_once ~(jobs : int) ~(dir : string) (texts : (string * string) arra
   stop_daemon socket_path pid;
   (wall, verdicts, stats)
 
-(* The same corpus against a jobs-1 daemon and a jobs-[jobs] one.
-   Verdict agreement with ground truth is always enforced, the
-   >=[scale_required]x QPS gate only when the machine has the cores to
-   scale (recorded either way).  Returns the JSON block and pass/fail. *)
+(* The same corpus against a jobs-1 daemon and a jobs-[jobs] one,
+   [scale_rounds] times each, alternating, so load that comes and goes
+   on the machine falls on both sides.  Verdict agreement with ground
+   truth is always enforced, the >=[scale_required]x gate on the ratio
+   of the sides' median throughputs only when the machine has the cores
+   to scale (recorded either way).  Returns the JSON block and
+   pass/fail. *)
 let run_scale ~(jobs : int) ~(dir : string) (unique : pair array)
     (truth : Ub_refine.Checker.verdict array) : Json.t * bool =
   let texts, truth_v = build_scale_corpus unique truth in
@@ -431,23 +441,38 @@ let run_scale ~(jobs : int) ~(dir : string) (unique : pair array)
     cores;
   let mismatches verdicts =
     let bad = ref 0 in
-    Array.iteri (fun qi v -> if truth_v.(qi) <> v then incr bad) verdicts;
+    Array.iteri (fun qi r -> if not (agrees truth_v.(qi) r) then incr bad) verdicts;
     !bad
   in
-  let measure j =
+  let measure round j =
     let wall, verdicts, stats =
-      run_scale_once ~jobs:j ~dir:(Filename.concat dir (Printf.sprintf "scale-j%d" j)) texts
+      run_scale_once ~jobs:j
+        ~dir:(Filename.concat dir (Printf.sprintf "scale-j%d-%d" j round))
+        texts
     in
     let qps = float_of_int scale_queries /. wall in
-    Printf.printf "scaling: jobs %d: %.2fs wall, %.1f queries/s\n%!" j wall qps;
-    (wall, qps, mismatches verdicts, stats)
+    Printf.printf "scaling: round %d, jobs %d: %.2fs wall, %.1f queries/s\n%!" round j wall qps;
+    (qps, mismatches verdicts, stats)
   in
-  let wall_1, qps_1, bad_1, _ = measure 1 in
-  let wall_n, qps_n, bad_n, stats_n = measure jobs in
+  let rounds =
+    List.init scale_rounds (fun round ->
+        let one = measure round 1 in
+        (one, measure round jobs))
+  in
+  let ones = List.map fst rounds and ns = List.map snd rounds in
+  let qps runs = List.map (fun (q, _, _) -> q) runs in
+  let bad runs = List.fold_left (fun n (_, b, _) -> n + b) 0 runs in
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  let qps_1 = median (qps ones) and qps_n = median (qps ns) in
+  let bad_1 = bad ones and bad_n = bad ns in
+  let _, _, stats_n = List.nth ns (scale_rounds - 1) in
+  let wall_1 = float_of_int scale_queries /. qps_1
+  and wall_n = float_of_int scale_queries /. qps_n in
   let speedup = qps_n /. qps_1 in
   let verdicts_match = bad_1 = 0 && bad_n = 0 in
   let gate_enforced = cores >= jobs in
-  Printf.printf "scaling: %.2fx at jobs %d\n%!" speedup jobs;
+  Printf.printf "scaling: %.2fx at jobs %d (medians of %d runs a side)\n%!" speedup jobs
+    scale_rounds;
   let num f = Json.Num f in
   let int = Json.int in
   let j =
@@ -456,10 +481,13 @@ let run_scale ~(jobs : int) ~(dir : string) (unique : pair array)
         ("queries", int scale_queries);
         ("distinct_queries", Json.Bool true);
         ("cores", int cores);
+        ("rounds", int scale_rounds);
         ("wall_1job_s", num wall_1);
         ("qps_1job", num qps_1);
+        ("qps_1job_runs", Json.List (List.map num (qps ones)));
         ("wall_njobs_s", num wall_n);
         ("qps_njobs", num qps_n);
+        ("qps_njobs_runs", Json.List (List.map num (qps ns)));
         ("speedup", num speedup);
         ("required_speedup", num scale_required);
         ("gate_enforced", Json.Bool gate_enforced);
@@ -569,7 +597,7 @@ let run ~(jobs : int) ~(out : string) : bool =
     in
     Client.with_conn ~socket_path (fun cl ->
         match Client.check cl ~deadline_s:0.1 ~mode:"proposed" ~src ~tgt () with
-        | Wire.Verdict { verdict = "timeout"; _ } -> true
+        | Wire.Verdict { result = Ub_exec.Pool.Timed_out; _ } -> true
         | _ -> false)
   in
   let stats = Client.with_conn ~socket_path (fun cl -> Client.stats cl) in
@@ -587,10 +615,8 @@ let run ~(jobs : int) ~(out : string) : bool =
   let mismatches = ref 0 in
   Array.iteri
     (fun qi u ->
-      let want = verdict_name truth.(u) in
-      if serve_verdicts.(qi) <> want then incr mismatches;
-      let want_refines = want = "refines" in
-      if spawn_refines.(qi) <> want_refines then incr mismatches)
+      if not (agrees truth.(u) serve_verdicts.(qi)) then incr mismatches;
+      if spawn_refines.(qi) <> (truth.(u) = Ub_refine.Checker.Refines) then incr mismatches)
     picks;
   let verdicts_match = !mismatches = 0 in
   let sorted = Array.copy latencies in

@@ -345,13 +345,9 @@ let check_cmd =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
     let src, tgt = load_pair "check" (file :: Option.to_list tgt) in
-    match Ub_refine.Checker.check mode ~src ~tgt with
-    | Ub_refine.Checker.Refines ->
-      print_endline "refines";
-      0
-    | v ->
-      print_endline (Ub_refine.Checker.verdict_to_string v);
-      1
+    let v = Ub_refine.Checker.check mode ~src ~tgt in
+    print_endline (Ub_refine.Checker.verdict_to_string v);
+    if v = Ub_refine.Checker.Refines then 0 else 1
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Does TGT refine SRC under the given semantics mode?")
@@ -476,34 +472,22 @@ let serve_cmd =
 (* submit: query a running daemon                                      *)
 (* ------------------------------------------------------------------ *)
 
-let describe_reply (r : Ub_serve.Wire.reply) : string =
+(* A reply as `ubc submit` prints it, and its exit code: 0 only for a
+   clean "refines"; any other verdict or an overload is a verdict
+   failure, anything else a protocol one. *)
+let describe_reply (r : Ub_serve.Wire.reply) : string * int =
+  let open Ub_serve.Wire in
   match r with
-  | Ub_serve.Wire.Verdict v -> (
-    let flags = if v.Ub_serve.Wire.cached then " [cached]" else "" in
-    match v.Ub_serve.Wire.verdict with
-    | "refines" -> "refines" ^ flags
-    | "counterexample" ->
-      Printf.sprintf "COUNTEREXAMPLE args=(%s): %s%s"
-        (String.concat ", " v.Ub_serve.Wire.args)
-        v.Ub_serve.Wire.detail flags
-    | "timeout" -> "timeout: " ^ v.Ub_serve.Wire.detail ^ flags
-    | "crashed" -> "crashed: " ^ v.Ub_serve.Wire.detail ^ flags
-    | other -> other ^ ": " ^ v.Ub_serve.Wire.detail ^ flags)
-  | Ub_serve.Wire.Overloaded { queue_depth; queue_limit; _ } ->
-    Printf.sprintf "overloaded: queue %d/%d" queue_depth queue_limit
-  | Ub_serve.Wire.Error_r { message; _ } -> "error: " ^ message
-  | Ub_serve.Wire.Hello_ok _ -> "hello_ok"
-  | Ub_serve.Wire.Stats_r _ -> "stats"
-  | Ub_serve.Wire.Bye -> "bye"
-
-(* 0 only when every reply is a clean "refines"; any other verdict
-   (counterexample, unknown, timeout, overload) is a verdict failure. *)
-let reply_code (r : Ub_serve.Wire.reply) : int =
-  match r with
-  | Ub_serve.Wire.Verdict { verdict = "refines"; _ } -> 0
-  | Ub_serve.Wire.Verdict _ | Ub_serve.Wire.Overloaded _ -> 1
-  | Ub_serve.Wire.Error_r _ -> 3
-  | _ -> 0
+  | Verdict v ->
+    ( (match v.result with
+      | Ub_exec.Pool.Done c -> Ub_refine.Checker.verdict_to_string c
+      | Ub_exec.Pool.Timed_out | Ub_exec.Pool.Crashed _ -> v.verdict ^ ": " ^ v.detail)
+      ^ (if v.cached then " [cached]" else ""),
+      if v.result = Ub_exec.Pool.Done Ub_refine.Checker.Refines then 0 else 1 )
+  | Overloaded { queue_depth; queue_limit; _ } ->
+    (Printf.sprintf "overloaded: queue %d/%d" queue_depth queue_limit, 1)
+  | Error_r { message; _ } -> ("error: " ^ message, 3)
+  | Hello_ok _ | Stats_r _ | Bye -> ("unexpected reply", 3)
 
 let submit_cmd =
   let files = Arg.(value & pos_all file [] & info [] ~docv:"FILE") in
@@ -566,8 +550,9 @@ let submit_cmd =
             match Ub_serve.Client.recv cl with
             | None -> raise (Ub_serve.Client.Server_error "server closed mid-burst")
             | Some r ->
-              print_endline (describe_reply r);
-              code := max !code (reply_code r)
+              let text, rc = describe_reply r in
+              print_endline text;
+              code := max !code rc
           done;
           !code)
     end

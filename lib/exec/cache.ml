@@ -58,23 +58,13 @@ let key ~(parts : string list) : string =
 
 let record_bytes k v = 8 + String.length k + String.length v
 
-let put_u32 b off n =
-  Bytes.set b off (Char.chr ((n lsr 24) land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((n lsr 16) land 0xFF));
-  Bytes.set b (off + 2) (Char.chr ((n lsr 8) land 0xFF));
-  Bytes.set b (off + 3) (Char.chr (n land 0xFF))
-
-let get_u32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFF_FFFF
 
 let encode_record k v : Bytes.t =
   let kl = String.length k and vl = String.length v in
   let b = Bytes.create (8 + kl + vl) in
-  put_u32 b 0 kl;
-  put_u32 b 4 vl;
+  Bytes.set_int32_be b 0 (Int32.of_int kl);
+  Bytes.set_int32_be b 4 (Int32.of_int vl);
   Bytes.blit_string k 0 b 8 kl;
   Bytes.blit_string v 0 b (8 + kl) vl;
   b
@@ -91,14 +81,6 @@ let with_lock (t : t) (f : unit -> 'a) : 'a =
       ignore (Unix.lseek t.lockfd 0 Unix.SEEK_SET);
       Unix.lockf t.lockfd Unix.F_ULOCK 0)
     f
-
-let rec write_all fd b off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd b off len with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd b (off + n) (len - n)
-  end
 
 let open_writer jpath = Unix.openfile jpath [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
 
@@ -205,7 +187,7 @@ let compact (t : t) : unit =
      Hashtbl.iter
        (fun k v ->
          let b = encode_record k v in
-         write_all fd b 0 (Bytes.length b);
+         Ub_support.Util.write_all fd b 0 (Bytes.length b);
          bytes := !bytes + Bytes.length b)
        t.index;
      Unix.close fd
@@ -251,7 +233,7 @@ let store t k (v : string) : unit =
       (* a crashed writer's torn record: cut it off, or this append
          would land behind bytes no replay can get past *)
       if t.size > t.replayed then Unix.ftruncate t.wfd t.replayed;
-      write_all t.wfd b 0 (Bytes.length b);
+      Ub_support.Util.write_all t.wfd b 0 (Bytes.length b);
       (match Hashtbl.find_opt t.index k with
       | Some old -> t.live <- t.live - record_bytes k old
       | None -> ());
@@ -273,11 +255,3 @@ let journal_size t = t.replayed
 let hits t = t.hits
 let misses t = t.misses
 let stores t = t.stores
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-let pp_stats ppf t =
-  Format.fprintf ppf "cache: %d hit(s), %d miss(es), %d store(s), %.1f%% hit rate" t.hits
-    t.misses t.stores (100.0 *. hit_rate t)

@@ -108,6 +108,13 @@ let run_task ?timeout_s f x : _ result =
   outcome r;
   r
 
+(* [run_task] in a [pool.task] span, with the seconds it took: a task's
+   own run time, wherever it runs. *)
+let timed_task ?timeout_s f x : _ result * float =
+  let t0 = Obs.Clock.now_s () in
+  let r = Obs.with_span "pool.task" (fun () -> run_task ?timeout_s f x) in
+  (r, Obs.Clock.elapsed_s ~since:t0)
+
 (* OCaml numbers signals its own way ([Sys.sigkill] is -7) and 5.1 has
    no [Sys.signal_to_string]: name the ones a dying worker shows. *)
 let signal_name n =
@@ -175,7 +182,7 @@ let terminate_workers () =
    so a worker never idles between tasks for a round trip. *)
 let worker_slots = 2
 
-type ('a, 'b) task = { timeout_s : float option; x : 'a; k : 'b result -> unit }
+type ('a, 'b) task = { timeout_s : float option; x : 'a; k : 'b result -> float -> unit }
 
 type ('a, 'b) worker = {
   idx : int;
@@ -206,9 +213,7 @@ let worker_loop (f : 'a -> 'b) (task_fd : Unix.file_descr) (res_fd : Unix.file_d
     match (Marshal.from_channel ic : float option * 'a) with
     | exception End_of_file -> ()
     | timeout_s, x ->
-      let t0 = Obs.Clock.now_s () in
-      let r = Obs.with_span "pool.task" (fun () -> run_task ?timeout_s f x) in
-      let busy = Obs.Clock.elapsed_s ~since:t0 in
+      let r, busy = timed_task ?timeout_s f x in
       Marshal.to_channel oc ((r, busy, Obs.drain ()) : 'b result * float * Obs.payload) [];
       flush oc;
       loop ()
@@ -285,8 +290,8 @@ let send (w : ('a, 'b) worker) (t : ('a, 'b) task) : unit =
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_pipe) (fun () -> write 0);
   Queue.push t w.inflight
 
-(* Hand [x] to the least-loaded worker; [k] gets its result from
-   [service].  Only call it when [has_slot]. *)
+(* Hand [x] to the least-loaded worker, only when [has_slot]; [service]
+   gives [k] its result and the worker's seconds on it (0 if it died). *)
 let submit p ?timeout_s x k =
   let w = least_loaded p in
   if Queue.length w.inflight >= worker_slots then invalid_arg "Pool.submit: no free slot";
@@ -321,7 +326,7 @@ let worker_readable p (w : ('a, 'b) worker) : unit =
   | Some (r, busy, payload) ->
     Obs.absorb payload ~attrs:[ ("worker", Obs.I w.idx) ];
     p.busy <- p.busy +. busy;
-    (Queue.pop w.inflight).k r
+    (Queue.pop w.inflight).k r busy
   | None ->
     close_quietly w.task_fd;
     close_quietly w.res_fd;
@@ -341,7 +346,7 @@ let worker_readable p (w : ('a, 'b) worker) : unit =
     Option.iter
       (fun t ->
         Obs.count "pool.task_crashed";
-        t.k (Crashed why))
+        t.k (Crashed why) 0.0)
       lost
 
 (* Service the workers whose result pipes are in [ready]. *)
@@ -381,9 +386,8 @@ let sequential ?timeout_s f (xs : 'a array) : 'b result array * stats =
   let results =
     Array.map
       (fun x ->
-        let s0 = Obs.Clock.now_s () in
-        let r = Obs.with_span "pool.task" (fun () -> run_task ?timeout_s f x) in
-        busy := !busy +. Obs.Clock.elapsed_s ~since:s0;
+        let r, s = timed_task ?timeout_s f x in
+        busy := !busy +. s;
         r)
       xs
   in
@@ -403,7 +407,7 @@ let map_stats ?(jobs = 1) ?timeout_s (f : 'a -> 'b) (xs : 'a array) :
         while !next < n || in_flight p > 0 do
           while !next < n && has_slot p do
             let i = !next in
-            submit p ?timeout_s i (fun r -> results.(i) <- r);
+            submit p ?timeout_s i (fun r _ -> results.(i) <- r);
             incr next
           done;
           match Unix.select (fds p) [] [] (-1.0) with

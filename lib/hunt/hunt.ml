@@ -200,9 +200,7 @@ let shrink_finding (p : pending) : finding =
       ( r.Ub_refine.Reduce.red_src,
         r.Ub_refine.Reduce.red_tgt,
         Some r.Ub_refine.Reduce.stats,
-        (match r.Ub_refine.Reduce.verdict with
-        | Ub_refine.Checker.Counterexample _ -> "counterexample"
-        | v -> Ub_refine.Checker.verdict_to_string v) )
+        Ub_refine.Verdict_cache.kind (Ub_exec.Pool.Done r.Ub_refine.Reduce.verdict) )
     | None ->
       (* the reducer could not reproduce the failure under its own
          budget: keep the unshrunk witness rather than lose the bug *)
@@ -222,12 +220,12 @@ let shrink_finding (p : pending) : finding =
     f_verdict = verdict;
   }
 
-(* The one verdict-to-outcome mapping: a local verdict and a daemon
-   reply both arrive here as [Reduce.verdict_class]'s three classes. *)
-let outcome (p : pending) = function
-  | `Counterexample -> Found (shrink_finding p)
-  | `Unknown -> Inconclusive
-  | `Refines -> Refined
+(* The one verdict-to-outcome mapping: a local check's verdict and a
+   daemon reply's both arrive here. *)
+let outcome (p : pending) : Ub_refine.Checker.verdict -> outcome = function
+  | Ub_refine.Checker.Counterexample _ -> Found (shrink_finding p)
+  | Ub_refine.Checker.Unknown _ -> Inconclusive
+  | Ub_refine.Checker.Refines -> Refined
 
 let shrink_backend_finding (lane : lane) ~(bug : Ub_backend.Mir_inject.bug)
     ~(program : int) (fn : Func.t) : finding =
@@ -311,7 +309,7 @@ let check_local (p : pending) : outcome =
       ~tgt:p.tgt
   in
   Obs.count "hunt.check_done";
-  outcome p (Ub_refine.Reduce.verdict_class v)
+  outcome p v
 
 (* One program, checked where it was generated: every step comes back
    decided. *)
@@ -451,9 +449,9 @@ let default_remote ~socket = { socket; deadline_s = None; batch = 32 }
    [timeout_s] do not apply).  Each chunk of [batch] programs sends one
    pipelined batch per lane (a batch carries one mode).  The wire
    carries no budget: the daemon checks at its own default budget.
-   [r_cpu_s] is the daemon's check time (each reply's [wall_s]) plus the
-   in-process work, timed as a local campaign times its pool tasks.
-   Here [r_dropped] counts checks. *)
+   [r_cpu_s] is the daemon's check time (each reply's [service_s], not
+   its queue wait) plus the in-process work, timed as a local campaign
+   times its pool tasks.  Here [r_dropped] counts checks. *)
 let run_daemon (cfg : config) (r : remote) : report =
   Ub_serve.Client.with_conn ~client:"ubc-hunt" ~socket_path:r.socket @@ fun conn ->
   campaign cfg ~chunk:r.batch @@ fun acc programs ->
@@ -485,19 +483,13 @@ let run_daemon (cfg : config) (r : remote) : report =
         in
         List.iteri
           (fun i p ->
-            let answered cls wall_s =
-              acc.cpu_s <- acc.cpu_s +. wall_s;
-              Obs.count "hunt.check_done";
-              tally acc (timed (outcome p) cls)
-            in
             match replies.(i) with
-            | Wire.Verdict { verdict = "refines"; wall_s; _ } -> answered `Refines wall_s
-            | Wire.Verdict { verdict = "counterexample"; wall_s; _ } ->
-              answered `Counterexample wall_s
-            | Wire.Verdict { verdict = "unknown"; wall_s; _ } -> answered `Unknown wall_s
-            | Wire.Verdict { verdict = "timeout"; _ } -> drop acc "daemon_deadline"
-            | Wire.Verdict { verdict = "crashed"; _ } -> drop acc "daemon_crash"
-            | Wire.Verdict _ -> drop acc "daemon_other"
+            | Wire.Verdict { result = Ub_exec.Pool.Done v; service_s; _ } ->
+              acc.cpu_s <- acc.cpu_s +. service_s;
+              Obs.count "hunt.check_done";
+              tally acc (timed (outcome p) v)
+            | Wire.Verdict { result = Ub_exec.Pool.Timed_out; _ } -> drop acc "daemon_deadline"
+            | Wire.Verdict { result = Ub_exec.Pool.Crashed _; _ } -> drop acc "daemon_crash"
             | Wire.Overloaded _ -> drop acc "daemon_overload"
             | Wire.Error_r _ -> drop acc "daemon_error"
             | _ -> drop acc "daemon_protocol")

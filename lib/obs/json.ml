@@ -46,7 +46,8 @@ let escape_into buf s =
 
 let number_to_string (f : float) : string =
   if not (Float.is_finite f) then "null" (* JSON has no nan/inf *)
-  else if Float.is_integer f && Float.abs f < 1e18 then Printf.sprintf "%.0f" f
+  else if Float.is_integer f && Float.abs f < 1e18 && not (Float.sign_bit f && f = 0.0) then
+    string_of_int (int_of_float f)
   else
     let rec shortest digits =
       let s = Printf.sprintf "%.*g" digits f in

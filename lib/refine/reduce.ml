@@ -62,11 +62,6 @@ type reduction = {
   verdict : Checker.verdict; (* re-check of the minimized pair *)
 }
 
-let verdict_class = function
-  | Checker.Refines -> `Refines
-  | Checker.Counterexample _ -> `Counterexample
-  | Checker.Unknown _ -> `Unknown
-
 (* Minimize a failing transform pair under the "still a counterexample"
    oracle.  [None] when the pair is not a counterexample to begin with
    (nothing to reduce — returning the input unchanged would let a
@@ -82,7 +77,7 @@ let minimize_cex ?cache ?inputs ?max_steps ?(preserve : Mode.t list = [])
   if not (not_refined ?cache ?inputs mode ~src ~tgt) then None
   else begin
     let class_under m ~src ~tgt =
-      verdict_class
+      Verdict_cache.kind @@ Ub_exec.Pool.Done
         (try
            check_cached ?cache ?inputs ~max_universal_bits:reduce_universal_bits
              ~max_conflicts:reduce_conflicts m ~src ~tgt

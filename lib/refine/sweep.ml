@@ -28,8 +28,7 @@ let key (t : task) =
     ~src:t.src ~tgt:t.tgt ()
 
 let check ?jobs ?timeout_s ?(cache : Ub_exec.Cache.t option) (tasks : task array) : report =
-  let counter get = match cache with Some c -> get c | None -> 0 in
-  let hits0 = counter Ub_exec.Cache.hits and misses0 = counter Ub_exec.Cache.misses in
+  let hits0, misses0 = Verdict_cache.lookups () in
   let results, pool =
     Ub_exec.Pool.map_cached ?jobs ?timeout_s
       ~find:(fun t -> Option.bind cache (fun c -> Verdict_cache.find c (key t)))
@@ -45,6 +44,6 @@ let check ?jobs ?timeout_s ?(cache : Ub_exec.Cache.t option) (tasks : task array
           | Ub_exec.Pool.Timed_out -> Checker.Unknown "task timed out")
         results;
     pool;
-    cache_hits = counter Ub_exec.Cache.hits - hits0;
-    cache_misses = counter Ub_exec.Cache.misses - misses0;
+    cache_hits = fst (Verdict_cache.lookups ()) - hits0;
+    cache_misses = snd (Verdict_cache.lookups ()) - misses0;
   }

@@ -8,8 +8,8 @@ exception Server_error of string
 type t = {
   fd : Unix.file_descr;
   server : string; (* the server's self-description from hello_ok *)
-  jobs : int; (* server's pool size, echoed in hello_ok (0 if unsent) *)
-  queue_limit : int; (* server's admission-queue depth (0 if unsent) *)
+  jobs : int; (* server's pool size, echoed in hello_ok *)
+  queue_limit : int; (* server's admission-queue depth *)
 }
 
 let connect ?(client = "ubc") ~socket_path () : t =
@@ -50,9 +50,9 @@ let check (t : t) ?id ?deadline_s ?(enum_only = false) ~(mode : string) ~(src : 
 (* Pipelined batch: send every Check frame up front, then collect
    exactly one reply per request.  Replies are matched to requests by
    the echoed id — a server with persistent workers may answer out of
-   request order.  A reply without an id (or with one we did not send)
-   fills the first unanswered slot, so a protocol hiccup degrades
-   accounting but never hangs the client. *)
+   request order.  A reply that names no unanswered request raises
+   [Server_error]: handing it to a guessed request could give that
+   request another's verdict. *)
 let check_batch (t : t) ?deadline_s ?(enum_only = false) ~(mode : string)
     (pairs : (string * string) array) : Wire.reply array =
   let n = Array.length pairs in
@@ -61,34 +61,18 @@ let check_batch (t : t) ?deadline_s ?(enum_only = false) ~(mode : string)
       send t (Wire.Check { Wire.id = Some i; mode; src; tgt; deadline_s; enum_only }))
     pairs;
   let replies = Array.make n None in
-  let next_unfilled = ref 0 in
   for _ = 1 to n do
     match recv t with
+    | Some
+        (( Wire.Verdict { r_id = Some i; _ }
+         | Wire.Overloaded { r_id = Some i; _ }
+         | Wire.Error_r { r_id = Some i; _ } ) as r)
+      when i >= 0 && i < n && replies.(i) = None ->
+      replies.(i) <- Some r
+    | Some _ -> raise (Server_error "a reply that names no unanswered request")
     | None -> raise (Server_error "server closed the connection mid-batch")
-    | Some r ->
-      let id =
-        match r with
-        | Wire.Verdict { r_id; _ } | Wire.Overloaded { r_id; _ } | Wire.Error_r { r_id; _ }
-          ->
-          r_id
-        | _ -> None
-      in
-      let slot =
-        match id with
-        | Some i when i >= 0 && i < n && replies.(i) = None -> i
-        | _ ->
-          while !next_unfilled < n && replies.(!next_unfilled) <> None do
-            incr next_unfilled
-          done;
-          !next_unfilled
-      in
-      if slot < n then replies.(slot) <- Some r
   done;
-  Array.map
-    (function
-      | Some r -> r
-      | None -> Wire.Error_r { r_id = None; message = "no reply received" })
-    replies
+  Array.map Option.get replies
 
 let stats (t : t) : Wire.stats_reply =
   match rpc t Wire.Stats with

@@ -52,6 +52,8 @@
    ([closing]) are closed once their queue drains. *)
 
 module Obs = Ub_obs.Obs
+module Pool = Ub_exec.Pool
+module Verdict_cache = Ub_refine.Verdict_cache
 open Ub_ir
 
 type config = {
@@ -109,7 +111,7 @@ type state = {
   started_at : float;
   lfd : Unix.file_descr; (* the listening socket *)
   queue : task Queue.t; (* waiting tasks, in arrival order *)
-  mutable pool : (query, Ub_refine.Checker.verdict) Ub_exec.Pool.workers option;
+  mutable pool : (query, Ub_refine.Checker.verdict) Pool.workers option;
       (* [None] when [jobs = 1] *)
   mutable conns : conn list;
   mutable draining : bool;
@@ -170,52 +172,23 @@ let check ((mode, enum, src, tgt) : query) : Ub_refine.Checker.verdict =
   if enum then Ub_refine.Enum_check.check ~mode ~src ~tgt ()
   else Ub_refine.Checker.check mode ~src ~tgt
 
-let verdict_fields : Ub_refine.Checker.verdict -> string * string * string list = function
-  | Ub_refine.Checker.Refines -> ("refines", "", [])
-  | Ub_refine.Checker.Counterexample { args; witness } ->
-    ("counterexample", witness, List.map Ub_sem.Value.to_string args)
-  | Ub_refine.Checker.Unknown r -> ("unknown", r, [])
-
-let reply_verdict st (t : task) ~(cached : bool)
-    (r : Ub_refine.Checker.verdict Ub_exec.Pool.result) : unit =
-  let verdict, detail, args =
-    match r with
-    | Ub_exec.Pool.Done v -> verdict_fields v
-    | Ub_exec.Pool.Timed_out ->
-      Obs.count "serve.timeouts";
-      ("timeout", "deadline exceeded", [])
-    | Ub_exec.Pool.Crashed m -> ("crashed", m, [])
-  in
-  Obs.count ("serve.verdict." ^ verdict);
+(* Answer [t], journaling a verdict that did not come from the journal.
+   [service_s] is the check's own run time, 0 for a journal hit. *)
+let answer st (t : task) ~(cached : bool) (r : Verdict_cache.outcome) (service_s : float) =
+  (match (r, st.cfg.cache) with
+  | Pool.Done v, Some c when not cached -> Verdict_cache.store c t.t_cache_key v
+  | _ -> ());
+  Obs.count ("serve.verdict." ^ Verdict_cache.kind r);
+  if r = Pool.Timed_out then Obs.count "serve.timeouts";
   send st t.t_conn
-    (Wire.Verdict
-       { r_id = t.t_id;
-         verdict;
-         detail;
-         args;
-         cached;
-         coalesced = false;
-         wall_s = Obs.Clock.now_s () -. t.t_enqueued_at;
-       })
+    (Wire.make_verdict ~r_id:t.t_id ~cached ~wall_s:(Obs.Clock.now_s () -. t.t_enqueued_at)
+       ~service_s r)
 
 (* Answer [t] from the journal when it holds the verdict. *)
 let journal_hit (st : state) (t : task) : bool =
-  match st.cfg.cache with
-  | None -> false
-  | Some c -> (
-    match Ub_refine.Verdict_cache.find c t.t_cache_key with
-    | Some v ->
-      reply_verdict st t ~cached:true (Ub_exec.Pool.Done v);
-      true
-    | None -> false)
-
-(* A checked task: journal its verdict, then answer it. *)
-let complete (st : state) (t : task) (r : Ub_refine.Checker.verdict Ub_exec.Pool.result) :
-    unit =
-  (match (r, st.cfg.cache) with
-  | Ub_exec.Pool.Done v, Some c -> Ub_refine.Verdict_cache.store c t.t_cache_key v
-  | _ -> ());
-  reply_verdict st t ~cached:false r
+  let hit = Option.bind st.cfg.cache (fun c -> Verdict_cache.find c t.t_cache_key) in
+  Option.iter (fun v -> answer st t ~cached:true (Pool.Done v) 0.0) hit;
+  Option.is_some hit
 
 (* [jobs = 1]: drain up to [batch_max] tasks, one by one in this
    process.  Each looks in the journal just before it would run, so a
@@ -225,18 +198,17 @@ let run_batch (st : state) : unit =
   for _ = 1 to min st.cfg.batch_max (Queue.length st.queue) do
     let t = Queue.pop st.queue in
     if not (journal_hit st t) then
-      complete st t
-        (Obs.with_span "pool.task" (fun () ->
-             Ub_exec.Pool.run_task ?timeout_s:t.t_deadline check t.t_query))
+      let r, service_s = Pool.timed_task ?timeout_s:t.t_deadline check t.t_query in
+      answer st t ~cached:false r service_s
   done
 
 (* [jobs > 1]: hand queued tasks to the pool while a worker has a free
    slot. *)
 let dispatch (st : state) pool : unit =
-  while (not (Queue.is_empty st.queue)) && Ub_exec.Pool.has_slot pool do
+  while (not (Queue.is_empty st.queue)) && Pool.has_slot pool do
     let t = Queue.pop st.queue in
     if not (journal_hit st t) then
-      Ub_exec.Pool.submit pool ?timeout_s:t.t_deadline t.t_query (complete st t)
+      Pool.submit pool ?timeout_s:t.t_deadline t.t_query (answer st t ~cached:false)
   done
 
 (* Run what is queued: an in-process batch, or hand-off to workers. *)
@@ -246,16 +218,16 @@ let pump (st : state) : unit =
   | Some pool -> dispatch st pool
 
 let worker_fds (st : state) : Unix.file_descr list =
-  match st.pool with Some pool -> Ub_exec.Pool.fds pool | None -> []
+  match st.pool with Some pool -> Pool.fds pool | None -> []
 
 let service_workers (st : state) (ready : Unix.file_descr list) : unit =
-  Option.iter (fun pool -> Ub_exec.Pool.service pool ready) st.pool
+  Option.iter (fun pool -> Pool.service pool ready) st.pool
 
 let inflight (st : state) : int =
-  match st.pool with Some pool -> Ub_exec.Pool.in_flight pool | None -> 0
+  match st.pool with Some pool -> Pool.in_flight pool | None -> 0
 
 let stop_workers (st : state) : unit =
-  Option.iter Ub_exec.Pool.stop st.pool;
+  Option.iter Pool.stop st.pool;
   st.pool <- None
 
 (* ------------------------------------------------------------------ *)
@@ -276,40 +248,34 @@ let enqueue_check (st : state) (c : conn) ~(id : int option) ~(deadline_s : floa
         t_id = id;
         t_enqueued_at = Obs.Clock.now_s ();
         t_cache_key =
-          Ub_refine.Verdict_cache.key ~mode
-            ~kind:
-              (if enum then Ub_refine.Verdict_cache.enum_kind
-               else Ub_refine.Verdict_cache.combined_kind)
+          Verdict_cache.key ~mode
+            ~kind:(if enum then Verdict_cache.enum_kind else Verdict_cache.combined_kind)
             ~src ~tgt ();
         t_query = query;
         t_deadline = (match deadline_s with None -> st.cfg.default_deadline_s | d -> d);
       }
       st.queue
 
+(* Verdicts served, from every [serve.verdict.<kind>] counter. *)
 let stats_reply (st : state) : Wire.reply =
   let verdicts =
     List.filter_map
-      (fun k ->
-        let n = Obs.counter_value ("serve.verdict." ^ k) in
-        if n > 0 then Some (k, n) else None)
-      [ "refines"; "counterexample"; "unknown"; "timeout"; "crashed" ]
+      (fun (k, n) ->
+        Option.map (fun kind -> (kind, !n)) (Scanf.sscanf_opt k "serve.verdict.%s%!" Fun.id))
+      (Obs.sorted_bindings Obs.counters)
   in
+  let hits, misses = Verdict_cache.lookups () in
   Wire.Stats_r
     { queue_depth = Queue.length st.queue;
       queue_limit = st.cfg.queue_limit;
       uptime_s = Obs.Clock.now_s () -. st.started_at;
-      served =
-        Obs.counter_value "serve.verdict.refines"
-        + Obs.counter_value "serve.verdict.counterexample"
-        + Obs.counter_value "serve.verdict.unknown"
-        + Obs.counter_value "serve.verdict.timeout"
-        + Obs.counter_value "serve.verdict.crashed";
+      served = List.fold_left (fun n (_, k) -> n + k) 0 verdicts;
       rejected = Obs.counter_value "serve.rejected";
       timeouts = Obs.counter_value "serve.timeouts";
       cache_hit_rate =
-        (match st.cfg.cache with Some c -> Ub_exec.Cache.hit_rate c | None -> 0.0);
-      cache_hits = (match st.cfg.cache with Some c -> Ub_exec.Cache.hits c | None -> 0);
-      cache_misses = (match st.cfg.cache with Some c -> Ub_exec.Cache.misses c | None -> 0);
+        (if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses));
+      cache_hits = hits;
+      cache_misses = misses;
       server = server_name;
       verdicts;
       report = Obs.report ();
@@ -467,7 +433,7 @@ let run (cfg : config) : unit =
   if cfg.jobs > 1 then
     st.pool <-
       Some
-        (Ub_exec.Pool.spawn ~jobs:cfg.jobs ~respawn_event:"serve.worker_respawn"
+        (Pool.spawn ~jobs:cfg.jobs ~respawn_event:"serve.worker_respawn"
            (* an inherited client connection would stay open at the
               client after the daemon closes it *)
            ~in_child:(fun () -> List.iter close_quietly (lfd :: List.map (fun c -> c.fd) st.conns))

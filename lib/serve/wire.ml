@@ -24,9 +24,13 @@
 
    Version 2 dropped version 1's [enum_check] and [check_pair] ops: a
    version-1 client that sends them would get errors, so the handshake
-   refuses it up front. *)
+   refuses it up front.  Version 3 sends a verdict as the object of
+   the verdict codec ([Ub_refine.Verdict_cache.to_json]) in place of
+   version 2's three strings, and adds [service_s]. *)
 
-let version = 2
+module Verdict_cache = Ub_refine.Verdict_cache
+
+let version = 3
 let max_frame_bytes = 8 * 1024 * 1024
 
 (* A deadline is a number of seconds in (0, max_deadline_s].  The timer
@@ -58,12 +62,15 @@ type request =
 
 type verdict_reply = {
   r_id : int option;
-  verdict : string; (* "refines" | "counterexample" | "unknown" | "timeout" | "crashed" *)
+  result : Verdict_cache.outcome;
+  cached : bool; (* served straight from the verdict cache *)
+  wall_s : float; (* server-side queue wait + check *)
+  service_s : float; (* the check alone; 0 when [cached] *)
+  (* Derived from [result] for readers of the version-2 fields: *)
+  verdict : string; (* [Verdict_cache.kind] *)
   detail : string; (* witness / reason; "" when refines *)
   args : string list; (* counterexample argument values, printed *)
-  cached : bool; (* served straight from the verdict cache *)
-  coalesced : bool; (* always false; kept so existing readers still decode *)
-  wall_s : float; (* server-side queue+check wall clock *)
+  coalesced : bool; (* always false *)
 }
 
 type stats_reply = {
@@ -83,13 +90,24 @@ type stats_reply = {
 
 type reply =
   | Hello_ok of { v : int; server : string; jobs : int; queue_limit : int }
-    (* jobs/queue_limit echo the server's tuning; 0 from older servers
-       that do not send them *)
+    (* jobs/queue_limit echo the server's tuning *)
   | Verdict of verdict_reply
   | Overloaded of { r_id : int option; queue_depth : int; queue_limit : int }
   | Stats_r of stats_reply
   | Error_r of { r_id : int option; message : string }
   | Bye
+
+let make_verdict ~r_id ~cached ~wall_s ~service_s (result : Verdict_cache.outcome) =
+  let detail, args =
+    match result with
+    | Ub_exec.Pool.Done (Ub_refine.Checker.Counterexample { args; witness }) ->
+      (witness, List.map Ub_sem.Value.to_string args)
+    | Ub_exec.Pool.Done (Ub_refine.Checker.Unknown r) | Ub_exec.Pool.Crashed r -> (r, [])
+    | Ub_exec.Pool.Done Ub_refine.Checker.Refines -> ("", [])
+    | Ub_exec.Pool.Timed_out -> ("deadline exceeded", [])
+  in
+  let verdict = Verdict_cache.kind result in
+  Verdict { r_id; result; cached; wall_s; service_s; verdict; detail; args; coalesced = false }
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
@@ -122,13 +140,12 @@ let reply_to_json : reply -> Json.t = function
         ("server", Json.Str server); ("jobs", Json.int jobs);
         ("queue_limit", Json.int queue_limit) ]
   | Verdict r ->
-    Json.Obj
-      (("op", Json.Str "verdict")
-      :: opt_id_field r.r_id
-           [ ("verdict", Json.Str r.verdict); ("detail", Json.Str r.detail);
-             ("args", Json.List (List.map (fun a -> Json.Str a) r.args));
-             ("cached", Json.Bool r.cached); ("coalesced", Json.Bool r.coalesced);
-             ("wall_s", Json.Num r.wall_s) ])
+    Verdict_cache.to_json r.result
+      ~extra:
+        (("op", Json.Str "verdict")
+        :: opt_id_field r.r_id
+             [ ("cached", Json.Bool r.cached); ("wall_s", Json.Num r.wall_s);
+               ("service_s", Json.Num r.service_s) ])
   | Overloaded { r_id; queue_depth; queue_limit } ->
     Json.Obj
       (("op", Json.Str "overloaded")
@@ -202,30 +219,15 @@ let reply_of_json (j : Json.t) : (reply, string) result =
   | Some "hello_ok" ->
     let* v = required "v" (Json.int_field j "v") in
     let* server = required "server" (Json.str_field j "server") in
-    Ok
-      (Hello_ok
-         { v;
-           server;
-           jobs = Option.value ~default:0 (Json.int_field j "jobs");
-           queue_limit = Option.value ~default:0 (Json.int_field j "queue_limit");
-         })
+    let* jobs = required "jobs" (Json.int_field j "jobs") in
+    let* queue_limit = required "queue_limit" (Json.int_field j "queue_limit") in
+    Ok (Hello_ok { v; server; jobs; queue_limit })
   | Some "verdict" ->
-    let* verdict = required "verdict" (Json.str_field j "verdict") in
-    let args =
-      match Option.bind (Json.member "args" j) Json.to_list with
-      | Some xs -> List.filter_map Json.to_str xs
-      | None -> []
-    in
-    Ok
-      (Verdict
-         { r_id = Json.int_field j "id";
-           verdict;
-           detail = Option.value ~default:"" (Json.str_field j "detail");
-           args;
-           cached = Option.value ~default:false (Json.bool_field j "cached");
-           coalesced = Option.value ~default:false (Json.bool_field j "coalesced");
-           wall_s = Option.value ~default:0.0 (Json.num_field j "wall_s");
-         })
+    let* result = Verdict_cache.of_json j in
+    let* cached = required "cached" (Json.bool_field j "cached") in
+    let* wall_s = required "wall_s" (Json.num_field j "wall_s") in
+    let* service_s = required "service_s" (Json.num_field j "service_s") in
+    Ok (make_verdict ~r_id:(Json.int_field j "id") ~cached ~wall_s ~service_s result)
   | Some "overloaded" ->
     let* queue_depth = required "queue_depth" (Json.int_field j "queue_depth") in
     let* queue_limit = required "queue_limit" (Json.int_field j "queue_limit") in
@@ -271,31 +273,16 @@ let frame_of_payload (payload : string) : string =
   if n > max_frame_bytes then
     raise (Protocol_error (Printf.sprintf "frame too large (%d bytes)" n));
   let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xFF));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (n land 0xFF));
+  Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.blit_string payload 0 b 4 n;
   Bytes.to_string b
 
 let decode_len (b : Bytes.t) (off : int) : int =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
-
-let rec write_all fd b off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd b off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd b (off + n) (len - n)
-  end
+  Int32.to_int (Bytes.get_int32_be b off) land 0xFFFF_FFFF
 
 let send_frame (fd : Unix.file_descr) (payload : string) : unit =
   let f = frame_of_payload payload in
-  write_all fd (Bytes.of_string f) 0 (String.length f)
+  Ub_support.Util.write_all fd (Bytes.of_string f) 0 (String.length f)
 
 (* Blocking read of exactly [len] bytes; [None] on clean EOF at a frame
    boundary, [Protocol_error] on EOF mid-frame. *)
@@ -330,12 +317,9 @@ let recv_frame (fd : Unix.file_descr) : string option =
 let send_request fd (r : request) = send_frame fd (Json.to_string (request_to_json r))
 
 let recv_reply fd : reply option =
-  match recv_frame fd with
-  | None -> None
-  | Some payload -> (
-    match Json.of_string payload with
-    | Error e -> raise (Protocol_error ("bad reply JSON: " ^ e))
-    | Ok j -> (
-      match reply_of_json j with
-      | Error e -> raise (Protocol_error ("bad reply: " ^ e))
-      | Ok r -> Some r))
+  Option.map
+    (fun payload ->
+      match Result.bind (Json.of_string payload) reply_of_json with
+      | Ok r -> r
+      | Error e -> raise (Protocol_error ("bad reply: " ^ e)))
+    (recv_frame fd)

@@ -51,6 +51,13 @@ let string_contains ~needle haystack =
     go 0
   end
 
+(* Write all [len] bytes of [b] from [off] to [fd]. *)
+let rec write_all fd b off len =
+  if len > 0 then begin
+    let n = try Unix.write fd b off len with Unix.Unix_error (Unix.EINTR, _, _) -> 0 in
+    write_all fd b (off + n) (len - n)
+  end
+
 (* [mkdir -p]: create [dir] and every missing parent. *)
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin

@@ -462,6 +462,8 @@ let journal_tests =
                 (wait () = Unix.WEXITED 0)));
   ]
 
+module Obs = Ub_obs.Obs
+
 (* the verdict cache: decisive verdicts roundtrip, unknowns are skipped *)
 let verdict_tests =
   [ Alcotest.test_case "decisive verdicts roundtrip, unknown is not cached" `Quick (fun () ->
@@ -472,7 +474,50 @@ let verdict_tests =
             Alcotest.(check bool) "refines roundtrips" true
               (Verdict_cache.find c k1 = Some Checker.Refines);
             Verdict_cache.store c k2 (Checker.Unknown "budget");
-            Alcotest.(check bool) "unknown not cached" true (Verdict_cache.find c k2 = None)));
+            Alcotest.(check bool) "unknown not cached" true (Verdict_cache.find c k2 = None);
+            List.iteri
+              (fun i v ->
+                let name = Checker.verdict_to_string v in
+                Alcotest.(check bool) ("record roundtrips: " ^ name) true
+                  (Verdict_cache.decode (Verdict_cache.encode v) = Some v);
+                let k = Cache.key ~parts:[ "sample"; string_of_int i ] in
+                Verdict_cache.store c k v;
+                Alcotest.(check bool) ("journal roundtrips: " ^ name) true
+                  (Verdict_cache.find c k
+                  = if Verdict_cache.cacheable v then Some v else None))
+              Verdict_samples.verdicts));
+    Alcotest.test_case "a first-format record reads as stale" `Quick (fun () ->
+        with_tmp_cache (fun c ->
+            let open Ub_refine in
+            Obs.reset ();
+            let k = Cache.key ~parts:[ "old" ] in
+            Cache.store c k ("UBVC1\n" ^ Marshal.to_string Checker.Refines []);
+            Alcotest.(check bool) "a miss" true (Verdict_cache.find c k = None);
+            Alcotest.(check int) "counted stale" 1 (Obs.counter_value "verdict_cache.stale");
+            Obs.reset ()));
+    (* Fail closed: a record with any byte flipped, or cut short, is a
+       stale miss, never a verdict. *)
+    (let records =
+       Array.of_list (List.map Ub_refine.Verdict_cache.encode Verdict_samples.verdicts)
+     in
+     let gen =
+       QCheck.Gen.(
+         int_bound (Array.length records - 1) >>= fun i ->
+         map (fun m -> (i, m)) (Verdict_samples.mutation records.(i)))
+     in
+     let stale c i m =
+       let k = Cache.key ~parts:[ "fuzz"; string_of_int i; m ] in
+       Cache.store c k m;
+       let before = Obs.counter_value "verdict_cache.stale" in
+       Ub_refine.Verdict_cache.find c k = None
+       && Obs.counter_value "verdict_cache.stale" = before + 1
+     in
+     Alcotest.test_case "a damaged record is a stale miss" `Quick (fun () ->
+         with_tmp_cache (fun c ->
+             QCheck.Test.check_exn
+               (QCheck.Test.make ~count:2000 ~name:"damaged journal record"
+                  (QCheck.make ~print:(fun (i, m) -> Printf.sprintf "%d: %S" i m) gen)
+                  (fun (i, m) -> stale c i m)))));
   ]
 
 let () =

@@ -87,6 +87,18 @@ let a_check : Wire.check_req =
     enum_only = false;
   }
 
+(* A verdict reply for every sample verdict and pool outcome. *)
+let verdict_replies : Wire.reply list =
+  List.mapi
+    (fun i result ->
+      Wire.make_verdict
+        ~r_id:(if i mod 2 = 0 then Some i else None)
+        ~cached:(i mod 3 = 0) ~wall_s:(0.25 *. float_of_int i)
+        ~service_s:(if i mod 3 = 0 then 0.0 else 1.5e-4 *. float_of_int i)
+        result)
+    (List.map (fun v -> Ub_exec.Pool.Done v) Verdict_samples.verdicts
+    @ [ Ub_exec.Pool.Timed_out; Ub_exec.Pool.Crashed "worker killed by signal SIGKILL" ])
+
 let wire_tests =
   [ Alcotest.test_case "every request variant roundtrips" `Quick (fun () ->
         req_roundtrip (Wire.Hello { v = Wire.version; client = "test" });
@@ -97,20 +109,7 @@ let wire_tests =
         req_roundtrip Wire.Shutdown);
     Alcotest.test_case "every reply variant roundtrips" `Quick (fun () ->
         reply_roundtrip (Wire.Hello_ok { v = 1; server = "s/1"; jobs = 2; queue_limit = 64 });
-        reply_roundtrip
-          (Wire.Verdict
-             { r_id = Some 3;
-               verdict = "counterexample";
-               detail = "src=1 tgt=0";
-               args = [ "0x7f"; "0x01" ];
-               cached = true;
-               coalesced = true;
-               wall_s = 0.25;
-             });
-        reply_roundtrip
-          (Wire.Verdict
-             { r_id = None; verdict = "refines"; detail = ""; args = []; cached = false;
-               coalesced = false; wall_s = 0.0 });
+        List.iter reply_roundtrip verdict_replies;
         reply_roundtrip (Wire.Overloaded { r_id = Some 9; queue_depth = 64; queue_limit = 64 });
         reply_roundtrip
           (Wire.Stats_r
@@ -129,6 +128,30 @@ let wire_tests =
              });
         reply_roundtrip (Wire.Error_r { r_id = None; message = "boom" });
         reply_roundtrip Wire.Bye);
+    (* Fail closed: a reply with a byte flipped or cut short decodes to
+       an error.  The one exception is a change of letter case that
+       JSON reads as the same text (the "e" of an exponent, the hex
+       digits of a \u escape), which must decode to the very reply
+       that was sent. *)
+    (let texts =
+       Array.of_list
+         (List.map (fun r -> (r, Json.to_string (Wire.reply_to_json r))) verdict_replies)
+     in
+     let gen =
+       QCheck.Gen.(
+         int_bound (Array.length texts - 1) >>= fun i ->
+         map (fun m -> (i, m)) (Verdict_samples.mutation (snd texts.(i))))
+     in
+     let fails_closed (i, m) =
+       let sent, text = texts.(i) in
+       match Result.bind (Json.of_string m) Wire.reply_of_json with
+       | Error _ -> true
+       | Ok r -> r = sent && String.lowercase_ascii m = String.lowercase_ascii text
+     in
+     QCheck_alcotest.to_alcotest
+       (QCheck.Test.make ~count:3000 ~name:"a damaged verdict reply decodes to an error"
+          (QCheck.make ~print:(fun (i, m) -> Printf.sprintf "%d: %S" i m) gen)
+          fails_closed));
     Alcotest.test_case "unknown op decodes to an error" `Quick (fun () ->
         (match Wire.request_of_json (Json.Obj [ ("op", Json.Str "frobnicate") ]) with
         | Error _ -> ()
