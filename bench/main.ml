@@ -242,15 +242,18 @@ let lnt () =
   let corpus = Array.of_list (Ub_fuzz.Gen.random_corpus ~seed:2017 ~size:120) in
   let total = Array.length corpus in
   let c = cache () in
-  let counter get = match c with Some cc -> get cc | None -> 0 in
-  let hits0 = counter Ub_exec.Cache.hits and misses0 = counter Ub_exec.Cache.misses in
+  (* a record [lnt_decode] rejects is a miss: the task reruns *)
+  let hits = ref 0 and misses = ref 0 in
   let key_of fn =
     Ub_exec.Cache.key ~parts:[ Printer.func_to_string fn; "lnt-legacy-vs-prototype-v1" ]
   in
   let results, pool =
     Ub_exec.Pool.map_cached ~jobs:!jobs ?timeout_s:!timeout_s
       ~find:(fun fn ->
-        Option.bind c (fun cc -> Option.bind (Ub_exec.Cache.find cc (key_of fn)) lnt_decode))
+        Option.bind c (fun cc ->
+            let o = Option.bind (Ub_exec.Cache.find cc (key_of fn)) lnt_decode in
+            incr (if Option.is_some o then hits else misses);
+            o))
       ~store:(fun fn o ->
         Option.iter (fun cc -> Ub_exec.Cache.store cc (key_of fn) (lnt_encode o)) c)
       lnt_diff corpus
@@ -280,9 +283,7 @@ let lnt () =
       (pct asm_changed ir_changed) (pct asm_changed total);
   print_pool_stats pool;
   note_dropped ~experiment:"lnt" pool;
-  print_cache_stats
-    ~hits:(counter Ub_exec.Cache.hits - hits0)
-    ~misses:(counter Ub_exec.Cache.misses - misses0)
+  print_cache_stats ~hits:!hits ~misses:!misses
 
 (* ------------------------------------------------------------------ *)
 (* T-OPTFUZZ: Section 6 validation                                     *)

@@ -2,22 +2,26 @@
 
    Measures what the serve subsystem exists to deliver: amortizing the
    cold-start cost of the checker across a stream of small queries.
-   Two runs over the *same* 200-query corpus:
+   Two sides over the *same* 200-query corpus, run [rounds] times each
+   in alternation, with the >=5x gate on the ratio of the two sides'
+   median throughputs:
 
    - the spawn baseline: one `ubc check` process per query, the way a
      fuzzing harness would drive the batch tool (exec, parse, warm the
      solver stack, check, exit);
-   - the daemon: one `ubc serve` instance, queries pipelined over a few
-     client connections, per-request latency stamped at send and reply.
+   - the daemon: one `ubc serve` instance, a fresh daemon on a fresh
+     journal each round, queries pipelined over a few client
+     connections, per-request latency stamped at send and reply.
 
    The corpus is seeded and deliberately repetitive (200 queries drawn
    from a smaller unique set), so it also measures the daemon's verdict
    journal, which answers every repeat of a checked query.  Verdicts from both runs are compared against
    an in-process ground truth; any disagreement fails the run.
 
-   Results go to BENCH_serve.json: throughput for both runs, the
-   speedup, exact p50/p95/p99 latency percentiles (computed from the
-   200 samples, not histogram buckets), per-reply serving-class counts
+   Results go to BENCH_serve.json: every run's throughput, the medians,
+   the speedup, and, from the last daemon round, exact p50/p95/p99
+   latency percentiles (computed from the 200 samples, not histogram
+   buckets), per-reply serving-class counts
    (journal hit / cold -- stamped from the reply flags, so
    the overload burst cannot pollute them), a warm re-pass over the
    unique pairs, and the daemon's closing stats report.
@@ -25,7 +29,7 @@
    With [jobs > 1], a second experiment measures worker scaling: a
    fresh 3,000-query corpus (renamed variants of the unique pairs, so
    every variant is distinct cache work) pipelined into a jobs-1 daemon
-   and into a jobs-[jobs] one, [scale_rounds] times each in alternation,
+   and into a jobs-[jobs] one, [rounds] times each in alternation,
    and the speedup compares the two sides' median throughputs.  Verdicts
    from every run must match the in-process ground truth.  The >=1.5x
    scaling gate is core-aware: workers are processes, so on a machine
@@ -41,6 +45,12 @@ module Client = Ub_serve.Client
 let n_queries = 200
 let n_conns = 4
 let required_speedup = 5.0
+
+(* Runs per side of each gate: one run on a shared machine can land on
+   a burst of outside load and decide the gate alone. *)
+let rounds = 3
+
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
 
 type pair = { p_src : Func.t; p_tgt : Func.t; p_src_text : string; p_tgt_text : string }
 
@@ -344,10 +354,6 @@ let run_overload_burst (socket_path : string) (unique : pair array) : int * int 
 let scale_queries = 3_000
 let scale_required = 1.5
 
-(* Runs per side: one run on a shared machine can land on a burst of
-   outside load and decide the gate alone. *)
-let scale_rounds = 3
-
 (* Workers are processes: the scaling gate only means something when the
    machine can actually run them in parallel.  Counted from
    /proc/cpuinfo (portable enough for the linux runners this targets);
@@ -427,7 +433,7 @@ let run_scale_once ~(jobs : int) ~(dir : string) (texts : (string * string) arra
   (wall, verdicts, stats)
 
 (* The same corpus against a jobs-1 daemon and a jobs-[jobs] one,
-   [scale_rounds] times each, alternating, so load that comes and goes
+   [rounds] times each, alternating, so load that comes and goes
    on the machine falls on both sides.  Verdict agreement with ground
    truth is always enforced, the >=[scale_required]x gate on the ratio
    of the sides' median throughputs only when the machine has the cores
@@ -454,25 +460,24 @@ let run_scale ~(jobs : int) ~(dir : string) (unique : pair array)
     Printf.printf "scaling: round %d, jobs %d: %.2fs wall, %.1f queries/s\n%!" round j wall qps;
     (qps, mismatches verdicts, stats)
   in
-  let rounds =
-    List.init scale_rounds (fun round ->
+  let runs =
+    List.init rounds (fun round ->
         let one = measure round 1 in
         (one, measure round jobs))
   in
-  let ones = List.map fst rounds and ns = List.map snd rounds in
+  let ones = List.map fst runs and ns = List.map snd runs in
   let qps runs = List.map (fun (q, _, _) -> q) runs in
   let bad runs = List.fold_left (fun n (_, b, _) -> n + b) 0 runs in
-  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
   let qps_1 = median (qps ones) and qps_n = median (qps ns) in
   let bad_1 = bad ones and bad_n = bad ns in
-  let _, _, stats_n = List.nth ns (scale_rounds - 1) in
+  let _, _, stats_n = List.nth ns (rounds - 1) in
   let wall_1 = float_of_int scale_queries /. qps_1
   and wall_n = float_of_int scale_queries /. qps_n in
   let speedup = qps_n /. qps_1 in
   let verdicts_match = bad_1 = 0 && bad_n = 0 in
   let gate_enforced = cores >= jobs in
   Printf.printf "scaling: %.2fx at jobs %d (medians of %d runs a side)\n%!" speedup jobs
-    scale_rounds;
+    rounds;
   let num f = Json.Num f in
   let int = Json.int in
   let j =
@@ -481,7 +486,7 @@ let run_scale ~(jobs : int) ~(dir : string) (unique : pair array)
         ("queries", int scale_queries);
         ("distinct_queries", Json.Bool true);
         ("cores", int cores);
-        ("rounds", int scale_rounds);
+        ("rounds", int rounds);
         ("wall_1job_s", num wall_1);
         ("qps_1job", num qps_1);
         ("qps_1job_runs", Json.List (List.map num (qps ones)));
@@ -549,23 +554,40 @@ let run ~(jobs : int) ~(out : string) : bool =
   let unique, picks, truth = build_corpus () in
   Printf.printf "corpus: %d unique pairs, %d queries\n%!" (Array.length unique) n_queries;
   let files = write_tmp_pairs dir unique in
-  (* --- baseline --- *)
-  let baseline_kind, (spawn_wall, spawn_refines) =
+  let baseline_kind, spawn =
     match find_ubc () with
     | Some ubc ->
-      Printf.printf "baseline: spawning %s per query...\n%!" ubc;
-      ("spawn-ubc", run_spawn_baseline ubc files picks)
+      Printf.printf "baseline: spawning %s per query\n%!" ubc;
+      ("spawn-ubc", fun () -> run_spawn_baseline ubc files picks)
     | None ->
       Printf.printf "baseline: bin/ubc.exe not built; fork-per-query fallback\n%!";
-      ("fork-self", run_fork_baseline files picks)
+      ("fork-self", fun () -> run_fork_baseline files picks)
   in
-  let spawn_qps = float_of_int n_queries /. spawn_wall in
-  Printf.printf "baseline (%s): %.2fs wall, %.1f queries/s\n%!" baseline_kind spawn_wall
-    spawn_qps;
-  (* --- daemon --- *)
-  let socket_path, daemon_pid = start_daemon ~jobs ~dir in
-  let serve_wall, latencies, serve_verdicts, classes = run_daemon_load socket_path unique picks in
-  let serve_qps = float_of_int n_queries /. serve_wall in
+  let qps wall = float_of_int n_queries /. wall in
+  (* --- [rounds] alternating rounds of baseline, then daemon; each
+     round's daemon is fresh on a fresh journal, and the last one stays
+     up for the warm pass, the burst and the probes below --- *)
+  let runs =
+    List.init rounds (fun round ->
+        let ((wall, _) as spawn_run) = spawn () in
+        Printf.printf "baseline (%s): round %d: %.2fs wall, %.1f queries/s\n%!" baseline_kind
+          round wall (qps wall);
+        let rdir = Filename.concat dir (Printf.sprintf "serve-%d" round) in
+        Unix.mkdir rdir 0o755;
+        let socket_path, pid = start_daemon ~jobs ~dir:rdir in
+        let ((wall, _, _, _) as load) = run_daemon_load socket_path unique picks in
+        Printf.printf "daemon: round %d: %.2fs wall, %.1f queries/s\n%!" round wall (qps wall);
+        if round < rounds - 1 then stop_daemon socket_path pid;
+        (spawn_run, load, (socket_path, pid)))
+  in
+  let spawn_runs = List.map (fun (s, _, _) -> s) runs
+  and serve_runs = List.map (fun (_, l, _) -> l) runs in
+  let _, (_, latencies, _, classes), (socket_path, daemon_pid) = List.nth runs (rounds - 1) in
+  let spawn_qps_runs = List.map (fun (w, _) -> qps w) spawn_runs
+  and serve_qps_runs = List.map (fun (w, _, _, _) -> qps w) serve_runs in
+  let spawn_qps = median spawn_qps_runs and serve_qps = median serve_qps_runs in
+  let spawn_wall = float_of_int n_queries /. spawn_qps
+  and serve_wall = float_of_int n_queries /. serve_qps in
   (* snapshot the journal-cache counters *before* the warm pass and the
      burst: the burst's 800 deliberately-distinct pairs are all misses
      and used to crater the reported hit rate to a meaningless ~0.5% *)
@@ -611,13 +633,16 @@ let run ~(jobs : int) ~(out : string) : bool =
       Some (run_scale ~jobs ~dir unique truth)
     end
   in
-  (* --- verdict agreement --- *)
+  (* --- verdict agreement, every round of both sides --- *)
   let mismatches = ref 0 in
-  Array.iteri
-    (fun qi u ->
-      if not (agrees truth.(u) serve_verdicts.(qi)) then incr mismatches;
-      if spawn_refines.(qi) <> (truth.(u) = Ub_refine.Checker.Refines) then incr mismatches)
-    picks;
+  List.iter2
+    (fun (_, spawn_refines) (_, _, serve_verdicts, _) ->
+      Array.iteri
+        (fun qi u ->
+          if not (agrees truth.(u) serve_verdicts.(qi)) then incr mismatches;
+          if spawn_refines.(qi) <> (truth.(u) = Ub_refine.Checker.Refines) then incr mismatches)
+        picks)
+    spawn_runs serve_runs;
   let verdicts_match = !mismatches = 0 in
   let sorted = Array.copy latencies in
   Array.sort compare sorted;
@@ -630,13 +655,14 @@ let run ~(jobs : int) ~(out : string) : bool =
     if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
   in
   Printf.printf
-    "daemon: %.2fs wall, %.1f queries/s (%.1fx baseline)\n\
+    "baseline: median %.2fs wall, %.1f queries/s\n\
+     daemon: median %.2fs wall, %.1f queries/s (%.1fx baseline, medians of %d runs a side)\n\
      latency: p50 %.2fms  p95 %.2fms  p99 %.2fms\n\
      replies: %d journal hit(s), %d cold (of %d)\n\
      journal during load: %d hit(s) / %d miss(es) (%.0f%% hit rate)\n\
      warm pass: %d/%d hits (%d of %d pairs are cacheable; unknowns never cache)\n\
      rejected in burst: %d/%d  deadline timeout observed: %b\n%!"
-    serve_wall serve_qps speedup (1000.0 *. p50) (1000.0 *. p95) (1000.0 *. p99)
+    spawn_wall spawn_qps serve_wall serve_qps speedup rounds (1000.0 *. p50) (1000.0 *. p95) (1000.0 *. p99)
     classes.rc_journal classes.rc_cold n_queries
     stats_load.Wire.cache_hits stats_load.Wire.cache_misses (100.0 *. load_hit_rate)
     warm_hits warm_total warm_expected warm_total rejected (rejected + burst_answered)
@@ -650,13 +676,16 @@ let run ~(jobs : int) ~(out : string) : bool =
          ("queries", int n_queries);
          ("unique_pairs", int (Array.length unique));
          ("jobs", int jobs);
+         ("rounds", int rounds);
          ( "baseline",
            Json.Obj
              [ ("kind", Json.Str baseline_kind); ("wall_s", num spawn_wall);
-               ("qps", num spawn_qps) ] );
+               ("qps", num spawn_qps);
+               ("qps_runs", Json.List (List.map num spawn_qps_runs)) ] );
          ( "serve",
            Json.Obj
              [ ("wall_s", num serve_wall); ("qps", num serve_qps);
+               ("qps_runs", Json.List (List.map num serve_qps_runs));
                ("p50_ms", num (1000.0 *. p50)); ("p95_ms", num (1000.0 *. p95));
                ("p99_ms", num (1000.0 *. p99));
                ("rejected", int stats.Wire.rejected);

@@ -77,12 +77,7 @@ let is_minic path = Filename.check_suffix path ".c"
 
 let load_module ~pipeline path : Func.module_ =
   if is_minic path then
-    Ub_minic.Lower.compile
-      ~cfg:
-        (match pipeline with
-        | Ub_core.Driver.Baseline -> Ub_minic.Lower.clang_legacy
-        | Ub_core.Driver.Prototype -> Ub_minic.Lower.clang_fixed)
-      (read_file path)
+    Ub_minic.Lower.compile ~cfg:(Ub_core.Driver.clang_config pipeline) (read_file path)
   else Parser.parse_module (read_file path)
 
 (* The (source, target) pair of check, reduce and submit: two files of
@@ -185,20 +180,17 @@ let compile_cmd =
   let cycles =
     Arg.(value & flag
            & info [ "cycles" ]
-               ~doc:"Profile one execution of @main under the proposed \
-                     semantics and print simulated cycle totals under both \
+               ~doc:"Profile one execution of @main under the semantics the \
+                     pipeline targets (old for legacy, proposed for \
+                     prototype) and print simulated cycle totals under both \
                      machine models.")
   in
   let run trace pipeline emit obj_size cycles file =
     guard @@ fun () ->
     with_trace trace @@ fun () ->
-    let cfg =
-      match pipeline with
-      | Ub_core.Driver.Baseline -> Ub_opt.Pass.legacy
-      | Ub_core.Driver.Prototype -> Ub_opt.Pass.prototype
+    let m =
+      Ub_opt.Pipeline.run_o2 (Ub_core.Driver.pass_config pipeline) (load_module ~pipeline file)
     in
-    let m = load_module ~pipeline file in
-    let m = Ub_opt.Pipeline.run_o2 cfg m in
     let compiled = lazy (Ub_backend.Compile.compile_module m) in
     (match emit with
     | `Ir -> print_string (Printer.module_to_string m)
@@ -223,28 +215,15 @@ let compile_cmd =
           Printf.printf "%s: %d bytes\n" name c.Ub_backend.Compile.obj_size)
         (Lazy.force compiled);
     if cycles then begin
-      let fn =
-        match Func.find_func m "main" with
-        | Some fn -> fn
-        | None -> raise (Usage "--cycles needs a @main function to profile")
+      if Func.find_func m "main" = None then
+        raise (Usage "--cycles needs a @main function to profile");
+      let sim =
+        Ub_core.Driver.price pipeline ~opt_ir:m ~compiled:(Lazy.force compiled) ~entry:"main"
+          ~args:[]
       in
-      let profile, outcome = Ub_sem.Interp.profile ~module_:m fn [] in
-      Printf.printf "main: %s\n" (Ub_sem.Interp.outcome_to_string outcome);
-      List.iter
-        (fun (p : Ub_backend.Target.profile) ->
-          let total =
-            List.fold_left
-              (fun acc (name, c) ->
-                let fprof =
-                  List.filter_map
-                    (fun ((f, l), n) -> if f = name then Some (l, n) else None)
-                    profile
-                in
-                acc +. Ub_backend.Compile.simulate_cycles p c ~profile:fprof)
-              0.0 (Lazy.force compiled)
-          in
-          Printf.printf "cycles[%s]: %.0f\n" p.Ub_backend.Target.prof_name total)
-        Ub_backend.Target.profiles
+      Printf.printf "main: %s\n" (Ub_sem.Interp.outcome_to_string sim.outcome);
+      Printf.printf "cycles[%s]: %.0f\n" Ub_backend.Target.machine1.prof_name sim.cycles_m1;
+      Printf.printf "cycles[%s]: %.0f\n" Ub_backend.Target.machine2.prof_name sim.cycles_m2
     end;
     0
   in

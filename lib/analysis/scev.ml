@@ -5,9 +5,9 @@
    legality checks.
 
    Per Section 10.1, scalar evolution "currently fails to analyze
-   expressions involving freeze"; we model that faithfully: a [freeze]
-   feeding the IV update or the bound makes [classify] return None unless
-   [freeze_aware] is set. *)
+   expressions involving freeze"; we model that faithfully, for both
+   pipelines (the prototype did not teach SCEV about freeze): a freeze
+   feeding the IV's start or step makes [classify] skip that IV. *)
 
 open Ub_ir
 
@@ -38,7 +38,7 @@ let rec operand_mentions_freeze (fn : Func.t) (op : Instr.operand) ~depth =
 (* Find the affine induction variables of a loop: phis in the header of
    the form  phi [start, preheader], [next, latch]  with
    next = add [nsw] phi, step  and step loop-invariant. *)
-let classify ?(freeze_aware = false) (fn : Func.t) (lp : Loops.loop) : iv list =
+let classify (fn : Func.t) (lp : Loops.loop) : iv list =
   match Func.find_block fn lp.header with
   | None -> []
   | Some header ->
@@ -55,9 +55,8 @@ let classify ?(freeze_aware = false) (fn : Func.t) (lp : Loops.loop) : iv list =
             | Some { Instr.ins = Instr.Binop (Instr.Add, attrs, _, Instr.Var pv, step); _ }
               when pv = phi_var && Loops.operand_invariant fn lp step ->
               if
-                (not freeze_aware)
-                && (operand_mentions_freeze fn step ~depth:4
-                   || operand_mentions_freeze fn start ~depth:4)
+                operand_mentions_freeze fn step ~depth:4
+                || operand_mentions_freeze fn start ~depth:4
               then None
               else
                 Some

@@ -182,23 +182,23 @@ let check_func ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_inputs = 5_000)
    reports a violation.  The reduced function *is* the witness — the
    "target" is always its own compilation.  A candidate the bug does not
    change ([Inert]) is rejected from its one compile. *)
-let shrink ?mode ?(fuel = 250) ?(max_inputs = 400) ?(max_runs = 100)
-    ?(max_steps = 600) ?(max_checks = 2_000) ?bug (fn : Func.t) :
+let shrink ?(max_steps = 600) ?(max_checks = 2_000) ?bug (fn : Func.t) :
     Func.t * Ub_shrink.Reduce.stats =
-  (* The oracle runs a full TV check per candidate, so its budgets are
-     much tighter than [check_func]'s defaults: a candidate whose input
-     space grows past [max_inputs] (the reducer likes to promote values
-     to fresh arguments) classifies Unsupported and is rejected without
-     being enumerated, and [fuel]/[max_runs] are sized so a candidate
-     whose machine loop diverges costs one bounded sweep, not minutes
-     (the worst case per candidate is max_runs * 20 * fuel MIR steps).
-     [max_checks] bounds the whole descent by a count, not a clock, so
-     the witness does not depend on machine speed: once that many
-     candidates have been checked the reducer stops at the current
-     (still-violating) function. *)
+  (* The oracle runs a full TV check per candidate, under the proposed
+     semantics, so its budgets are much tighter than [check_func]'s
+     defaults: a candidate whose input space grows past 400 inputs (the
+     reducer likes to promote values to fresh arguments) classifies
+     Unsupported and is rejected without being enumerated, and the fuel
+     and run budgets are sized so a candidate whose machine loop diverges
+     costs one bounded sweep, not minutes (the worst case per candidate
+     is 100 runs * 20 * 250 fuel MIR steps).  [max_checks] bounds the
+     whole descent by a count, not a clock, so the witness does not
+     depend on machine speed: once that many candidates have been
+     checked the reducer stops at the current (still-violating)
+     function. *)
   let oracle fn' =
     Ub_obs.Obs.with_span "shrink.oracle" @@ fun () ->
-    match check_func ?mode ~fuel ~max_inputs ~max_runs ?bug fn' with
+    match check_func ~fuel:250 ~max_inputs:400 ~max_runs:100 ?bug fn' with
     | Not_refined _ -> true
     | Refined | Unsupported _ | Inert -> false
   in

@@ -1,5 +1,7 @@
 (* The end-to-end compiler driver: Mini-C -> IR -> optimizer -> backend,
-   in the two configurations the paper compares:
+   in the two configurations the paper compares, and the one place that
+   maps that choice to the front end's, the optimizer's and the
+   simulator's settings:
 
    - [Baseline]: the LLVM the paper forked from — no freeze instruction,
      the legacy (sometimes unsound) transformations enabled, bit-field
@@ -15,7 +17,7 @@
 open Ub_support
 open Ub_ir
 
-type pipeline = Baseline | Prototype
+type pipeline = Ub_opt.Pass.pipeline = Baseline | Prototype
 
 let pass_config = function
   | Baseline -> Ub_opt.Pass.legacy
@@ -24,6 +26,14 @@ let pass_config = function
 let clang_config = function
   | Baseline -> Ub_minic.Lower.clang_legacy
   | Prototype -> Ub_minic.Lower.clang_fixed
+
+(* The semantics a pipeline's output is correct under.  The baseline's
+   output contains the legacy lowerings, which are only correct under
+   the OLD semantics; running it under the proposed semantics would
+   report the miscompilations this repository exists to demonstrate. *)
+let semantics = function
+  | Baseline -> Ub_sem.Mode.old_unswitch
+  | Prototype -> Ub_sem.Mode.proposed
 
 type metrics = {
   compile_time_s : float;
@@ -80,49 +90,42 @@ let compile ?(pipeline = Prototype) (src : string) : compiled_program =
       };
   }
 
-(* Simulated run: execute the OPTIMIZED IR under the proposed semantics
-   to obtain the block-level profile, then price the machine code. *)
+(* Simulated run: execute the OPTIMIZED IR to obtain the block-level
+   profile, then price the machine code.  Each pipeline is profiled
+   under the semantics it targets ([semantics]) — which is also what
+   hardware does: the machine gives uninitialized registers concrete
+   values. *)
 type sim_result = {
   outcome : Ub_sem.Interp.outcome;
   cycles_m1 : float;
   cycles_m2 : float;
 }
 
-let simulate (cp : compiled_program) ~(entry : string) ~(args : Ub_sem.Value.t list) :
-    sim_result =
-  let fn = Func.find_func_exn cp.opt_ir entry in
-  (* The baseline pipeline's output is only correct under the OLD
-     semantics (it contains the legacy lowerings); profiling it under the
-     proposed semantics would report the miscompilations this repository
-     exists to demonstrate.  Each pipeline is therefore priced under the
-     semantics it was built for — which is also what hardware does: the
-     machine gives uninitialized registers concrete values. *)
-  let mode =
-    match cp.pipeline with
-    | Baseline -> Ub_sem.Mode.old_unswitch
-    | Prototype -> Ub_sem.Mode.proposed
+(* Price one run of [entry] in [opt_ir], whose machine code is
+   [compiled]; [ubc compile --cycles] prices its builds here too. *)
+let price pipeline ~(opt_ir : Func.module_)
+    ~(compiled : (string * Ub_backend.Compile.compiled) list) ~(entry : string)
+    ~(args : Ub_sem.Value.t list) : sim_result =
+  let fn = Func.find_func_exn opt_ir entry in
+  let profile, outcome =
+    Ub_sem.Interp.profile ~mode:(semantics pipeline) ~module_:opt_ir fn args
   in
-  let profile, outcome = Ub_sem.Interp.profile ~mode ~module_:cp.opt_ir fn args in
   let cycles p =
     List.fold_left
-      (fun acc (name, c) ->
-        match List.assoc_opt name cp.compiled with
-        | Some comp ->
-          let fprof =
-            List.filter_map
-              (fun ((f, l), n) -> if f = name then Some (l, n) else None)
-              profile
-          in
-          ignore c;
-          acc +. Ub_backend.Compile.simulate_cycles p comp ~profile:fprof
-        | None -> acc)
-      0.0
-      (List.map (fun (n, _) -> (n, ())) cp.compiled)
+      (fun acc (name, comp) ->
+        let fprof =
+          List.filter_map (fun ((f, l), n) -> if f = name then Some (l, n) else None) profile
+        in
+        acc +. Ub_backend.Compile.simulate_cycles p comp ~profile:fprof)
+      0.0 compiled
   in
   { outcome;
     cycles_m1 = cycles Ub_backend.Target.machine1;
     cycles_m2 = cycles Ub_backend.Target.machine2;
   }
+
+let simulate (cp : compiled_program) ~entry ~args : sim_result =
+  price cp.pipeline ~opt_ir:cp.opt_ir ~compiled:cp.compiled ~entry ~args
 
 (* Convenience: run a source end-to-end through both pipelines and
    report the relative change, Figure-6 style. *)

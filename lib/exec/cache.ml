@@ -36,9 +36,6 @@ type t = {
   mutable size : int; (* file size at the last replay; > [replayed] means a torn tail *)
   mutable ino : int; (* inode of the replayed journal, to detect compaction *)
   mutable live : int; (* bytes of records currently live in [index] *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable stores : int;
 }
 
 let mkdir_p = Ub_support.Util.mkdir_p
@@ -167,7 +164,7 @@ let open_journal dir =
   in
   let t =
     { jpath; wfd; lockfd; index = Hashtbl.create 1024; replayed = 0; size = 0;
-      ino = fd_ino wfd; live = 0; hits = 0; misses = 0; stores = 0 }
+      ino = fd_ino wfd; live = 0 }
   in
   refresh t;
   t
@@ -210,18 +207,12 @@ let maybe_compact (t : t) : unit =
   if t.replayed > 1_048_576 && t.live * 2 < t.replayed then compact t
 
 let find t k : string option =
-  let r =
-    match Hashtbl.find_opt t.index k with
-    | Some v -> Some v
-    | None ->
-      (* maybe another process stored it since we last replayed *)
-      refresh t;
-      Hashtbl.find_opt t.index k
-  in
-  (match r with
-  | Some _ -> t.hits <- t.hits + 1
-  | None -> t.misses <- t.misses + 1);
-  r
+  match Hashtbl.find_opt t.index k with
+  | Some v -> Some v
+  | None ->
+    (* maybe another process stored it since we last replayed *)
+    refresh t;
+    Hashtbl.find_opt t.index k
 
 let store t k (v : string) : unit =
   let b = encode_record k v in
@@ -241,7 +232,6 @@ let store t k (v : string) : unit =
       t.live <- t.live + record_bytes k v;
       t.replayed <- t.replayed + Bytes.length b;
       t.size <- t.replayed);
-  t.stores <- t.stores + 1;
   (* outside the lock: [compact] takes it itself, and fcntl locks do
      not nest (an inner unlock would drop the outer lock) *)
   maybe_compact t
@@ -251,7 +241,3 @@ let close t =
   try Unix.close t.lockfd with Unix.Unix_error _ -> ()
 
 let journal_size t = t.replayed
-
-let hits t = t.hits
-let misses t = t.misses
-let stores t = t.stores

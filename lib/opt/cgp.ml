@@ -1,18 +1,19 @@
 (* CodeGenPrepare (Section 6, "Optimizations").
 
    Two backend-enabling transformations the paper had to teach about
-   freeze to recover performance:
+   freeze to recover performance; the [Prototype] pipeline runs the
+   taught versions, the [Baseline] pipeline the freeze-unaware ones:
 
    1. Compare sinking: a comparison whose only use is a conditional
       branch is moved directly before the branch, so instruction
       selection can fuse cmp+jcc.  A branch on freeze(icmp ...) blocks
-      this unless [cgp_handles_freeze].
+      this in the [Baseline] pipeline.
 
    2. freeze(icmp %x, C) => icmp (freeze %x), C — a refinement (the
       frozen compare's nondeterminism on poison %x collapses to a
       deterministic function of the frozen %x), performed late because it
       breaks scalar evolution's pattern matching if done early.  Only
-      with [cgp_handles_freeze]. *)
+      in the [Prototype] pipeline. *)
 
 open Ub_ir
 open Instr
@@ -21,7 +22,7 @@ let use_count = Instcombine.use_count
 
 (* freeze(icmp x, C) -> icmp (freeze x), C *)
 let push_freeze_through_icmp (cfg : Pass.config) (fn : Func.t) : Func.t =
-  if not cfg.Pass.cgp_handles_freeze then fn
+  if cfg.Pass.pipeline = Pass.Baseline then fn
   else
     Pass.rewrite_to_fixpoint
       (fun fn named ->
@@ -51,7 +52,7 @@ let sink_compares (cfg : Pass.config) (fn : Func.t) : Func.t =
             | [ cmp ], rest -> (
               match cmp.Instr.ins with
               | Icmp _ when use_count fn c = 1 -> { b with insns = rest @ [ cmp ] }
-              | Freeze _ when cfg.Pass.cgp_handles_freeze && use_count fn c = 1 ->
+              | Freeze _ when cfg.Pass.pipeline = Pass.Prototype && use_count fn c = 1 ->
                 (* a frozen condition can also sink: all its operands
                    dominate the block already *)
                 { b with insns = rest @ [ cmp ] }

@@ -5,12 +5,13 @@
    returns become branches to a continuation block (with a phi when the
    callee returns a value).
 
-   Cost model: instruction count, with freeze counting ZERO when
-   [inliner_freeze_free] — the paper's Section 6 change "we changed the
+   Cost model: instruction count, with freeze counting ZERO in the
+   [Prototype] pipeline — the paper's Section 6 change "we changed the
    inliner to recognize freeze instructions as zero cost ... to avoid
    changing the behavior of the inliner as much as possible".  Without
    it, freeze instructions introduced by the fixed passes would push
-   callees over the threshold and perturb inlining decisions. *)
+   callees over the threshold and perturb inlining decisions.  The
+   [Baseline] pipeline counts a freeze like any instruction. *)
 
 open Ub_ir
 open Instr
@@ -25,7 +26,7 @@ let callee_cost (cfg : Pass.config) (fn : Func.t) : int =
           (List.filter
              (fun n ->
                match n.Instr.ins with
-               | Freeze _ -> not cfg.Pass.inliner_freeze_free
+               | Freeze _ -> cfg.Pass.pipeline = Pass.Baseline
                | _ -> true)
              b.insns))
     0 fn.blocks

@@ -1,8 +1,8 @@
 (* InstCombine: the peephole catalog.  Every rewrite here is annotated
    with its soundness story under the proposed semantics; the ones that
-   are only sound under a *different* old semantics (Section 3.4) are
-   gated behind [legacy_bugs] so the miscompilation experiments can turn
-   them on, and the freeze-based fixed forms are gated behind [freeze].
+   are only sound under a *different* old semantics (Section 3.4) run in
+   the [Baseline] pipeline, so the miscompilation experiments reproduce,
+   and the [Prototype] pipeline uses their freeze-based fixed forms.
 
    The opt-fuzz experiment (bench t-optfuzz-validate) validates this pass
    against the refinement checker on every 3-instruction function. *)
@@ -33,6 +33,21 @@ let def_of fn op =
    sound when replacing all uses; single-use checks also gate the
    use-count-sensitive undef folds. *)
 let use_count = Func.use_count
+
+(* select c, true, x -> or c, x and select c, x, false -> and c, x: the
+   baseline rewrites to the bare logic op, the prototype freezes x.  The
+   freeze's name derives from this def (unique in SSA): Func.fresh_var
+   would hand the same name to two expansions landing in one rewrite
+   iteration. *)
+let select_to_logic (cfg : Pass.config) (named : Instr.named) op ty c x : Pass.rewrite =
+  match cfg.Pass.pipeline with
+  | Pass.Baseline -> Pass.Replace_ins (Binop (op, no_attrs, ty, c, x))
+  | Pass.Prototype ->
+    let fx = "ic.fr." ^ Option.get named.def in
+    Pass.Expand
+      [ { Instr.def = Some fx; ins = Freeze (ty, x) };
+        { named with Instr.ins = Binop (op, no_attrs, ty, c, Var fx) };
+      ]
 
 let rule (cfg : Pass.config) (fn : Func.t) (named : Instr.named) : Pass.rewrite =
   match named.ins with
@@ -74,8 +89,7 @@ let rule (cfg : Pass.config) (fn : Func.t) (named : Instr.named) : Pass.rewrite 
   (* mul x,2 -> add x,x: duplicates an SSA use — Section 3.1's bug.
      Unsound when x can be undef; sound in the proposed semantics. *)
   | Binop (Mul, attrs, ty, x, two)
-    when (match conc two with Some bv -> Bitvec.equal bv (Bitvec.of_int ~width:(Bitvec.width bv) 2) | None -> false)
-         && (cfg.Pass.legacy_bugs || cfg.Pass.freeze) ->
+    when match conc two with Some bv -> Bitvec.equal bv (Bitvec.of_int ~width:(Bitvec.width bv) 2) | None -> false ->
     Pass.Replace_ins (Binop (Add, { attrs with exact = false }, ty, x, x))
   (* mul x, 2^k -> shl x, k *)
   | Binop (Mul, _, ty, x, c)
@@ -118,33 +132,14 @@ let rule (cfg : Pass.config) (fn : Func.t) (named : Instr.named) : Pass.rewrite 
      freezes %c in prose but the non-chosen arm is what must be frozen —
      the checker in test_matrix demonstrates both facts). *)
   | Select (c, ty, t, x) when is_true t && Types.is_bool ty && named.def <> None ->
-    if cfg.Pass.legacy_bugs then Pass.Replace_ins (Binop (Or, no_attrs, ty, c, x))
-    else if cfg.Pass.freeze then begin
-      (* derive the freeze's name from this def (unique in SSA):
-         Func.fresh_var would hand the same name to two expansions
-         landing in one rewrite iteration *)
-      let fx = "ic.fr." ^ Option.get named.def in
-      Pass.Expand
-        [ { Instr.def = Some fx; ins = Freeze (ty, x) };
-          { named with Instr.ins = Binop (Or, no_attrs, ty, c, Var fx) };
-        ]
-    end
-    else Pass.Keep
+    select_to_logic cfg named Or ty c x
   (* select c, x, false -> and c, x : same story *)
   | Select (c, ty, x, f) when is_false f && Types.is_bool ty && named.def <> None ->
-    if cfg.Pass.legacy_bugs then Pass.Replace_ins (Binop (And, no_attrs, ty, c, x))
-    else if cfg.Pass.freeze then begin
-      let fx = "ic.fr." ^ Option.get named.def in
-      Pass.Expand
-        [ { Instr.def = Some fx; ins = Freeze (ty, x) };
-          { named with Instr.ins = Binop (And, no_attrs, ty, c, Var fx) };
-        ]
-    end
-    else Pass.Keep
+    select_to_logic cfg named And ty c x
   (* select c, x, undef -> x : the PR31633 bug (Section 3.4) — wrong
      because x could be poison, and poison is stronger than undef *)
-  | Select (_, _, x, u) when is_undef u && cfg.Pass.legacy_bugs -> Pass.Replace_with x
-  | Select (_, _, u, x) when is_undef u && cfg.Pass.legacy_bugs -> Pass.Replace_with x
+  | Select (_, _, x, u) when is_undef u && cfg.Pass.pipeline = Pass.Baseline -> Pass.Replace_with x
+  | Select (_, _, u, x) when is_undef u && cfg.Pass.pipeline = Pass.Baseline -> Pass.Replace_with x
   (* ---------------- conversions ------------------------------------ *)
   (* trunc(zext x) / trunc(sext x) back to original width -> x *)
   | Conv (Trunc, _, Var v, to_) -> (

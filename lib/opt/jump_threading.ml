@@ -2,29 +2,21 @@
    and folds branches whose condition is (or trivially computes to) a
    constant.
 
-   The freeze wrinkle (Section 7.2, "Shootout nestedloop"): the legacy
-   pass does not know the freeze instruction, so a branch on a frozen
-   value is not threaded, which perturbs the rest of the pipeline — the
-   paper measured a 19% compile-time increase on one benchmark from
-   exactly this.  [jt_handles_freeze] restores threading through
-   freeze(constant). *)
+   The freeze wrinkle (Section 7.2, "Shootout nestedloop"): the paper's
+   prototype did not teach this pass about the freeze instruction, so in
+   both pipelines a branch on a frozen value is not threaded, even on
+   freeze(constant).  That perturbs the rest of the [Prototype] pipeline
+   — the paper measured a 19% compile-time increase on one benchmark
+   from exactly this. *)
 
 open Ub_support
 open Ub_ir
 open Instr
 
-(* look through freeze when permitted *)
-let rec known_bool (cfg : Pass.config) (fn : Func.t) (op : operand) ~depth : bool option =
-  if depth <= 0 then None
-  else
-    match op with
-    | Const (Constant.Int bv) -> Some (Bitvec.is_one bv)
-    | Const _ -> None
-    | Var v -> (
-      match Func.find_def fn v with
-      | Some { Instr.ins = Freeze (_, x); _ } when cfg.Pass.jt_handles_freeze ->
-        known_bool cfg fn x ~depth:(depth - 1)
-      | _ -> None)
+let known_bool (op : operand) : bool option =
+  match op with
+  | Const (Constant.Int bv) -> Some (Bitvec.is_one bv)
+  | _ -> None
 
 let thread_forwarders (fn : Func.t) : Func.t =
   (* an empty block ending in `br target` can be skipped by its
@@ -57,14 +49,14 @@ let thread_forwarders (fn : Func.t) : Func.t =
         fn.blocks;
   }
 
-let fold_known_branches (cfg : Pass.config) (fn : Func.t) : Func.t =
+let fold_known_branches (fn : Func.t) : Func.t =
   { fn with
     Func.blocks =
       List.map
         (fun (b : Func.block) ->
           match b.term with
           | Cond_br (c, t, e) -> (
-            match known_bool cfg fn c ~depth:4 with
+            match known_bool c with
             | Some true -> { b with term = Br t }
             | Some false -> { b with term = Br e }
             | None -> b)
@@ -72,8 +64,8 @@ let fold_known_branches (cfg : Pass.config) (fn : Func.t) : Func.t =
         fn.blocks;
   }
 
-let run (cfg : Pass.config) (fn : Func.t) : Func.t =
-  let fn = fold_known_branches cfg fn in
+let run (_cfg : Pass.config) (fn : Func.t) : Func.t =
+  let fn = fold_known_branches fn in
   let fn = thread_forwarders fn in
   let fn = Dce.remove_unreachable_blocks fn in
   Simplifycfg.prune_phis fn

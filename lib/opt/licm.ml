@@ -7,7 +7,7 @@
 
    Division hoisting is where Section 3.2 / 5.6 bites:
    - hoisting a division whose divisor is a nonzero *constant* is safe;
-   - the [legacy_bugs] variant also hoists when isKnownToBeAPowerOfTwo
+   - the [Baseline] pipeline also hoists when isKnownToBeAPowerOfTwo
      says the divisor can't be zero — ignoring that the fact only holds
      *up to poison*.  If the divisor is poison and the loop never runs,
      the hoisted division is UB the original program did not have.  The
@@ -29,7 +29,7 @@ let hoistable (cfg : Pass.config) (fn : Func.t) (lp : A.Loops.loop) (ins : Instr
   match ins with
   | Binop ((UDiv | URem), _, _, _, divisor) ->
     nonzero_constant divisor
-    || (cfg.Pass.legacy_bugs && A.Known_bits.is_known_nonzero fn divisor)
+    || (cfg.Pass.pipeline = Pass.Baseline && A.Known_bits.is_known_nonzero fn divisor)
   | Binop ((SDiv | SRem), _, _, _, divisor) ->
     (* also needs no INT_MIN/-1 trap: require a constant divisor other
        than -1 and 0 *)

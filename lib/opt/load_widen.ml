@@ -7,9 +7,9 @@
    original element — poison is tracked per element, so the neighbours
    can't hurt the value actually used.
 
-   - [freeze] pipeline: i16 load at an even offset inside an allocation
+   - [Prototype] pipeline: i16 load at an even offset inside an allocation
      with >= 4 bytes remaining becomes load <2 x i16> + extractelement 0.
-   - [legacy_bugs] pipeline: the unsound integer widening
+   - [Baseline] pipeline: the unsound integer widening
      (load i32 + trunc), which t-matrix flags under the proposed
      semantics.
 
@@ -33,11 +33,12 @@ let rule (cfg : Pass.config) (fn : Func.t) (named : Instr.named) : Pass.rewrite 
   match named.ins with
   | Load ((Types.Int 16 as ty), p) -> (
     match malloc_size fn p with
-    | Some sz when sz >= 4 ->
-      if cfg.Pass.freeze then begin
+    | Some sz when sz >= 4 -> (
+      let pv = Func.fresh_var fn "lw.p" in
+      match cfg.Pass.pipeline with
+      | Pass.Prototype ->
         (* vector widening: per-element poison, sound *)
         let vty = Types.Vec (2, Types.Int 16) in
-        let pv = Func.fresh_var fn "lw.p" in
         let wide = Func.fresh_var fn "lw.v" in
         Pass.Expand
           [ { Instr.def = Some pv; ins = Bitcast (Types.Ptr ty, p, Types.Ptr vty) };
@@ -47,19 +48,15 @@ let rule (cfg : Pass.config) (fn : Func.t) (named : Instr.named) : Pass.rewrite 
                 Extractelement (vty, Var wide, Const (Constant.of_int ~width:32 0));
             };
           ]
-      end
-      else if cfg.Pass.legacy_bugs then begin
+      | Pass.Baseline ->
         (* integer widening: neighbouring poison/uninit bits contaminate
            the result — unsound, kept to reproduce the bug *)
-        let pv = Func.fresh_var fn "lw.p" in
         let wide = Func.fresh_var fn "lw.w" in
         Pass.Expand
           [ { Instr.def = Some pv; ins = Bitcast (Types.Ptr ty, p, Types.Ptr (Types.Int 32)) };
             { Instr.def = Some wide; ins = Load (Types.Int 32, Var pv) };
             { named with Instr.ins = Conv (Trunc, Types.Int 32, Var wide, ty) };
-          ]
-      end
-      else Pass.Keep
+          ])
     | _ -> Pass.Keep)
   | _ -> Pass.Keep
 

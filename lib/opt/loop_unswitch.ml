@@ -11,9 +11,9 @@
    iterations-zero paths where the original never branched on c2, so if
    c2 is poison the transformed program would be UB under the proposed
    branch-on-poison-is-UB rule.  freeze turns that into a nondeterministic
-   (but fixed) choice, which *refines* the original.  The [legacy_bugs]
-   variant hoists the raw condition — the end-to-end miscompilation
-   of PR27506.
+   (but fixed) choice, which *refines* the original.  The [Baseline]
+   pipeline hoists the raw condition — the end-to-end miscompilation
+   of PR27506 — and the [Prototype] pipeline the frozen one.
 
    Implementation restrictions (bail out otherwise): the loop has a
    preheader, no value defined in the loop is used outside it, and the
@@ -142,58 +142,50 @@ let unswitch_one (cfg : Pass.config) (fn : Func.t) (lp : A.Loops.loop) : Func.t 
         in
         (* new preheader: branch on (freeze cond | cond) to the copies *)
         let fcond_insns, cond_op =
-          if cfg.Pass.freeze then begin
+          match cfg.Pass.pipeline with
+          | Pass.Prototype ->
             let fv = Func.fresh_var fn "us.fr" in
             ([ { Instr.def = Some fv; ins = Freeze (Types.Int 1, cond) } ], Var fv)
-          end
-          else ([], cond)
-          (* legacy_bugs: hoist the raw condition (the PR27506 bug).
-             Without either flag we refuse to unswitch at all. *)
+          | Pass.Baseline -> ([], cond) (* the PR27506 bug *)
         in
-        if (not cfg.Pass.freeze) && not cfg.Pass.legacy_bugs then None
-        else begin
-          let blocks' =
-            List.concat_map
-              (fun (b : Func.block) ->
-                if b.Func.label = ph then
-                  [ { b with
-                      Func.insns = b.Func.insns @ fcond_insns;
-                      term = Cond_br (cond_op, lp.A.Loops.header ^ ".ust", lp.A.Loops.header ^ ".usf");
-                    }
-                  ]
-                else if in_loop b.Func.label then [] (* original loop replaced by copies *)
-                else [ exit_fix b ])
-              fn.blocks
-          in
-          (* place the copies right after the preheader *)
-          let rec insert_after label acc = function
-            | [] -> List.rev acc
-            | (b : Func.block) :: rest when b.Func.label = label ->
-              List.rev_append acc ((b :: copy_t) @ copy_f @ rest)
-            | b :: rest -> insert_after label (b :: acc) rest
-          in
-          let blocks' = insert_after ph [] blocks' in
-          (* phis in the cloned headers still name the preheader as an
-             incoming: that is correct (the preheader branches to both
-             cloned headers).  Specialization makes one arm of each copy
-             unreachable; prune it immediately. *)
-          Some (Dce.remove_unreachable_blocks { fn with Func.blocks = blocks' })
-        end
+        let blocks' =
+          List.concat_map
+            (fun (b : Func.block) ->
+              if b.Func.label = ph then
+                [ { b with
+                    Func.insns = b.Func.insns @ fcond_insns;
+                    term = Cond_br (cond_op, lp.A.Loops.header ^ ".ust", lp.A.Loops.header ^ ".usf");
+                  }
+                ]
+              else if in_loop b.Func.label then [] (* original loop replaced by copies *)
+              else [ exit_fix b ])
+            fn.blocks
+        in
+        (* place the copies right after the preheader *)
+        let rec insert_after label acc = function
+          | [] -> List.rev acc
+          | (b : Func.block) :: rest when b.Func.label = label ->
+            List.rev_append acc ((b :: copy_t) @ copy_f @ rest)
+          | b :: rest -> insert_after label (b :: acc) rest
+        in
+        let blocks' = insert_after ph [] blocks' in
+        (* phis in the cloned headers still name the preheader as an
+           incoming: that is correct (the preheader branches to both
+           cloned headers).  Specialization makes one arm of each copy
+           unreachable; prune it immediately. *)
+        Some (Dce.remove_unreachable_blocks { fn with Func.blocks = blocks' })
     end
 
 let run (cfg : Pass.config) (fn : Func.t) : Func.t =
-  if (not cfg.Pass.freeze) && not cfg.Pass.legacy_bugs then fn
-  else begin
-    let loops = A.Loops.compute fn in
-    (* unswitch at most one loop per run to keep code growth in check *)
-    let rec try_loops = function
-      | [] -> fn
-      | lp :: rest -> (
-        match unswitch_one cfg fn lp with
-        | Some fn' -> fn'
-        | None -> try_loops rest)
-    in
-    try_loops loops.A.Loops.loops
-  end
+  let loops = A.Loops.compute fn in
+  (* unswitch at most one loop per run to keep code growth in check *)
+  let rec try_loops = function
+    | [] -> fn
+    | lp :: rest -> (
+      match unswitch_one cfg fn lp with
+      | Some fn' -> fn'
+      | None -> try_loops rest)
+  in
+  try_loops loops.A.Loops.loops
 
 let pass : Pass.t = { Pass.name = "loop-unswitch"; run }

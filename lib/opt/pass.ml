@@ -1,65 +1,36 @@
 (* Pass framework: configuration, the pass type, a rewrite engine for
    peephole passes, and the pass manager.
 
-   The configuration mirrors the paper's prototype-vs-baseline axes:
-   - [freeze]: the pipeline may emit freeze instructions (the paper's
-     fixed passes do);
-   - [legacy_bugs]: enable the *unsound* legacy behaviours of Section 3
-     (loop unswitching without freeze, select->arith rewrites, GVN's
+   The configuration is the one choice the paper's evaluation makes:
+   - [Baseline]: LLVM as the paper found it.  No freeze is emitted and
+     the *unsound* legacy behaviours of Section 3 are on (loop
+     unswitching without freeze, select->arith rewrites, GVN's
      select/undef folds, LICM division hoisting on up-to-poison facts,
-     reassociation keeping nsw).  Used to reproduce miscompilations and
-     as the "old LLVM" baseline;
-   - [*_handles_freeze]: which passes have been taught about the new
-     instruction (Section 6 "Optimizations": CodeGenPrepare was, jump
-     threading was not — hence the nestedloop compile-time anomaly). *)
+     reassociation keeping nsw, integer load widening), so the
+     miscompilations reproduce;
+   - [Prototype]: the paper's prototype.  The fixed passes emit freeze,
+     the unsound rewrites are gone, and CodeGenPrepare and the inliner
+     are taught about freeze (Section 6).  Jump threading and scalar
+     evolution are not, in either pipeline: those are the documented
+     limitations behind the nestedloop compile-time anomaly (Section
+     7.2) and Section 10.1. *)
 
 open Ub_ir
 
+type pipeline = Baseline | Prototype
+
 type config = {
-  freeze : bool;
-  legacy_bugs : bool;
-  cgp_handles_freeze : bool;
-  jt_handles_freeze : bool;
-  inliner_freeze_free : bool;
-  scev_freeze_aware : bool;
+  pipeline : pipeline;
   inject : string list;
       (* test-only: names of deliberately unsound rewrites from the
          Inject catalog to enable, so the shrink engine, the hunting
          farm and their CI smokes have known bugs to rediscover *)
 }
 
-(* The baseline: LLVM as the paper found it. *)
-let legacy =
-  { freeze = false;
-    legacy_bugs = true;
-    cgp_handles_freeze = false;
-    jt_handles_freeze = false;
-    inliner_freeze_free = false;
-    scev_freeze_aware = false;
-    inject = [];
-  }
-
-(* The paper's prototype: freeze everywhere a fix needs it, unsound
-   transformations removed, CodeGenPrepare and the inliner taught about
-   freeze (Section 6), jump threading and scalar evolution not (their
-   documented limitations). *)
-let prototype =
-  { freeze = true;
-    legacy_bugs = false;
-    cgp_handles_freeze = true;
-    jt_handles_freeze = false;
-    inliner_freeze_free = true;
-    scev_freeze_aware = false;
-    inject = [];
-  }
-
-(* A fully freeze-aware future pipeline (Section 10 upside). *)
-let future =
-  { prototype with jt_handles_freeze = true; scev_freeze_aware = true }
+let legacy = { pipeline = Baseline; inject = [] }
+let prototype = { pipeline = Prototype; inject = [] }
 
 type t = { name : string; run : config -> Func.t -> Func.t }
-
-type module_pass = { mp_name : string; mp_run : config -> Func.module_ -> Func.module_ }
 
 (* ------------------------------------------------------------------ *)
 (* Rewrite engine                                                      *)

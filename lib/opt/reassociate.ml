@@ -5,8 +5,8 @@
    DROP nsw/nuw from the participating adds: the rewritten expression can
    overflow where the original did not, so keeping the attribute would
    manufacture poison — the exact reassociation bug the paper reports
-   LLVM and MSVC both had.  [legacy_bugs] keeps the attributes, and the
-   opt-fuzz validation flags it. *)
+   LLVM and MSVC both had.  The [Baseline] pipeline keeps the attributes,
+   and the opt-fuzz validation flags it. *)
 
 open Ub_support
 open Ub_ir
@@ -26,7 +26,7 @@ let rule (cfg : Pass.config) (fn : Func.t) (named : Instr.named) : Pass.rewrite 
     | Some k2, Some { Instr.ins = Binop (Add, inner_attrs, _, x, c1); _ } -> (
       match conc c1 with
       | Some k1 ->
-        let keep = if cfg.Pass.legacy_bugs then { attrs with exact = false } else no_attrs in
+        let keep = if cfg.Pass.pipeline = Pass.Baseline then { attrs with exact = false } else no_attrs in
         ignore inner_attrs;
         Pass.Replace_ins (Binop (Add, keep, ty, x, Const (Constant.Int (Bitvec.add k1 k2))))
       | None -> Pass.Keep)
@@ -35,7 +35,7 @@ let rule (cfg : Pass.config) (fn : Func.t) (named : Instr.named) : Pass.rewrite 
   | Binop (Sub, attrs, ty, x, c) -> (
     match conc c with
     | Some k when not (Bitvec.is_zero k) ->
-      let keep = if cfg.Pass.legacy_bugs then attrs else no_attrs in
+      let keep = if cfg.Pass.pipeline = Pass.Baseline then attrs else no_attrs in
       Pass.Replace_ins (Binop (Add, { keep with exact = false }, ty, x, Const (Constant.Int (Bitvec.neg k))))
     | _ -> Pass.Keep)
   | _ -> Pass.Keep

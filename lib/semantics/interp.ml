@@ -197,12 +197,10 @@ type state = {
   mutable fuel : int;
   mutable events : event list; (* reverse chronological *)
   profile : (string * label, int) Hashtbl.t option; (* block counts, when asked for *)
-  externals : string -> Value.t list -> Value.t option;
-      (* result for an external call; [Some v]/[None=void] *)
 }
 
-let default_external ret_ty _name _args =
-  (* externals return zero of their declared type *)
+(* An external call returns zero of its declared type (None when void). *)
+let external_result ret_ty =
   match ret_ty with
   | None -> None
   | Some ty -> (
@@ -262,9 +260,7 @@ let rec exec_call st ret_ty name callee (arg_vals : Value.t list) =
   | Defined p -> run_body st (Lazy.force p) arg_vals
   | External -> (
     st.events <- Call_event (name, arg_vals) :: st.events;
-    match st.externals name arg_vals with
-    | Some _ as r -> r
-    | None -> default_external ret_ty name arg_vals)
+    external_result ret_ty)
 
 and run_body (st : state) (p : prepared) (arg_vals : Value.t list) : Value.t option =
   if List.length arg_vals <> Array.length p.arg_slots then
@@ -405,26 +401,22 @@ let outcome_of st p args =
 (* ------------------------------------------------------------------ *)
 
 (* One run of a prepared function. *)
-let exec ?(oracle = Oracle.zeros) ?(fuel = 200_000) ?(externals = fun _ _ -> None) ?mem ?phase
-    (p : prepared) (args : Value.t list) : run_result =
+let exec ?(oracle = Oracle.zeros) ?(fuel = 200_000) ?mem ?phase (p : prepared)
+    (args : Value.t list) : run_result =
   let mem = match mem with Some m -> m | None -> Memory.create ?phase () in
-  let st = { oracle; mem; fuel; events = []; profile = None; externals } in
+  let st = { oracle; mem; fuel; events = []; profile = None } in
   let outcome = outcome_of st p args in
   { outcome; events = List.rev st.events; mem = Memory.snapshot mem; steps = st.fuel }
 
-let run ?mode ?oracle ?fuel ?module_ ?externals ?mem ?phase (fn : Func.t) (args : Value.t list) :
+let run ?mode ?oracle ?fuel ?module_ ?mem ?phase (fn : Func.t) (args : Value.t list) :
     run_result =
-  exec ?oracle ?fuel ?externals ?mem ?phase (prepare ?mode ?module_ fn) args
+  exec ?oracle ?fuel ?mem ?phase (prepare ?mode ?module_ fn) args
 
 (* Full execution profile across all functions (for the cost model). *)
 let profile ?mode ?(oracle = Oracle.zeros) ?(fuel = 2_000_000) ~module_ (fn : Func.t)
     (args : Value.t list) : ((string * label) * int) list * outcome =
   let counts = Hashtbl.create 64 in
-  let st =
-    { oracle; mem = Memory.create (); fuel; events = []; profile = Some counts;
-      externals = (fun _ _ -> None);
-    }
-  in
+  let st = { oracle; mem = Memory.create (); fuel; events = []; profile = Some counts } in
   let outcome = outcome_of st (prepare ?mode ~module_ fn) args in
   (Hashtbl.fold (fun k c acc -> (k, c) :: acc) counts [] |> List.sort compare, outcome)
 

@@ -172,6 +172,11 @@ let check ((mode, enum, src, tgt) : query) : Ub_refine.Checker.verdict =
   if enum then Ub_refine.Enum_check.check ~mode ~src ~tgt ()
   else Ub_refine.Checker.check mode ~src ~tgt
 
+(* A time rounded to whole nanoseconds, the monotonic clock's
+   resolution: a reply's times then print at their first [%.15g] try
+   instead of needing up to 17 digits. *)
+let to_ns (s : float) : float = Float.round (s *. 1e9) /. 1e9
+
 (* Answer [t], journaling a verdict that did not come from the journal.
    [service_s] is the check's own run time, 0 for a journal hit. *)
 let answer st (t : task) ~(cached : bool) (r : Verdict_cache.outcome) (service_s : float) =
@@ -181,8 +186,9 @@ let answer st (t : task) ~(cached : bool) (r : Verdict_cache.outcome) (service_s
   Obs.count ("serve.verdict." ^ Verdict_cache.kind r);
   if r = Pool.Timed_out then Obs.count "serve.timeouts";
   send st t.t_conn
-    (Wire.make_verdict ~r_id:t.t_id ~cached ~wall_s:(Obs.Clock.now_s () -. t.t_enqueued_at)
-       ~service_s r)
+    (Wire.make_verdict ~r_id:t.t_id ~cached
+       ~wall_s:(to_ns (Obs.Clock.now_s () -. t.t_enqueued_at))
+       ~service_s:(to_ns service_s) r)
 
 (* Answer [t] from the journal when it holds the verdict. *)
 let journal_hit (st : state) (t : task) : bool =

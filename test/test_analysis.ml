@@ -106,28 +106,32 @@ let scev_tests =
         | Some (iv, Instr.Slt, Instr.Var "n") -> Alcotest.(check string) "iv" "i" iv.A.Scev.var
         | _ -> Alcotest.fail "exit condition not recognized");
     Alcotest.test_case "scev gives up on freeze (10.1)" `Quick (fun () ->
-        let fn =
-          parse
-            {|define i32 @l(i32 %n, i32 %s) {
+        (* the same loop stepping by %s, bare and frozen *)
+        let ivs step =
+          let fn =
+            parse
+              (Printf.sprintf
+                 {|define i32 @l(i32 %%n, i32 %%s) {
 entry:
-  %fs = freeze i32 %s
-  br label %head
+  %%fs = freeze i32 %%s
+  br label %%head
 head:
-  %i = phi i32 [ 0, %entry ], [ %i1, %body ]
-  %c = icmp slt i32 %i, %n
-  br i1 %c, label %body, label %exit
+  %%i = phi i32 [ 0, %%entry ], [ %%i1, %%body ]
+  %%c = icmp slt i32 %%i, %%n
+  br i1 %%c, label %%body, label %%exit
 body:
-  %i1 = add nsw i32 %i, %fs
-  br label %head
+  %%i1 = add nsw i32 %%i, %s
+  br label %%head
 exit:
-  ret i32 %i
+  ret i32 %%i
 }|}
+                 step)
+          in
+          let li = A.Loops.compute fn in
+          List.length (A.Scev.classify fn (List.hd li.A.Loops.loops))
         in
-        let li = A.Loops.compute fn in
-        let lp = List.hd li.A.Loops.loops in
-        Alcotest.(check int) "not freeze-aware: no IV" 0 (List.length (A.Scev.classify fn lp));
-        Alcotest.(check int) "freeze-aware: one IV" 1
-          (List.length (A.Scev.classify ~freeze_aware:true fn lp)));
+        Alcotest.(check int) "bare step: one IV" 1 (ivs "%s");
+        Alcotest.(check int) "frozen step: no IV" 0 (ivs "%fs"));
   ]
 
 let known_bits_tests =

@@ -251,9 +251,7 @@ let cache_tests =
             Alcotest.(check (option string)) "miss before store" None (Cache.find c k);
             Cache.store c k "verdict-bytes";
             Alcotest.(check (option string)) "hit after store" (Some "verdict-bytes")
-              (Cache.find c k);
-            Alcotest.(check int) "one hit" 1 (Cache.hits c);
-            Alcotest.(check int) "one miss" 1 (Cache.misses c)));
+              (Cache.find c k)));
     Alcotest.test_case "keys are injective on part boundaries" `Quick (fun () ->
         Alcotest.(check bool) "ab|c vs a|bc" false
           (Cache.key ~parts:[ "ab"; "c" ] = Cache.key ~parts:[ "a"; "bc" ]);

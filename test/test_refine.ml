@@ -254,13 +254,19 @@ let checkers_agree =
 (* Verdict-cache keying (ISSUE 4 satellite: budget collision)          *)
 (* ------------------------------------------------------------------ *)
 
+(* A fresh journal and a fresh Obs registry, so [Verdict_cache.lookups]
+   and the verdict_cache.store counter count this test's lookups alone. *)
 let with_tmp_cache k =
   let dir = Filename.temp_file "ub_refine_cache" "" in
   Sys.remove dir;
+  Ub_obs.Obs.reset ();
   Fun.protect
     ~finally:(fun () ->
+      Ub_obs.Obs.reset ();
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
     (fun () -> k (Ub_exec.Cache.open_journal dir))
+
+let cache_hits () = fst (Verdict_cache.lookups ())
 
 let cache_tests =
   [ Alcotest.test_case "budget-limited verdicts never alias full-budget ones" `Quick
@@ -278,16 +284,16 @@ let cache_tests =
             Alcotest.(check bool) "both calls refine" true
               (v1 = Checker.Refines && v2 = Checker.Refines);
             Alcotest.(check int) "full-budget call misses the small-budget entry" 0
-              (Ub_exec.Cache.hits c);
+              (cache_hits ());
             Alcotest.(check int) "two distinct entries stored" 2
-              (Ub_exec.Cache.stores c);
+              (Ub_obs.Obs.counter_value "verdict_cache.store");
             (* same budget twice is still a hit *)
             let v3 =
               Reduce.check_cached ~cache:c ~max_universal_bits:Reduce.reduce_universal_bits
                 ~max_conflicts:Reduce.reduce_conflicts Mode.proposed ~src ~tgt
             in
             Alcotest.(check bool) "replay hits" true
-              (v3 = Checker.Refines && Ub_exec.Cache.hits c = 1)));
+              (v3 = Checker.Refines && cache_hits () = 1)));
     Alcotest.test_case "kind tags carry the v3 bump" `Quick (fun () ->
         (* stale entries must be unreachable: the kind strings are part
            of the hashed key, so the bump is the invalidation.  The SAT
@@ -318,7 +324,7 @@ let cache_tests =
                 ~max_conflicts:Reduce.reduce_conflicts Mode.proposed ~src ~tgt
             in
             Alcotest.(check bool) "the v3 lookup refines" true (v = Checker.Refines);
-            Alcotest.(check int) "the v2 entry is never hit" 0 (Ub_exec.Cache.hits c)));
+            Alcotest.(check int) "the v2 entry is never hit" 0 (cache_hits ())));
   ]
 
 (* ------------------------------------------------------------------ *)

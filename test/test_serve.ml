@@ -48,6 +48,21 @@ let json_tests =
         Alcotest.(check (option int)) "-2^53 + 1" (Some (-9007199254740991))
           (id "-9007199254740991");
         Alcotest.(check (option int)) "fraction" None (id "1.5"));
+    Alcotest.test_case "reply times print at their first %.15g try" `Quick (fun () ->
+        (* [Server.to_ns] rounds a reply's wall_s/service_s to whole
+           nanoseconds, so the printed number is the 15-digit form and
+           reads back as the same float *)
+        List.iter
+          (fun s ->
+            let t = Server.to_ns s in
+            let printed = Json.number_to_string t in
+            if not (Float.is_integer t) then
+              Alcotest.(check string) (printed ^ " is %.15g") (Printf.sprintf "%.15g" t) printed;
+            Alcotest.(check (float 0.0)) (printed ^ " reads back") t (float_of_string printed);
+            Alcotest.(check bool) (printed ^ " within half a ns") true
+              (Float.abs (t -. s) <= 0.5e-9))
+          [ 0.004411289999552537; 0.0; 1e-9; 0.1 +. 0.2; 2.718281828459045; 123.456789012345678;
+            86399.999999999 ]);
     Alcotest.test_case "garbage is rejected" `Quick (fun () ->
         let bad = [ "{"; "[1,"; "\"unterminated"; "{} trailing"; "nul"; "+1"; "" ] in
         List.iter
