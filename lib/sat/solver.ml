@@ -68,9 +68,6 @@ let take_arena () : arena =
   spare := no_arena;
   if Bigarray.Array1.dim a > 0 then a else new_arena 4096
 
-(* Truth values in the trail: 0 unassigned, 1 true, 2 false (of the
-   positive literal). *)
-
 type t = {
   nvars : int;
   mutable arena : arena;
@@ -83,8 +80,10 @@ type t = {
          until the literal is first watched, since a solver is sized by
          every node of its circuit context and most are never watched *)
   watch_len : int array; (* live prefix of each watch vector *)
-  assign : int array; (* per var: 0 / 1 (true) / 2 (false) *)
-  phase : bool array; (* saved polarity per var (last assigned value) *)
+  value : Bytes.t;
+      (* per literal: 0 unassigned, 1 true, 2 false; a byte each, and
+         the only record of the assignment *)
+  phase : Bytes.t; (* saved polarity per var (last assigned value): 1 true, 0 false *)
   level : int array; (* decision level per var *)
   reason : int array; (* antecedent clause per var, -1 for none *)
   trail : int array; (* assigned literals in order *)
@@ -101,8 +100,11 @@ type t = {
   mutable learnts : int array; (* the learned-clause database, in insertion order *)
   mutable n_learnts : int;
   mutable max_learnts : float; (* reduction threshold (geometric) *)
-  seen : bool array; (* scratch for conflict analysis *)
-  learnt_buf : int array; (* [analyze]'s learned clause *)
+  mutable seen : Bytes.t;
+      (* scratch for conflict analysis, per var (and per level for the
+         glue); like [learnt_buf], allocated at the first conflict, since
+         most instances never have one *)
+  mutable learnt_buf : int array; (* [analyze]'s learned clause *)
   mutable learnt_len : int;
   mutable conflicts : int;
   mutable propagations : int;
@@ -123,8 +125,8 @@ let create nvars =
     n_act = 0;
     watches = Array.make (2 * nvars) [||];
     watch_len = Array.make (2 * nvars) 0;
-    assign = Array.make nvars 0;
-    phase = Array.make nvars false;
+    value = Bytes.make (2 * nvars) '\000';
+    phase = Bytes.make nvars '\000';
     level = Array.make nvars 0;
     reason = Array.make nvars (-1);
     trail = Array.make (max 1 nvars) 0;
@@ -141,8 +143,8 @@ let create nvars =
     learnts = [||];
     n_learnts = 0;
     max_learnts = 0.0;
-    seen = Array.make nvars false;
-    learnt_buf = Array.make (max 1 nvars) 0;
+    seen = Bytes.empty;
+    learnt_buf = [||];
     learnt_len = 0;
     conflicts = 0;
     propagations = 0;
@@ -210,10 +212,8 @@ let new_clause (s : t) (lits : int array) n ~learned : int =
   s.arena_top <- c + need;
   c
 
-let value_lit (s : t) (l : lit) =
-  (* 0 unassigned, 1 true, 2 false *)
-  let a = s.assign.(var_of l) in
-  if a = 0 then 0 else if is_neg l then 3 - a else a
+(* 0 unassigned, 1 true, 2 false *)
+let value_lit (s : t) (l : lit) = Bytes.get_uint8 s.value l
 
 (* ------------------------------------------------------------------ *)
 (* VSIDS order heap: a binary max-heap on [activity], with positions    *)
@@ -302,8 +302,9 @@ let decay_clause_activity (s : t) = s.cla_inc <- s.cla_inc /. 0.999
 
 let enqueue (s : t) (l : lit) (reason : int) =
   let v = var_of l in
-  s.assign.(v) <- (if is_neg l then 2 else 1);
-  s.phase.(v) <- not (is_neg l);
+  Bytes.set_uint8 s.value l 1;
+  Bytes.set_uint8 s.value (lnot l) 2;
+  Bytes.set_uint8 s.phase v (if is_neg l then 0 else 1);
   s.level.(v) <- s.decision_level;
   s.reason.(v) <- reason;
   s.trail.(s.trail_len) <- l;
@@ -458,6 +459,10 @@ let propagate (s : t) : int =
    built by consing would give: the asserting literal, then the others
    latest-found first. *)
 let analyze (s : t) (confl : int) : int =
+  if Bytes.length s.seen = 0 then begin
+    s.seen <- Bytes.make (s.nvars + 1) '\000';
+    s.learnt_buf <- Array.make (max 1 s.nvars) 0
+  end;
   let a = s.arena in
   let buf = s.learnt_buf in
   let n = ref 1 (* slot 0 waits for the asserting literal *) in
@@ -475,8 +480,8 @@ let analyze (s : t) (confl : int) : int =
       let q = a.{k} in
       if q <> !p then begin
         let v = var_of q in
-        if (not s.seen.(v)) && s.level.(v) > 0 then begin
-          s.seen.(v) <- true;
+        if Bytes.get_uint8 s.seen v = 0 && s.level.(v) > 0 then begin
+          Bytes.set_uint8 s.seen v 1;
           bump_var s v;
           if s.level.(v) >= s.decision_level then incr counter
           else begin
@@ -487,12 +492,12 @@ let analyze (s : t) (confl : int) : int =
       end
     done;
     (* find next literal on trail that is marked *)
-    while not s.seen.(var_of s.trail.(!idx)) do
+    while Bytes.get_uint8 s.seen (var_of s.trail.(!idx)) = 0 do
       decr idx
     done;
     let q = s.trail.(!idx) in
     let v = var_of q in
-    s.seen.(v) <- false;
+    Bytes.set_uint8 s.seen v 0;
     decr counter;
     decr idx;
     if !counter = 0 then begin
@@ -540,7 +545,7 @@ let analyze (s : t) (confl : int) : int =
   end;
   (* clear seen flags *)
   for i = 0 to n - 1 do
-    s.seen.(var_of buf.(i)) <- false
+    Bytes.set_uint8 s.seen (var_of buf.(i)) 0
   done;
   s.learnt_len <- n;
   !blevel
@@ -548,8 +553,10 @@ let analyze (s : t) (confl : int) : int =
 let backtrack (s : t) (level : int) =
   if s.decision_level > level then begin
     for i = s.trail_len - 1 downto s.trail_lim.(level) do
-      let v = var_of s.trail.(i) in
-      s.assign.(v) <- 0;
+      let l = s.trail.(i) in
+      let v = var_of l in
+      Bytes.set_uint8 s.value l 0;
+      Bytes.set_uint8 s.value (lnot l) 0;
       s.reason.(v) <- -1;
       heap_insert s v
     done;
@@ -673,7 +680,7 @@ let pick_branch_var (s : t) : int option =
     if s.heap_len = 0 then None
     else begin
       let v = heap_pop s in
-      if s.assign.(v) <> 0 then go () else Some v
+      if value_lit s (pos v) <> 0 then go () else Some v
     end
   in
   go ()
@@ -694,7 +701,7 @@ exception Budget_exceeded
 let solve ?(max_conflicts = max_int) (s : t) : result =
   let conflicts0 = s.conflicts in
   for v = 0 to s.nvars - 1 do
-    if s.assign.(v) = 0 then heap_insert s v
+    if value_lit s (pos v) = 0 then heap_insert s v
   done;
   if s.max_learnts < Float.max 2000.0 (float_of_int s.num_clauses) then
     s.max_learnts <- Float.max 2000.0 (float_of_int s.num_clauses);
@@ -739,13 +746,13 @@ let solve ?(max_conflicts = max_int) (s : t) : result =
               match pick_branch_var s with
               | None ->
                 (* full assignment: SAT *)
-                result := Some (Sat (Array.init s.nvars (fun v -> s.assign.(v) = 1)));
+                result := Some (Sat (Array.init s.nvars (fun v -> value_lit s (pos v) = 1)));
                 raise Exit
               | Some v ->
                 s.decisions <- s.decisions + 1;
                 s.trail_lim.(s.decision_level) <- s.trail_len;
                 s.decision_level <- s.decision_level + 1;
-                enqueue s (lit_of ~negated:(not s.phase.(v)) v) (-1)
+                enqueue s (lit_of ~negated:(Bytes.get_uint8 s.phase v = 0) v) (-1)
           done
         with Exit -> ())
      done

@@ -283,7 +283,7 @@ let unit_tests =
           Alcotest.(check bool) "assigned once" false seen.(v);
           seen.(v) <- true;
           Alcotest.(check bool) "trail matches the assignment" true
-            (s.Solver.assign.(v) = if Solver.is_neg l then 2 else 1)
+            (Solver.value_lit s l = 1)
         done;
         (* x, y, and !z (the x-falsified literal was dropped from the
            last clause, leaving the unit !z) *)
