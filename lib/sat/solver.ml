@@ -76,10 +76,11 @@ type t = {
   mutable cla_act : float array; (* learned-clause activities, by header index *)
   mutable n_act : int; (* activity slots in use *)
   watches : int array array;
-      (* clauses to visit when a literal becomes true, by literal; [||]
-         until the literal is first watched, since a solver is sized by
-         every node of its circuit context and most are never watched *)
-  watch_len : int array; (* live prefix of each watch vector *)
+      (* clauses to visit when a literal becomes true, by literal, as
+         (clause, blocker) pairs in consecutive words; [||] until the
+         literal is first watched, since a solver is sized by every node
+         of its circuit context and most are never watched *)
+  watch_len : int array; (* live prefix of each watch vector, in words *)
   value : Bytes.t;
       (* per literal: 0 unassigned, 1 true, 2 false; a byte each, and
          the only record of the assignment *)
@@ -310,19 +311,26 @@ let enqueue (s : t) (l : lit) (reason : int) =
   s.trail.(s.trail_len) <- l;
   s.trail_len <- s.trail_len + 1
 
-let watch (s : t) c (l : lit) =
-  (* watching literal l of c: insertion is keyed by (lnot l), the
-     literal whose becoming true falsifies l and requires a visit *)
+(* Watch literal [l] of [c], with [blocker], another literal of [c]:
+   while the blocker is true the clause is satisfied, and [propagate]
+   passes it by without reading the arena.  Insertion is keyed by
+   (lnot l), the literal whose becoming true falsifies l and requires a
+   visit. *)
+let watch (s : t) c (l : lit) ~(blocker : lit) =
   let k = lnot l in
   let ws = s.watches.(k) and n = s.watch_len.(k) in
-  if n = Array.length ws then begin
-    let grown = Array.make (max 4 (2 * n)) 0 in
-    Array.blit ws 0 grown 0 n;
-    grown.(n) <- c;
-    s.watches.(k) <- grown
-  end
-  else ws.(n) <- c;
-  s.watch_len.(k) <- n + 1
+  let ws =
+    if n < Array.length ws then ws
+    else begin
+      let grown = Array.make (max 8 (2 * n)) 0 in
+      Array.blit ws 0 grown 0 n;
+      s.watches.(k) <- grown;
+      grown
+    end
+  in
+  ws.(n) <- c;
+  ws.(n + 1) <- blocker;
+  s.watch_len.(k) <- n + 2
 
 (* Add a clause; returns false if the instance is already unsat at level
    0.  The clause is normalised in place: an insertion sort (clauses are
@@ -378,16 +386,19 @@ let add_clause (s : t) (lits : lit array) : bool =
     | m ->
       s.num_clauses <- s.num_clauses + 1;
       let c = new_clause s lits m ~learned:false in
-      watch s c lits.(0);
-      watch s c lits.(1);
+      watch s c lits.(0) ~blocker:lits.(1);
+      watch s c lits.(1) ~blocker:lits.(0);
       true
   end
 
 (* Propagate until fixpoint; returns the conflicting clause, or -1.
    Watch vectors are compacted in place: a clause keeps its slot unless
-   it found a new watch (it moved lists).  On conflict the unvisited
-   tail is preserved verbatim, so watch lists survive conflicts
-   exactly.  Nothing here grows the arena, so [a] stays valid. *)
+   it found a new watch (it moved lists).  An entry whose blocker is
+   true is kept without reading the clause; otherwise a true other
+   watched literal becomes the entry's blocker.  On conflict the
+   unvisited tail is preserved verbatim, so watch lists survive
+   conflicts exactly.  Nothing here grows the arena, so [a] stays
+   valid. *)
 let propagate (s : t) : int =
   let a = s.arena in
   let conflict = ref (-1) in
@@ -404,48 +415,58 @@ let propagate (s : t) : int =
     let i = ref 0 in
     let falsified = lnot l in
     while !i < n do
-      let c = ws.(!i) in
-      incr i;
-      let lits = c + hdr in
-      (* ensure the falsified literal is at position 1 *)
-      if a.{lits} = falsified then begin
-        a.{lits} <- a.{lits + 1};
-        a.{lits + 1} <- falsified
-      end;
-      let first = a.{lits} in
-      if value_lit s first = 1 then begin
-        (* clause already satisfied; keep watching *)
+      let c = ws.(!i) and blocker = ws.(!i + 1) in
+      i := !i + 2;
+      if value_lit s blocker = 1 then begin
+        (* satisfied by its blocker; keep watching *)
         ws.(!j) <- c;
-        incr j
+        ws.(!j + 1) <- blocker;
+        j := !j + 2
       end
       else begin
-        (* look for a new watch *)
-        let len = a.{c} in
-        let k = ref 2 in
-        while !k < len && value_lit s a.{lits + !k} = 2 do
-          incr k
-        done;
-        if !k < len then begin
-          let w = a.{lits + !k} in
-          a.{lits + !k} <- a.{lits + 1};
-          a.{lits + 1} <- w;
-          watch s c w
+        let lits = c + hdr in
+        (* ensure the falsified literal is at position 1 *)
+        if a.{lits} = falsified then begin
+          a.{lits} <- a.{lits + 1};
+          a.{lits + 1} <- falsified
+        end;
+        let first = a.{lits} in
+        if first <> blocker && value_lit s first = 1 then begin
+          (* satisfied by the other watch, the better blocker *)
+          ws.(!j) <- c;
+          ws.(!j + 1) <- first;
+          j := !j + 2
         end
         else begin
-          (* unit or conflict: stays on this watch list *)
-          ws.(!j) <- c;
-          incr j;
-          match value_lit s first with
-          | 2 ->
-            conflict := c;
-            (* keep the unvisited tail on this list untouched *)
-            while !i < n do
-              ws.(!j) <- ws.(!i);
-              incr j;
-              incr i
-            done
-          | 0 -> enqueue s first c
-          | _ -> ()
+          (* look for a new watch *)
+          let len = a.{c} in
+          let k = ref 2 in
+          while !k < len && value_lit s a.{lits + !k} = 2 do
+            incr k
+          done;
+          if !k < len then begin
+            let w = a.{lits + !k} in
+            a.{lits + !k} <- a.{lits + 1};
+            a.{lits + 1} <- w;
+            watch s c w ~blocker:first
+          end
+          else begin
+            (* unit or conflict: stays on this watch list *)
+            ws.(!j) <- c;
+            ws.(!j + 1) <- first;
+            j := !j + 2;
+            match value_lit s first with
+            | 2 ->
+              conflict := c;
+              (* keep the unvisited tail on this list untouched *)
+              while !i < n do
+                ws.(!j) <- ws.(!i);
+                incr j;
+                incr i
+              done
+            | 0 -> enqueue s first c
+            | _ -> ()
+          end
         end
       end
     done;
@@ -591,8 +612,8 @@ let compact (s : t) =
   let forward c = a.{c + 1} lsr 2 in
   Array.iteri
     (fun k ws ->
-      for i = 0 to s.watch_len.(k) - 1 do
-        ws.(i) <- forward ws.(i)
+      for i = 0 to (s.watch_len.(k) / 2) - 1 do
+        ws.(2 * i) <- forward ws.(2 * i)
       done)
     s.watches;
   Array.iteri (fun v r -> if r >= 0 then s.reason.(v) <- forward r) s.reason;
@@ -641,18 +662,19 @@ let reduce_db (s : t) =
       end)
     arr;
   let live c = a.{c + 1} land f_deleted = 0 in
-  let filter (v : int array) len =
+  (* keep the live entries of [len] words, [width] words each *)
+  let filter ~width (v : int array) len =
     let j = ref 0 in
-    for i = 0 to len - 1 do
-      if live v.(i) then begin
-        v.(!j) <- v.(i);
-        incr j
+    for i = 0 to (len / width) - 1 do
+      if live v.(width * i) then begin
+        Array.blit v (width * i) v !j width;
+        j := !j + width
       end
     done;
     !j
   in
-  s.n_learnts <- filter s.learnts n;
-  Array.iteri (fun k ws -> s.watch_len.(k) <- filter ws s.watch_len.(k)) s.watches;
+  s.n_learnts <- filter ~width:1 s.learnts n;
+  Array.iteri (fun k ws -> s.watch_len.(k) <- filter ~width:2 ws s.watch_len.(k)) s.watches;
   s.max_learnts <- s.max_learnts *. 1.2;
   if 5 * s.arena_dead >= s.arena_top then compact s
 
@@ -668,8 +690,8 @@ let learn (s : t) : int =
   s.n_learnts <- s.n_learnts + 1;
   if s.n_learnts > s.learned_peak then s.learned_peak <- s.n_learnts;
   bump_clause s c;
-  watch s c s.learnt_buf.(0);
-  watch s c s.learnt_buf.(1);
+  watch s c s.learnt_buf.(0) ~blocker:s.learnt_buf.(1);
+  watch s c s.learnt_buf.(1) ~blocker:s.learnt_buf.(0);
   c
 
 (* Phase-saved branching: pick the highest-activity unassigned variable

@@ -86,11 +86,15 @@ let brute nvars clauses =
   in
   try_ 0
 
+(* The (clause, blocker) entries on the watch list of literal [k],
+   visited when [k] becomes true. *)
+let watch_entries (s : Solver.t) k =
+  let ws = s.Solver.watches.(k) in
+  List.init (s.Solver.watch_len.(k) / 2) (fun i -> (ws.(2 * i), ws.((2 * i) + 1)))
+
 (* The clauses watching literal [l]'s falsification, i.e. visited when
    [lnot l] becomes true. *)
-let watchers (s : Solver.t) (l : Solver.lit) =
-  let k = Solver.lnot l in
-  Array.to_list (Array.sub s.Solver.watches.(k) 0 s.Solver.watch_len.(k))
+let watchers (s : Solver.t) (l : Solver.lit) = List.map fst (watch_entries s (Solver.lnot l))
 
 (* Every clause in the arena, live or deleted, in arena order. *)
 let arena_clauses (s : Solver.t) =
@@ -119,6 +123,7 @@ let pigeonhole ~pigeons ~holes =
    they all hold, else the first one broken.
    - each live clause is watched exactly twice, on the lists of its two
      watched literals, and a deleted one not at all;
+   - each watch entry's blocker is a literal of its clause;
    - every watch and every reason points at the start of a live clause;
    - a reason's literal 0 is the literal its variable is assigned, and
      an unassigned variable has no reason;
@@ -134,12 +139,14 @@ let invariant_violation (s : Solver.t) : string option =
   let bad = ref None in
   let fail fmt = Printf.ksprintf (fun m -> if !bad = None then bad := Some m) fmt in
   Array.iteri
-    (fun k ws ->
-      for i = 0 to s.Solver.watch_len.(k) - 1 do
-        let c = ws.(i) in
-        if not (live c) then fail "watch %d on list %d is not a live clause" c k;
-        Hashtbl.add watched_on c k
-      done)
+    (fun k _ ->
+      List.iter
+        (fun (c, blocker) ->
+          if not (live c) then fail "watch %d on list %d is not a live clause" c k
+          else if not (Array.mem blocker (clause_lits s c)) then
+            fail "watch %d on list %d has blocker %d, not one of its literals" c k blocker;
+          Hashtbl.add watched_on c k)
+        (watch_entries s k))
     s.Solver.watches;
   let dead = ref 0 and next_act = ref 0 in
   List.iter
