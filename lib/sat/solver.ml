@@ -77,9 +77,10 @@ type t = {
   mutable n_act : int; (* activity slots in use *)
   watches : int array array;
       (* clauses to visit when a literal becomes true, by literal, as
-         (clause, blocker) pairs in consecutive words; [||] until the
-         literal is first watched, since a solver is sized by every node
-         of its circuit context and most are never watched *)
+         (entry, blocker) pairs in consecutive words, where the entry is
+         the clause shifted left by one over [binary]'s flag; [||] until
+         the literal is first watched, since a solver is sized by every
+         node of its circuit context and most are never watched *)
   watch_len : int array; (* live prefix of each watch vector, in words *)
   value : Bytes.t;
       (* per literal: 0 unassigned, 1 true, 2 false; a byte each, and
@@ -311,11 +312,17 @@ let enqueue (s : t) (l : lit) (reason : int) =
   s.trail.(s.trail_len) <- l;
   s.trail_len <- s.trail_len + 1
 
+(* A watch entry: the clause, shifted left over the flag of a binary
+   clause, whose blocker is its other literal. *)
+let binary = 1
+let entry_clause e = e lsr 1
+
 (* Watch literal [l] of [c], with [blocker], another literal of [c]:
    while the blocker is true the clause is satisfied, and [propagate]
-   passes it by without reading the arena.  Insertion is keyed by
-   (lnot l), the literal whose becoming true falsifies l and requires a
-   visit. *)
+   passes it by without reading the arena.  A binary clause's blocker
+   is its other literal, so its entry alone propagates it.  Insertion
+   is keyed by (lnot l), the literal whose becoming true falsifies l
+   and requires a visit. *)
 let watch (s : t) c (l : lit) ~(blocker : lit) =
   let k = lnot l in
   let ws = s.watches.(k) and n = s.watch_len.(k) in
@@ -328,7 +335,7 @@ let watch (s : t) c (l : lit) ~(blocker : lit) =
       grown
     end
   in
-  ws.(n) <- c;
+  ws.(n) <- (c lsl 1) lor (if s.arena.{c} = 2 then binary else 0);
   ws.(n + 1) <- blocker;
   s.watch_len.(k) <- n + 2
 
@@ -395,7 +402,10 @@ let add_clause (s : t) (lits : lit array) : bool =
    Watch vectors are compacted in place: a clause keeps its slot unless
    it found a new watch (it moved lists).  An entry whose blocker is
    true is kept without reading the clause; otherwise a true other
-   watched literal becomes the entry's blocker.  On conflict the
+   watched literal becomes the entry's blocker.  A binary entry is
+   unit or a conflict as soon as its blocker is not true; a clause it
+   implies gets the implied literal at position 0 first, as every
+   reason has.  On conflict the
    unvisited tail is preserved verbatim, so watch lists survive
    conflicts exactly.  Nothing here grows the arena, so [a] stays
    valid. *)
@@ -415,13 +425,32 @@ let propagate (s : t) : int =
     let i = ref 0 in
     let falsified = lnot l in
     while !i < n do
-      let c = ws.(!i) and blocker = ws.(!i + 1) in
+      let e = ws.(!i) and blocker = ws.(!i + 1) in
+      let c = entry_clause e in
       i := !i + 2;
       if value_lit s blocker = 1 then begin
         (* satisfied by its blocker; keep watching *)
-        ws.(!j) <- c;
+        ws.(!j) <- e;
         ws.(!j + 1) <- blocker;
         j := !j + 2
+      end
+      else if e land binary <> 0 then begin
+        ws.(!j) <- e;
+        ws.(!j + 1) <- blocker;
+        j := !j + 2;
+        if value_lit s blocker = 2 then begin
+          conflict := c;
+          while !i < n do
+            ws.(!j) <- ws.(!i);
+            incr j;
+            incr i
+          done
+        end
+        else begin
+          a.{c + hdr} <- blocker;
+          a.{c + hdr + 1} <- falsified;
+          enqueue s blocker c
+        end
       end
       else begin
         let lits = c + hdr in
@@ -433,7 +462,7 @@ let propagate (s : t) : int =
         let first = a.{lits} in
         if first <> blocker && value_lit s first = 1 then begin
           (* satisfied by the other watch, the better blocker *)
-          ws.(!j) <- c;
+          ws.(!j) <- e;
           ws.(!j + 1) <- first;
           j := !j + 2
         end
@@ -452,7 +481,7 @@ let propagate (s : t) : int =
           end
           else begin
             (* unit or conflict: stays on this watch list *)
-            ws.(!j) <- c;
+            ws.(!j) <- e;
             ws.(!j + 1) <- first;
             j := !j + 2;
             match value_lit s first with
@@ -613,7 +642,8 @@ let compact (s : t) =
   Array.iteri
     (fun k ws ->
       for i = 0 to (s.watch_len.(k) / 2) - 1 do
-        ws.(2 * i) <- forward ws.(2 * i)
+        let e = ws.(2 * i) in
+        ws.(2 * i) <- (forward (entry_clause e) lsl 1) lor (e land binary)
       done)
     s.watches;
   Array.iteri (fun v r -> if r >= 0 then s.reason.(v) <- forward r) s.reason;
@@ -662,19 +692,22 @@ let reduce_db (s : t) =
       end)
     arr;
   let live c = a.{c + 1} land f_deleted = 0 in
-  (* keep the live entries of [len] words, [width] words each *)
-  let filter ~width (v : int array) len =
+  (* keep the live entries of [len] words, [width] words each, whose
+     first word [clause] maps to a clause *)
+  let filter ~width ~clause (v : int array) len =
     let j = ref 0 in
     for i = 0 to (len / width) - 1 do
-      if live v.(width * i) then begin
+      if live (clause v.(width * i)) then begin
         Array.blit v (width * i) v !j width;
         j := !j + width
       end
     done;
     !j
   in
-  s.n_learnts <- filter ~width:1 s.learnts n;
-  Array.iteri (fun k ws -> s.watch_len.(k) <- filter ~width:2 ws s.watch_len.(k)) s.watches;
+  s.n_learnts <- filter ~width:1 ~clause:Fun.id s.learnts n;
+  Array.iteri
+    (fun k ws -> s.watch_len.(k) <- filter ~width:2 ~clause:entry_clause ws s.watch_len.(k))
+    s.watches;
   s.max_learnts <- s.max_learnts *. 1.2;
   if 5 * s.arena_dead >= s.arena_top then compact s
 

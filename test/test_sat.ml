@@ -86,15 +86,18 @@ let brute nvars clauses =
   in
   try_ 0
 
-(* The (clause, blocker) entries on the watch list of literal [k],
-   visited when [k] becomes true. *)
+(* The (clause, blocker, binary flag) entries on the watch list of
+   literal [k], visited when [k] becomes true. *)
 let watch_entries (s : Solver.t) k =
   let ws = s.Solver.watches.(k) in
-  List.init (s.Solver.watch_len.(k) / 2) (fun i -> (ws.(2 * i), ws.((2 * i) + 1)))
+  List.init (s.Solver.watch_len.(k) / 2) (fun i ->
+      let e = ws.(2 * i) in
+      (Solver.entry_clause e, ws.((2 * i) + 1), e land Solver.binary <> 0))
 
 (* The clauses watching literal [l]'s falsification, i.e. visited when
    [lnot l] becomes true. *)
-let watchers (s : Solver.t) (l : Solver.lit) = List.map fst (watch_entries s (Solver.lnot l))
+let watchers (s : Solver.t) (l : Solver.lit) =
+  List.map (fun (c, _, _) -> c) (watch_entries s (Solver.lnot l))
 
 (* Every clause in the arena, live or deleted, in arena order. *)
 let arena_clauses (s : Solver.t) =
@@ -123,7 +126,8 @@ let pigeonhole ~pigeons ~holes =
    they all hold, else the first one broken.
    - each live clause is watched exactly twice, on the lists of its two
      watched literals, and a deleted one not at all;
-   - each watch entry's blocker is a literal of its clause;
+   - each watch entry's blocker is a literal of its clause, and its
+     binary flag is set exactly when the clause has two literals;
    - every watch and every reason points at the start of a live clause;
    - a reason's literal 0 is the literal its variable is assigned, and
      an unassigned variable has no reason;
@@ -141,10 +145,13 @@ let invariant_violation (s : Solver.t) : string option =
   Array.iteri
     (fun k _ ->
       List.iter
-        (fun (c, blocker) ->
+        (fun (c, blocker, bin) ->
           if not (live c) then fail "watch %d on list %d is not a live clause" c k
           else if not (Array.mem blocker (clause_lits s c)) then
-            fail "watch %d on list %d has blocker %d, not one of its literals" c k blocker;
+            fail "watch %d on list %d has blocker %d, not one of its literals" c k blocker
+          else if bin <> (Solver.clause_size s c = 2) then
+            fail "watch %d on list %d: binary flag %b on a clause of %d literals" c k bin
+              (Solver.clause_size s c);
           Hashtbl.add watched_on c k)
         (watch_entries s k))
     s.Solver.watches;
