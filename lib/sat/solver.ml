@@ -74,6 +74,9 @@ type t = {
   mutable arena_top : int; (* words in use; the next clause goes here *)
   mutable arena_dead : int; (* words of deleted clauses not yet compacted away *)
   mutable cla_act : float array; (* learned-clause activities, by header index *)
+  mutable cla_glue : int array;
+      (* learned-clause glue (the number of decision levels among its
+         literals when learned), by the same index *)
   mutable n_act : int; (* activity slots in use *)
   watches : int array array;
       (* clauses to visit when a literal becomes true, by literal, as
@@ -108,6 +111,7 @@ type t = {
          most instances never have one *)
   mutable learnt_buf : int array; (* [analyze]'s learned clause *)
   mutable learnt_len : int;
+  mutable learnt_glue : int; (* its glue *)
   mutable conflicts : int;
   mutable propagations : int;
   mutable decisions : int;
@@ -124,6 +128,7 @@ let create nvars =
     arena_top = 0;
     arena_dead = 0;
     cla_act = [||];
+    cla_glue = [||];
     n_act = 0;
     watches = Array.make (2 * nvars) [||];
     watch_len = Array.make (2 * nvars) 0;
@@ -148,6 +153,7 @@ let create nvars =
     seen = Bytes.empty;
     learnt_buf = [||];
     learnt_len = 0;
+    learnt_glue = 0;
     conflicts = 0;
     propagations = 0;
     decisions = 0;
@@ -195,11 +201,15 @@ let new_clause (s : t) (lits : int array) n ~learned : int =
   a.{c} <- n;
   if learned then begin
     if s.n_act = Array.length s.cla_act then begin
-      let act = Array.make (max 64 (2 * s.n_act)) 0.0 in
+      let size = max 64 (2 * s.n_act) in
+      let act = Array.make size 0.0 and glue = Array.make size 0 in
       Array.blit s.cla_act 0 act 0 s.n_act;
-      s.cla_act <- act
+      Array.blit s.cla_glue 0 glue 0 s.n_act;
+      s.cla_act <- act;
+      s.cla_glue <- glue
     end;
     s.cla_act.(s.n_act) <- 0.0;
+    s.cla_glue.(s.n_act) <- s.learnt_glue;
     a.{c + 1} <- f_learned;
     a.{c + 2} <- s.n_act;
     s.n_act <- s.n_act + 1
@@ -504,8 +514,8 @@ let propagate (s : t) : int =
   !conflict
 
 (* First-UIP conflict analysis.  Leaves the learned clause in
-   [learnt_buf.(0 .. learnt_len-1)], asserting literal first, and
-   returns the backtrack level.  The literal order is the one a list
+   [learnt_buf.(0 .. learnt_len-1)], asserting literal first, and its
+   glue in [learnt_glue], and returns the backtrack level.  The literal order is the one a list
    built by consing would give: the asserting literal, then the others
    latest-found first. *)
 let analyze (s : t) (confl : int) : int =
@@ -593,10 +603,23 @@ let analyze (s : t) (confl : int) : int =
     buf.(1) <- buf.(!bi);
     buf.(!bi) <- tmp
   end;
-  (* clear seen flags *)
+  (* clear seen flags, then mark each literal's level in [seen] to
+     count the distinct ones (a level is at most [nvars]) *)
   for i = 0 to n - 1 do
     Bytes.set_uint8 s.seen (var_of buf.(i)) 0
   done;
+  let glue = ref 0 in
+  for i = 0 to n - 1 do
+    let lv = s.level.(var_of buf.(i)) in
+    if Bytes.get_uint8 s.seen lv = 0 then begin
+      Bytes.set_uint8 s.seen lv 1;
+      incr glue
+    end
+  done;
+  for i = 0 to n - 1 do
+    Bytes.set_uint8 s.seen s.level.(var_of buf.(i)) 0
+  done;
+  s.learnt_glue <- !glue;
   s.learnt_len <- n;
   !blevel
 
@@ -661,6 +684,7 @@ let compact (s : t) =
       a.{d + 1} <- flags land (f_learned lor f_deleted);
       if flags land f_learned <> 0 then begin
         s.cla_act.(!n_act) <- s.cla_act.(a.{d + 2});
+        s.cla_glue.(!n_act) <- s.cla_glue.(a.{d + 2});
         a.{d + 2} <- !n_act;
         incr n_act
       end
@@ -671,8 +695,11 @@ let compact (s : t) =
   s.arena_dead <- 0;
   s.n_act <- !n_act
 
-(* Learned-DB reduction: drop the low-activity half (sparing locked and
-   binary clauses), then filter every watch vector.  Called on a
+(* Learned-DB reduction: rank the learned clauses worst first, by
+   higher glue, then by lower activity, and drop the first half of that
+   order, sparing locked and binary clauses and every clause of glue 2
+   or less (Audemard & Simon's "glue clauses"); then filter every watch
+   vector.  Called on a
    geometric schedule: [max_learnts] grows 1.2x per reduction, so the
    DB stays bounded while long refutations keep their useful lemmas.
    Once a fifth of the arena is dead, it is compacted. *)
@@ -681,11 +708,15 @@ let reduce_db (s : t) =
   let a = s.arena in
   let n = s.n_learnts in
   let arr = Array.sub s.learnts 0 n in
-  Array.sort (fun c d -> Float.compare s.cla_act.(a.{c + 2}) s.cla_act.(a.{d + 2})) arr;
+  let glue c = s.cla_glue.(a.{c + 2}) and act c = s.cla_act.(a.{c + 2}) in
+  Array.sort
+    (fun c d ->
+      match Int.compare (glue d) (glue c) with 0 -> Float.compare (act c) (act d) | o -> o)
+    arr;
   let to_drop = ref (n / 2) in
   Array.iter
     (fun c ->
-      if !to_drop > 0 && (not (locked s c)) && a.{c} > 2 then begin
+      if !to_drop > 0 && (not (locked s c)) && a.{c} > 2 && glue c > 2 then begin
         a.{c + 1} <- a.{c + 1} lor f_deleted;
         s.arena_dead <- s.arena_dead + hdr + a.{c};
         decr to_drop
