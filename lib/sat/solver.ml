@@ -79,12 +79,11 @@ type t = {
          literals when learned), by the same index *)
   mutable n_act : int; (* activity slots in use *)
   watches : int array array;
-      (* clauses to visit when a literal becomes true, by literal, as
-         (entry, blocker) pairs in consecutive words, where the entry is
-         the clause shifted left by one over [binary]'s flag; [||] until
-         the literal is first watched, since a solver is sized by every
-         node of its circuit context and most are never watched *)
-  watch_len : int array; (* live prefix of each watch vector, in words *)
+      (* clauses to visit when a literal becomes true, by literal, one
+         [entry] word each; [||] until the literal is first watched,
+         since a solver is sized by every node of its circuit context
+         and most are never watched *)
+  watch_len : int array; (* live prefix of each watch vector *)
   value : Bytes.t;
       (* per literal: 0 unassigned, 1 true, 2 false; a byte each, and
          the only record of the assignment *)
@@ -322,10 +321,14 @@ let enqueue (s : t) (l : lit) (reason : int) =
   s.trail.(s.trail_len) <- l;
   s.trail_len <- s.trail_len + 1
 
-(* A watch entry: the clause, shifted left over the flag of a binary
-   clause, whose blocker is its other literal. *)
+(* A watch entry is one word: the clause in bits 32 and up, a blocker
+   literal in bits 1-31, and in bit 0 the flag of a binary clause,
+   whose blocker is its other literal.  So an entry costs what a bare
+   clause reference did, and the arena may reach 2^30 words. *)
 let binary = 1
-let entry_clause e = e lsr 1
+let entry c ~(blocker : lit) ~bin = (c lsl 32) lor (blocker lsl 1) lor if bin then binary else 0
+let entry_clause e = e lsr 32
+let entry_blocker e = (e lsr 1) land 0x7FFF_FFFF
 
 (* Watch literal [l] of [c], with [blocker], another literal of [c]:
    while the blocker is true the clause is satisfied, and [propagate]
@@ -339,15 +342,14 @@ let watch (s : t) c (l : lit) ~(blocker : lit) =
   let ws =
     if n < Array.length ws then ws
     else begin
-      let grown = Array.make (max 8 (2 * n)) 0 in
+      let grown = Array.make (max 4 (2 * n)) 0 in
       Array.blit ws 0 grown 0 n;
       s.watches.(k) <- grown;
       grown
     end
   in
-  ws.(n) <- (c lsl 1) lor (if s.arena.{c} = 2 then binary else 0);
-  ws.(n + 1) <- blocker;
-  s.watch_len.(k) <- n + 2
+  ws.(n) <- entry c ~blocker ~bin:(s.arena.{c} = 2);
+  s.watch_len.(k) <- n + 1
 
 (* Add a clause; returns false if the instance is already unsat at level
    0.  The clause is normalised in place: an insertion sort (clauses are
@@ -435,19 +437,18 @@ let propagate (s : t) : int =
     let i = ref 0 in
     let falsified = lnot l in
     while !i < n do
-      let e = ws.(!i) and blocker = ws.(!i + 1) in
-      let c = entry_clause e in
-      i := !i + 2;
+      let e = ws.(!i) in
+      let blocker = entry_blocker e in
+      incr i;
       if value_lit s blocker = 1 then begin
         (* satisfied by its blocker; keep watching *)
         ws.(!j) <- e;
-        ws.(!j + 1) <- blocker;
-        j := !j + 2
+        incr j
       end
       else if e land binary <> 0 then begin
+        let c = entry_clause e in
         ws.(!j) <- e;
-        ws.(!j + 1) <- blocker;
-        j := !j + 2;
+        incr j;
         if value_lit s blocker = 2 then begin
           conflict := c;
           while !i < n do
@@ -463,6 +464,7 @@ let propagate (s : t) : int =
         end
       end
       else begin
+        let c = entry_clause e in
         let lits = c + hdr in
         (* ensure the falsified literal is at position 1 *)
         if a.{lits} = falsified then begin
@@ -472,9 +474,8 @@ let propagate (s : t) : int =
         let first = a.{lits} in
         if first <> blocker && value_lit s first = 1 then begin
           (* satisfied by the other watch, the better blocker *)
-          ws.(!j) <- e;
-          ws.(!j + 1) <- first;
-          j := !j + 2
+          ws.(!j) <- entry c ~blocker:first ~bin:false;
+          incr j
         end
         else begin
           (* look for a new watch *)
@@ -491,9 +492,8 @@ let propagate (s : t) : int =
           end
           else begin
             (* unit or conflict: stays on this watch list *)
-            ws.(!j) <- e;
-            ws.(!j + 1) <- first;
-            j := !j + 2;
+            ws.(!j) <- entry c ~blocker:first ~bin:false;
+            incr j;
             match value_lit s first with
             | 2 ->
               conflict := c;
@@ -664,9 +664,9 @@ let compact (s : t) =
   let forward c = a.{c + 1} lsr 2 in
   Array.iteri
     (fun k ws ->
-      for i = 0 to (s.watch_len.(k) / 2) - 1 do
-        let e = ws.(2 * i) in
-        ws.(2 * i) <- (forward (entry_clause e) lsl 1) lor (e land binary)
+      for i = 0 to s.watch_len.(k) - 1 do
+        let e = ws.(i) in
+        ws.(i) <- (forward (entry_clause e) lsl 32) lor (e land 0xFFFF_FFFF)
       done)
     s.watches;
   Array.iteri (fun v r -> if r >= 0 then s.reason.(v) <- forward r) s.reason;
@@ -723,22 +723,19 @@ let reduce_db (s : t) =
       end)
     arr;
   let live c = a.{c + 1} land f_deleted = 0 in
-  (* keep the live entries of [len] words, [width] words each, whose
-     first word [clause] maps to a clause *)
-  let filter ~width ~clause (v : int array) len =
+  (* keep the first [len] words of [v] whose [clause] is live *)
+  let filter ~clause (v : int array) len =
     let j = ref 0 in
-    for i = 0 to (len / width) - 1 do
-      if live (clause v.(width * i)) then begin
-        Array.blit v (width * i) v !j width;
-        j := !j + width
+    for i = 0 to len - 1 do
+      if live (clause v.(i)) then begin
+        v.(!j) <- v.(i);
+        incr j
       end
     done;
     !j
   in
-  s.n_learnts <- filter ~width:1 ~clause:Fun.id s.learnts n;
-  Array.iteri
-    (fun k ws -> s.watch_len.(k) <- filter ~width:2 ~clause:entry_clause ws s.watch_len.(k))
-    s.watches;
+  s.n_learnts <- filter ~clause:Fun.id s.learnts n;
+  Array.iteri (fun k ws -> s.watch_len.(k) <- filter ~clause:entry_clause ws s.watch_len.(k)) s.watches;
   s.max_learnts <- s.max_learnts *. 1.2;
   if 5 * s.arena_dead >= s.arena_top then compact s
 

@@ -89,10 +89,9 @@ let brute nvars clauses =
 (* The (clause, blocker, binary flag) entries on the watch list of
    literal [k], visited when [k] becomes true. *)
 let watch_entries (s : Solver.t) k =
-  let ws = s.Solver.watches.(k) in
-  List.init (s.Solver.watch_len.(k) / 2) (fun i ->
-      let e = ws.(2 * i) in
-      (Solver.entry_clause e, ws.((2 * i) + 1), e land Solver.binary <> 0))
+  List.init s.Solver.watch_len.(k) (fun i ->
+      let e = s.Solver.watches.(k).(i) in
+      (Solver.entry_clause e, Solver.entry_blocker e, e land Solver.binary <> 0))
 
 (* The clauses watching literal [l]'s falsification, i.e. visited when
    [lnot l] becomes true. *)
