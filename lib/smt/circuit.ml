@@ -302,43 +302,67 @@ let cofactor_apply (cf : cofactor) (assignment : int) : t =
 module Cnf = struct
   open Ub_sat
 
-  (* The Tseitin builder of one query: SAT variables are allocated on
-     demand (variable 0 is pinned true), circuit nodes and inputs each
-     through a memo table, so a shared node is encoded once.  Node ids
-     and input indices are dense, so the tables are arrays sized by the
-     context, and 0 means "no variable yet" (var 0 is the constant). *)
+  (* The Tseitin builder of one query: SAT variables are numbered by
+     [number] before the solver exists (variable 0 is pinned true),
+     circuit nodes and inputs each through a memo table, so a shared
+     node is encoded once.  Node ids and input indices are dense, so the
+     tables are arrays sized by the context; 0 means "no variable", and
+     a node's variable is negative until its clauses are added. *)
   type builder = {
     solver : Solver.t;
     node_var : int array; (* circuit node id -> SAT var, or 0 *)
     input_var : int array; (* input index -> SAT var, or 0 *)
-    mutable next_var : int; (* the next unallocated SAT variable *)
+    next_var : int; (* the number of SAT variables *)
     mutable ok : bool; (* false once add_clause reported level-0 unsat *)
   }
 
   (* [c] is a fresh array: the solver takes it over. *)
   let add b c = if not (Solver.add_clause b.solver c) then b.ok <- false
 
-  let fresh_var b =
-    let v = b.next_var in
-    b.next_var <- v + 1;
-    v
+  (* Give every input and And/Or/Xor/Ite node under [root] its
+     variable, in pre-order, so the solver can be
+     sized by the variables the encoding uses; returns their number. *)
+  let number ~(node_var : int array) ~(input_var : int array) (root : t) : int =
+    let next = ref 1 in
+    let fresh () =
+      incr next;
+      !next - 1
+    in
+    let rec go (t : t) =
+      match t.node with
+      | True | False -> ()
+      | Input i -> if input_var.(i) = 0 then input_var.(i) <- fresh ()
+      | Not x -> go x
+      | And (x, y) | Or (x, y) | Xor (x, y) ->
+        if node_var.(t.id) = 0 then begin
+          node_var.(t.id) <- -fresh ();
+          go x;
+          go y
+        end
+      | Ite (c, x, y) ->
+        if node_var.(t.id) = 0 then begin
+          node_var.(t.id) <- -fresh ();
+          go c;
+          go x;
+          go y
+        end
+    in
+    go root;
+    !next
 
-  let input_lit (b : builder) (i : int) : Solver.lit =
-    if b.input_var.(i) = 0 then b.input_var.(i) <- fresh_var b;
-    Solver.pos b.input_var.(i)
-
-  (* Translate a node to a SAT variable, memoized. *)
+  (* Translate a numbered node to its SAT literal, adding its clauses
+     the first time. *)
   let rec lit_of (b : builder) (t : t) : Solver.lit =
     match t.node with
     | True -> Solver.pos 0 (* var 0 is pinned true *)
     | False -> Solver.neg 0
-    | Input i -> input_lit b i
+    | Input i -> Solver.pos b.input_var.(i)
     | Not x -> Solver.lnot (lit_of b x)
     | _ ->
       let v = b.node_var.(t.id) in
-      if v <> 0 then Solver.pos v
+      if v > 0 then Solver.pos v
       else begin
-        let v = fresh_var b in
+        let v = -v in
         b.node_var.(t.id) <- v;
         let out = Solver.pos v in
         (match t.node with
@@ -437,23 +461,21 @@ module Cnf = struct
   (* Satisfiability of [root = true].  [max_conflicts] bounds solver
      effort; raises [Too_hard] when exceeded.  The solver's arena goes
      back to the spare however the query ends.  The span [smt.tseitin]
-     covers setting up the builder and every clause add; [sat.search]
-     covers the search. *)
+     covers setting up the builder and every
+     clause add, after the numbering pass; [sat.search] covers the
+     search. *)
   let solve ?(max_conflicts = 2_000_000) ?stats (ctx : ctx) (root : t) : solve_result =
     Ub_obs.Obs.with_span "smt.solve" @@ fun () ->
     (* Var 0 is the constant true; every input and every And/Or/Xor/Ite
-       node gets at most one var, on demand.  The solver is sized for
-       1 + inputs + node ids, a bound that also counts the ids of
-       constants, inputs and Not nodes, and the search decides every
-       var it is sized for, encoded or not. *)
-    let nvars = 1 + ctx.next_input + ctx.next_id in
+       node under the root gets one var.  They are numbered first, so
+       the solver is sized by the variables the encoding uses and
+       decides no others. *)
+    let node_var = Array.make ctx.next_id 0 and input_var = Array.make ctx.next_input 0 in
+    let nvars = number ~node_var ~input_var root in
     Ub_sat.Solver.with_solver nvars @@ fun solver ->
     let b =
       Ub_obs.Obs.with_span "smt.tseitin" @@ fun () ->
-      let b =
-        { solver; node_var = Array.make ctx.next_id 0;
-          input_var = Array.make ctx.next_input 0; next_var = 1; ok = true }
-      in
+      let b = { solver; node_var; input_var; next_var = nvars; ok = true } in
       add b [| Ub_sat.Solver.pos 0 |];
       let root_lit = lit_of b root in
       add b [| root_lit |];
