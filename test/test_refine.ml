@@ -588,6 +588,11 @@ let input_space_tests =
   in
   let space ?(max_inputs = 5_000) fn = Enum_check.input_space ~mode:Mode.proposed ~max_inputs fn in
   [ Alcotest.test_case "a 3 x i8 space is refused without being built" `Quick (fun () ->
+        (* start on an empty minor heap: a minor collection inside the
+           window, with what earlier tests left there, can add a whole
+           heap's worth of words to the count (seen as 0.9 and 1.8 MB
+           against the 20 KB that [space] allocates) *)
+        Gc.minor ();
         let before = Gc.allocated_bytes () in
         let r = space (i8s 3) in
         let allocated = Gc.allocated_bytes () -. before in

@@ -487,8 +487,39 @@ let reduction_tests =
     List.init nclauses (fun _ -> clause ())
   in
   [ case "pigeonhole 8->7 reduces and compacts" ~nvars php ~sat:false;
+    (* 1,280 clauses and seed 2: the core finds the model only after
+       four reductions (1,260 clauses at seed 1 no longer reduce) *)
     case "planted 3-SAT (300 vars) reduces and compacts" ~nvars:300
-      (planted ~nvars:300 ~nclauses:1260 1) ~sat:true;
+      (planted ~nvars:300 ~nclauses:1280 2) ~sat:true;
+    Alcotest.test_case "a learned clause of glue 2 or less survives reduce_db" `Quick (fun () ->
+        (* four learned 3-clauses of equal activity: three of glue 2
+           and one of glue 5.  Reduction drops half the database, worst
+           first, but only the glue-5 clause may go *)
+        let s = Solver.create 12 in
+        s.Solver.learnt_buf <- Array.make 12 0;
+        let learned =
+          List.map
+            (fun (glue, vars) ->
+              List.iteri (fun i v -> s.Solver.learnt_buf.(i) <- Solver.pos v) vars;
+              s.Solver.learnt_len <- 3;
+              s.Solver.learnt_glue <- glue;
+              (glue, clause_lits s (Solver.learn s)))
+            [ (2, [ 0; 1; 2 ]); (2, [ 3; 4; 5 ]); (5, [ 6; 7; 8 ]); (2, [ 9; 10; 11 ]) ]
+        in
+        Solver.reduce_db s;
+        Alcotest.(check int) "one reduction" 1 s.Solver.db_reductions;
+        let live =
+          List.filter_map
+            (fun c -> if Solver.is_deleted s c then None else Some (clause_lits s c))
+            (arena_clauses s)
+        in
+        List.iter
+          (fun (glue, lits) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "glue-%d clause kept" glue)
+              (glue <= 2) (List.mem lits live))
+          learned;
+        Alcotest.(check (option string)) "invariants" None (invariant_violation s));
   ]
 
 let () =

@@ -135,8 +135,8 @@ let unit_tests =
         Alcotest.(check int) "cnf vars" 96 st.Circuit.Cnf.cnf_vars;
         Alcotest.(check int) "cnf clauses" 276 st.Circuit.Cnf.cnf_clauses;
         Alcotest.(check int) "conflicts" 1 st.Circuit.Cnf.conflicts;
-        Alcotest.(check int) "decisions" 108 st.Circuit.Cnf.decisions;
-        Alcotest.(check int) "propagations" 218 st.Circuit.Cnf.propagations);
+        Alcotest.(check int) "decisions" 56 st.Circuit.Cnf.decisions;
+        Alcotest.(check int) "propagations" 166 st.Circuit.Cnf.propagations);
     Alcotest.test_case "udiv circuit guards against zero later" `Quick (fun () ->
         let ctx = Circuit.create_ctx () in
         let a = Bvterm.const ctx (Bitvec.of_int ~width:4 13) in
