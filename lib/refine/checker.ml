@@ -74,6 +74,26 @@ let hand_off_counter = function
   | Unsupported -> "refine.fallback.unsupported"
   | Signature -> "refine.fallback.signature"
 
+(* A SAT model's arguments, confirmed by concrete interpretation: the
+   enumeration checker runs both functions on exactly [args], and its
+   witness (the uncovered target behaviour and the source's) becomes the
+   counterexample's.  Arguments on which the target does refine the
+   source mean the encoding and the interpreter disagree; that is
+   [Unknown], counted, and never a [Counterexample].  Enumeration can
+   also fail to finish on them (an undef argument used twice at i8 is
+   already 65,536 runs); the SAT counterexample then stands, counted
+   as not replayed, and its witness says why. *)
+let replay (mode : Mode.t) ~(src : Func.t) ~(tgt : Func.t) (args : Value.t list) : verdict =
+  Obs.with_span "refine.replay" @@ fun () ->
+  match Enum_check.run ~mode ~inputs:[ args ] ~src ~tgt () with
+  | Counterexample _ as cex -> cex
+  | Refines ->
+    Obs.count "refine.cex_unconfirmed";
+    Unknown "checker bug: SAT counterexample did not replay"
+  | Unknown r ->
+    Obs.count "refine.cex_unreplayed";
+    Counterexample { args; witness = "SAT model of the refinement violation (not replayed: " ^ r ^ ")" }
+
 (* The SAT path: a definite verdict, or the reason it handed off. *)
 let sat_verdict ?(max_universal_bits = default_max_universal_bits)
     ?(max_conflicts = default_max_conflicts) ?stats (mode : Mode.t) ~(src : Func.t)
@@ -184,7 +204,7 @@ let sat_verdict ?(max_universal_bits = default_max_universal_bits)
                 end)
               args_syms
           in
-          Ok (Counterexample { args; witness = "SAT model of the refinement violation" }))
+          Ok (replay mode ~src ~tgt args))
     with
     | Encode.Unsupported r -> Error (Unsupported, "not encodable: " ^ r)
     | Circuit.Cnf.Too_hard -> Error (Conflicts, "SAT budget exceeded")

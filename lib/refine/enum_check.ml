@@ -126,9 +126,10 @@ let phase_to_string = function
   | Memory.Infinite -> "infinite"
   | Memory.Finite n -> Printf.sprintf "finite(%d)" n
 
-let check ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_runs = 50_000) ?inputs ~(src : Func.t)
+(* [check] without its span, for [Checker]'s replay of a SAT model: the
+   span's count is the number of hand-offs to enumeration. *)
+let run ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_runs = 50_000) ?inputs ~(src : Func.t)
     ~(tgt : Func.t) () : verdict =
-  Ub_obs.Obs.with_span "refine.enum_check" @@ fun () ->
   if List.map snd src.args <> List.map snd tgt.args then Unknown "argument types differ"
   else begin
     let tuples =
@@ -175,3 +176,7 @@ let check ?(mode = Mode.proposed) ?(fuel = 5_000) ?(max_runs = 50_000) ?inputs ~
         | None -> Refines
       with Oracle.Exhausted -> Unknown "behaviour space too large")
   end
+
+let check ?mode ?fuel ?max_runs ?inputs ~src ~tgt () : verdict =
+  Ub_obs.Obs.with_span "refine.enum_check" @@ fun () ->
+  run ?mode ?fuel ?max_runs ?inputs ~src ~tgt ()

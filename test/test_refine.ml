@@ -553,6 +553,48 @@ let verdict_class = function
   | Checker.Counterexample _ -> "counterexample"
   | Checker.Unknown _ -> "unknown"
 
+(* Every SAT counterexample is replayed by concrete interpretation.  The
+   target differs from the identity only at x = 5, so the SAT model is
+   x = 5; the same arguments with bit 0 flipped (x = 4), as a decoder
+   that misread one model bit would give them, do not replay. *)
+let replay_tests =
+  let src =
+    f {|define i8 @f(i8 %x) {
+e:
+  ret i8 %x
+}|} in
+  let tgt =
+    f
+      {|define i8 @f(i8 %x) {
+e:
+  %c = icmp eq i8 %x, 5
+  %y = select i1 %c, i8 0, i8 %x
+  ret i8 %y
+}|}
+  in
+  let conc n = Value.of_bitvec (Ub_support.Bitvec.of_int ~width:8 n) in
+  [ Alcotest.test_case "a SAT counterexample carries the replayed witness" `Quick (fun () ->
+        let before = Ub_obs.Obs.counter_value "refine.cex_unconfirmed" in
+        (match Checker.check_sat Mode.proposed ~src ~tgt with
+        | Checker.Counterexample { args; witness } ->
+          Alcotest.(check (list string)) "the one refuting input" [ "5" ]
+            (List.map Value.to_string args);
+          Alcotest.(check bool)
+            ("witness names the uncovered behaviour: " ^ witness)
+            true
+            (String.starts_with ~prefix:"target behaviour not covered" witness)
+        | v -> Alcotest.failf "expected a counterexample, got %s" (Checker.verdict_to_string v));
+        Alcotest.(check int) "confirmed" before (Ub_obs.Obs.counter_value "refine.cex_unconfirmed"));
+    Alcotest.test_case "a model with a flipped bit is Unknown and counted" `Quick (fun () ->
+        let before = Ub_obs.Obs.counter_value "refine.cex_unconfirmed" in
+        (match Checker.replay Mode.proposed ~src ~tgt [ conc 4 ] with
+        | Checker.Unknown r ->
+          Alcotest.(check string) "reason" "checker bug: SAT counterexample did not replay" r
+        | v -> Alcotest.failf "expected unknown, got %s" (Checker.verdict_to_string v));
+        Alcotest.(check int) "counted" (before + 1)
+          (Ub_obs.Obs.counter_value "refine.cex_unconfirmed"));
+  ]
+
 let regression_tests =
   [ Alcotest.test_case "90-query bench corpus keeps its baseline verdicts" `Slow (fun () ->
         let baseline = baseline_verdicts () in
@@ -754,4 +796,5 @@ let () =
     [ ("known-pairs", known_pairs); ("cross-validation", [ checkers_agree ]);
       ("verdict-cache", cache_tests); ("expansion", expansion_tests);
       ("budget", budget_tests); ("input-space", input_space_tests);
-      ("regression", regression_tests); ("short-circuit", short_circuit_tests) ]
+      ("regression", regression_tests); ("short-circuit", short_circuit_tests);
+      ("replay", replay_tests) ]
