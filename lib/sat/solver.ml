@@ -1,8 +1,13 @@
-(* A CDCL SAT solver: two-watched-literal propagation, first-UIP clause
-   learning, VSIDS branching through an indexed binary max-heap, phase
-   saving, Luby restarts, learned-clause database reduction on a
-   geometric schedule.  Clauses live in one flat int arena outside the
-   OCaml heap, and every clause reference is an int offset into it.
+(* A CDCL SAT solver: two-watched-literal propagation with blocker
+   literals and binary clauses decided from their watch entries,
+   first-UIP clause learning, VSIDS branching through an indexed binary
+   max-heap, phase saving, Luby restarts, and learned-clause reduction
+   on a geometric schedule, ranked by glue, then activity.  Clauses live
+   in one flat int arena outside the OCaml heap, and every clause
+   reference is an int offset into it.  The assignment is one byte per
+   literal.  A new instance allocates only per-variable arrays (bytes
+   where a byte suffices) and empty watch vectors; conflict analysis
+   allocates its scratch at the first conflict.
 
    This is the decision-procedure substrate for the refinement checker
    (the paper uses Z3 via Alive; the container is sealed, so we carry our
