@@ -422,10 +422,9 @@ let add_clause (s : t) (lits : lit array) : bool =
    watched literal becomes the entry's blocker.  A binary entry is
    unit or a conflict as soon as its blocker is not true; a clause it
    implies gets the implied literal at position 0 first, as every
-   reason has.  On conflict the
-   unvisited tail is preserved verbatim, so watch lists survive
-   conflicts exactly.  Nothing here grows the arena, so [a] stays
-   valid. *)
+   reason has.  On conflict the unvisited tail is preserved verbatim,
+   so watch lists survive conflicts exactly.  Nothing here grows the
+   arena, so [a] stays valid. *)
 let propagate (s : t) : int =
   let a = s.arena in
   let conflict = ref (-1) in
@@ -456,6 +455,9 @@ let propagate (s : t) : int =
         incr j;
         if value_lit s blocker = 2 then begin
           conflict := c;
+          (* keep the unvisited tail on this list untouched; the copy is
+             inline, as below, since a closure over [i] and [j] would
+             box them in the hot loop *)
           while !i < n do
             ws.(!j) <- ws.(!i);
             incr j;
@@ -520,9 +522,9 @@ let propagate (s : t) : int =
 
 (* First-UIP conflict analysis.  Leaves the learned clause in
    [learnt_buf.(0 .. learnt_len-1)], asserting literal first, and its
-   glue in [learnt_glue], and returns the backtrack level.  The literal order is the one a list
-   built by consing would give: the asserting literal, then the others
-   latest-found first. *)
+   glue in [learnt_glue], and returns the backtrack level.  The literal
+   order is the one a list built by consing would give: the asserting
+   literal, then the others latest-found first. *)
 let analyze (s : t) (confl : int) : int =
   if Bytes.length s.seen = 0 then begin
     s.seen <- Bytes.make (s.nvars + 1) '\000';
@@ -704,10 +706,9 @@ let compact (s : t) =
    higher glue, then by lower activity, and drop the first half of that
    order, sparing locked and binary clauses and every clause of glue 2
    or less (Audemard & Simon's "glue clauses"); then filter every watch
-   vector.  Called on a
-   geometric schedule: [max_learnts] grows 1.2x per reduction, so the
-   DB stays bounded while long refutations keep their useful lemmas.
-   Once a fifth of the arena is dead, it is compacted. *)
+   vector.  Called on a geometric schedule: [max_learnts] grows 1.2x per
+   reduction, so the DB stays bounded while long refutations keep their
+   useful lemmas.  Once a fifth of the arena is dead, it is compacted. *)
 let reduce_db (s : t) =
   s.db_reductions <- s.db_reductions + 1;
   let a = s.arena in
