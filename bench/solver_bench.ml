@@ -5,7 +5,9 @@
    slice, and handcrafted wide-width identities (i8..i32) — straight
    through [Checker.check_sat], recording per-query wall time and the
    decision-procedure counters (conflicts / decisions / propagations,
-   CNF vars / clauses, circuit nodes, peak learned-DB size).
+   CNF vars / clauses, circuit nodes, peak learned-DB size), the engine
+   that decided (CDCL, or exhaustive simulation after the CDCL probe)
+   and the blocks it simulated.
 
    Results go to BENCH_solver.json.  When a baseline recording exists
    (bench/solver_baseline.tsv, captured before the PR-3 solver
@@ -39,6 +41,8 @@ type record = {
   rdecisions : int;
   rpropagations : int;
   rlearned_peak : int;
+  rengine : string; (* Circuit.Cnf.engine_name, or "none" *)
+  rsim_blocks : int;
 }
 
 (* Per-query conflict ceiling: generous for the corpus, and the number
@@ -101,6 +105,8 @@ let run_query (q : query) : record =
     rdecisions = s.Ub_smt.Circuit.Cnf.decisions;
     rpropagations = s.Ub_smt.Circuit.Cnf.propagations;
     rlearned_peak = s.Ub_smt.Circuit.Cnf.learned_peak;
+    rengine = Ub_smt.Circuit.Cnf.engine_name s.Ub_smt.Circuit.Cnf.engine;
+    rsim_blocks = s.Ub_smt.Circuit.Cnf.sim_blocks;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -122,6 +128,7 @@ let record_of_tsv (line : string) : record option =
           rvars = int_of_string vars; rclauses = int_of_string clauses;
           rconflicts = int_of_string confl; rdecisions = int_of_string dec;
           rpropagations = int_of_string prop; rlearned_peak = int_of_string peak;
+          rengine = "cdcl"; rsim_blocks = 0;
         }
     with _ -> None)
   | _ -> None
@@ -171,6 +178,8 @@ type summary = {
   propagations_total : int;
   learned_peak_max : int;
   over_budget : int;
+  simulated : int;
+  sim_blocks_total : int;
 }
 
 let summarize (records : record list) : summary =
@@ -183,6 +192,8 @@ let summarize (records : record list) : summary =
     propagations_total = List.fold_left (fun a r -> a + r.rpropagations) 0 records;
     learned_peak_max = List.fold_left (fun a r -> max a r.rlearned_peak) 0 records;
     over_budget = List.fold_left (fun a r -> if r.rbudget_exceeded then a + 1 else a) 0 records;
+    simulated = List.length (List.filter (fun r -> r.rengine = "simulation") records);
+    sim_blocks_total = List.fold_left (fun a r -> a + r.rsim_blocks) 0 records;
   }
 
 (* A measured float at the resolution the file has always carried. *)
@@ -196,7 +207,8 @@ let record_json (r : record) : Json.t =
       ("wall_s", fixed 6 r.rwall_s); ("circuit_nodes", Json.int r.rnodes);
       ("cnf_vars", Json.int r.rvars); ("cnf_clauses", Json.int r.rclauses);
       ("conflicts", Json.int r.rconflicts); ("decisions", Json.int r.rdecisions);
-      ("propagations", Json.int r.rpropagations); ("learned_peak", Json.int r.rlearned_peak) ]
+      ("propagations", Json.int r.rpropagations); ("learned_peak", Json.int r.rlearned_peak);
+      ("engine", Json.Str r.rengine); ("sim_blocks", Json.int r.rsim_blocks) ]
 
 let summary_json (s : summary) : Json.t =
   Json.Obj
@@ -205,7 +217,25 @@ let summary_json (s : summary) : Json.t =
       ("cnf_clauses_total", Json.int s.clauses_total);
       ("conflicts_total", Json.int s.conflicts_total);
       ("propagations_total", Json.int s.propagations_total);
-      ("learned_peak_max", Json.int s.learned_peak_max); ("over_budget", Json.int s.over_budget) ]
+      ("learned_peak_max", Json.int s.learned_peak_max); ("over_budget", Json.int s.over_budget);
+      ("simulated", Json.int s.simulated); ("sim_blocks_total", Json.int s.sim_blocks_total) ]
+
+(* Each solver layer's share of [smt.solve]'s wall time, from the run's
+   span totals (the pool workers' spans are absorbed into them). *)
+let layers_json () : Json.t =
+  let total name =
+    match Hashtbl.find_opt Ub_obs.Obs.spans name with
+    | Some s -> float_of_int s.Ub_obs.Obs.s_total_ns /. 1e9
+    | None -> 0.0
+  in
+  let solve = total "smt.solve" in
+  Json.Obj
+    [ ("smt.solve_s", fixed 6 solve);
+      ( "share_of_smt.solve",
+        Json.Obj
+          (List.map
+             (fun l -> (l, fixed 3 (if solve > 0.0 then total l /. solve else 0.0)))
+             [ "smt.tseitin"; "sat.search"; "smt.simulate" ]) ) ]
 
 (* Pair up current and baseline records by (name, mode) and compute the
    before/after ratios the acceptance criteria are stated in. *)
@@ -269,19 +299,22 @@ let run ~(jobs : int) ?timeout_s ~(out : string) ~(baseline : string)
              Printf.printf "CRASH %s: %s\n" queries.(i).qname msg;
              { rname = queries.(i).qname; rmode = queries.(i).qmode; rverdict = "crashed";
                rbudget_exceeded = true; rwall_s = 0.0; rnodes = 0; rvars = 0; rclauses = 0;
-               rconflicts = 0; rdecisions = 0; rpropagations = 0; rlearned_peak = 0 }
+               rconflicts = 0; rdecisions = 0; rpropagations = 0; rlearned_peak = 0;
+               rengine = "none"; rsim_blocks = 0 }
            | Ub_exec.Pool.Timed_out ->
              { rname = queries.(i).qname; rmode = queries.(i).qmode; rverdict = "timeout";
                rbudget_exceeded = true; rwall_s = 0.0; rnodes = 0; rvars = 0; rclauses = 0;
-               rconflicts = 0; rdecisions = 0; rpropagations = 0; rlearned_peak = 0 })
+               rconflicts = 0; rdecisions = 0; rpropagations = 0; rlearned_peak = 0;
+               rengine = "none"; rsim_blocks = 0 })
          results)
   in
   let s = summarize records in
   Printf.printf
     "queries: %d  wall total: %.3fs  geomean: %.2fms\n\
-     cnf: %d vars, %d clauses (totals)  conflicts: %d  propagations: %d  peak learned DB: %d\n"
+     cnf: %d vars, %d clauses (totals)  conflicts: %d  propagations: %d  peak learned DB: %d\n\
+     simulated: %d queries, %d blocks\n"
     s.n s.wall_total (1000.0 *. s.wall_geomean) s.vars_total s.clauses_total
-    s.conflicts_total s.propagations_total s.learned_peak_max;
+    s.conflicts_total s.propagations_total s.learned_peak_max s.simulated s.sim_blocks_total;
   (match save_baseline_to with
   | Some p ->
     save_baseline p records;
@@ -297,6 +330,7 @@ let run ~(jobs : int) ?timeout_s ~(out : string) ~(baseline : string)
        ([ ("schema", Json.Str "ubc-solver-bench-v1");
           ("conflict_budget", Json.int conflict_budget);
           ("summary", summary_json s);
+          ("layers", layers_json ());
           ("obs_report", Ub_obs.Obs.report ()) ]
        @ (match vs with
          | Some j -> [ ("vs_baseline", j); ("baseline_summary", summary_json (summarize base)) ]

@@ -21,6 +21,35 @@ let solve_reference_query ctx =
   in
   (sat, !stats)
 
+(* An xor over [n] fresh inputs: its support is all of them. *)
+let wide_xor ctx n =
+  let vars = Array.init n (fun _ -> Circuit.fresh ctx) in
+  (vars, Array.fold_left (Circuit.bxor ctx) Circuit.bfalse vars)
+
+(* [root] conjoined with an odd parity over 40 more inputs: satisfiable
+   on its own, so the verdict is [root]'s, but too many inputs for the
+   simulator to take. *)
+let past_the_bound ctx root = Circuit.band ctx root (snd (wide_xor ctx 40))
+
+(* Pigeonhole: [p] pigeons in [h] holes, unsat when p > h, and any
+   refutation needs a conflict. *)
+let pigeonhole ctx ~p ~h =
+  let x = Array.init p (fun _ -> Array.init h (fun _ -> Circuit.fresh ctx)) in
+  let root = ref Circuit.btrue in
+  Array.iter
+    (fun row -> root := Circuit.band ctx !root (Circuit.big_or ctx (Array.to_list row)))
+    x;
+  for j = 0 to h - 1 do
+    for i = 0 to p - 1 do
+      for i' = i + 1 to p - 1 do
+        root := Circuit.band ctx !root (Circuit.bnot ctx (Circuit.band ctx x.(i).(j) x.(i').(j)))
+      done
+    done
+  done;
+  !root
+
+let engine = Alcotest.testable (Fmt.of_to_string Circuit.Cnf.engine_name) ( = )
+
 let unit_tests =
   [ Alcotest.test_case "constant folding in smart constructors" `Quick (fun () ->
         let ctx = Circuit.create_ctx () in
@@ -54,28 +83,19 @@ let unit_tests =
         | Circuit.Cnf.Unsat_r -> Alcotest.fail "should be sat");
     Alcotest.test_case "budget exhaustion reports Too_hard and recovers" `Quick (fun () ->
         (* pigeonhole (4 pigeons, 3 holes) is unsat and any refutation
-           needs a conflict, so a zero-conflict budget always trips *)
+           needs a conflict, so a zero-conflict budget always trips; the
+           parity conjunct puts the query past the simulator's bound,
+           which would otherwise decide it *)
         let ctx = Circuit.create_ctx () in
-        let x = Array.init 4 (fun _ -> Array.init 3 (fun _ -> Circuit.fresh ctx)) in
-        let root = ref Circuit.btrue in
-        Array.iter
-          (fun row -> root := Circuit.band ctx !root (Circuit.big_or ctx (Array.to_list row)))
-          x;
-        for j = 0 to 2 do
-          for i = 0 to 3 do
-            for i' = i + 1 to 3 do
-              root :=
-                Circuit.band ctx !root (Circuit.bnot ctx (Circuit.band ctx x.(i).(j) x.(i').(j)))
-            done
-          done
-        done;
+        let root = past_the_bound ctx (pigeonhole ctx ~p:4 ~h:3) in
         let stats = ref Circuit.Cnf.no_stats in
-        (match Circuit.Cnf.solve ~max_conflicts:0 ~stats ctx !root with
+        (match Circuit.Cnf.solve ~max_conflicts:0 ~stats ctx root with
         | exception Circuit.Cnf.Too_hard -> ()
         | _ -> Alcotest.fail "a zero-conflict budget must raise Too_hard");
         Alcotest.(check bool) "stats filled on Too_hard" true (!stats.Circuit.Cnf.cnf_vars > 1);
+        Alcotest.check engine "Too_hard is CDCL's" Circuit.Cnf.Cdcl !stats.Circuit.Cnf.engine;
         (* the context survives: the same circuit solves under a real budget *)
-        match Circuit.Cnf.solve ctx !root with
+        match Circuit.Cnf.solve ctx root with
         | Circuit.Cnf.Unsat_r -> ()
         | Circuit.Cnf.Sat_model _ -> Alcotest.fail "pigeonhole is unsat");
     Alcotest.test_case "every query hands its solver arena back" `Quick (fun () ->
@@ -95,10 +115,19 @@ let unit_tests =
           Circuit.band ctx (Circuit.bxor ctx a b)
             (Circuit.band ctx (Circuit.bxor ctx b c) (Circuit.bxor ctx a c))
         in
+        (* too wide to simulate, so a zero-conflict budget trips *)
         handed_back "Too_hard" (fun () ->
-            match Circuit.Cnf.solve ~max_conflicts:0 ctx hard with
+            match Circuit.Cnf.solve ~max_conflicts:0 ctx (past_the_bound ctx hard) with
             | exception Circuit.Cnf.Too_hard -> ()
             | _ -> Alcotest.fail "a zero-conflict budget must raise Too_hard");
+        (* small enough, so the simulator decides it after the probe *)
+        handed_back "simulated" (fun () ->
+            let stats = ref Circuit.Cnf.no_stats in
+            (match Circuit.Cnf.solve ~max_conflicts:0 ~stats ctx hard with
+            | Circuit.Cnf.Unsat_r -> ()
+            | Circuit.Cnf.Sat_model _ -> Alcotest.fail "an odd xor cycle is unsat");
+            Alcotest.check engine "decided by simulation" Circuit.Cnf.Simulation
+              !stats.Circuit.Cnf.engine);
         handed_back "level-0 Unsat from add_clause" (fun () ->
             match Circuit.Cnf.solve ctx Circuit.bfalse with
             | Circuit.Cnf.Unsat_r -> ()
@@ -136,7 +165,9 @@ let unit_tests =
         Alcotest.(check int) "cnf clauses" 276 st.Circuit.Cnf.cnf_clauses;
         Alcotest.(check int) "conflicts" 1 st.Circuit.Cnf.conflicts;
         Alcotest.(check int) "decisions" 56 st.Circuit.Cnf.decisions;
-        Alcotest.(check int) "propagations" 166 st.Circuit.Cnf.propagations);
+        Alcotest.(check int) "propagations" 166 st.Circuit.Cnf.propagations;
+        Alcotest.check engine "decided by CDCL" Circuit.Cnf.Cdcl st.Circuit.Cnf.engine;
+        Alcotest.(check int) "no simulated blocks" 0 st.Circuit.Cnf.sim_blocks);
     Alcotest.test_case "udiv circuit guards against zero later" `Quick (fun () ->
         let ctx = Circuit.create_ctx () in
         let a = Bvterm.const ctx (Bitvec.of_int ~width:4 13) in
@@ -261,11 +292,11 @@ let solver_agreement =
 let input_index (b : Circuit.t) =
   match b.Circuit.node with Circuit.Input i -> i | _ -> assert false
 
-let random_circuit ctx rng ~gates =
+let random_circuit ?(max_inputs = max_int) ctx rng ~gates =
   let inputs = ref [ Circuit.fresh ctx; Circuit.fresh ctx ] in
   let pool = ref !inputs in
   for _ = 1 to gates do
-    if Prng.chance rng ~num:1 ~den:5 then begin
+    if List.length !inputs < max_inputs && Prng.chance rng ~num:1 ~den:5 then begin
       let x = Circuit.fresh ctx in
       inputs := x :: !inputs;
       pool := x :: !pool
@@ -340,11 +371,6 @@ let support_limit =
          | exception Circuit.Support_exceeds k ->
            Array.length support > limit && k = limit + 1))
 
-(* An xor over [n] fresh inputs: its support is all of them. *)
-let wide_xor ctx n =
-  let vars = Array.init n (fun _ -> Circuit.fresh ctx) in
-  (vars, Array.fold_left (Circuit.bxor ctx) Circuit.bfalse vars)
-
 let cofactor_tests =
   [ Alcotest.test_case "support past the int mask width raises instead of wrapping" `Quick
       (fun () ->
@@ -383,10 +409,126 @@ let cofactor_tests =
     support_limit;
   ]
 
+(* Exhaustive simulation against CDCL: on random circuits over at most
+   12 inputs, built from every gate kind, the two engines agree on the
+   verdict, and every model either returns satisfies the root under
+   [Circuit.eval]. *)
+let satisfies root = function
+  | Circuit.Cnf.Unsat_r -> true
+  | Circuit.Cnf.Sat_model m -> Circuit.eval m.Circuit.Cnf.bool_of_input root
+
+let simulation_agrees =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"simulation and CDCL agree on random circuits" ~count:300
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Prng.create ~seed in
+         let ctx = Circuit.create_ctx () in
+         let _, root = random_circuit ~max_inputs:12 ctx rng ~gates:(5 + Prng.int rng 60) in
+         let sim = Circuit.Cnf.simulate ctx root in
+         let stats = ref Circuit.Cnf.no_stats in
+         let cdcl = Circuit.Cnf.solve ~stats ctx root in
+         let is_sat = function Circuit.Cnf.Sat_model _ -> true | Circuit.Cnf.Unsat_r -> false in
+         !stats.Circuit.Cnf.engine = Circuit.Cnf.Cdcl
+         && is_sat sim = is_sat cdcl
+         && satisfies root sim && satisfies root cdcl))
+
+(* The conjunction of [n] fresh inputs: true only when all are, which is
+   the last lane of the last block. *)
+let all_of ctx n =
+  let xs = Array.init n (fun _ -> Circuit.fresh ctx) in
+  (xs, Circuit.big_and ctx (Array.to_list xs))
+
+let counter = Ub_obs.Obs.counter_value
+
+let simulation_tests =
+  [ Alcotest.test_case "every lane is read with 0 to 6 inputs" `Quick (fun () ->
+        for n = 0 to 6 do
+          let ctx = Circuit.create_ctx () in
+          let xs, root = all_of ctx n in
+          match Circuit.Cnf.simulate ctx root with
+          | Circuit.Cnf.Unsat_r -> Alcotest.failf "the conjunction of %d inputs is sat" n
+          | Circuit.Cnf.Sat_model m ->
+            Array.iteri
+              (fun i x ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "input %d of %d is true" i n)
+                  true
+                  (Circuit.eval m.Circuit.Cnf.bool_of_input x))
+              xs
+        done;
+        (* and an unsat cone that no folding removes: the inputs all
+           true and the first two different *)
+        for n = 2 to 6 do
+          let ctx = Circuit.create_ctx () in
+          let xs, all = all_of ctx n in
+          let root = Circuit.band ctx all (Circuit.bxor ctx xs.(0) xs.(1)) in
+          Alcotest.(check bool) (Printf.sprintf "not folded (%d inputs)" n) false
+            (Circuit.is_false root);
+          match Circuit.Cnf.simulate ctx root with
+          | Circuit.Cnf.Unsat_r -> ()
+          | Circuit.Cnf.Sat_model _ -> Alcotest.failf "unsat cone of %d inputs reads sat" n
+        done);
+    Alcotest.test_case "a root constant after folding" `Quick (fun () ->
+        let ctx = Circuit.create_ctx () in
+        let x = Circuit.fresh ctx in
+        let t = Circuit.bor ctx x (Circuit.bnot ctx x) and f = Circuit.band ctx x (Circuit.bnot ctx x) in
+        Alcotest.(check bool) "folds to true" true (Circuit.is_true t);
+        Alcotest.(check bool) "folds to false" true (Circuit.is_false f);
+        (match Circuit.Cnf.simulate ctx t with
+        | Circuit.Cnf.Sat_model _ -> ()
+        | Circuit.Cnf.Unsat_r -> Alcotest.fail "true is sat");
+        match Circuit.Cnf.simulate ctx f with
+        | Circuit.Cnf.Unsat_r -> ()
+        | Circuit.Cnf.Sat_model _ -> Alcotest.fail "false is unsat");
+    Alcotest.test_case "a query past the hand-off is decided by simulation" `Quick (fun () ->
+        (* a*b <> b*a at i7: 14 inputs, and more conflicts than the
+           hand-off allows *)
+        let ctx = Circuit.create_ctx () in
+        let a = Bvterm.fresh ctx ~width:7 and b = Bvterm.fresh ctx ~width:7 in
+        let root = Bvterm.ne ctx (Bvterm.mul ctx a b) (Bvterm.mul ctx b a) in
+        let decided = counter "smt.sim.decided" and handoffs = counter "smt.sim.handoffs"
+        and blocks = counter "smt.sim.blocks" in
+        let stats = ref Circuit.Cnf.no_stats in
+        (match Circuit.Cnf.solve ~stats ctx root with
+        | Circuit.Cnf.Unsat_r -> ()
+        | Circuit.Cnf.Sat_model _ -> Alcotest.fail "multiplication commutes");
+        let st = !stats in
+        Alcotest.(check int) "one hand-off" 1 (counter "smt.sim.handoffs" - handoffs);
+        Alcotest.(check int) "decided by simulation" 1 (counter "smt.sim.decided" - decided);
+        Alcotest.check engine "engine" Circuit.Cnf.Simulation st.Circuit.Cnf.engine;
+        (* unsat: every block of 2^14 assignments *)
+        Alcotest.(check int) "all blocks" 512 st.Circuit.Cnf.sim_blocks;
+        Alcotest.(check int) "blocks counted" 512 (counter "smt.sim.blocks" - blocks);
+        (* the probe's counters are kept *)
+        Alcotest.(check int) "probe conflicts" (Circuit.Cnf.handoff_conflicts + 1)
+          st.Circuit.Cnf.conflicts;
+        Alcotest.(check bool) "probe decisions" true (st.Circuit.Cnf.decisions > 0));
+    Alcotest.test_case "a query past the bound stays on CDCL" `Quick (fun () ->
+        let ctx = Circuit.create_ctx () in
+        let root = past_the_bound ctx (pigeonhole ctx ~p:7 ~h:6) in
+        let decided = counter "smt.sim.decided" and handoffs = counter "smt.sim.handoffs" in
+        let stats = ref Circuit.Cnf.no_stats in
+        (match Circuit.Cnf.solve ~stats ctx root with
+        | Circuit.Cnf.Unsat_r -> ()
+        | Circuit.Cnf.Sat_model _ -> Alcotest.fail "pigeonhole is unsat");
+        let st = !stats in
+        Alcotest.(check int) "one hand-off" 1 (counter "smt.sim.handoffs" - handoffs);
+        Alcotest.(check int) "not simulated" 0 (counter "smt.sim.decided" - decided);
+        Alcotest.check engine "engine" Circuit.Cnf.Cdcl st.Circuit.Cnf.engine;
+        Alcotest.(check int) "no blocks" 0 st.Circuit.Cnf.sim_blocks;
+        Alcotest.(check bool)
+          (Printf.sprintf "CDCL went on past the hand-off (%d conflicts)" st.Circuit.Cnf.conflicts)
+          true
+          (st.Circuit.Cnf.conflicts > Circuit.Cnf.handoff_conflicts + 1));
+    simulation_agrees;
+  ]
+
 let () =
   Alcotest.run "smt"
     [ ("unit", unit_tests);
       ("exhaustive", exhaustive_tests @ div_tests);
       ("solver", [ solver_agreement ]);
       ("cofactor", cofactor_tests);
+      ("simulate", simulation_tests);
     ]
