@@ -809,11 +809,14 @@ let solve ?(max_conflicts = max_int) (s : t) : result =
             if confl >= 0 then begin
               s.conflicts <- s.conflicts + 1;
               incr local_conflicts;
-              if s.conflicts - conflicts0 > max_conflicts then raise Budget_exceeded;
+              (* A conflict at level 0 is a refutation whatever the
+                 budget: [propagate] has moved past its clause, so a
+                 later call would never see it again. *)
               if s.decision_level = 0 then begin
                 result := Some Unsat;
                 raise Exit
               end;
+              if s.conflicts - conflicts0 > max_conflicts then raise Budget_exceeded;
               let blevel = analyze s confl in
               backtrack s blevel;
               decay_var_activity s;

@@ -320,6 +320,37 @@ let unit_tests =
         match Solver.solve s with
         | Solver.Unsat -> ()
         | Solver.Sat _ -> Alcotest.fail "pigeonhole is unsat after recovery");
+    Alcotest.test_case "a refutation ending on the conflict over the budget is Unsat" `Quick
+      (fun () ->
+        (* A refutation's last conflict is at level 0.  When that is the
+           conflict which exceeds the budget, the call answers Unsat;
+           under any smaller budget it raises, and the same instance,
+           solved again, still refutes *)
+        List.iter
+          (fun (pigeons, holes) ->
+            let nvars, php = pigeonhole ~pigeons ~holes in
+            let fresh () =
+              let s = Solver.create nvars in
+              List.iter (fun c -> ignore (Solver.add_clause s (Array.of_list c))) php;
+              s
+            in
+            let unsat s = match Solver.solve s with Solver.Unsat -> true | Solver.Sat _ -> false in
+            let s = fresh () in
+            Alcotest.(check bool) "unbudgeted refutation" true (unsat s);
+            let total = s.Solver.conflicts in
+            Alcotest.(check bool) "refuted by search" true (total > 1);
+            for k = 0 to total - 1 do
+              let s = fresh () in
+              let label = Printf.sprintf "php %d->%d, budget %d" pigeons holes k in
+              match Solver.solve ~max_conflicts:k s with
+              | Solver.Unsat -> Alcotest.(check int) (label ^ " answers") (total - 1) k
+              | Solver.Sat _ -> Alcotest.fail (label ^ ": pigeonhole is unsat")
+              | exception Solver.Budget_exceeded ->
+                Alcotest.(check bool) (label ^ " raises below the last conflict") true
+                  (k < total - 1);
+                Alcotest.(check bool) (label ^ " refutes when solved again") true (unsat s)
+            done)
+          [ (4, 3); (5, 4) ]);
     Alcotest.test_case "xor chain sat" `Quick (fun () ->
         (* x0 xor x1 = 1, x1 xor x2 = 1, x0 = 1 => x2 = 1 *)
         let xor1 a b =
